@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
@@ -46,6 +46,8 @@ __all__ = [
     "pnsgd_iteration_rdp",
     "sgd_network_rdp",
     "sgd_closed_form_bound",
+    "grid_bisect",
+    "network_sgd_eps",
     "sigma_search",
     "sgd_utility_bound",
     "sampled_gaussian_rdp",
@@ -631,7 +633,7 @@ def sgd_closed_form_bound(
     )
 
 
-def _network_sgd_eps(sigma: float, T_u: float, n: int, L: float, delta: float) -> tuple[float, float]:
+def network_sgd_eps(sigma: float, T_u: float, n: int, L: float, delta: float) -> tuple[float, float]:
     """(eps, alpha) for the network SGD chain at a given sigma.
 
     Minimizes alpha * A + ln(1/delta)/(alpha - 1) with
@@ -657,6 +659,38 @@ def _network_sgd_eps(sigma: float, T_u: float, n: int, L: float, delta: float) -
     return eps, alpha
 
 
+def grid_bisect(eps_of: Callable[[float], float], target: float, grid: Sequence[float]) -> int:
+    """Smallest index i with eps_of(grid[i]) <= target, for eps_of non-increasing on grid.
+
+    Evaluates the last grid point first to detect infeasibility, then
+    bisects the index, so a grid of m points costs at most
+    1 + ceil(log2 m) evaluations.  On a monotone grid this is the index a
+    linear first-hit scan returns.  Raises :class:`InfeasibleError` with the
+    eps and sigma at the last point (``best_eps``, ``at_sigma``) when no
+    point meets the target.
+    """
+    if len(grid) == 0:
+        raise InfeasibleError(
+            f"empty grid cannot meet eps <= {target}",
+            diagnostics={"best_eps": float("inf"), "at_sigma": float("nan")},
+        )
+    hi = len(grid) - 1
+    eps_hi = eps_of(float(grid[hi]))
+    if not eps_hi <= target:
+        raise InfeasibleError(
+            f"no grid point meets eps <= {target}",
+            diagnostics={"best_eps": eps_hi, "at_sigma": float(grid[hi])},
+        )
+    lo = 0  # every index below lo misses the target; grid[hi] meets it
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if eps_of(float(grid[mid])) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def sigma_search(
     eps_target: float,
     delta_target: float,
@@ -669,11 +703,15 @@ def sigma_search(
 ) -> tuple[float, float]:
     """Smallest noise scale meeting an SGD network-DP target, plus its order.
 
-    Scans a geometric grid (1% resolution by default) for the smallest
-    sigma with some feasible alpha > 1 such that
+    Bisects the grid index (:func:`grid_bisect`) of a geometric grid (1%
+    resolution by default) for the smallest sigma with some feasible
+    alpha > 1 such that
     rdp_to_dp(sgd_network_rdp(alpha, T_u, L, sigma, n), delta) <= eps_target;
-    alpha is chosen per sigma as in :func:`_network_sgd_eps`.  Raises
-    :class:`InfeasibleError` with diagnostics when the ceiling is reached.
+    alpha is chosen per sigma as in :func:`network_sgd_eps`.  The bisection
+    relies on eps falling along the grid, which
+    ``tests/test_accountant.py::TestGridMonotonicity`` pins.  Raises
+    :class:`InfeasibleError` with the eps and sigma at the ceiling as
+    diagnostics when no grid point meets the target.
     """
     if not eps_target > 0 or not 0 < delta_target < 1:
         raise ValueError("targets must satisfy eps > 0 and delta in (0, 1)")
@@ -681,19 +719,21 @@ def sigma_search(
         raise ValueError("T_u must be >= 1")
     lo = sigma_floor if sigma_floor is not None else L * 1e-3
     hi = sigma_ceiling if sigma_ceiling is not None else L * 1e6
+    # repeated multiplication, not lo * ratio**k, fixes the grid's floats
+    grid = []
     sigma = lo
-    best = (float("inf"), float("nan"))
     while sigma <= hi:
-        eps, alpha = _network_sgd_eps(sigma, T_u, n, L, delta_target)
-        if eps <= eps_target:
-            return sigma, alpha
-        if eps < best[0]:
-            best = (eps, sigma)
+        grid.append(sigma)
         sigma *= grid_ratio
-    raise InfeasibleError(
-        f"no sigma <= {hi:.4g} meets eps <= {eps_target}",
-        diagnostics={"best_eps": best[0], "at_sigma": best[1], "ceiling": hi},
-    )
+    eps_of = lambda s: network_sgd_eps(s, T_u, n, L, delta_target)[0]
+    try:
+        sigma = grid[grid_bisect(eps_of, eps_target, grid)]
+    except InfeasibleError as exc:
+        raise InfeasibleError(
+            f"no sigma <= {hi:.4g} meets eps <= {eps_target}",
+            diagnostics={**exc.diagnostics, "ceiling": hi},
+        ) from None
+    return sigma, network_sgd_eps(sigma, T_u, n, L, delta_target)[1]
 
 
 def sgd_utility_bound(
@@ -736,22 +776,35 @@ def _sgm_log_a_frac(q: float, z: float, alpha: float, max_terms: int = 2000) -> 
         return math.log(2.0) + float(special.log_ndtr(-x * math.sqrt(2.0)))
 
     z0 = z * z * math.log(1.0 / q - 1.0) + 0.5
-    log_a0 = log_a1 = -math.inf
-    last0 = last1 = -math.inf
-    for i in range(max_terms):
+
+    def log_terms(i: int) -> tuple[float, float]:
         j = alpha - i
         lc = _log_comb(alpha, i)
         lt0 = lc + i * math.log(q) + j * math.log1p(-q)
         lt1 = lc + j * math.log(q) + i * math.log1p(-q)
         ls0 = lt0 + (i * i - i) / (2.0 * z * z) + math.log(0.5) + log_erfc((i - z0) / (math.sqrt(2.0) * z))
         ls1 = lt1 + (j * j - j) / (2.0 * z * z) + math.log(0.5) + log_erfc((z0 - j) / (math.sqrt(2.0) * z))
+        return ls0, ls1
+
+    log_a0 = log_a1 = -math.inf
+    last0 = last1 = -math.inf
+    for i in range(max_terms):
+        ls0, ls1 = log_terms(i)
         log_a0 = np.logaddexp(log_a0, ls0)
         log_a1 = np.logaddexp(log_a1, ls1)
         total = float(np.logaddexp(log_a0, log_a1))
         if ls0 < last0 and ls1 < last1 and max(ls0, ls1) < total - 30.0:
             return total
         last0, last1 = ls0, ls1
-    raise RuntimeError(f"series did not converge (q={q}, z={z}, alpha={alpha})")
+    if max_terms <= alpha:
+        raise RuntimeError(f"series did not converge (q={q}, z={z}, alpha={alpha})")
+    # Near q = 1/2 the terms fall only polynomially in i.  Bound the rest:
+    # each term is |C(alpha, i)| times a factor that falls with i (a power
+    # of a ratio below 1 on its side of z0), and for M > alpha
+    # sum_{i >= M} |C(alpha, i)| = M |C(alpha, M)| / alpha, so the remainder
+    # is at most M / alpha times the term at M = max_terms.
+    tail0, tail1 = log_terms(max_terms)
+    return float(np.logaddexp(total, np.logaddexp(tail0, tail1) + math.log(max_terms / alpha)))
 
 
 def sampled_gaussian_rdp(q: float, noise_multiplier: float, alpha: float) -> float:

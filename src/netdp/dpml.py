@@ -30,11 +30,12 @@ from .core import STREAM_DATA, PrivacyBudget, rng_stream
 from .errors import InfeasibleError
 from .accountant import (
     advanced_composition,
+    grid_bisect,
+    network_sgd_eps,
     rdp_to_dp,
     sampled_gaussian_rdp,
     sgd_network_rdp,
     sigma_search,
-    _network_sgd_eps,
 )
 from .mechanisms import gaussian_epsilon
 from .protocols import run_complete_sgd
@@ -239,11 +240,12 @@ def local_sgd_epsilon(sigma: float, releases: int, delta: float,
 
     Splits delta as delta/(2K) per release plus delta/2 for the advanced
     composition; a single release uses the plain Gaussian mechanism bound.
-    Returns inf when the per-release eps leaves the validity range of the
-    classic Gaussian bound.
+    Returns inf when the per-release eps leaves the validity range (eps < 1)
+    of the classic Gaussian bound.
     """
     if releases == 1:
-        return gaussian_epsilon(sigma, sensitivity, delta)
+        eps = gaussian_epsilon(sigma, sensitivity, delta)
+        return eps if eps < 1 else float("inf")
     delta_step = delta / (2.0 * releases)
     eps_step = gaussian_epsilon(sigma, sensitivity, delta_step)
     if eps_step >= 1:
@@ -264,7 +266,15 @@ def centralized_sgd_epsilon(sigma: float, T: int, n: int, delta: float,
 
 
 def calibrate_regime(config: TrainConfig, n: int, contribution_bound: int | None = None) -> float:
-    """Smallest grid sigma meeting the regime's (eps, delta) target."""
+    """Smallest grid sigma meeting the regime's (eps, delta) target.
+
+    The local and centralized regimes bisect the grid index of
+    :func:`_sigma_grid` with :func:`~netdp.accountant.grid_bisect`; the
+    network regime does the same on its own grid in
+    :func:`~netdp.accountant.sigma_search`.  The bisection relies on eps
+    falling along the grid, which
+    ``tests/test_accountant.py::TestGridMonotonicity`` pins for all three.
+    """
     eps, delta = config.budget.epsilon, config.budget.delta
     cap = contribution_bound if contribution_bound is not None else contribution_cap(
         config.T, n, config.cap_multiplier
@@ -277,13 +287,13 @@ def calibrate_regime(config: TrainConfig, n: int, contribution_bound: int | None
         eps_of = lambda s: local_sgd_epsilon(s, cap, delta)
     else:
         eps_of = lambda s: centralized_sgd_epsilon(s, config.T, n, delta)
-    for sigma in grid:
-        if eps_of(float(sigma)) <= eps:
-            return float(sigma)
-    raise InfeasibleError(
-        f"no sigma on the grid meets eps <= {eps} for regime {config.regime}",
-        diagnostics={"regime": config.regime, "ceiling": float(grid[-1])},
-    )
+    try:
+        return float(grid[grid_bisect(eps_of, eps, grid)])
+    except InfeasibleError:
+        raise InfeasibleError(
+            f"no sigma on the grid meets eps <= {eps} for regime {config.regime}",
+            diagnostics={"regime": config.regime, "ceiling": float(grid[-1])},
+        ) from None
 
 
 def verify_privacy(config: TrainConfig, n: int, sigma: float) -> float:
@@ -297,7 +307,7 @@ def verify_privacy(config: TrainConfig, n: int, sigma: float) -> float:
         return local_sgd_epsilon(sigma, cap, config.budget.delta)
     if config.regime == CENTRALIZED:
         return centralized_sgd_epsilon(sigma, config.T, n, config.budget.delta)
-    eps, _ = _network_sgd_eps(sigma, cap, n, LIPSCHITZ, config.budget.delta)
+    eps, _ = network_sgd_eps(sigma, cap, n, LIPSCHITZ, config.budget.delta)
     return eps
 
 

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from netdp.core import PrivacyBudget
 from netdp.errors import InfeasibleError, ValidityWindowError
 from netdp import accountant as acct
+from netdp import dpml
 
 
 class TestAdvancedComposition:
@@ -408,7 +410,7 @@ class TestSigmaSearch:
 
     def test_grid_minimality(self):
         sigma, _ = acct.sigma_search(1.0, 1e-6, 20, 2000, 1.0)
-        eps_below, _ = acct._network_sgd_eps(0.99 * sigma, 20, 2000, 1.0, 1e-6)
+        eps_below, _ = acct.network_sgd_eps(0.99 * sigma, 20, 2000, 1.0, 1e-6)
         assert eps_below > 1.0
 
     def test_network_needs_less_noise_than_local(self):
@@ -423,6 +425,114 @@ class TestSigmaSearch:
         with pytest.raises(InfeasibleError) as exc:
             acct.sigma_search(1e-9, 1e-6, 10**9, 2, 1.0, sigma_ceiling=10.0)
         assert "ceiling" in exc.value.diagnostics
+
+
+def _linear_first_hit(eps_of, target, grid):
+    for i, s in enumerate(grid):
+        if eps_of(float(s)) <= target:
+            return i
+    raise InfeasibleError("no grid point meets the target")
+
+
+def _network_grid(lo, hi, ratio):
+    """sigma_search's grid: repeated multiplication from lo while <= hi."""
+    grid, sigma = [], lo
+    while sigma <= hi:
+        grid.append(sigma)
+        sigma *= ratio
+    return grid
+
+
+class TestGridBisect:
+    @given(
+        eps=st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=300),
+        target=st.floats(min_value=0.0, max_value=1e3),
+    )
+    def test_matches_linear_scan(self, eps, target):
+        eps = sorted(eps, reverse=True)
+        grid = np.arange(len(eps), dtype=float)
+        calls = []
+
+        def eps_of(s):
+            calls.append(s)
+            return eps[int(s)]
+
+        try:
+            expected = _linear_first_hit(eps_of, target, grid)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                acct.grid_bisect(eps_of, target, grid)
+            return
+        calls.clear()
+        assert acct.grid_bisect(eps_of, target, grid) == expected
+        assert len(calls) <= 1 + math.ceil(math.log2(len(grid)))
+
+    def test_first_point_feasible(self):
+        assert acct.grid_bisect(lambda s: 0.0, 1.0, [1.0, 2.0, 3.0]) == 0
+
+    def test_infeasible_reports_ceiling_eps(self):
+        with pytest.raises(InfeasibleError) as exc:
+            acct.grid_bisect(lambda s: 10.0 / s, 1.0, [1.0, 2.0, 4.0])
+        assert exc.value.diagnostics == {"best_eps": 2.5, "at_sigma": 4.0}
+
+    def test_empty_grid_infeasible(self):
+        with pytest.raises(InfeasibleError):
+            acct.grid_bisect(lambda s: 0.0, 1.0, [])
+
+    def test_sigma_search_matches_linear_scan(self):
+        for eps, delta, T_u, n in [(1.0, 1e-6, 10, 500), (1.0, 1e-6, 20, 2000),
+                                   (0.3, 1e-8, 40, 100), (4.0, 1e-5, 5, 50)]:
+            grid = _network_grid(1e-3, 1e6, 1.01)
+            eps_of = lambda s: acct.network_sgd_eps(s, T_u, n, 1.0, delta)[0]
+            i = _linear_first_hit(eps_of, eps, grid)
+            assert acct.sigma_search(eps, delta, T_u, n, 1.0) == (
+                grid[i], acct.network_sgd_eps(grid[i], T_u, n, 1.0, delta)[1])
+
+
+class TestGridMonotonicity:
+    """eps is non-increasing along each calibration grid, as grid_bisect assumes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=5000),
+        T=st.integers(min_value=1, max_value=50_000),
+        cap_multiplier=st.floats(min_value=0.05, max_value=5.0),
+        delta=st.floats(min_value=1e-10, max_value=1e-2),
+        data=st.data(),
+    )
+    def test_local(self, n, T, cap_multiplier, delta, data):
+        grid = dpml._sigma_grid()
+        i = data.draw(st.integers(min_value=0, max_value=len(grid) - 2))
+        cap = dpml.contribution_cap(T, n, cap_multiplier)
+        eps = [dpml.local_sgd_epsilon(float(s), cap, delta) for s in grid[i:i + 2]]
+        assert eps[0] >= eps[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=1000),
+        T=st.integers(min_value=1, max_value=5000),
+        delta=st.floats(min_value=1e-10, max_value=1e-2),
+        data=st.data(),
+    )
+    def test_centralized(self, n, T, delta, data):
+        grid = dpml._sigma_grid()
+        i = data.draw(st.integers(min_value=0, max_value=len(grid) - 2))
+        eps = [dpml.centralized_sgd_epsilon(float(s), T, n, delta) for s in grid[i:i + 2]]
+        assert eps[0] >= eps[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        T_u=st.integers(min_value=1, max_value=1000),
+        n=st.integers(min_value=2, max_value=10_000),
+        L=st.floats(min_value=0.1, max_value=10.0),
+        delta=st.floats(min_value=1e-10, max_value=1e-2),
+        data=st.data(),
+    )
+    def test_network(self, T_u, n, L, delta, data):
+        grid = _network_grid(L * 1e-3, L * 1e6, 1.01)
+        i = data.draw(st.integers(min_value=0, max_value=len(grid) - 2))
+        eps = [acct.network_sgd_eps(s, T_u, n, L, delta)[0] for s in grid[i:i + 2]]
+        assert eps[0] >= eps[1]
 
 
 class TestSgdUtilityBound:
@@ -469,6 +579,15 @@ class TestSampledGaussianRdp:
         oracle = self.quadrature_oracle(q, z, alpha)
         assert got >= oracle * (1 - 1e-9)
         assert got <= oracle * 1.10
+
+    @pytest.mark.parametrize("z", [0.9, 2.0, 100.0])
+    def test_slow_fractional_series_remainder_bounded(self, z):
+        # at q = 1/2 the terms fall polynomially and 2000 terms do not reach
+        # the stopping rule; the bounded remainder must cover the full series
+        full = acct._sgm_log_a_frac(0.5, z, 1.5, max_terms=40_000)
+        capped = acct._sgm_log_a_frac(0.5, z, 1.5)
+        assert full <= capped <= full + 1e-7
+        assert acct.sampled_gaussian_rdp(0.5, z, 1.5) >= self.quadrature_oracle(0.5, z, 1.5)
 
     def test_no_sampling_limit_is_gaussian(self):
         assert acct.sampled_gaussian_rdp(1.0, 2.0, 8.0) == pytest.approx(8 / (2 * 4))

@@ -6,6 +6,7 @@ import pytest
 
 from netdp.core import PrivacyBudget
 from netdp import dpml
+from netdp.errors import InfeasibleError
 from netdp.mechanisms import calibrate_gaussian
 
 
@@ -140,6 +141,36 @@ class TestCalibration:
         )
         sigma = dpml.calibrate_regime(config, n=100)
         assert dpml.verify_privacy(config, 100, sigma) <= 1.0
+
+    @pytest.mark.parametrize("regime, golden", [
+        (dpml.CENTRALIZED, 2.993278852861266),
+        (dpml.LOCAL, 296.90797640615386),
+        (dpml.NETWORK, 21.8101814029232),
+    ])
+    def test_golden_sigma(self, regime, golden):
+        # exact grid sigmas at n=200, T=2000, eps=1, delta=1e-6, cap_multiplier=2
+        config = dpml.TrainConfig(
+            regime=regime, T=2000, eta=0.1,
+            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0, seed=0,
+        )
+        assert dpml.calibrate_regime(config, n=200) == golden
+
+    @pytest.mark.parametrize("regime", [dpml.LOCAL, dpml.CENTRALIZED])
+    def test_infeasible_target(self, regime):
+        config = dpml.TrainConfig(
+            regime=regime, T=2000, eta=0.1,
+            budget=PrivacyBudget(1e-9, 1e-6), cap_multiplier=2.0, seed=0,
+        )
+        with pytest.raises(InfeasibleError) as exc:
+            dpml.calibrate_regime(config, n=200)
+        assert exc.value.diagnostics == {"regime": regime, "ceiling": float(dpml._sigma_grid()[-1])}
+
+    def test_single_release_outside_window_is_inf(self):
+        # the classic Gaussian bound only holds for eps < 1
+        sigma = calibrate_gaussian(2.0, PrivacyBudget(0.5, 1e-6))
+        assert dpml.local_sgd_epsilon(sigma, 1, 1e-6) == pytest.approx(0.5)
+        assert dpml.local_sgd_epsilon(sigma / 3.0, 1, 1e-6) == math.inf
+        assert dpml.local_sgd_epsilon(1.0, 1, 1e-6) == math.inf
 
     def test_contribution_cap_value(self):
         assert dpml.contribution_cap(20000, 2000, 2.0) == 20
