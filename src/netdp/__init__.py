@@ -14,7 +14,6 @@ from .core import (
     COMPLETE,
     RING,
     PrivacyBudget,
-    RngContract,
     Token,
     Topology,
     WalkTrace,
@@ -29,7 +28,6 @@ __all__ = [
     "COMPLETE",
     "RING",
     "PrivacyBudget",
-    "RngContract",
     "Token",
     "Topology",
     "WalkTrace",

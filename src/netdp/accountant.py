@@ -868,7 +868,7 @@ def spotted_bound(
     1 - delta_tilde.  The composed extra term is
 
         simple:    eps_s = B eps
-        advanced:  eps_s = sqrt(B ln(1/delta')) eps + B eps (e^eps - 1)
+        advanced:  eps_s = sqrt(2 B ln(1/delta')) eps + B eps (e^eps - 1)
 
     which the caller adds (together with delta_tilde) to a base bound.
     """
@@ -882,4 +882,4 @@ def spotted_bound(
     B = 2.0 * rate + math.sqrt(6.0 * rate * math.log(1.0 / delta_tilde))
     if mode == "simple":
         return B * eps
-    return math.sqrt(B * math.log(1.0 / delta_prime)) * eps + B * eps * math.expm1(eps)
+    return math.sqrt(2.0 * B * math.log(1.0 / delta_prime)) * eps + B * eps * math.expm1(eps)

@@ -251,36 +251,44 @@ def cmd_empirical_sweep(config: dict, run_dir: Path, seed: int, runs: int,
 # protocol_mc
 # ---------------------------------------------------------------------------
 
+def _scalar_stream(p: dict) -> proto.TableStream:
+    return proto.uniform_scalar_stream(p["n"], p["stream_seed"], clip=p["clip"])
+
+
+def _category_stream(p: dict) -> proto.TableStream:
+    return proto.uniform_category_stream(p["n"], p["domain_size"], p["stream_seed"])
+
+
+# protocol name -> (contribution stream, one run at seed s); the lambdas look
+# the runner up on the protocols module at call time, so wrappers installed
+# there (profilers, tracers) see every run
+_MC_PROTOCOLS = {
+    "ring_sum": (_scalar_stream, lambda p, stream, s: proto.run_ring_sum(
+        p["n"], p["K"], stream, p["sigma_loc"], mode=p["mode"], seed=s, clip=p["clip"])),
+    "complete_sum": (_scalar_stream, lambda p, stream, s: proto.run_complete_sum(
+        p["n"], p["T"], stream, p["sigma_loc"], seed=s, clip=p["clip"])),
+    "ring_hist": (_category_stream, lambda p, stream, s: proto.run_ring_hist(
+        p["n"], p["K"], p["domain_size"], stream, p["gamma"], seed=s)),
+    "complete_hist": (_category_stream, lambda p, stream, s: proto.run_complete_hist(
+        p["n"], p["T"], p["domain_size"], stream, p["gamma"], seed=s)),
+}
+
+
 def _protocol_batch(args: tuple) -> dict:
     """Run a batch of seeds for one protocol; collects output - true per run."""
     name, params, seeds = args
-    n = params["n"]
+    if name not in _MC_PROTOCOLS:
+        raise ValueError(f"unknown protocol {name!r}")
+    make_stream, run = _MC_PROTOCOLS[name]
+    stream = make_stream(params)  # depends on stream_seed only, not on the run seed
     errors, rr_counts = [], []
     for s in seeds:
-        if name == "ring_sum":
-            stream = proto.uniform_scalar_stream(n, params["stream_seed"], clip=params["clip"])
-            res = proto.run_ring_sum(n, params["K"], stream, params["sigma_loc"],
-                                     mode=params["mode"], seed=s, clip=params["clip"])
-            errors.append(float(res.output.payload) - float(res.true_value))
-        elif name == "complete_sum":
-            stream = proto.uniform_scalar_stream(n, params["stream_seed"], clip=params["clip"])
-            res = proto.run_complete_sum(n, params["T"], stream, params["sigma_loc"],
-                                         seed=s, clip=params["clip"])
-            errors.append(float(res.output.payload) - float(res.true_value))
-        elif name == "ring_hist":
-            stream = proto.uniform_category_stream(n, params["domain_size"], params["stream_seed"])
-            res = proto.run_ring_hist(n, params["K"], params["domain_size"], stream,
-                                      params["gamma"], seed=s)
-            errors.append(np.asarray(res.output.payload) - np.asarray(res.true_value))
-            rr_counts.append(res.random_response_count)
-        elif name == "complete_hist":
-            stream = proto.uniform_category_stream(n, params["domain_size"], params["stream_seed"])
-            res = proto.run_complete_hist(n, params["T"], params["domain_size"], stream,
-                                          params["gamma"], seed=s)
+        res = run(params, stream, s)
+        if res.output.kind == "histogram":
             errors.append(np.asarray(res.output.payload) - np.asarray(res.true_value))
             rr_counts.append(res.random_response_count)
         else:
-            raise ValueError(f"unknown protocol {name!r}")
+            errors.append(float(res.output.payload) - float(res.true_value))
     return {"name": name, "errors": errors, "rr_counts": rr_counts}
 
 

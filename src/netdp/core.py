@@ -41,17 +41,6 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class RngContract:
-    """Reproducibility contract: one (seed, stream) pair names one stream."""
-
-    seed: int
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return rng_stream(self.seed, self.stream)
-
-
-@dataclass(frozen=True)
 class PrivacyBudget:
     """An (epsilon, delta) pair. epsilon > 0 and 0 <= delta < 1."""
 

@@ -12,7 +12,6 @@ per-contribution privacy budget to the mechanism parameter:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -22,44 +21,6 @@ from .errors import ValidityWindowError
 
 GAUSSIAN: Literal["gaussian"] = "gaussian"
 LAPLACE: Literal["laplace"] = "laplace"
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Additive-noise mechanism: kind, standard deviation / scale, sensitivity."""
-
-    kind: Literal["gaussian", "laplace"]
-    scale: float  # std-dev for Gaussian, Laplace scale b otherwise
-    sensitivity: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in (GAUSSIAN, LAPLACE):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-        if not self.sensitivity > 0:
-            raise ValueError("sensitivity must be positive")
-
-    @property
-    def stddev(self) -> float:
-        """Standard deviation of the emitted noise."""
-        if self.kind == GAUSSIAN:
-            return self.scale
-        return self.scale * math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class RrSpec:
-    """L-ary randomized response: report a uniform value with probability gamma."""
-
-    gamma: float
-    domain_size: int
-
-    def __post_init__(self):
-        if not 0 <= self.gamma <= 1:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.domain_size < 2:
-            raise ValueError(f"domain_size must be >= 2, got {self.domain_size}")
 
 
 def calibrate_gaussian(sensitivity: float, budget: PrivacyBudget) -> float:
@@ -93,13 +54,21 @@ def calibrate_laplace(sensitivity: float, epsilon: float) -> float:
     return sensitivity / epsilon
 
 
-def perturb(x, spec: NoiseSpec, rng: np.random.Generator):
-    """Add centered noise with the spec's scale to x (scalar or array)."""
-    shape = np.shape(x)
-    if spec.kind == GAUSSIAN:
-        noise = rng.normal(0.0, spec.scale, size=shape)
+def perturb(x, kind: Literal["gaussian", "laplace"], stddev, rng: np.random.Generator):
+    """Add centered noise of std-dev ``stddev`` (scalar or per-entry) to x.
+
+    The noise takes the broadcast shape of x and stddev, so
+    ``perturb(0.0, kind, scales, rng)`` draws one value per entry of
+    ``scales``.  Laplace noise uses scale b = stddev / sqrt(2), whose
+    std-dev is ``stddev``.
+    """
+    shape = np.broadcast(x, stddev).shape
+    if kind == GAUSSIAN:
+        noise = rng.normal(0.0, stddev, size=shape)
+    elif kind == LAPLACE:
+        noise = rng.laplace(0.0, np.divide(stddev, math.sqrt(2.0)), size=shape)
     else:
-        noise = rng.laplace(0.0, spec.scale, size=shape)
+        raise ValueError(f"unknown noise kind {kind!r}")
     return x + noise
 
 
@@ -113,31 +82,24 @@ def clip_contribution(x, sensitivity: float):
     return np.clip(x, -half, half)
 
 
-def rr_gamma(x: int, spec: RrSpec, rng: np.random.Generator) -> int:
-    """Randomized response: keep x w.p. 1 - gamma, else report a uniform value.
+def rr_gamma_many(xs: np.ndarray, gamma: float, domain_size: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """L-ary randomized response on values in [1, domain_size].
 
-    The overall keep probability is 1 - gamma + gamma/L since the uniform
-    branch may also land on x.
+    Each entry is kept w.p. 1 - gamma, else replaced by a uniform value (which
+    may land on the original, so the overall keep probability is
+    1 - gamma + gamma/L).  Returns (responses, randomized_mask); the mask
+    marks entries that took the uniform branch (the protocol's "random
+    responses").  Draws one uniform per entry, then one category per
+    randomized entry.
     """
-    L = spec.domain_size
-    if not 1 <= x <= L:
-        raise ValueError(f"value {x} outside domain [1, {L}]")
-    if rng.random() < spec.gamma:
-        return int(rng.integers(1, L + 1))
-    return int(x)
-
-
-def rr_gamma_many(xs: np.ndarray, spec: RrSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized randomized response.
-
-    Returns (responses, randomized_mask); the mask marks entries that took
-    the uniform branch (the protocol's "random responses").
-    """
+    if not 0 <= gamma <= 1:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     xs = np.asarray(xs, dtype=np.int64)
-    L = spec.domain_size
+    L = domain_size
     if xs.size and (xs.min() < 1 or xs.max() > L):
         raise ValueError(f"values outside domain [1, {L}]")
-    mask = rng.random(xs.shape) < spec.gamma
+    mask = rng.random(xs.shape) < gamma
     out = xs.copy()
     out[mask] = rng.integers(1, L + 1, size=int(mask.sum()))
     return out, mask

@@ -1,8 +1,12 @@
 """Executable token-walk protocols: summation, histograms and noisy SGD.
 
 Each run returns the protocol output together with the walk trace, the
-noise-event schedule and the reference aggregate, which is everything the
-empirical accountant and the Monte Carlo drivers need.  A run is a pure
+noise schedule and the reference aggregate, which is everything the
+empirical accountant and the Monte Carlo drivers need.  The noise schedule
+is a pair of arrays, ``noise_steps`` (the 1-based randomized steps) and
+``noise_scales`` (the scale used at each), never one object per event.
+Additive noise goes through :func:`~netdp.mechanisms.perturb` and randomized
+response through :func:`~netdp.mechanisms.rr_gamma_many`.  A run is a pure
 function of (parameters, seed): walk sampling, additive noise, randomized
 response and init draws consume independent streams of the master seed.
 """
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -27,40 +31,50 @@ from .core import (
     rng_stream,
     sample_walk,
 )
-from .mechanisms import GAUSSIAN, LAPLACE, clip_contribution
-
-
-class NoiseEvent(NamedTuple):
-    """One randomization event: 1-based step index and the scale used
-    (noise std-dev for additive mechanisms, flip probability for RR)."""
-
-    step: int
-    scale: float
+from .mechanisms import GAUSSIAN, clip_contribution, perturb, rr_gamma_many
 
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """Output of one protocol execution plus its accounting metadata."""
+    """Output of one protocol execution plus its accounting metadata.
+
+    The noise schedule is two read-only arrays of equal length:
+    ``noise_steps`` (int64, 1-based, ascending) are the randomized steps and
+    ``noise_scales`` (float64) the scale used at each, i.e. the noise
+    std-dev for additive mechanisms or the flip probability for randomized
+    response.
+    """
 
     output: Token
     trace: WalkTrace
-    noise_events: tuple[NoiseEvent, ...]
+    noise_steps: np.ndarray
+    noise_scales: np.ndarray
     true_value: float | np.ndarray | None
     pre_debias: Token | None = None  # raw count histogram, when applicable
     init_randomized: int = 0  # uniform elements seeding a histogram token
     iterates: np.ndarray | None = None  # (T+1, d) SGD iterate trace
 
+    def __post_init__(self):
+        steps = np.asarray(self.noise_steps, dtype=np.int64)
+        scales = np.asarray(self.noise_scales, dtype=np.float64)
+        if steps.ndim != 1 or steps.shape != scales.shape:
+            raise ValueError("noise_steps and noise_scales must be 1-d arrays of equal length")
+        steps.setflags(write=False)
+        scales.setflags(write=False)
+        object.__setattr__(self, "noise_steps", steps)
+        object.__setattr__(self, "noise_scales", scales)
+
     @property
     def random_response_count(self) -> int:
         """Total randomized submissions (init block plus flipped responses)."""
-        return self.init_randomized + len(self.noise_events)
+        return self.init_randomized + self.noise_steps.size
 
     def to_json_dict(self, trace_path: str | None = None) -> dict:
         payload = self.output.payload
         return {
             "output": payload if np.isscalar(payload) else np.asarray(payload).tolist(),
             "trace": trace_path,
-            "noise_events": [[int(s), float(g)] for s, g in self.noise_events],
+            "noise_events": [list(e) for e in zip(self.noise_steps.tolist(), self.noise_scales.tolist())],
             "true_value": (
                 None if self.true_value is None
                 else self.true_value if np.isscalar(self.true_value)
@@ -113,9 +127,17 @@ def uniform_category_stream(n: int, domain_size: int, seed: int, k_max: int | No
 
 
 def occurrence_index(steps: np.ndarray) -> np.ndarray:
-    """0-based visit counter per step: entry t counts prior visits of steps[t]."""
-    order = np.argsort(steps, kind="stable")
-    sorted_steps = steps[order]
+    """0-based visit counter per step: entry t counts prior visits of steps[t].
+
+    Sorts on uint16 keys when every entry fits, where numpy's stable sort is
+    a radix sort; the stable permutation is unique, so the result does not
+    depend on the key width.
+    """
+    keys = steps
+    if steps.size and steps.min() >= 0 and steps.max() < 2**16:
+        keys = steps.astype(np.uint16)
+    order = np.argsort(keys, kind="stable")
+    sorted_steps = keys[order]
     boundaries = np.flatnonzero(np.diff(sorted_steps)) + 1
     starts = np.concatenate(([0], boundaries))
     group_sizes = np.diff(np.concatenate((starts, [steps.size])))
@@ -192,23 +214,15 @@ def run_ring_sum(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    total = true_value
     if sigma_loc > 0:
-        if noise_kind == GAUSSIAN:
-            noise = rng.normal(0.0, scales)
-        elif noise_kind == LAPLACE:
-            noise = rng.laplace(0.0, scales / math.sqrt(2.0))
-        else:
-            raise ValueError(f"unknown noise kind {noise_kind!r}")
-        total = true_value + float(np.sum(noise))
-        events = tuple(NoiseEvent(int(s), float(g)) for s, g in zip(noise_steps, scales))
-    else:
-        total = true_value
-        events = tuple(NoiseEvent(int(s), 0.0) for s in noise_steps)
+        total += float(np.sum(perturb(0.0, noise_kind, scales, rng)))
 
     return ProtocolResult(
         output=Token("scalar", total),
         trace=trace,
-        noise_events=events,
+        noise_steps=noise_steps,
+        noise_scales=scales,
         true_value=true_value,
     )
 
@@ -231,6 +245,29 @@ def _debias_histogram(counts: np.ndarray, gamma: float, domain_size: int,
     return (counts - num_responses * gamma / domain_size - init_count / domain_size) / (1.0 - gamma)
 
 
+def _rr_histogram(trace: WalkTrace, x: np.ndarray, domain_size: int, gamma: float,
+                  seed: int, init_count: int) -> ProtocolResult:
+    """Randomize every contribution, count the responses plus ``init_count``
+    uniform seed elements, and debias."""
+    x = np.asarray(x, dtype=np.int64)
+    responses, flip = rr_gamma_many(x, gamma, domain_size, rng_stream(seed, STREAM_RR))
+    counts = np.bincount(responses - 1, minlength=domain_size).astype(np.int64)
+    if init_count:
+        init = rng_stream(seed, STREAM_INIT).integers(1, domain_size + 1, size=init_count)
+        counts += np.bincount(init - 1, minlength=domain_size).astype(np.int64)
+    debiased = _debias_histogram(counts, gamma, domain_size, num_responses=x.size, init_count=init_count)
+    noise_steps = np.flatnonzero(flip) + 1
+    return ProtocolResult(
+        output=Token("histogram", debiased),
+        trace=trace,
+        noise_steps=noise_steps,
+        noise_scales=np.full(noise_steps.size, gamma),
+        true_value=np.bincount(x - 1, minlength=domain_size).astype(np.int64),
+        pre_debias=Token("histogram", counts),
+        init_randomized=init_count,
+    )
+
+
 def audit_ring_sum_structure(result: ProtocolResult, require_other_noiser: bool = True) -> int:
     """Count inter-observation windows violating the ring privacy structure.
 
@@ -245,21 +282,23 @@ def audit_ring_sum_structure(result: ProtocolResult, require_other_noiser: bool 
     n = result.trace.n
     T = result.trace.T
     K = T // n
-    noise_steps = np.array([e.step for e in result.noise_events], dtype=np.int64)
-    violations = 0
-    for p in range(1, n + 1):
-        for i in range(1, K):
-            lo = p + (i - 1) * n  # first step after observation i
-            hi = p - 1 + i * n  # step producing observation i + 1
-            window = (noise_steps >= lo) & (noise_steps <= hi)
-            own = np.sum((result.trace.steps[lo - 1 : hi] == p))
-            ok = window.any() and own <= 1
-            if ok and require_other_noiser:
-                # noise step s is performed by ring position ((s-1) mod n)+1
-                positions = (noise_steps[window] - 1) % n + 1
-                ok = bool(np.any(positions != p))
-            violations += not ok
-    return violations
+    p = np.arange(1, n + 1, dtype=np.int64)[:, None]
+    i = np.arange(1, K, dtype=np.int64)[None, :]
+    lo = p + (i - 1) * n  # first step after observation i
+    hi = p - 1 + i * n  # step producing observation i + 1
+    noise_steps = result.noise_steps
+    upto_hi = np.searchsorted(noise_steps, hi, side="right")
+    ok = upto_hi > np.searchsorted(noise_steps, lo, side="left")
+    # the observer's own visits in [lo, hi], counted on (user, step) keys
+    visits = np.sort(result.trace.steps * (T + 1) + np.arange(1, T + 1))
+    own = (np.searchsorted(visits, p * (T + 1) + hi, side="right")
+           - np.searchsorted(visits, p * (T + 1) + lo, side="left"))
+    ok &= own <= 1
+    if require_other_noiser:
+        # noise step s is performed by ring position ((s-1) mod n)+1; in the
+        # n-step window only step lo belongs to the observer
+        ok &= upto_hi > np.searchsorted(noise_steps, lo + 1, side="left")
+    return int(np.count_nonzero(~ok))
 
 
 def run_ring_hist(
@@ -285,33 +324,8 @@ def run_ring_hist(
     T = K * n
     trace = sample_walk(Topology(RING, n), T, seed)
     rounds = np.repeat(np.arange(K, dtype=np.int64), n)
-    x = np.asarray(stream.take(trace.steps, rounds), dtype=np.int64)
-    if x.min() < 1 or x.max() > domain_size:
-        raise ValueError("stream produced categories outside [1, domain_size]")
-
-    init_count = math.ceil(gamma * n)
-    init_rng = rng_stream(seed, STREAM_INIT)
-    init = init_rng.integers(1, domain_size + 1, size=init_count)
-
-    rr_rng = rng_stream(seed, STREAM_RR)
-    flip = rr_rng.random(T) < gamma
-    responses = x.copy()
-    responses[flip] = rr_rng.integers(1, domain_size + 1, size=int(flip.sum()))
-
-    counts = np.bincount(responses - 1, minlength=domain_size).astype(np.int64)
-    counts += np.bincount(init - 1, minlength=domain_size).astype(np.int64)
-    debiased = _debias_histogram(counts, gamma, domain_size, num_responses=T, init_count=init_count)
-    true_hist = np.bincount(x - 1, minlength=domain_size).astype(np.int64)
-
-    events = tuple(NoiseEvent(int(s), gamma) for s in np.flatnonzero(flip) + 1)
-    return ProtocolResult(
-        output=Token("histogram", debiased),
-        trace=trace,
-        noise_events=events,
-        true_value=true_hist,
-        pre_debias=Token("histogram", counts),
-        init_randomized=init_count,
-    )
+    x = stream.take(trace.steps, rounds)
+    return _rr_histogram(trace, x, domain_size, gamma, seed, init_count=math.ceil(gamma * n))
 
 
 def run_complete_sum(
@@ -338,22 +352,15 @@ def run_complete_sum(
     x = clip_contribution(stream.take(trace.steps, rounds), clip)
     true_value = float(np.sum(x))
 
-    rng = rng_stream(seed, STREAM_NOISE)
+    scales = np.full(T, float(sigma_loc))
+    total = true_value
     if sigma_loc > 0:
-        if noise_kind == GAUSSIAN:
-            noise = rng.normal(0.0, sigma_loc, size=T)
-        elif noise_kind == LAPLACE:
-            noise = rng.laplace(0.0, sigma_loc / math.sqrt(2.0), size=T)
-        else:
-            raise ValueError(f"unknown noise kind {noise_kind!r}")
-        total = true_value + float(np.sum(noise))
-    else:
-        total = true_value
-    events = tuple(NoiseEvent(t, float(sigma_loc)) for t in range(1, T + 1))
+        total += float(np.sum(perturb(0.0, noise_kind, scales, rng_stream(seed, STREAM_NOISE))))
     return ProtocolResult(
         output=Token("scalar", total),
         trace=trace,
-        noise_events=events,
+        noise_steps=np.arange(1, T + 1, dtype=np.int64),
+        noise_scales=scales,
         true_value=true_value,
     )
 
@@ -373,27 +380,8 @@ def run_complete_hist(
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     trace = sample_walk(Topology(COMPLETE, n), T, seed)
     rounds = occurrence_index(trace.steps)
-    x = np.asarray(stream.take(trace.steps, rounds), dtype=np.int64)
-    if x.min() < 1 or x.max() > domain_size:
-        raise ValueError("stream produced categories outside [1, domain_size]")
-
-    rr_rng = rng_stream(seed, STREAM_RR)
-    flip = rr_rng.random(T) < gamma
-    responses = x.copy()
-    responses[flip] = rr_rng.integers(1, domain_size + 1, size=int(flip.sum()))
-
-    counts = np.bincount(responses - 1, minlength=domain_size).astype(np.int64)
-    debiased = _debias_histogram(counts, gamma, domain_size, num_responses=T, init_count=0)
-    true_hist = np.bincount(x - 1, minlength=domain_size).astype(np.int64)
-
-    events = tuple(NoiseEvent(int(s), gamma) for s in np.flatnonzero(flip) + 1)
-    return ProtocolResult(
-        output=Token("histogram", debiased),
-        trace=trace,
-        noise_events=events,
-        true_value=true_hist,
-        pre_debias=Token("histogram", counts),
-    )
+    x = stream.take(trace.steps, rounds)
+    return _rr_histogram(trace, x, domain_size, gamma, seed, init_count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +446,7 @@ def run_complete_sgd(
     iterates = np.empty((T + 1, dim), dtype=float)
     iterates[0] = w
     contributed = np.zeros(n, dtype=np.int64)
-    events = []
+    noised = np.zeros(T, dtype=bool)
     for t in range(1, T + 1):
         u = int(trace.steps[t - 1])
         capped = max_contributions is not None and contributed[u - 1] >= max_contributions
@@ -476,13 +464,14 @@ def run_complete_sgd(
         update = z if g is None else g + z
         w = _project_l2(w - eta * update, projection_radius)
         iterates[t] = w
-        if sigma > 0:
-            events.append(NoiseEvent(t, float(sigma)))
+        noised[t - 1] = True
 
+    noise_steps = np.flatnonzero(noised) + 1 if sigma > 0 else np.empty(0, dtype=np.int64)
     return ProtocolResult(
         output=Token("vector", w),
         trace=trace,
-        noise_events=tuple(events),
+        noise_steps=noise_steps,
+        noise_scales=np.full(noise_steps.size, float(sigma)),
         true_value=None,
         iterates=iterates,
     )

@@ -642,6 +642,19 @@ class TestSpottedBound:
                     simple = acct.spotted_bound(n_u, n, eps, 1e-3, delta_prime, mode="simple")
                     assert adv <= simple
 
+    @pytest.mark.parametrize("n_u,n,eps,delta_tilde,delta_prime", [
+        (50.0, 100, 0.37, math.exp(-1), 1e-3),
+        (5000.0, 1000, 0.1, 1e-3, 1e-5),
+        (200.0, 10, 0.8, 1e-2, 1e-6),
+    ])
+    def test_advanced_arm_is_advanced_composition(self, n_u, n, eps, delta_tilde, delta_prime):
+        # the B spotted releases compose with the Dwork-Rothblum-Vadhan rule
+        rate = n_u / n
+        B = 2 * rate + math.sqrt(6 * rate * math.log(1 / delta_tilde))
+        got = acct.spotted_bound(n_u, n, eps, delta_tilde, delta_prime, mode="advanced")
+        expected = acct.advanced_composition(eps, 0.0, B, delta_prime).epsilon
+        assert got == pytest.approx(expected, rel=1e-12)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             acct.spotted_bound(1.0, 10, 0.5, 0.1, 0.1, mode="hybrid")

@@ -169,12 +169,6 @@ class TestRngStreams:
     def test_negative_seed_accepted(self):
         assert rng_stream(-1, 0).random() == rng_stream(-1, 0).random()
 
-    def test_contract_object(self):
-        from netdp.core import RngContract
-
-        contract = RngContract(seed=5, stream=2)
-        assert contract.generator().random() == rng_stream(5, 2).random()
-
 
 class TestToken:
     def test_kinds(self):

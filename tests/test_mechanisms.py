@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from netdp.core import PrivacyBudget
+from netdp.core import PrivacyBudget, rng_stream
 from netdp.errors import ValidityWindowError
 from netdp.mechanisms import (
     GAUSSIAN,
     LAPLACE,
-    NoiseSpec,
-    RrSpec,
     calibrate_gaussian,
     calibrate_laplace,
     clip_contribution,
     gaussian_epsilon,
     perturb,
     rr_epsilon_to_gamma,
-    rr_gamma,
     rr_gamma_many,
     rr_gamma_to_epsilon,
 )
@@ -64,25 +61,24 @@ class TestCalibrateLaplace:
 
     def test_emitted_stddev(self, rng):
         # Laplace(b) has std b * sqrt(2): Monte Carlo moment check
-        spec = NoiseSpec(LAPLACE, scale=4.0)
-        draws = perturb(np.zeros(10**6), spec, rng)
+        draws = perturb(np.zeros(10**6), LAPLACE, 4.0 * math.sqrt(2.0), rng)
         assert draws.std() == pytest.approx(4.0 * math.sqrt(2.0), rel=0.01)
-        assert spec.stddev == pytest.approx(4.0 * math.sqrt(2.0))
+        assert np.mean(np.abs(draws)) == pytest.approx(4.0, rel=0.01)  # E|X| = b
 
 
 class TestPerturb:
     def test_unbiased_clt_band(self, rng):
         sigma, draws = 2.0, 10**6
-        out = perturb(np.zeros(draws), NoiseSpec(GAUSSIAN, sigma), rng)
+        out = perturb(np.zeros(draws), GAUSSIAN, sigma, rng)
         assert abs(out.mean()) < 3 * sigma / math.sqrt(draws)
 
     def test_vanishing_scale_returns_input(self, rng):
-        out = perturb(1.5, NoiseSpec(GAUSSIAN, 1e-12), rng)
+        out = perturb(1.5, GAUSSIAN, 1e-12, rng)
         assert out == pytest.approx(1.5, abs=1e-10)
 
     def test_variance(self, rng):
         sigma = 0.7
-        out = perturb(np.zeros(10**6), NoiseSpec(GAUSSIAN, sigma), rng)
+        out = perturb(np.zeros(10**6), GAUSSIAN, sigma, rng)
         assert out.var() == pytest.approx(sigma**2, rel=0.02)
 
     def test_composed_variance_adds(self, rng):
@@ -90,24 +86,36 @@ class TestPerturb:
         sigma, reps = 1.3, 8
         acc = np.zeros(200_000)
         for _ in range(reps):
-            acc = perturb(acc, NoiseSpec(GAUSSIAN, sigma), rng)
+            acc = perturb(acc, GAUSSIAN, sigma, rng)
         assert acc.var() == pytest.approx(reps * sigma**2, rel=0.02)
+
+    @pytest.mark.parametrize("kind", [GAUSSIAN, LAPLACE])
+    def test_per_entry_stddev_draws_like_scalar(self, kind):
+        # protocols pass one std-dev per step; the draws must not depend on
+        # whether the std-dev is a scalar or an array
+        a = perturb(np.zeros(50), kind, 0.8, rng_stream(3, 1))
+        b = perturb(0.0, kind, np.full(50, 0.8), rng_stream(3, 1))
+        np.testing.assert_array_equal(a, b)
+
+    def test_unknown_kind(self, rng):
+        with pytest.raises(ValueError):
+            perturb(0.0, "cauchy", 1.0, rng)
 
 
 class TestRandomizedResponse:
     def test_gamma_zero_is_identity(self, rng):
-        spec = RrSpec(0.0, 4)
-        assert all(rr_gamma(x, spec, rng) == x for x in range(1, 5))
+        xs = np.arange(1, 5)
+        out, mask = rr_gamma_many(xs, 0.0, 4, rng)
+        assert out.tolist() == xs.tolist()
+        assert not mask.any()
 
     def test_gamma_one_uniform(self, rng):
-        spec = RrSpec(1.0, 2)
-        out, _ = rr_gamma_many(np.ones(10**5, dtype=int), spec, rng)
+        out, _ = rr_gamma_many(np.ones(10**5, dtype=int), 1.0, 2, rng)
         assert np.mean(out == 1) == pytest.approx(0.5, abs=0.005)
 
     def test_plug_in_probabilities(self, rng):
         # gamma=0.3, L=5: keep prob 0.76, each other value 0.06
-        spec = RrSpec(0.3, 5)
-        out, _ = rr_gamma_many(np.full(10**5, 2), spec, rng)
+        out, _ = rr_gamma_many(np.full(10**5, 2), 0.3, 5, rng)
         freqs = np.bincount(out, minlength=6)[1:] / out.size
         assert freqs[1] == pytest.approx(0.76, abs=0.01)
         for other in (0, 2, 3, 4):
@@ -115,9 +123,13 @@ class TestRandomizedResponse:
 
     def test_out_of_domain(self, rng):
         with pytest.raises(ValueError):
-            rr_gamma(0, RrSpec(0.5, 3), rng)
+            rr_gamma_many(np.array([0]), 0.5, 3, rng)
         with pytest.raises(ValueError):
-            rr_gamma_many(np.array([1, 4]), RrSpec(0.5, 3), rng)
+            rr_gamma_many(np.array([1, 4]), 0.5, 3, rng)
+
+    def test_gamma_outside_unit_interval(self, rng):
+        with pytest.raises(ValueError):
+            rr_gamma_many(np.array([1]), 1.5, 3, rng)
 
 
 class TestRrCalibration:

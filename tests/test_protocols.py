@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from netdp.core import COMPLETE, Topology, sample_walk
 from netdp.protocols import (
@@ -48,10 +50,10 @@ class TestRunRingSum:
 
     def test_noise_event_count_and_spacing(self):
         res = run_ring_sum(100, 10, uniform_scalar_stream(100, 1), 1.0, seed=2)
-        steps = np.array([e.step for e in res.noise_events])
+        steps = res.noise_steps
         assert steps.size == 10
         assert np.all(np.diff(steps) == 99)
-        assert all(e.scale == 1.0 for e in res.noise_events)
+        assert np.all(res.noise_scales == 1.0)
 
     def test_structural_audit_default_schedule(self):
         res = run_ring_sum(20, 5, uniform_scalar_stream(20, 1), 1.0, seed=2)
@@ -75,9 +77,9 @@ class TestRunRingSum:
     def test_distributed_mode_schedule(self):
         n, K = 100, 10
         res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 2.0, mode="distributed", seed=3)
-        assert len(res.noise_events) == K * n
-        assert res.noise_events[0].scale == 2.0
-        assert res.noise_events[1].scale == pytest.approx(2.0 / math.sqrt(n))
+        assert res.noise_steps.size == K * n
+        assert res.noise_scales[0] == 2.0
+        assert res.noise_scales[1] == pytest.approx(2.0 / math.sqrt(n))
 
     def test_distributed_mode_stddev(self):
         # total noise std sqrt(floor(Kn/(n-1)) + 1) sigma up to a 1/n term
@@ -108,7 +110,9 @@ class TestRunRingSum:
         res = run_ring_sum(10, 2, stream, 1.0, seed=7)
         payload = res.to_json_dict(trace_path="walk.csv")
         assert payload["trace"] == "walk.csv"
-        assert len(payload["noise_events"]) == len(res.noise_events)
+        assert len(payload["noise_events"]) == res.noise_steps.size
+        assert payload["noise_events"][:2] == [[9, 1.0], [18, 1.0]]
+        assert all(type(s) is int and type(g) is float for s, g in payload["noise_events"])
         assert payload["true_value"] == pytest.approx(res.true_value)
 
     def test_bad_arguments(self):
@@ -119,6 +123,74 @@ class TestRunRingSum:
             run_ring_sum(10, 0, stream, 1.0)
         with pytest.raises(ValueError):
             run_ring_sum(10, 2, stream, 1.0, mode="triple")
+
+
+def audit_loop(result, require_other_noiser=True):
+    """Reference window-by-window audit the vectorized one must reproduce."""
+    n = result.trace.n
+    K = result.trace.T // n
+    noise_steps = result.noise_steps
+    violations = 0
+    for p in range(1, n + 1):
+        for i in range(1, K):
+            lo = p + (i - 1) * n
+            hi = p - 1 + i * n
+            window = (noise_steps >= lo) & (noise_steps <= hi)
+            own = np.sum(result.trace.steps[lo - 1 : hi] == p)
+            ok = window.any() and own <= 1
+            if ok and require_other_noiser:
+                positions = (noise_steps[window] - 1) % n + 1
+                ok = bool(np.any(positions != p))
+            violations += not ok
+    return violations
+
+
+def with_noise_steps(res, keep):
+    return dataclasses.replace(res, noise_steps=res.noise_steps[keep], noise_scales=res.noise_scales[keep])
+
+
+class TestAuditRingSumStructure:
+    CASES = [(2, 3), (5, 1), (7, 4), (20, 5)]
+
+    @pytest.mark.parametrize("n,K", CASES)
+    @pytest.mark.parametrize("require", [True, False])
+    def test_default_schedules_match_loop(self, n, K, require):
+        stream = uniform_scalar_stream(n, 1)
+        for kwargs in ({}, {"protect_first_cycle": True}, {"mode": "distributed"}):
+            res = run_ring_sum(n, K, stream, 1.0, seed=2, **kwargs)
+            assert audit_ring_sum_structure(res, require) == audit_loop(res, require) == 0
+
+    @pytest.mark.parametrize("n,K", CASES)
+    @pytest.mark.parametrize("require", [True, False])
+    def test_removed_noise_events_match_loop(self, n, K, require):
+        res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 1.0, seed=2, mode="distributed")
+        rng = np.random.Generator(np.random.Philox(n * K))
+        found = 0
+        for frac in (0.0, 0.5, 0.9, 0.97):
+            keep = rng.random(res.noise_steps.size) >= frac
+            thinned = with_noise_steps(res, keep)
+            got = audit_ring_sum_structure(thinned, require)
+            assert got == audit_loop(thinned, require)
+            found += got
+        assert found > 0 or K == 1
+
+    def test_only_own_noise_is_flagged(self):
+        # keep only steps 1, n + 1, 2n + 1, ...: each holder-1 window has
+        # noise, but all of it is user 1's own
+        n, K = 6, 4
+        res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 1.0, seed=2, mode="distributed")
+        thinned = with_noise_steps(res, (res.noise_steps - 1) % n == 0)
+        assert audit_ring_sum_structure(thinned, False) == audit_loop(thinned, False)
+        assert audit_ring_sum_structure(thinned, True) == audit_loop(thinned, True) > 0
+
+    @pytest.mark.parametrize("require", [True, False])
+    def test_repeated_holders_match_loop(self, require):
+        # a complete-graph trace repeats holders inside a window
+        n, K = 5, 6
+        res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 1.0, seed=2)
+        for seed in range(5):
+            mixed = dataclasses.replace(res, trace=sample_walk(Topology(COMPLETE, n), K * n, seed))
+            assert audit_ring_sum_structure(mixed, require) == audit_loop(mixed, require)
 
 
 class TestRunRingHist:
@@ -175,6 +247,18 @@ class TestOccurrenceIndex:
     def test_single_user(self):
         assert occurrence_index(np.ones(4, dtype=np.int64)).tolist() == [0, 1, 2, 3]
 
+    @given(st.lists(st.one_of(st.integers(0, 6), st.integers(2**16 - 3, 2**16 + 3)), max_size=200))
+    def test_matches_naive_counter(self, values):
+        # values >= 2**16 take the int64 sort, the rest the uint16 one
+        seen = {}
+        expected = []
+        for v in values:
+            expected.append(seen.get(v, 0))
+            seen[v] = seen.get(v, 0) + 1
+        got = occurrence_index(np.array(values, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+
 
 class TestRunCompleteSum:
     def test_noiseless_exact(self):
@@ -186,7 +270,7 @@ class TestRunCompleteSum:
         res = run_complete_sum(1, 7, TableStream(np.array([0.25])), 0.0, seed=1)
         assert res.trace.steps.tolist() == [1] * 7
         assert res.true_value == pytest.approx(7 * 0.25)
-        assert len(res.noise_events) == 7
+        assert res.noise_steps.size == 7
 
     def test_monte_carlo_stddev(self):
         stream = uniform_scalar_stream(50, seed=4)
@@ -280,7 +364,7 @@ class TestRunCompleteSgd:
             max_contributions=cap, noise_when_capped=True,
         )
         assert all(c <= cap for c in calls.values())
-        assert len(res.noise_events) == T  # capped holders still add noise
+        assert res.noise_steps.size == T  # capped holders still add noise
 
     def test_capped_local_mode_forwards_untouched(self):
         d, T, cap = 2, 300, 5
@@ -289,7 +373,7 @@ class TestRunCompleteSgd:
             eta=0.1, sigma=0.5, seed=4, d=d,
             max_contributions=cap, noise_when_capped=False,
         )
-        assert len(res.noise_events) == 4 * cap
+        assert res.noise_steps.size == 4 * cap
 
     def test_deterministic(self):
         args = dict(n=3, T=100, datasets=[None] * 3, grad_fn=lambda w, _: np.ones(2),
@@ -304,3 +388,87 @@ class TestRunCompleteSgd:
                 n=2, T=10, datasets=[None] * 2, grad_fn=lambda w, _: np.zeros(3),
                 eta=0.1, sigma=0.0, seed=1, d=2,
             )
+
+
+class TestProtocolResultSchedule:
+    def test_arrays_are_typed_and_read_only(self):
+        res = run_ring_hist(20, 3, 4, uniform_category_stream(20, 4, seed=2), 0.4, seed=1)
+        assert res.noise_steps.dtype == np.int64
+        assert res.noise_scales.dtype == np.float64
+        assert np.all(np.diff(res.noise_steps) > 0)
+        with pytest.raises(ValueError):
+            res.noise_steps[0] = 1
+        with pytest.raises(ValueError):
+            res.noise_scales[0] = 0.0
+
+    def test_mismatched_lengths_rejected(self):
+        res = run_ring_sum(4, 2, uniform_scalar_stream(4, 1), 1.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(res, noise_scales=np.ones(res.noise_steps.size + 1))
+
+    def test_random_response_count_is_plain_int(self):
+        res = run_ring_hist(20, 3, 4, uniform_category_stream(20, 4, seed=2), 0.4, seed=1)
+        assert type(res.random_response_count) is int
+        assert res.random_response_count == res.init_randomized + res.noise_steps.size
+
+
+def constant_grad(w, _):
+    return np.ones(2)
+
+
+class TestPinnedRuns:
+    """Exact outputs and noise schedules of small runs.
+
+    The values were produced by the per-event implementation these arrays
+    replaced; any change to the draw order of a stream moves them.
+    """
+
+    @staticmethod
+    def check(res, payload, true_value, steps, scales):
+        got = res.output.payload
+        assert (got.tolist() if isinstance(got, np.ndarray) else got) == payload
+        tv = res.true_value
+        assert (tv.tolist() if isinstance(tv, np.ndarray) else tv) == true_value
+        assert res.noise_steps.tolist() == steps
+        assert res.noise_scales.tolist() == scales
+
+    def test_ring_sum_single_noiser(self):
+        res = run_ring_sum(6, 3, uniform_scalar_stream(6, 11), 1.0, seed=5)
+        self.check(res, 2.295934511539557, -2.163848472741783, [5, 10, 15], [1.0] * 3)
+
+    def test_ring_sum_distributed(self):
+        res = run_ring_sum(5, 2, uniform_scalar_stream(5, 11), 2.0, mode="distributed", seed=5)
+        self.check(res, 0.917365653244911, -1.0479187990540617, list(range(1, 11)),
+                   [2.0] + [0.8944271909999159] * 9)
+
+    def test_ring_sum_laplace_protected(self):
+        res = run_ring_sum(6, 3, uniform_scalar_stream(6, 11), 1.5, seed=5,
+                           noise_kind="laplace", protect_first_cycle=True)
+        self.check(res, -1.0272614226613164, -2.163848472741783, [1, 6, 11, 16], [1.5] * 4)
+
+    def test_complete_sum_gaussian(self):
+        res = run_complete_sum(4, 12, uniform_scalar_stream(4, 12, k_max=12), 0.7, seed=6)
+        self.check(res, -7.517539898312643, -2.3639463763963557, list(range(1, 13)), [0.7] * 12)
+
+    def test_complete_sum_laplace(self):
+        res = run_complete_sum(4, 12, uniform_scalar_stream(4, 12), 0.7, seed=6, noise_kind="laplace")
+        self.check(res, 3.2102393094119344, -0.7642479756317032, list(range(1, 13)), [0.7] * 12)
+
+    def test_ring_hist(self):
+        res = run_ring_hist(6, 3, 4, uniform_category_stream(6, 4, 2), 0.4, seed=2)
+        self.check(res, [5.750000000000001, 4.083333333333334, 2.416666666666667, 5.750000000000001],
+                   [6, 3, 3, 6], [2, 3, 4, 5, 6, 8, 9, 11, 12, 13, 18], [0.4] * 11)
+        assert res.pre_debias.payload.tolist() == [6, 5, 4, 6]
+        assert res.init_randomized == 3
+
+    def test_complete_hist(self):
+        res = run_complete_hist(5, 15, 3, uniform_category_stream(5, 3, 3, k_max=15), 0.5, seed=4)
+        self.check(res, [5.0, 7.0, 3.0], [5, 5, 5], [1, 2, 3, 5, 8, 10, 11, 14], [0.5] * 8)
+        assert res.pre_debias.payload.tolist() == [5, 6, 4]
+        assert res.init_randomized == 0
+
+    def test_complete_sgd_capped(self):
+        res = run_complete_sgd(3, 10, [None] * 3, constant_grad, 0.1, 0.5, seed=7, d=2,
+                               max_contributions=2, noise_when_capped=False)
+        self.check(res, [-0.6291538748937988, -0.5300487625988829], None,
+                   [1, 2, 3, 4, 5, 7], [0.5] * 6)
