@@ -14,7 +14,6 @@ from .core import (
     COMPLETE,
     RING,
     PrivacyBudget,
-    Token,
     Topology,
     WalkTrace,
     cycle_lengths,
@@ -28,7 +27,6 @@ __all__ = [
     "COMPLETE",
     "RING",
     "PrivacyBudget",
-    "Token",
     "Topology",
     "WalkTrace",
     "cycle_lengths",

@@ -8,9 +8,11 @@ Usage:
 Configs are flat ``key = value`` text files ('#' starts a comment); the
 command-line flags override the matching config keys.  Every run writes
 ``<out>/<experiment>/<timestamp>-<seed>/`` containing ``results.csv`` (or
-``results.json``), ``meta.json`` with the fully resolved configuration and
-package version, and any trace files.  A re-run with the same config and
-seed reproduces the result files byte for byte.
+``results.json``), ``meta.json`` with the configuration as given (config
+file plus ``--set`` overrides, without the defaults the experiment fills
+in), the seed, run count and package version, and any trace files.  A
+re-run with the same config and seed reproduces the result files byte for
+byte.
 
 Exit codes: 0 success, 2 invalid configuration, 3 infeasible target.
 """
@@ -25,7 +27,9 @@ import sys
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -251,45 +255,98 @@ def cmd_empirical_sweep(config: dict, run_dir: Path, seed: int, runs: int,
 # protocol_mc
 # ---------------------------------------------------------------------------
 
-def _scalar_stream(p: dict) -> proto.TableStream:
+def _sum_moments(errors: list, rr_counts: list) -> dict:
+    arr = np.asarray(errors, dtype=float)
+    return {
+        "mean_error": float(arr.mean()),
+        "std_error": float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
+    }
+
+
+def _hist_moments(errors: list, rr_counts: list) -> dict:
+    errors = np.asarray(errors, dtype=float)  # (runs, L) debiased - true
+    se = errors.std(axis=0, ddof=1) / math.sqrt(len(errors)) if len(errors) > 1 else np.ones(errors.shape[1])
+    return {
+        "max_bin_bias_se": float(np.max(np.abs(errors.mean(axis=0)) / np.maximum(se, 1e-300))),
+        "rr_mean": float(np.mean(rr_counts)),
+    }
+
+
+def _ring_sum_expected(p: dict, steps: int) -> dict:
+    if p["mode"] == "distributed":
+        return {"expected_std": math.sqrt(p["sigma_loc"] ** 2 * (1 + (steps - 1) / p["n"]))}
+    return {"expected_std": math.sqrt(steps // (p["n"] - 1)) * p["sigma_loc"]}
+
+
+class _McProtocol(NamedTuple):
+    """One protocol_mc protocol and the closed form its Monte Carlo row is
+    checked against."""
+
+    table: Callable[[dict], np.ndarray]  # contributions; depends on stream_seed only
+    run: Callable[[dict, np.ndarray, int], proto.ProtocolResult]  # one run at seed s
+    steps: Callable[[dict], int]  # walk length
+    moments: Callable[[list, list], dict]  # observed, from errors and response counts
+    expected: Callable[[dict, int], dict]  # expected_std or rr_expected, from (params, steps)
+
+
+def _scalar_table(p: dict) -> np.ndarray:
     return proto.uniform_scalar_stream(p["n"], p["stream_seed"], clip=p["clip"])
 
 
-def _category_stream(p: dict) -> proto.TableStream:
+def _category_table(p: dict) -> np.ndarray:
     return proto.uniform_category_stream(p["n"], p["domain_size"], p["stream_seed"])
 
 
-# protocol name -> (contribution stream, one run at seed s); the lambdas look
-# the runner up on the protocols module at call time, so wrappers installed
-# there (profilers, tracers) see every run
+# the run lambdas look the runner up on the protocols module at call time, so
+# wrappers installed there (profilers, tracers) see every run
 _MC_PROTOCOLS = {
-    "ring_sum": (_scalar_stream, lambda p, stream, s: proto.run_ring_sum(
-        p["n"], p["K"], stream, p["sigma_loc"], mode=p["mode"], seed=s, clip=p["clip"])),
-    "complete_sum": (_scalar_stream, lambda p, stream, s: proto.run_complete_sum(
-        p["n"], p["T"], stream, p["sigma_loc"], seed=s, clip=p["clip"])),
-    "ring_hist": (_category_stream, lambda p, stream, s: proto.run_ring_hist(
-        p["n"], p["K"], p["domain_size"], stream, p["gamma"], seed=s)),
-    "complete_hist": (_category_stream, lambda p, stream, s: proto.run_complete_hist(
-        p["n"], p["T"], p["domain_size"], stream, p["gamma"], seed=s)),
+    "ring_sum": _McProtocol(
+        table=_scalar_table,
+        run=lambda p, table, s: proto.run_ring_sum(
+            p["n"], p["K"], table, p["sigma_loc"], mode=p["mode"], seed=s, clip=p["clip"]),
+        steps=lambda p: p["K"] * p["n"],
+        moments=_sum_moments,
+        expected=_ring_sum_expected,
+    ),
+    "complete_sum": _McProtocol(
+        table=_scalar_table,
+        run=lambda p, table, s: proto.run_complete_sum(
+            p["n"], p["T"], table, p["sigma_loc"], seed=s, clip=p["clip"]),
+        steps=lambda p: p["T"],
+        moments=_sum_moments,
+        expected=lambda p, steps: {"expected_std": math.sqrt(steps) * p["sigma_loc"]},
+    ),
+    "ring_hist": _McProtocol(
+        table=_category_table,
+        run=lambda p, table, s: proto.run_ring_hist(
+            p["n"], p["K"], p["domain_size"], table, p["gamma"], seed=s),
+        steps=lambda p: p["K"] * p["n"],
+        moments=_hist_moments,
+        expected=lambda p, steps: {"rr_expected": math.ceil(p["gamma"] * p["n"]) + p["gamma"] * steps},
+    ),
+    "complete_hist": _McProtocol(
+        table=_category_table,
+        run=lambda p, table, s: proto.run_complete_hist(
+            p["n"], p["T"], p["domain_size"], table, p["gamma"], seed=s),
+        steps=lambda p: p["T"],
+        moments=_hist_moments,
+        expected=lambda p, steps: {"rr_expected": p["gamma"] * steps},
+    ),
 }
 
 
-def _protocol_batch(args: tuple) -> dict:
-    """Run a batch of seeds for one protocol; collects output - true per run."""
+def _protocol_batch(args: tuple) -> tuple[list, list]:
+    """Run a batch of seeds for one protocol; collects output - true and the
+    randomized-response count per run."""
     name, params, seeds = args
-    if name not in _MC_PROTOCOLS:
-        raise ValueError(f"unknown protocol {name!r}")
-    make_stream, run = _MC_PROTOCOLS[name]
-    stream = make_stream(params)  # depends on stream_seed only, not on the run seed
+    spec = _MC_PROTOCOLS[name]
+    table = spec.table(params)
     errors, rr_counts = [], []
     for s in seeds:
-        res = run(params, stream, s)
-        if res.output.kind == "histogram":
-            errors.append(np.asarray(res.output.payload) - np.asarray(res.true_value))
-            rr_counts.append(res.random_response_count)
-        else:
-            errors.append(float(res.output.payload) - float(res.true_value))
-    return {"name": name, "errors": errors, "rr_counts": rr_counts}
+        res = spec.run(params, table, s)
+        errors.append(res.output - res.true_value)
+        rr_counts.append(res.random_response_count)
+    return errors, rr_counts
 
 
 def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
@@ -298,6 +355,9 @@ def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
     if runs < 1:
         raise ValueError("protocol_mc needs runs >= 1")
     names = [str(v) for v in _as_list(config.get("protocols", ["ring_sum", "complete_sum"]))]
+    unknown = [name for name in names if name not in _MC_PROTOCOLS]
+    if unknown:
+        raise ValueError(f"unknown protocol(s) {unknown}; choose from {sorted(_MC_PROTOCOLS)}")
     params = {
         "n": int(config.get("n", 100)),
         "K": int(config.get("K", 10)),
@@ -311,6 +371,7 @@ def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
     }
     rows = []
     for name in names:
+        spec = _MC_PROTOCOLS[name]
         tag = zlib.crc32(name.encode()) & 0xFFFF
         seeds = [derive_seed(seed, tag, r) for r in range(runs)]
         chunks = np.array_split(np.asarray(seeds), max(1, min(workers, runs)))
@@ -319,42 +380,11 @@ def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
             [(name, params, chunk.tolist()) for chunk in chunks if chunk.size],
             workers,
         )
-        errors_all = [e for r in results for e in r["errors"]]
-        rr_counts = [c for r in results for c in r["rr_counts"]]
-        row = {"protocol": name, "runs": runs, "n": params["n"]}
-        if name in ("ring_sum", "complete_sum"):
-            steps = params["K"] * params["n"] if name == "ring_sum" else params["T"]
-            if name == "ring_sum":
-                count = steps // (params["n"] - 1)
-                if params["mode"] == "distributed":
-                    expected_var = params["sigma_loc"] ** 2 * (1 + (steps - 1) / params["n"])
-                    expected_std = math.sqrt(expected_var)
-                else:
-                    expected_std = math.sqrt(count) * params["sigma_loc"]
-            else:
-                expected_std = math.sqrt(steps) * params["sigma_loc"]
-            arr = np.asarray(errors_all, dtype=float)
-            row.update({
-                "steps": steps,
-                "mean_error": float(arr.mean()),
-                "std_error": float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
-                "expected_std": expected_std,
-            })
-        else:
-            steps = params["K"] * params["n"] if name == "ring_hist" else params["T"]
-            errors = np.asarray(errors_all, dtype=float)  # (runs, L) debiased - true
-            se = errors.std(axis=0, ddof=1) / math.sqrt(len(errors)) if len(errors) > 1 else np.ones(errors.shape[1])
-            gamma, n_ = params["gamma"], params["n"]
-            rr_expected = (
-                math.ceil(gamma * n_) + gamma * steps if name == "ring_hist" else gamma * steps
-            )
-            row.update({
-                "steps": steps,
-                "max_bin_bias_se": float(np.max(np.abs(errors.mean(axis=0)) / np.maximum(se, 1e-300))),
-                "rr_mean": float(np.mean(rr_counts)),
-                "rr_expected": rr_expected,
-            })
-        rows.append(row)
+        errors = [e for r in results for e in r[0]]
+        rr_counts = [c for r in results for c in r[1]]
+        steps = spec.steps(params)
+        rows.append({"protocol": name, "runs": runs, "n": params["n"], "steps": steps,
+                     **spec.moments(errors, rr_counts), **spec.expected(params, steps)})
     columns = ["protocol", "runs", "n", "steps", "mean_error", "std_error",
                "expected_std", "max_bin_bias_se", "rr_mean", "rr_expected"]
     _write_csv(run_dir / "results.csv", columns, rows)
@@ -365,17 +395,9 @@ def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
 # sgd_compare
 # ---------------------------------------------------------------------------
 
-def _sgd_run(args: tuple) -> tuple[str, float, int, float, float, bool, np.ndarray, np.ndarray]:
-    regime, eps, delta, n, T, cap_mult, eta, sigma, run_seed, data_cfg = args
-    data = dpml.make_synthetic(**data_cfg) if isinstance(data_cfg, dict) else data_cfg
-    config = dpml.TrainConfig(
-        regime=regime, T=T, eta=eta,
-        budget=dpml.PrivacyBudget(eps, delta),
-        cap_multiplier=cap_mult, seed=run_seed,
-    )
-    res = dpml.train(config, data, sigma=sigma)
-    return (regime, eps, run_seed, res.final_objective, res.final_accuracy,
-            res.diverged, res.objective_trace, res.accuracy_trace)
+def _sgd_run(args: tuple) -> dpml.TrainResult:
+    config, data, sigma = args
+    return dpml.train(config, data, sigma=sigma)
 
 
 def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
@@ -384,18 +406,16 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
     dataset_kind = str(config.get("dataset", "synthetic"))
     n = int(config.get("n", 200))
     if dataset_kind == "synthetic":
-        data_cfg = {
-            "n_users": n,
-            "points_per_user": int(config.get("points_per_user", 8)),
-            "dim": int(config.get("dim", 20)),
-            "seed": derive_seed(seed, 0xDA7A),
-        }
-        data = dpml.make_synthetic(**data_cfg)
+        data = dpml.make_synthetic(
+            n_users=n,
+            points_per_user=int(config.get("points_per_user", 8)),
+            dim=int(config.get("dim", 20)),
+            seed=derive_seed(seed, 0xDA7A),
+        )
     elif dataset_kind == "real":
         if "dataset_path" not in config:
             raise ValueError("dataset = real requires a dataset_path entry")
         data = dpml.load_csv_dataset(config["dataset_path"], n_users=n, seed=seed)
-        data_cfg = data
     else:
         raise ValueError(f"unknown dataset kind {dataset_kind!r}")
 
@@ -422,14 +442,13 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
                     seeds=[derive_seed(seed, int(eps * 1000), 0xE7A, i) for i in range(tune_seeds)],
                 )
             tasks = [
-                (regime, eps, delta, n, T, cap_mult, eta, sigma,
-                 derive_seed(seed, int(eps * 1000), r), data_cfg)
+                (replace(base, eta=eta, seed=derive_seed(seed, int(eps * 1000), r)), data, sigma)
                 for r in range(runs)
             ]
             results = _parallel_map(_sgd_run, tasks, workers)
-            finals = np.asarray([r[3] for r in results])
-            accs = np.asarray([r[4] for r in results])
-            diverged = sum(1 for r in results if r[5])
+            finals = np.asarray([r.final_objective for r in results])
+            accs = np.asarray([r.final_accuracy for r in results])
+            diverged = sum(1 for r in results if r.diverged)
             rows.append({
                 "regime": regime, "eps": eps, "sigma": sigma, "eta": eta,
                 "mean_final_objective": float(finals.mean()),
@@ -437,15 +456,13 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
                 "mean_final_accuracy": float(accs.mean()),
                 "diverged_runs": diverged,
             })
-            # mean traces across seeds: step, objective, test accuracy
-            obj = np.mean([r[6][:, 1] for r in results], axis=0)
-            acc = np.mean([r[7][:, 1] for r in results], axis=0)
-            steps = results[0][6][:, 0]
-            with open(run_dir / f"trace_{regime}_eps{eps:g}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["step", "objective", "test_accuracy"])
-                for s, o, a in zip(steps, obj, acc):
-                    writer.writerow([int(s), repr(float(o)), repr(float(a))])
+            # mean traces across seeds
+            dpml.write_trace_csv(
+                run_dir / f"trace_{regime}_eps{eps:g}.csv",
+                results[0].objective_trace[:, 0],
+                np.mean([r.objective_trace[:, 1] for r in results], axis=0),
+                np.mean([r.accuracy_trace[:, 1] for r in results], axis=0),
+            )
     _write_csv(
         run_dir / "results.csv",
         ["regime", "eps", "sigma", "eta", "mean_final_objective",

@@ -1,4 +1,4 @@
-"""Domain types shared by all modules: budgets, topologies, walks, tokens.
+"""Domain types shared by all modules: budgets, topologies, walks, RNG streams.
 
 User indices are 1-based throughout the in-memory API (matching the usual
 convention for a ring ``1, 2, ..., n``).  Serialized output (CSV) uses
@@ -122,39 +122,13 @@ class WalkTrace:
         return cls(topology=topology, steps=np.array(users), seed=seed)
 
 
-@dataclass(frozen=True)
-class Token:
-    """The evolving aggregate carried along a walk, as a final snapshot.
-
-    ``payload`` is a scalar sum, a count histogram (length = domain size),
-    or a parameter vector.  Protocol loops mutate plain arrays internally and
-    wrap them into a Token when they return.
-    """
-
-    kind: Literal["scalar", "histogram", "vector"]
-    payload: float | np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("scalar", "histogram", "vector"):
-            raise ValueError(f"unknown token kind {self.kind!r}")
-        if self.kind != "scalar":
-            arr = np.asarray(self.payload)
-            object.__setattr__(self, "payload", arr)
-            arr.setflags(write=False)
-
-
-def sample_walk(
-    topology: Topology,
-    T: int,
-    seed: int,
-    exclude_self_transitions: bool = False,
-) -> WalkTrace:
+def sample_walk(topology: Topology, T: int, seed: int) -> WalkTrace:
     """Sample a token walk of length T on the given topology.
 
     Ring walks are deterministic (token starts at user 1 and goes through
     the ring ``T / n`` times); T must be a multiple of n.  Complete-graph
     walks send the token to a user chosen uniformly at random at each step,
-    self-transitions included unless ``exclude_self_transitions`` is set.
+    self-transitions included.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -163,21 +137,8 @@ def sample_walk(
         if T % n != 0:
             raise ValueError(f"ring walk length T={T} must be a multiple of n={n}")
         steps = np.tile(np.arange(1, n + 1, dtype=np.int64), T // n)
-        return WalkTrace(topology=topology, steps=steps, seed=seed)
-
-    rng = rng_stream(seed, STREAM_WALK)
-    if not exclude_self_transitions or n == 1:
-        steps = rng.integers(1, n + 1, size=T, dtype=np.int64)
     else:
-        # First holder uniform on [1, n]; afterwards jump by a uniform
-        # nonzero offset mod n, which is uniform on the other n - 1 users.
-        first = rng.integers(0, n, dtype=np.int64)
-        offsets = rng.integers(1, n, size=T - 1, dtype=np.int64) if T > 1 else np.empty(0, np.int64)
-        steps = np.empty(T, dtype=np.int64)
-        steps[0] = first
-        if T > 1:
-            steps[1:] = (first + np.cumsum(offsets)) % n
-        steps += 1
+        steps = rng_stream(seed, STREAM_WALK).integers(1, n + 1, size=T, dtype=np.int64)
     return WalkTrace(topology=topology, steps=steps, seed=seed)
 
 

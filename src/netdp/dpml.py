@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -32,9 +32,7 @@ from .accountant import (
     advanced_composition,
     grid_bisect,
     network_sgd_eps,
-    rdp_to_dp,
     sampled_gaussian_rdp,
-    sgd_network_rdp,
     sigma_search,
 )
 from .mechanisms import gaussian_epsilon
@@ -103,11 +101,17 @@ class TrainResult:
     max_contributions: int
 
     def write_trace_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "objective", "test_accuracy"])
-            for (step, obj), (_, acc) in zip(self.objective_trace, self.accuracy_trace):
-                writer.writerow([int(step), repr(float(obj)), repr(float(acc))])
+        write_trace_csv(path, self.objective_trace[:, 0], self.objective_trace[:, 1],
+                        self.accuracy_trace[:, 1])
+
+
+def write_trace_csv(path, steps: np.ndarray, objective: np.ndarray, accuracy: np.ndarray) -> None:
+    """Write a training trace as CSV with header ``step,objective,test_accuracy``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "objective", "test_accuracy"])
+        for step, obj, acc in zip(steps, objective, accuracy):
+            writer.writerow([int(step), repr(float(obj)), repr(float(acc))])
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +362,7 @@ def train(
     ])
     diverged = bool(objective[-1] > divergence_factor * max(objective[0], 1e-12))
     return TrainResult(
-        model=np.asarray(result.output.payload),
+        model=result.output,
         sigma=float(sigma),
         objective_trace=np.column_stack([steps, objective]),
         accuracy_trace=np.column_stack([steps, accuracy]),

@@ -15,8 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import COMPLETE, WalkTrace, cycle_lengths
-from .accountant import advanced_composition_hetero
+from .core import COMPLETE, WalkTrace
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """Executable token-walk protocols: summation, histograms and noisy SGD.
 
-Each run returns the protocol output together with the walk trace, the
-noise schedule and the reference aggregate, which is everything the
-empirical accountant and the Monte Carlo drivers need.  The noise schedule
-is a pair of arrays, ``noise_steps`` (the 1-based randomized steps) and
-``noise_scales`` (the scale used at each), never one object per event.
+Each holder adds its contribution x_u^k to the token, the aggregate that
+walks the ring or the complete graph.  The contributions come in as one
+plain table: an (n,) array gives user u the same contribution at every
+visit, an (n, k_max) array gives it x_u^k at its k-th visit.  Each run
+returns the token's final value (a float or an array) together with the
+walk trace, the noise schedule and the reference aggregate, which is
+everything the empirical accountant and the Monte Carlo drivers need.  The
+noise schedule is a pair of arrays, ``noise_steps`` (the 1-based randomized
+steps) and ``noise_scales`` (the scale used at each), never one object per
+event.
 Additive noise goes through :func:`~netdp.mechanisms.perturb` and randomized
 response through :func:`~netdp.mechanisms.rr_gamma_many`.  A run is a pure
 function of (parameters, seed): walk sampling, additive noise, randomized
@@ -25,7 +30,6 @@ from .core import (
     STREAM_INIT,
     STREAM_NOISE,
     STREAM_RR,
-    Token,
     Topology,
     WalkTrace,
     rng_stream,
@@ -38,19 +42,21 @@ from .mechanisms import GAUSSIAN, clip_contribution, perturb, rr_gamma_many
 class ProtocolResult:
     """Output of one protocol execution plus its accounting metadata.
 
-    The noise schedule is two read-only arrays of equal length:
+    ``output`` is the token's final value: a scalar sum, a debiased
+    histogram or a parameter vector; array values, like ``pre_debias``, are
+    read-only.  The noise schedule is two read-only arrays of equal length:
     ``noise_steps`` (int64, 1-based, ascending) are the randomized steps and
     ``noise_scales`` (float64) the scale used at each, i.e. the noise
     std-dev for additive mechanisms or the flip probability for randomized
     response.
     """
 
-    output: Token
+    output: float | np.ndarray
     trace: WalkTrace
     noise_steps: np.ndarray
     noise_scales: np.ndarray
     true_value: float | np.ndarray | None
-    pre_debias: Token | None = None  # raw count histogram, when applicable
+    pre_debias: np.ndarray | None = None  # raw count histogram, when applicable
     init_randomized: int = 0  # uniform elements seeding a histogram token
     iterates: np.ndarray | None = None  # (T+1, d) SGD iterate trace
 
@@ -59,8 +65,9 @@ class ProtocolResult:
         scales = np.asarray(self.noise_scales, dtype=np.float64)
         if steps.ndim != 1 or steps.shape != scales.shape:
             raise ValueError("noise_steps and noise_scales must be 1-d arrays of equal length")
-        steps.setflags(write=False)
-        scales.setflags(write=False)
+        for arr in (steps, scales, self.output, self.pre_debias):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
         object.__setattr__(self, "noise_steps", steps)
         object.__setattr__(self, "noise_scales", scales)
 
@@ -70,60 +77,40 @@ class ProtocolResult:
         return self.init_randomized + self.noise_steps.size
 
     def to_json_dict(self, trace_path: str | None = None) -> dict:
-        payload = self.output.payload
         return {
-            "output": payload if np.isscalar(payload) else np.asarray(payload).tolist(),
+            "output": _jsonable(self.output),
             "trace": trace_path,
             "noise_events": [list(e) for e in zip(self.noise_steps.tolist(), self.noise_scales.tolist())],
-            "true_value": (
-                None if self.true_value is None
-                else self.true_value if np.isscalar(self.true_value)
-                else np.asarray(self.true_value).tolist()
-            ),
+            "true_value": _jsonable(self.true_value),
         }
 
 
+def _jsonable(value):
+    return value if value is None or np.isscalar(value) else np.asarray(value).tolist()
+
+
 # ---------------------------------------------------------------------------
-# Contribution streams
+# Contribution tables
 # ---------------------------------------------------------------------------
 
-class ContributionStream:
-    """Vectorized source of per-user contributions x_u^k."""
+def uniform_scalar_stream(n: int, seed: int, clip: float = 1.0, k_max: int | None = None) -> np.ndarray:
+    """Per-user scalar contributions drawn uniformly in the clip range.
 
-    def take(self, users: np.ndarray, rounds: np.ndarray) -> np.ndarray:
-        """Contributions for 1-based ``users`` at 0-based visit counters ``rounds``."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class TableStream(ContributionStream):
-    """Contributions read from a fixed table.
-
-    A 1-d table of length n gives each user a constant contribution; a 2-d
-    (n, k_max) table varies it per visit.
+    Returns an (n,) table, or (n, k_max) with one column per visit.
     """
-
-    values: np.ndarray
-
-    def take(self, users: np.ndarray, rounds: np.ndarray) -> np.ndarray:
-        v = np.asarray(self.values)
-        if v.ndim == 1:
-            return v[users - 1]
-        return v[users - 1, rounds]
-
-
-def uniform_scalar_stream(n: int, seed: int, clip: float = 1.0, k_max: int | None = None) -> TableStream:
-    """Per-user scalar contributions drawn uniformly in the clip range."""
     rng = rng_stream(seed, STREAM_INIT)
     shape = (n,) if k_max is None else (n, k_max)
-    return TableStream(rng.uniform(-clip / 2.0, clip / 2.0, size=shape))
+    return rng.uniform(-clip / 2.0, clip / 2.0, size=shape)
 
 
-def uniform_category_stream(n: int, domain_size: int, seed: int, k_max: int | None = None) -> TableStream:
-    """Per-user categories drawn uniformly on [1, domain_size]."""
+def uniform_category_stream(n: int, domain_size: int, seed: int, k_max: int | None = None) -> np.ndarray:
+    """Per-user categories drawn uniformly on [1, domain_size].
+
+    Returns an (n,) table, or (n, k_max) with one column per visit.
+    """
     rng = rng_stream(seed, STREAM_INIT)
     shape = (n,) if k_max is None else (n, k_max)
-    return TableStream(rng.integers(1, domain_size + 1, size=shape))
+    return rng.integers(1, domain_size + 1, size=shape)
 
 
 def occurrence_index(steps: np.ndarray) -> np.ndarray:
@@ -145,6 +132,18 @@ def occurrence_index(steps: np.ndarray) -> np.ndarray:
     out = np.empty(steps.size, dtype=np.int64)
     out[order] = within
     return out
+
+
+def _contributions(table: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Contribution of each step's holder (``steps`` are 1-based users).
+
+    An (n,) table gives user u the entry u - 1 at every visit; an
+    (n, k_max) table gives it column k at its (0-based) k-th visit.
+    """
+    table = np.asarray(table)
+    if table.ndim == 1:
+        return table[steps - 1]
+    return table[steps - 1, occurrence_index(steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +174,7 @@ def ring_noise_steps(n: int, K: int, protect_first_cycle: bool = False) -> np.nd
 def run_ring_sum(
     n: int,
     K: int,
-    stream: ContributionStream,
+    table: np.ndarray,
     sigma_loc: float,
     mode: Literal["single_noiser", "distributed"] = "single_noiser",
     seed: int = 0,
@@ -199,11 +198,9 @@ def run_ring_sum(
         raise ValueError("sigma_loc must be non-negative")
     T = K * n
     trace = sample_walk(Topology(RING, n), T, seed)
-    rounds = np.repeat(np.arange(K, dtype=np.int64), n)
-    x = clip_contribution(stream.take(trace.steps, rounds), clip)
+    x = clip_contribution(_contributions(table, trace.steps), clip)
     true_value = float(np.sum(x))
 
-    rng = rng_stream(seed, STREAM_NOISE)
     if mode == "single_noiser":
         noise_steps = ring_noise_steps(n, K, protect_first_cycle)
         scales = np.full(noise_steps.size, float(sigma_loc))
@@ -216,10 +213,10 @@ def run_ring_sum(
 
     total = true_value
     if sigma_loc > 0:
-        total += float(np.sum(perturb(0.0, noise_kind, scales, rng)))
+        total += float(np.sum(perturb(0.0, noise_kind, scales, rng_stream(seed, STREAM_NOISE))))
 
     return ProtocolResult(
-        output=Token("scalar", total),
+        output=total,
         trace=trace,
         noise_steps=noise_steps,
         noise_scales=scales,
@@ -258,12 +255,12 @@ def _rr_histogram(trace: WalkTrace, x: np.ndarray, domain_size: int, gamma: floa
     debiased = _debias_histogram(counts, gamma, domain_size, num_responses=x.size, init_count=init_count)
     noise_steps = np.flatnonzero(flip) + 1
     return ProtocolResult(
-        output=Token("histogram", debiased),
+        output=debiased,
         trace=trace,
         noise_steps=noise_steps,
         noise_scales=np.full(noise_steps.size, gamma),
         true_value=np.bincount(x - 1, minlength=domain_size).astype(np.int64),
-        pre_debias=Token("histogram", counts),
+        pre_debias=counts,
         init_randomized=init_count,
     )
 
@@ -305,7 +302,7 @@ def run_ring_hist(
     n: int,
     K: int,
     domain_size: int,
-    stream: ContributionStream,
+    table: np.ndarray,
     gamma: float,
     seed: int = 0,
 ) -> ProtocolResult:
@@ -323,15 +320,13 @@ def run_ring_hist(
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     T = K * n
     trace = sample_walk(Topology(RING, n), T, seed)
-    rounds = np.repeat(np.arange(K, dtype=np.int64), n)
-    x = stream.take(trace.steps, rounds)
-    return _rr_histogram(trace, x, domain_size, gamma, seed, init_count=math.ceil(gamma * n))
+    return _rr_histogram(trace, _contributions(table, trace.steps), domain_size, gamma, seed, init_count=math.ceil(gamma * n))
 
 
 def run_complete_sum(
     n: int,
     T: int,
-    stream: ContributionStream,
+    table: np.ndarray,
     sigma_loc: float,
     seed: int = 0,
     clip: float = 1.0,
@@ -348,8 +343,7 @@ def run_complete_sum(
     if sigma_loc < 0:
         raise ValueError("sigma_loc must be non-negative")
     trace = sample_walk(Topology(COMPLETE, n), T, seed)
-    rounds = occurrence_index(trace.steps)
-    x = clip_contribution(stream.take(trace.steps, rounds), clip)
+    x = clip_contribution(_contributions(table, trace.steps), clip)
     true_value = float(np.sum(x))
 
     scales = np.full(T, float(sigma_loc))
@@ -357,7 +351,7 @@ def run_complete_sum(
     if sigma_loc > 0:
         total += float(np.sum(perturb(0.0, noise_kind, scales, rng_stream(seed, STREAM_NOISE))))
     return ProtocolResult(
-        output=Token("scalar", total),
+        output=total,
         trace=trace,
         noise_steps=np.arange(1, T + 1, dtype=np.int64),
         noise_scales=scales,
@@ -369,7 +363,7 @@ def run_complete_hist(
     n: int,
     T: int,
     domain_size: int,
-    stream: ContributionStream,
+    table: np.ndarray,
     gamma: float,
     seed: int = 0,
 ) -> ProtocolResult:
@@ -379,9 +373,7 @@ def run_complete_hist(
     if not 0 <= gamma < 1:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     trace = sample_walk(Topology(COMPLETE, n), T, seed)
-    rounds = occurrence_index(trace.steps)
-    x = stream.take(trace.steps, rounds)
-    return _rr_histogram(trace, x, domain_size, gamma, seed, init_count=0)
+    return _rr_histogram(trace, _contributions(table, trace.steps), domain_size, gamma, seed, init_count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +396,8 @@ def run_complete_sgd(
     grad_fn: Callable[[np.ndarray, object], np.ndarray],
     eta: float,
     sigma: float,
+    d: int,
     seed: int = 0,
-    d: int | None = None,
-    w0: np.ndarray | None = None,
     projection_radius: float | None = None,
     max_contributions: int | None = None,
     noise_when_capped: bool = True,
@@ -431,19 +422,11 @@ def run_complete_sgd(
         raise ValueError("sigma must be non-negative")
     if len(datasets) != n:
         raise ValueError(f"expected {n} per-user datasets, got {len(datasets)}")
-    if w0 is None:
-        if d is None:
-            raise ValueError("give either w0 or the dimension d")
-        w = np.zeros(d, dtype=float)
-    else:
-        w = np.array(w0, dtype=float)
-        if d is not None and w.size != d:
-            raise ValueError(f"w0 has dimension {w.size}, expected {d}")
-    dim = w.size
+    w = np.zeros(d, dtype=float)
 
     trace = sample_walk(Topology(COMPLETE, n), T, seed)
     rng = rng_stream(seed, STREAM_NOISE)
-    iterates = np.empty((T + 1, dim), dtype=float)
+    iterates = np.empty((T + 1, d), dtype=float)
     iterates[0] = w
     contributed = np.zeros(n, dtype=np.int64)
     noised = np.zeros(T, dtype=bool)
@@ -454,13 +437,13 @@ def run_complete_sgd(
             g = None
         else:
             g = np.asarray(grad_fn(w, datasets[u - 1]), dtype=float)
-            if g.shape != (dim,):
-                raise ValueError(f"gradient shape {g.shape} does not match dimension {dim}")
+            if g.shape != (d,):
+                raise ValueError(f"gradient shape {g.shape} does not match dimension {d}")
             contributed[u - 1] += 1
         if capped and not noise_when_capped:
             iterates[t] = w
             continue
-        z = rng.normal(0.0, sigma, size=dim) if sigma > 0 else np.zeros(dim)
+        z = rng.normal(0.0, sigma, size=d) if sigma > 0 else np.zeros(d)
         update = z if g is None else g + z
         w = _project_l2(w - eta * update, projection_radius)
         iterates[t] = w
@@ -468,7 +451,7 @@ def run_complete_sgd(
 
     noise_steps = np.flatnonzero(noised) + 1 if sigma > 0 else np.empty(0, dtype=np.int64)
     return ProtocolResult(
-        output=Token("vector", w),
+        output=w,
         trace=trace,
         noise_steps=noise_steps,
         noise_scales=np.full(noise_steps.size, float(sigma)),

@@ -28,7 +28,7 @@ def test_c01_ring_sum_variance():
     stream = proto.uniform_scalar_stream(n, seed=17)
     outs = np.empty(runs)
     for s in range(runs):
-        outs[s] = proto.run_ring_sum(n, K, stream, 1.0, seed=s).output.payload
+        outs[s] = proto.run_ring_sum(n, K, stream, 1.0, seed=s).output
     std = outs.std(ddof=1)
     elapsed = time.time() - start
     ok = abs(std - math.sqrt(10)) <= 0.03 * math.sqrt(10) and elapsed < 60
@@ -157,12 +157,12 @@ def test_c08_histogram_unbiasedness_and_response_counts():
     # ring: n=500, K=20, L=5, gamma=0.3 over 1e4 runs
     n, K, L, gamma, runs = 500, 20, 5, 0.3, 10_000
     stream = proto.uniform_category_stream(n, L, seed=31)
-    true_hist = np.bincount(np.repeat(stream.values - 1, K), minlength=L)
+    true_hist = np.bincount(np.repeat(stream - 1, K), minlength=L)
     errors = np.empty((runs, L))
     rr = np.empty(runs)
     for s in range(runs):
         res = proto.run_ring_hist(n, K, L, stream, gamma, seed=s)
-        errors[s] = np.asarray(res.output.payload) - true_hist
+        errors[s] = np.asarray(res.output) - true_hist
         rr[s] = res.random_response_count
     se = errors.std(axis=0, ddof=1) / math.sqrt(runs)
     bias_ok = bool(np.all(np.abs(errors.mean(axis=0)) <= 3 * se))

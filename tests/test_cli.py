@@ -154,6 +154,40 @@ class TestProtocolMc:
         assert float(cols["rr_mean"]) == pytest.approx(150, rel=0.1)
 
 
+    @pytest.mark.parametrize("mode,ring_sum_std", [
+        ("single_noiser", "2.598076211353316"), ("distributed", "2.9459415181858972"),
+    ])
+    def test_expected_moments_pinned(self, tmp_path, mode, ring_sum_std):
+        # (steps, expected_std, rr_expected) per protocol, as the rows carry them
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "protocol_mc", "--out", out, "--runs", 3, "--seed", 2,
+                       "--set", "protocols=ring_sum,complete_sum,ring_hist,complete_hist",
+                       "--set", "n=7", "--set", "K=3", "--set", "T=30", "--set", "sigma_loc=1.5",
+                       "--set", "gamma=0.3", "--set", "domain_size=3", "--set", f"mode={mode}") == 0
+        (csv_path,) = results_files(out, "protocol_mc")
+        header, *rows = csv_path.read_text().splitlines()
+        cols = header.split(",")
+        got = {r["protocol"]: (r["steps"], r["expected_std"], r["rr_expected"])
+               for r in (dict(zip(cols, row.split(","))) for row in rows)}
+        assert got == {
+            "ring_sum": ("21", ring_sum_std, ""),
+            "complete_sum": ("30", "8.215838362577491", ""),
+            "ring_hist": ("21", "", "9.3"),
+            "complete_hist": ("30", "", "9.0"),
+        }
+
+    def test_unknown_protocol_rejected_before_any_run(self, tmp_path, monkeypatch):
+        import netdp.protocols as proto
+
+        calls = []
+        monkeypatch.setattr(proto, "run_ring_sum", lambda *a, **k: calls.append(a))
+        code = run_cli("--experiment", "protocol_mc", "--out", tmp_path / "out", "--runs", 2,
+                       "--set", "protocols=ring_sum,ring_summ", "--set", "n=5", "--set", "K=2")
+        assert code == 2
+        assert calls == []
+        assert results_files(tmp_path / "out", "protocol_mc") == []
+
+
 class TestSgdCompare:
     def test_small_run_emits_rows_and_traces(self, tmp_path):
         config = write_config(

@@ -72,13 +72,6 @@ class TestSampleWalk:
         c = sample_walk(Topology(COMPLETE, 20), 500, seed=4)
         assert not np.array_equal(a.steps, c.steps)
 
-    def test_exclude_self_transitions(self):
-        walk = sample_walk(Topology(COMPLETE, 5), 2000, seed=11, exclude_self_transitions=True)
-        assert np.all(np.diff(walk.steps) != 0)
-        # still roughly uniform overall
-        freq = visit_counts(walk) / walk.T
-        assert np.all(np.abs(freq - 0.2) < 0.05)
-
 
 class TestVisitCounts:
     def test_ring_counts(self):
@@ -168,14 +161,3 @@ class TestRngStreams:
 
     def test_negative_seed_accepted(self):
         assert rng_stream(-1, 0).random() == rng_stream(-1, 0).random()
-
-
-class TestToken:
-    def test_kinds(self):
-        from netdp.core import Token
-
-        assert Token("scalar", 1.5).payload == 1.5
-        hist = Token("histogram", np.array([1, 2]))
-        assert hist.payload.tolist() == [1, 2]
-        with pytest.raises(ValueError):
-            Token("matrix", 0.0)

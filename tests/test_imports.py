@@ -1,0 +1,99 @@
+"""Static import hygiene of the package, checked on the source with ``ast``.
+
+Every name a module imports must be used in it (a name listed in the
+module's ``__all__`` counts as used), and no module may import a private
+(single-underscore) name from another netdp module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "netdp"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's imports, mapped to their line numbers."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= exported_names(tree)
+    return [f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used]
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_imports(source: str) -> list[str]:
+    """Private names imported from, or read off, another netdp module."""
+    tree = ast.parse(source)
+    found, package_aliases = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        internal = node.level > 0 or (node.module or "").split(".")[0] == "netdp"
+        if not internal:
+            continue
+        for alias in node.names:
+            if is_private(alias.name):
+                found.append(f"{alias.name} (line {node.lineno})")
+            if node.module is None or node.module == "netdp":  # `from . import accountant as acct`
+                package_aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in package_aliases and is_private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
+class TestCheckers:
+    def test_unused_import_is_reported(self):
+        src = "import math\nfrom .core import RING, COMPLETE\nx = RING\n"
+        assert unused_imports(src) == ["math (line 1)", "COMPLETE (line 2)"]
+
+    def test_all_and_annotations_count_as_uses(self):
+        src = ("from __future__ import annotations\nfrom typing import Literal\n"
+               "from .core import RING\n__all__ = ['RING']\ndef f(x: Literal['a']): pass\n")
+        assert unused_imports(src) == []
+
+    def test_private_imports_are_reported(self):
+        src = ("from .accountant import _sgm_log_a_int, sigma_search\n"
+               "from . import protocols as proto\nfrom . import __version__\n"
+               "y = proto._contributions\nz = proto.run_ring_sum\n")
+        assert private_imports(src) == ["_sgm_log_a_int (line 1)", "proto._contributions (line 4)"]
+
+    def test_outside_modules_are_not_checked(self):
+        assert private_imports("from os import _exit\nimport numpy as np\nnp._x\n") == []

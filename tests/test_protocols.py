@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from netdp.core import COMPLETE, Topology, sample_walk
+from netdp.core import COMPLETE, RING, Topology, sample_walk
 from netdp.protocols import (
-    TableStream,
     audit_ring_sum_structure,
     occurrence_index,
     ring_noise_steps,
@@ -45,8 +44,8 @@ class TestRunRingSum:
     def test_noiseless_equals_exact_sum(self):
         stream = uniform_scalar_stream(10, seed=3)
         res = run_ring_sum(10, 4, stream, sigma_loc=0.0, seed=5)
-        assert float(res.output.payload) == pytest.approx(res.true_value, abs=1e-12)
-        assert res.true_value == pytest.approx(4 * np.sum(stream.values))
+        assert float(res.output) == pytest.approx(res.true_value, abs=1e-12)
+        assert res.true_value == pytest.approx(4 * np.sum(stream))
 
     def test_noise_event_count_and_spacing(self):
         res = run_ring_sum(100, 10, uniform_scalar_stream(100, 1), 1.0, seed=2)
@@ -68,11 +67,11 @@ class TestRunRingSum:
         # smaller sibling of the acceptance run: 2e4 runs, 5% tolerance
         stream = uniform_scalar_stream(100, seed=9)
         outs = np.array([
-            float(run_ring_sum(100, 10, stream, 1.0, seed=s).output.payload)
+            float(run_ring_sum(100, 10, stream, 1.0, seed=s).output)
             for s in range(20_000)
         ])
         assert outs.std(ddof=1) == pytest.approx(math.sqrt(10), rel=0.05)
-        assert outs.mean() == pytest.approx(float(10 * np.sum(stream.values)), abs=0.1)
+        assert outs.mean() == pytest.approx(float(10 * np.sum(stream)), abs=0.1)
 
     def test_distributed_mode_schedule(self):
         n, K = 100, 10
@@ -85,7 +84,7 @@ class TestRunRingSum:
         # total noise std sqrt(floor(Kn/(n-1)) + 1) sigma up to a 1/n term
         stream = uniform_scalar_stream(100, seed=9)
         outs = np.array([
-            float(run_ring_sum(100, 10, stream, 1.0, mode="distributed", seed=s).output.payload)
+            float(run_ring_sum(100, 10, stream, 1.0, mode="distributed", seed=s).output)
             for s in range(20_000)
         ])
         assert outs.std(ddof=1) == pytest.approx(math.sqrt(11), rel=0.05)
@@ -94,12 +93,12 @@ class TestRunRingSum:
         stream = uniform_scalar_stream(10, seed=3)
         a = run_ring_sum(10, 2, stream, 1.0, seed=7)
         b = run_ring_sum(10, 2, stream, 1.0, seed=7)
-        assert float(a.output.payload) == float(b.output.payload)
+        assert float(a.output) == float(b.output)
 
     def test_laplace_noise_kind(self):
         stream = uniform_scalar_stream(50, seed=3)
         outs = np.array([
-            float(run_ring_sum(50, 4, stream, 1.0, seed=s, noise_kind="laplace").output.payload)
+            float(run_ring_sum(50, 4, stream, 1.0, seed=s, noise_kind="laplace").output)
             for s in range(4000)
         ])
         # laplace draws are scaled so the per-event std is still sigma_loc
@@ -197,7 +196,7 @@ class TestRunRingHist:
     def test_gamma_zero_exact(self):
         stream = uniform_category_stream(50, 4, seed=2)
         res = run_ring_hist(50, 3, 4, stream, gamma=0.0, seed=1)
-        np.testing.assert_allclose(np.asarray(res.output.payload), res.true_value)
+        np.testing.assert_allclose(np.asarray(res.output), res.true_value)
         assert res.init_randomized == 0
         assert res.random_response_count == 0
 
@@ -209,7 +208,7 @@ class TestRunRingHist:
     def test_pre_debias_counts_are_nonnegative_integers(self):
         stream = uniform_category_stream(50, 4, seed=2)
         res = run_ring_hist(50, 3, 4, stream, gamma=0.4, seed=1)
-        counts = np.asarray(res.pre_debias.payload)
+        counts = np.asarray(res.pre_debias)
         assert counts.dtype.kind == "i"
         assert np.all(counts >= 0)
         assert counts.sum() == 50 * 3 + res.init_randomized
@@ -218,8 +217,8 @@ class TestRunRingHist:
         n, K, L, gamma, runs = 200, 5, 5, 0.3, 2000
         stream = uniform_category_stream(n, L, seed=8)
         errors = np.array([
-            np.asarray(run_ring_hist(n, K, L, stream, gamma, seed=s).output.payload)
-            - np.bincount(np.repeat(stream.values - 1, K), minlength=L)
+            np.asarray(run_ring_hist(n, K, L, stream, gamma, seed=s).output)
+            - np.bincount(np.repeat(stream - 1, K), minlength=L)
             for s in range(runs)
         ])
         se = errors.std(axis=0, ddof=1) / math.sqrt(runs)
@@ -259,15 +258,21 @@ class TestOccurrenceIndex:
         assert got.dtype == np.int64
         assert got.tolist() == expected
 
+    @pytest.mark.parametrize("n,K", [(2, 1), (5, 3), (100, 10), (500, 20)])
+    def test_ring_walk_visit_counter_is_the_lap(self, n, K):
+        # per-visit tables on a ring read column k on lap k
+        steps = sample_walk(Topology(RING, n), K * n, seed=0).steps
+        assert occurrence_index(steps).tolist() == np.repeat(np.arange(K), n).tolist()
+
 
 class TestRunCompleteSum:
     def test_noiseless_exact(self):
         stream = uniform_scalar_stream(20, seed=4)
         res = run_complete_sum(20, 500, stream, sigma_loc=0.0, seed=6)
-        assert float(res.output.payload) == pytest.approx(res.true_value, abs=1e-12)
+        assert float(res.output) == pytest.approx(res.true_value, abs=1e-12)
 
     def test_single_user_structure(self):
-        res = run_complete_sum(1, 7, TableStream(np.array([0.25])), 0.0, seed=1)
+        res = run_complete_sum(1, 7, np.array([0.25]), 0.0, seed=1)
         assert res.trace.steps.tolist() == [1] * 7
         assert res.true_value == pytest.approx(7 * 0.25)
         assert res.noise_steps.size == 7
@@ -275,14 +280,14 @@ class TestRunCompleteSum:
     def test_monte_carlo_stddev(self):
         stream = uniform_scalar_stream(50, seed=4)
         errs = np.array([
-            float(run_complete_sum(50, 400, stream, 1.0, seed=s).output.payload)
+            float(run_complete_sum(50, 400, stream, 1.0, seed=s).output)
             - run_complete_sum(50, 400, stream, 0.0, seed=s).true_value
             for s in range(5000)
         ])
         assert errs.std(ddof=1) == pytest.approx(math.sqrt(400), rel=0.05)
 
     def test_contributions_clipped(self):
-        res = run_complete_sum(5, 50, TableStream(np.full(5, 10.0)), 0.0, seed=1, clip=1.0)
+        res = run_complete_sum(5, 50, np.full(5, 10.0), 0.0, seed=1, clip=1.0)
         assert res.true_value == pytest.approx(50 * 0.5)
 
 
@@ -290,7 +295,7 @@ class TestRunCompleteHist:
     def test_gamma_zero_exact(self):
         stream = uniform_category_stream(30, 6, seed=5)
         res = run_complete_hist(30, 200, 6, stream, gamma=0.0, seed=3)
-        np.testing.assert_allclose(np.asarray(res.output.payload), res.true_value)
+        np.testing.assert_allclose(np.asarray(res.output), res.true_value)
 
     def test_random_response_count_mean(self):
         n, T, L, gamma, runs = 100, 2000, 5, 0.3, 500
@@ -307,7 +312,7 @@ class TestRunCompleteHist:
         errors = []
         for s in range(runs):
             res = run_complete_hist(n, T, L, stream, gamma, seed=s)
-            errors.append(np.asarray(res.output.payload) - np.asarray(res.true_value))
+            errors.append(np.asarray(res.output) - np.asarray(res.true_value))
         errors = np.array(errors)
         se = errors.std(axis=0, ddof=1) / math.sqrt(runs)
         assert np.all(np.abs(errors.mean(axis=0)) < 4 * se)
@@ -328,7 +333,7 @@ class TestRunCompleteSgd:
             n=1, T=2000, datasets=[(A, b)], grad_fn=quadratic_grad,
             eta=0.3, sigma=0.0, seed=1, d=2,
         )
-        np.testing.assert_allclose(np.asarray(res.output.payload), w_star, atol=1e-6)
+        np.testing.assert_allclose(np.asarray(res.output), w_star, atol=1e-6)
 
     def test_noise_magnitude(self):
         # zero gradient isolates the injected noise: per-step squared
@@ -406,6 +411,17 @@ class TestProtocolResultSchedule:
         with pytest.raises(ValueError):
             dataclasses.replace(res, noise_scales=np.ones(res.noise_steps.size + 1))
 
+    def test_output_arrays_are_read_only(self):
+        res = run_ring_hist(20, 3, 4, uniform_category_stream(20, 4, seed=2), 0.4, seed=1)
+        for arr in (res.output, res.pre_debias):
+            assert isinstance(arr, np.ndarray)
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        res = run_complete_sgd(2, 5, [None] * 2, constant_grad, 0.1, 0.5, d=2, seed=1)
+        with pytest.raises(ValueError):
+            res.output[0] = 0.0
+        assert isinstance(run_ring_sum(4, 2, uniform_scalar_stream(4, 1), 1.0).output, float)
+
     def test_random_response_count_is_plain_int(self):
         res = run_ring_hist(20, 3, 4, uniform_category_stream(20, 4, seed=2), 0.4, seed=1)
         assert type(res.random_response_count) is int
@@ -425,7 +441,7 @@ class TestPinnedRuns:
 
     @staticmethod
     def check(res, payload, true_value, steps, scales):
-        got = res.output.payload
+        got = res.output
         assert (got.tolist() if isinstance(got, np.ndarray) else got) == payload
         tv = res.true_value
         assert (tv.tolist() if isinstance(tv, np.ndarray) else tv) == true_value
@@ -446,6 +462,15 @@ class TestPinnedRuns:
                            noise_kind="laplace", protect_first_cycle=True)
         self.check(res, -1.0272614226613164, -2.163848472741783, [1, 6, 11, 16], [1.5] * 4)
 
+    def test_ring_sum_per_visit_table(self):
+        res = run_ring_sum(5, 3, uniform_scalar_stream(5, 11, k_max=3), 1.0, seed=5)
+        self.check(res, 2.845947460887868, -1.6138355233934716, [4, 8, 12], [1.0] * 3)
+
+    def test_ring_sum_per_visit_table_distributed(self):
+        res = run_ring_sum(4, 3, uniform_scalar_stream(4, 11, k_max=3), 1.0, mode="distributed", seed=5)
+        self.check(res, 1.061254993683345, -0.9289585395373507, list(range(1, 13)),
+                   [1.0] + [0.5] * 11)
+
     def test_complete_sum_gaussian(self):
         res = run_complete_sum(4, 12, uniform_scalar_stream(4, 12, k_max=12), 0.7, seed=6)
         self.check(res, -7.517539898312643, -2.3639463763963557, list(range(1, 13)), [0.7] * 12)
@@ -458,13 +483,20 @@ class TestPinnedRuns:
         res = run_ring_hist(6, 3, 4, uniform_category_stream(6, 4, 2), 0.4, seed=2)
         self.check(res, [5.750000000000001, 4.083333333333334, 2.416666666666667, 5.750000000000001],
                    [6, 3, 3, 6], [2, 3, 4, 5, 6, 8, 9, 11, 12, 13, 18], [0.4] * 11)
-        assert res.pre_debias.payload.tolist() == [6, 5, 4, 6]
+        assert res.pre_debias.tolist() == [6, 5, 4, 6]
+        assert res.init_randomized == 3
+
+    def test_ring_hist_per_visit_table(self):
+        res = run_ring_hist(6, 3, 4, uniform_category_stream(6, 4, 2, k_max=3), 0.4, seed=2)
+        self.check(res, [7.416666666666667, 0.75, 4.083333333333334, 5.750000000000001],
+                   [8, 2, 5, 3], [2, 3, 4, 5, 6, 8, 9, 11, 12, 13, 18], [0.4] * 11)
+        assert res.pre_debias.tolist() == [7, 3, 5, 6]
         assert res.init_randomized == 3
 
     def test_complete_hist(self):
         res = run_complete_hist(5, 15, 3, uniform_category_stream(5, 3, 3, k_max=15), 0.5, seed=4)
         self.check(res, [5.0, 7.0, 3.0], [5, 5, 5], [1, 2, 3, 5, 8, 10, 11, 14], [0.5] * 8)
-        assert res.pre_debias.payload.tolist() == [5, 6, 4]
+        assert res.pre_debias.tolist() == [5, 6, 4]
         assert res.init_randomized == 0
 
     def test_complete_sgd_capped(self):
