@@ -16,7 +16,6 @@ from .core import (
     PrivacyBudget,
     Topology,
     WalkTrace,
-    cycle_lengths,
     rng_stream,
     sample_walk,
     visit_counts,
@@ -29,7 +28,6 @@ __all__ = [
     "PrivacyBudget",
     "Topology",
     "WalkTrace",
-    "cycle_lengths",
     "rng_stream",
     "sample_walk",
     "visit_counts",

@@ -12,7 +12,6 @@ resulting report as outside the window.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal, NamedTuple, Sequence
@@ -22,6 +21,7 @@ from scipy import special
 
 from .core import PrivacyBudget
 from .errors import InfeasibleError, ValidityWindowError
+from .mechanisms import rr_epsilon_to_gamma
 
 __all__ = [
     "BoundReport",
@@ -77,25 +77,6 @@ class BoundReport:
             raise ValueError("epsilon_out must be non-negative")
         if not 0 <= self.delta_out <= 1:
             raise ValueError(f"delta_out must be in [0, 1], got {self.delta_out}")
-
-    def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "inputs": self.inputs,
-            "epsilon_out": self.epsilon_out,
-            "delta_out": self.delta_out,
-            "intermediates": self.intermediates,
-            "unchecked": self.unchecked,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    def to_csv_row(self) -> dict:
-        """Flat single-row mapping for sweep outputs."""
-        row = {"name": self.name, "epsilon_out": self.epsilon_out, "delta_out": self.delta_out}
-        row.update({f"in_{k}": v for k, v in sorted(self.inputs.items())})
-        row.update({f"mid_{k}": v for k, v in sorted(self.intermediates.items())})
-        row["unchecked"] = self.unchecked
-        return row
 
 
 @dataclass(frozen=True)
@@ -346,7 +327,7 @@ def ring_hist_bound(
             f"(got eps={eps}, delta={delta}, n={n})"
         )
     eps0 = 12.0 * eps * math.sqrt(math.log(1.0 / delta) / n)
-    gamma = domain_size / (math.exp(eps0) + domain_size - 1.0)
+    gamma = rr_epsilon_to_gamma(eps0, domain_size)
     if K == 0:
         # init-only run: the token is seeded with data-independent uniform
         # elements and never carries a contribution
@@ -497,7 +478,7 @@ def complete_hist_bound(
         + math.sqrt(num_cycles) * eps * math.expm1(eps_cycle)
     )
     delta_f = num_cycles * delta + delta_prime + (0.0 if fixed_contributions else delta_hat)
-    gamma = domain_size / (math.exp(eps) + domain_size - 1.0)
+    gamma = rr_epsilon_to_gamma(eps, domain_size)
     return BoundReport(
         name="complete_hist" + ("_fixed" if fixed_contributions else ""),
         inputs={
@@ -692,20 +673,13 @@ def grid_bisect(eps_of: Callable[[float], float], target: float, grid: Sequence[
 
 
 def sigma_search(
-    eps_target: float,
-    delta_target: float,
-    T_u: float,
-    n: int,
-    L: float,
-    grid_ratio: float = 1.01,
-    sigma_floor: float | None = None,
-    sigma_ceiling: float | None = None,
+    eps_target: float, delta_target: float, T_u: float, n: int, L: float
 ) -> tuple[float, float]:
     """Smallest noise scale meeting an SGD network-DP target, plus its order.
 
-    Bisects the grid index (:func:`grid_bisect`) of a geometric grid (1%
-    resolution by default) for the smallest sigma with some feasible
-    alpha > 1 such that
+    Bisects the grid index (:func:`grid_bisect`) of a geometric grid from
+    L * 1e-3 to L * 1e6 at 1% resolution for the smallest sigma with some
+    feasible alpha > 1 such that
     rdp_to_dp(sgd_network_rdp(alpha, T_u, L, sigma, n), delta) <= eps_target;
     alpha is chosen per sigma as in :func:`network_sgd_eps`.  The bisection
     relies on eps falling along the grid, which
@@ -717,14 +691,13 @@ def sigma_search(
         raise ValueError("targets must satisfy eps > 0 and delta in (0, 1)")
     if T_u < 1:
         raise ValueError("T_u must be >= 1")
-    lo = sigma_floor if sigma_floor is not None else L * 1e-3
-    hi = sigma_ceiling if sigma_ceiling is not None else L * 1e6
-    # repeated multiplication, not lo * ratio**k, fixes the grid's floats
+    hi = L * 1e6
+    # repeated multiplication, not a power of the ratio, fixes the grid's floats
     grid = []
-    sigma = lo
+    sigma = L * 1e-3
     while sigma <= hi:
         grid.append(sigma)
-        sigma *= grid_ratio
+        sigma *= 1.01
     eps_of = lambda s: network_sgd_eps(s, T_u, n, L, delta_target)[0]
     try:
         sigma = grid[grid_bisect(eps_of, eps_target, grid)]

@@ -105,7 +105,8 @@ def split_delta_budget(total: float, n: int, T: int, delta_hat: float | None = N
 def _parallel_map(fn, items: list, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool forks all max_workers processes at the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 
 

@@ -1,13 +1,11 @@
 """Domain types shared by all modules: budgets, topologies, walks, RNG streams.
 
-User indices are 1-based throughout the in-memory API (matching the usual
-convention for a ring ``1, 2, ..., n``).  Serialized output (CSV) uses
-0-based indices; see :meth:`WalkTrace.to_csv`.
+User indices are 1-based throughout (matching the usual convention for a
+ring ``1, 2, ..., n``).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Literal
 
@@ -99,28 +97,6 @@ class WalkTrace:
     def n(self) -> int:
         return self.topology.n
 
-    def to_csv(self, path) -> None:
-        """Write the trace as CSV with header ``step,user``.
-
-        Both columns are 0-based in the file (serialization convention);
-        the in-memory ``steps`` array stays 1-based.
-        """
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "user"])
-            for i, u in enumerate(self.steps):
-                writer.writerow([i, int(u) - 1])
-
-    @classmethod
-    def from_csv(cls, path, topology: Topology, seed: int = 0) -> "WalkTrace":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["step", "user"]:
-                raise ValueError(f"unexpected trace header {header!r}")
-            users = [int(row[1]) + 1 for row in reader]
-        return cls(topology=topology, steps=np.array(users), seed=seed)
-
 
 def sample_walk(topology: Topology, T: int, seed: int) -> WalkTrace:
     """Sample a token walk of length T on the given topology.
@@ -145,20 +121,3 @@ def sample_walk(topology: Topology, T: int, seed: int) -> WalkTrace:
 def visit_counts(walk: WalkTrace) -> np.ndarray:
     """Number of visits per user; entry u-1 counts visits to user u. Sums to T."""
     return np.bincount(walk.steps - 1, minlength=walk.n)
-
-
-def cycle_lengths(walk: WalkTrace, v: int) -> np.ndarray:
-    """Lengths of the walk segments ending at each visit of user v.
-
-    Segment i runs from just after visit i-1 of v up to and including visit
-    i, so the prefix before the first visit is folded into the first cycle.
-    Steps after the last visit of v are not part of any cycle (they are
-    never observed by v, hence incur no privacy loss); the lengths sum to
-    the step index of v's last visit.  Empty if v is never visited.
-    """
-    if not 1 <= v <= walk.n:
-        raise ValueError(f"user index v={v} out of range [1, {walk.n}]")
-    times = np.flatnonzero(walk.steps == v) + 1  # 1-based visit times
-    if times.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.diff(times, prepend=0)

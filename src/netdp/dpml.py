@@ -46,6 +46,8 @@ LIPSCHITZ = 1.0  # unit-norm rows make the logistic loss 1-Lipschitz
 GRAD_SENSITIVITY = 2.0 * LIPSCHITZ
 
 ETA_GRID = np.geomspace(1e-4, 2.0, 10)
+CHECKPOINT_EVERY = 100  # steps between recorded train objectives / test accuracies
+DIVERGENCE_FACTOR = 1e3  # final / initial objective above which a run is flagged
 
 _SIGMA_GRID_RATIO = 1.01
 _CENTRAL_ALPHAS = np.concatenate(([1.5], np.arange(2.0, 65.0)))
@@ -100,10 +102,6 @@ class TrainResult:
     diverged: bool
     max_contributions: int
 
-    def write_trace_csv(self, path) -> None:
-        write_trace_csv(path, self.objective_trace[:, 0], self.objective_trace[:, 1],
-                        self.accuracy_trace[:, 1])
-
 
 def write_trace_csv(path, steps: np.ndarray, objective: np.ndarray, accuracy: np.ndarray) -> None:
     """Write a training trace as CSV with header ``step,objective,test_accuracy``."""
@@ -118,19 +116,16 @@ def write_trace_csv(path, steps: np.ndarray, objective: np.ndarray, accuracy: np
 # Data
 # ---------------------------------------------------------------------------
 
-def make_synthetic(
-    n_users: int, points_per_user: int = 8, dim: int = 20, seed: int = 0,
-    separation: float = 3.0,
-) -> Dataset:
+def make_synthetic(n_users: int, points_per_user: int = 8, dim: int = 20, seed: int = 0) -> Dataset:
     """Two-Gaussian binary classification data, preprocessed and partitioned.
 
-    Class means sit at +/- separation/(2 sqrt(dim)) per coordinate, so the
-    classes are linearly separable up to noise in every direction.
+    Class means sit at +/- 3/(2 sqrt(dim)) per coordinate, so the classes
+    are linearly separable up to noise in every direction.
     """
     rng = rng_stream(seed, STREAM_DATA)
     total = n_users * points_per_user + math.ceil(n_users * points_per_user * 0.25)
     y = rng.integers(0, 2, size=total) * 2 - 1
-    mean = separation / (2.0 * math.sqrt(dim))
+    mean = 3.0 / (2.0 * math.sqrt(dim))
     X = rng.normal(0.0, 1.0, size=(total, dim)) + y[:, None] * mean
     return preprocess(X, y.astype(float), n_users=n_users, seed=seed)
 
@@ -139,10 +134,14 @@ def load_csv_dataset(path, n_users: int, seed: int = 0) -> Dataset:
     """Read a CSV with numeric feature columns and a final ``label`` column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if not header:
+            raise ValueError(f"dataset CSV {path} is empty")
         if header[-1] != "label":
             raise ValueError("last CSV column must be named 'label'")
         rows = [[float(v) for v in row] for row in reader]
+    if not rows:
+        raise ValueError(f"dataset CSV {path} has no data rows")
     data = np.asarray(rows, dtype=float)
     X, y = data[:, :-1], data[:, -1]
     if not set(np.unique(y)) <= {-1.0, 1.0}:
@@ -150,9 +149,7 @@ def load_csv_dataset(path, n_users: int, seed: int = 0) -> Dataset:
     return preprocess(X, y, n_users=n_users, seed=seed)
 
 
-def preprocess(
-    X: np.ndarray, y: np.ndarray, n_users: int, seed: int, test_fraction: float = 0.2
-) -> Dataset:
+def preprocess(X: np.ndarray, y: np.ndarray, n_users: int, seed: int) -> Dataset:
     """Standardize, unit-normalize rows, split 80/20 and partition by user.
 
     Feature moments come from the train split only; constant columns are
@@ -165,7 +162,7 @@ def preprocess(
         raise ValueError("features contain NaN")
     rng = rng_stream(seed, STREAM_DATA)
     perm = rng.permutation(X.shape[0])
-    n_test = int(round(test_fraction * X.shape[0]))
+    n_test = int(round(0.2 * X.shape[0]))
     test_idx, train_idx = perm[:n_test], perm[n_test:]
 
     mu = X[train_idx].mean(axis=0)
@@ -233,13 +230,14 @@ def contribution_cap(T: int, n: int, cap_multiplier: float) -> int:
     return max(1, math.ceil(cap_multiplier * T / n))
 
 
-def _sigma_grid(lo: float = 1e-2, hi: float = 1e6) -> np.ndarray:
-    count = int(math.log(hi / lo) / math.log(_SIGMA_GRID_RATIO)) + 1
+def _sigma_grid() -> np.ndarray:
+    """Geometric sigma grid from 1e-2 to 1e6 at ratio :data:`_SIGMA_GRID_RATIO`."""
+    lo = 1e-2
+    count = int(math.log(1e6 / lo) / math.log(_SIGMA_GRID_RATIO)) + 1
     return lo * _SIGMA_GRID_RATIO ** np.arange(count)
 
 
-def local_sgd_epsilon(sigma: float, releases: int, delta: float,
-                      sensitivity: float = GRAD_SENSITIVITY) -> float:
+def local_sgd_epsilon(sigma: float, releases: int, delta: float) -> float:
     """End-to-end eps of `releases` Gaussian releases at scale sigma under LDP.
 
     Splits delta as delta/(2K) per release plus delta/2 for the advanced
@@ -248,19 +246,18 @@ def local_sgd_epsilon(sigma: float, releases: int, delta: float,
     of the classic Gaussian bound.
     """
     if releases == 1:
-        eps = gaussian_epsilon(sigma, sensitivity, delta)
+        eps = gaussian_epsilon(sigma, GRAD_SENSITIVITY, delta)
         return eps if eps < 1 else float("inf")
     delta_step = delta / (2.0 * releases)
-    eps_step = gaussian_epsilon(sigma, sensitivity, delta_step)
+    eps_step = gaussian_epsilon(sigma, GRAD_SENSITIVITY, delta_step)
     if eps_step >= 1:
         return float("inf")
     return advanced_composition(eps_step, delta_step, releases, delta / 2.0).epsilon
 
 
-def centralized_sgd_epsilon(sigma: float, T: int, n: int, delta: float,
-                            sensitivity: float = GRAD_SENSITIVITY) -> float:
+def centralized_sgd_epsilon(sigma: float, T: int, n: int, delta: float) -> float:
     """End-to-end eps of T subsampled-Gaussian steps at sampling rate 1/n."""
-    z = sigma / sensitivity
+    z = sigma / GRAD_SENSITIVITY
     q = 1.0 / n
     best = math.inf
     for alpha in _CENTRAL_ALPHAS:
@@ -269,7 +266,7 @@ def centralized_sgd_epsilon(sigma: float, T: int, n: int, delta: float,
     return best
 
 
-def calibrate_regime(config: TrainConfig, n: int, contribution_bound: int | None = None) -> float:
+def calibrate_regime(config: TrainConfig, n: int) -> float:
     """Smallest grid sigma meeting the regime's (eps, delta) target.
 
     The local and centralized regimes bisect the grid index of
@@ -280,9 +277,7 @@ def calibrate_regime(config: TrainConfig, n: int, contribution_bound: int | None
     ``tests/test_accountant.py::TestGridMonotonicity`` pins for all three.
     """
     eps, delta = config.budget.epsilon, config.budget.delta
-    cap = contribution_bound if contribution_bound is not None else contribution_cap(
-        config.T, n, config.cap_multiplier
-    )
+    cap = contribution_cap(config.T, n, config.cap_multiplier)
     if config.regime == NETWORK:
         sigma, _ = sigma_search(eps, delta, T_u=cap, n=n, L=LIPSCHITZ)
         return sigma
@@ -319,22 +314,16 @@ def verify_privacy(config: TrainConfig, n: int, sigma: float) -> float:
 # Training
 # ---------------------------------------------------------------------------
 
-def train(
-    config: TrainConfig,
-    data: Dataset,
-    sigma: float | None = None,
-    checkpoint_every: int = 100,
-    divergence_factor: float = 1e3,
-) -> TrainResult:
+def train(config: TrainConfig, data: Dataset, sigma: float | None = None) -> TrainResult:
     """Run one noisy-SGD training pass under the configured regime.
 
     The walk, the gradient noise and the iterate trace come from
     :func:`~netdp.protocols.run_complete_sgd`; capped users forward the
     token without contributing (adding noise only in the network regime).
     The train objective and test accuracy are recorded every
-    ``checkpoint_every`` steps.  A run whose objective exceeds
-    ``divergence_factor`` times the initial one is flagged as diverged but
-    still returned.
+    :data:`CHECKPOINT_EVERY` steps and at step T.  A run whose final
+    objective exceeds :data:`DIVERGENCE_FACTOR` times the initial one is
+    flagged as diverged but still returned.
     """
     if sigma is None:
         sigma = calibrate_regime(config, data.n_users)
@@ -351,7 +340,7 @@ def train(
         max_contributions=cap,
         noise_when_capped=config.regime == NETWORK,
     )
-    steps = np.arange(0, config.T + 1, checkpoint_every)
+    steps = np.arange(0, config.T + 1, CHECKPOINT_EVERY)
     if steps[-1] != config.T:
         steps = np.append(steps, config.T)
     objective = np.array([
@@ -360,7 +349,7 @@ def train(
     accuracy = np.array([
         test_accuracy(result.iterates[s], data.X_test, data.y_test) for s in steps
     ])
-    diverged = bool(objective[-1] > divergence_factor * max(objective[0], 1e-12))
+    diverged = bool(objective[-1] > DIVERGENCE_FACTOR * max(objective[0], 1e-12))
     return TrainResult(
         model=result.output,
         sigma=float(sigma),

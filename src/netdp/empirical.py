@@ -43,16 +43,6 @@ class PairLossMatrix:
         vals = self.matrix[mask]
         return vals[np.isfinite(vals)]
 
-    def to_csv(self, path) -> None:
-        """Write rows ``u,v,epsilon`` (0-based indices, diagonal omitted)."""
-        with open(path, "w", newline="") as fh:
-            fh.write("u,v,epsilon\n")
-            for u in range(self.n):
-                for v in range(self.n):
-                    if u == v:
-                        continue
-                    fh.write(f"{u},{v},{self.matrix[u, v]!r}\n")
-
 
 def _capped_segments(times: np.ndarray, n: int) -> np.ndarray:
     """Segment end positions (1-based) after capping cycles at length n.
@@ -207,39 +197,3 @@ def empirical_pair_loss_spotted(
     np.fill_diagonal(matrix, np.nan)
     meta = {"mode": mode, "delta_prime": delta_prime, "term": "spotted"}
     return PairLossMatrix(matrix=matrix, n=walk.n, T=walk.T, eps0=eps0, meta=meta)
-
-
-def combine_matrices(base: PairLossMatrix, extra: PairLossMatrix) -> PairLossMatrix:
-    """Entrywise sum of two loss matrices for the same walk (basic composition)."""
-    if base.n != extra.n or base.T != extra.T:
-        raise ValueError("matrices describe different walks")
-    meta = {"base": base.meta, "extra": extra.meta}
-    return PairLossMatrix(
-        matrix=base.matrix + extra.matrix, n=base.n, T=base.T, eps0=base.eps0, meta=meta,
-    )
-
-
-def empirical_summary(matrices: list[PairLossMatrix]) -> tuple[float, float, float]:
-    """(mean, min, max) pooled over all finite off-diagonal entries."""
-    if not matrices:
-        raise ValueError("need at least one matrix")
-    n = matrices[0].n
-    if any(m.n != n for m in matrices):
-        raise ValueError("matrices must share the same n")
-    vals = np.concatenate([m.finite_offdiagonal() for m in matrices])
-    if vals.size == 0:
-        raise ValueError("no finite off-diagonal entries to summarize")
-    return float(vals.mean()), float(vals.min()), float(vals.max())
-
-
-def summary_json(matrices: list[PairLossMatrix], runs: int | None = None) -> dict:
-    """Summary payload {n, T, mean, min, max, runs} for serialization."""
-    mean, lo, hi = empirical_summary(matrices)
-    return {
-        "n": matrices[0].n,
-        "T": matrices[0].T,
-        "mean": mean,
-        "min": lo,
-        "max": hi,
-        "runs": len(matrices) if runs is None else runs,
-    }

@@ -76,18 +76,6 @@ class ProtocolResult:
         """Total randomized submissions (init block plus flipped responses)."""
         return self.init_randomized + self.noise_steps.size
 
-    def to_json_dict(self, trace_path: str | None = None) -> dict:
-        return {
-            "output": _jsonable(self.output),
-            "trace": trace_path,
-            "noise_events": [list(e) for e in zip(self.noise_steps.tolist(), self.noise_scales.tolist())],
-            "true_value": _jsonable(self.true_value),
-        }
-
-
-def _jsonable(value):
-    return value if value is None or np.isscalar(value) else np.asarray(value).tolist()
-
 
 # ---------------------------------------------------------------------------
 # Contribution tables

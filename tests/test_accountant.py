@@ -423,8 +423,8 @@ class TestSigmaSearch:
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleError) as exc:
-            acct.sigma_search(1e-9, 1e-6, 10**9, 2, 1.0, sigma_ceiling=10.0)
-        assert "ceiling" in exc.value.diagnostics
+            acct.sigma_search(1e-9, 1e-6, 10**9, 2, 1.0)
+        assert exc.value.diagnostics["ceiling"] == 1e6
 
 
 def _linear_first_hit(eps_of, target, grid):
@@ -664,17 +664,7 @@ class TestBoundReport:
     def test_pure_function_of_inputs(self):
         a = acct.complete_sum_bound(0.5, 1e-7, 100, 10**4, 1e-3, 1e-3)
         b = acct.complete_sum_bound(0.5, 1e-7, 100, 10**4, 1e-3, 1e-3)
-        assert a.to_json() == b.to_json()
-
-    def test_json_key_order_stable(self):
-        rep = acct.ring_sum_bound(0.1, 0.0, 2, 1e-5, n=10)
-        assert rep.to_json() == rep.to_json()
-        assert '"epsilon_out"' in rep.to_json()
-
-    def test_csv_row_flat(self):
-        row = acct.ring_sum_bound(0.1, 0.0, 2, 1e-5, n=10).to_csv_row()
-        assert row["name"] == "ring_sum"
-        assert "in_eps" in row and "mid_utility_stddev_factor" in row
+        assert a == b
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -119,6 +119,30 @@ class TestEmpiricalSweep:
         (b,) = results_files(out2, "empirical_sweep")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pool_size_capped_by_task_count(self, tmp_path, monkeypatch):
+        import netdp.cli as cli
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        config = write_config(tmp_path, "n_grid = 12\neps0 = 0.5\nt_factor = 10\n")
+        assert run_cli("--experiment", "empirical_sweep", "--config", config,
+                       "--out", tmp_path / "out", "--runs", 2, "--workers", 64) == 0
+        assert sizes == [2]
+
 
 class TestProtocolMc:
     def test_zero_runs_invalid(self, tmp_path):
@@ -207,6 +231,16 @@ class TestSgdCompare:
 
     def test_real_dataset_requires_path(self, tmp_path):
         config = write_config(tmp_path, "dataset = real\nn = 10\nT = 50\neps = 10\n")
+        assert run_cli("--experiment", "sgd_compare", "--config", config,
+                       "--out", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("content", ["", "f0,f1,label\n"], ids=["empty", "header_only"])
+    def test_dataset_without_rows_is_invalid(self, tmp_path, content):
+        data = tmp_path / "data.csv"
+        data.write_text(content)
+        config = write_config(
+            tmp_path, f"dataset = real\ndataset_path = {data}\nn = 10\nT = 50\neps = 10\n"
+        )
         assert run_cli("--experiment", "sgd_compare", "--config", config,
                        "--out", tmp_path / "out") == 2
 

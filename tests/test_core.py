@@ -8,7 +8,6 @@ from netdp.core import (
     PrivacyBudget,
     Topology,
     WalkTrace,
-    cycle_lengths,
     rng_stream,
     sample_walk,
     visit_counts,
@@ -106,44 +105,7 @@ class TestVisitCounts:
         assert passes >= 95
 
 
-class TestCycleLengths:
-    def test_hand_checked_gaps(self):
-        assert cycle_lengths(make_trace([2, 1, 3, 1], 3), 1).tolist() == [2, 2]
-
-    def test_every_step_is_a_visit(self):
-        assert cycle_lengths(make_trace([1, 1, 1], 3), 1).tolist() == [1, 1, 1]
-
-    def test_never_visited(self):
-        assert cycle_lengths(make_trace([3, 3, 3], 3), 1).tolist() == []
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            cycle_lengths(make_trace([1, 2], 2), 3)
-
-    def test_lengths_plus_tail_cover_walk(self):
-        walk = sample_walk(Topology(COMPLETE, 8), 400, seed=13)
-        for v in range(1, 9):
-            lengths = cycle_lengths(walk, v)
-            if lengths.size == 0:
-                continue
-            visits = np.flatnonzero(walk.steps == v) + 1
-            tail = walk.T - visits[-1]
-            assert lengths.sum() + tail == walk.T
-            assert lengths.sum() == visits[-1]
-
-
 class TestWalkTraceSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        walk = sample_walk(Topology(COMPLETE, 6), 50, seed=2)
-        path = tmp_path / "trace.csv"
-        walk.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,user"
-        # serialized users are 0-based
-        assert lines[1] == f"0,{walk.steps[0] - 1}"
-        back = WalkTrace.from_csv(path, walk.topology, seed=walk.seed)
-        assert np.array_equal(back.steps, walk.steps)
-
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError):
             make_trace([0, 1], 2)

@@ -183,7 +183,7 @@ class TestTrain:
             regime=dpml.LOCAL, T=400, eta=0.5,
             budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=100.0, seed=5,
         )
-        res = dpml.train(config, small_data, sigma=0.0, checkpoint_every=100)
+        res = dpml.train(config, small_data, sigma=0.0)
         objs = res.objective_trace[:, 1]
         assert np.all(np.diff(objs) <= 1e-6)
         assert res.final_objective < 0.9 * objs[0]
@@ -214,7 +214,8 @@ class TestTrain:
         )
         res = dpml.train(config, small_data, sigma=1.0)
         path = tmp_path / "trace.csv"
-        res.write_trace_csv(path)
+        dpml.write_trace_csv(path, res.objective_trace[:, 0], res.objective_trace[:, 1],
+                             res.accuracy_trace[:, 1])
         lines = path.read_text().splitlines()
         assert lines[0] == "step,objective,test_accuracy"
         assert len(lines) == len(res.objective_trace) + 1

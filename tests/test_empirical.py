@@ -7,12 +7,9 @@ from netdp.core import COMPLETE, RING, Topology, WalkTrace, sample_walk
 from netdp import accountant as acct
 from netdp.empirical import (
     PairLossMatrix,
-    combine_matrices,
     empirical_pair_loss_spotted,
     empirical_pair_loss_sum,
-    empirical_summary,
     spotted_counts,
-    summary_json,
     _capped_segments,
 )
 
@@ -140,51 +137,3 @@ class TestSpotted:
         m = empirical_pair_loss_spotted(walk, 0.4, mode="advanced", delta_prime=1e-3)
         expected = math.sqrt(2 * 2 * math.log(1e3)) * 0.4 + 2 * 0.4 * (math.e**0.4 - 1)
         assert m.matrix[0, 1] == pytest.approx(expected, rel=1e-12)
-
-    def test_combine_adds_terms(self):
-        walk = sample_walk(Topology(COMPLETE, 8), 200, seed=2)
-        base = empirical_pair_loss_sum(walk, 0.5, 1e-7, 1e-3)
-        spot = empirical_pair_loss_spotted(walk, 0.5, mode="simple")
-        total = combine_matrices(base, spot)
-        mask = ~np.eye(8, dtype=bool)
-        np.testing.assert_allclose(total.matrix[mask], (base.matrix + spot.matrix)[mask])
-
-
-class TestSummary:
-    def test_constant_matrix(self):
-        mat = np.full((3, 3), 2.5)
-        np.fill_diagonal(mat, np.nan)
-        m = PairLossMatrix(matrix=mat, n=3, T=10, eps0=0.5)
-        assert empirical_summary([m]) == (2.5, 2.5, 2.5)
-
-    def test_pooled_two_matrices(self):
-        a = np.full((3, 3), 1.0)
-        b = np.full((3, 3), 3.0)
-        np.fill_diagonal(a, np.nan)
-        np.fill_diagonal(b, np.nan)
-        ms = [PairLossMatrix(matrix=a, n=3, T=10, eps0=0.5),
-              PairLossMatrix(matrix=b, n=3, T=10, eps0=0.5)]
-        mean, lo, hi = empirical_summary(ms)
-        assert (mean, lo, hi) == (2.0, 1.0, 3.0)
-
-    def test_summary_json_keys(self):
-        mat = np.full((2, 2), 1.0)
-        np.fill_diagonal(mat, np.nan)
-        payload = summary_json([PairLossMatrix(matrix=mat, n=2, T=5, eps0=0.5)])
-        assert set(payload) == {"n", "T", "mean", "min", "max", "runs"}
-        assert payload["runs"] == 1
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_summary([])
-
-
-class TestCsv:
-    def test_csv_layout(self, tmp_path):
-        walk = sample_walk(Topology(COMPLETE, 4), 40, seed=3)
-        m = empirical_pair_loss_sum(walk, 0.5, 1e-7, 1e-3)
-        path = tmp_path / "pairs.csv"
-        m.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "u,v,epsilon"
-        assert len(lines) == 1 + 4 * 3  # diagonal omitted

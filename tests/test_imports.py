@@ -1,8 +1,9 @@
 """Static import hygiene of the package, checked on the source with ``ast``.
 
 Every name a module imports must be used in it (a name listed in the
-module's ``__all__`` counts as used), and no module may import a private
-(single-underscore) name from another netdp module.
+module's ``__all__`` counts as used), every name in ``__all__`` must be
+bound at module level, and no module may import a private (single-underscore)
+name from another netdp module.
 """
 
 import ast
@@ -43,6 +44,26 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used]
 
 
+def module_level_names(tree: ast.Module) -> set[str]:
+    """Names bound by the module's top-level statements (not inside functions or classes)."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return bound
+
+
+def dangling_exports(source: str) -> list[str]:
+    """Names listed in ``__all__`` that the module never binds."""
+    tree = ast.parse(source)
+    return sorted(exported_names(tree) - module_level_names(tree))
+
+
 def is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
@@ -75,6 +96,11 @@ def test_no_unused_imports(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_are_bound(path):
+    assert dangling_exports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text()) == []
 
@@ -88,6 +114,11 @@ class TestCheckers:
         src = ("from __future__ import annotations\nfrom typing import Literal\n"
                "from .core import RING\n__all__ = ['RING']\ndef f(x: Literal['a']): pass\n")
         assert unused_imports(src) == []
+
+    def test_dangling_all_entry_is_reported(self):
+        src = ("from .core import RING\nX: int = 1\nY = Z = 2\ndef f(): w = 3\nclass C: pass\n"
+               "__all__ = ['RING', 'X', 'Y', 'Z', 'f', 'C', 'cycle_lengths', 'w']\n")
+        assert dangling_exports(src) == ["cycle_lengths", "w"]
 
     def test_private_imports_are_reported(self):
         src = ("from .accountant import _sgm_log_a_int, sigma_search\n"

@@ -104,16 +104,6 @@ class TestRunRingSum:
         # laplace draws are scaled so the per-event std is still sigma_loc
         assert outs.std(ddof=1) == pytest.approx(math.sqrt((4 * 50) // 49), rel=0.1)
 
-    def test_result_json_dict(self):
-        stream = uniform_scalar_stream(10, seed=3)
-        res = run_ring_sum(10, 2, stream, 1.0, seed=7)
-        payload = res.to_json_dict(trace_path="walk.csv")
-        assert payload["trace"] == "walk.csv"
-        assert len(payload["noise_events"]) == res.noise_steps.size
-        assert payload["noise_events"][:2] == [[9, 1.0], [18, 1.0]]
-        assert all(type(s) is int and type(g) is float for s, g in payload["noise_events"])
-        assert payload["true_value"] == pytest.approx(res.true_value)
-
     def test_bad_arguments(self):
         stream = uniform_scalar_stream(10, seed=3)
         with pytest.raises(ValueError):
