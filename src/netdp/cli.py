@@ -102,6 +102,12 @@ def split_delta_budget(total: float, n: int, T: int, delta_hat: float | None = N
     return delta0, delta_prime, delta_hat
 
 
+def _contiguous_chunks(items: list, workers: int) -> list[list]:
+    """Split ``items`` into at most ``workers`` contiguous non-empty chunks."""
+    bounds = np.array_split(np.arange(len(items)), max(1, min(workers, len(items))))
+    return [items[b[0]:b[-1] + 1] for b in bounds if b.size]
+
+
 def _parallel_map(fn, items: list, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -374,11 +380,13 @@ def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
     for name in names:
         spec = _MC_PROTOCOLS[name]
         tag = zlib.crc32(name.encode()) & 0xFFFF
-        seeds = [derive_seed(seed, tag, r) for r in range(runs)]
-        chunks = np.array_split(np.asarray(seeds), max(1, min(workers, runs)))
+        # np.asarray picks one dtype for all seeds: float64 when they straddle
+        # 2**63, which rounds them; kept so that existing results stay
+        # byte-identical (see ROADMAP item 7)
+        seeds = np.asarray([derive_seed(seed, tag, r) for r in range(runs)]).tolist()
         results = _parallel_map(
             _protocol_batch,
-            [(name, params, chunk.tolist()) for chunk in chunks if chunk.size],
+            [(name, params, chunk) for chunk in _contiguous_chunks(seeds, workers)],
             workers,
         )
         errors = [e for r in results for e in r[0]]
@@ -396,9 +404,9 @@ def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
 # sgd_compare
 # ---------------------------------------------------------------------------
 
-def _sgd_run(args: tuple) -> dpml.TrainResult:
-    config, data, sigma = args
-    return dpml.train(config, data, sigma=sigma)
+def _sgd_runs(args: tuple) -> list[dpml.TrainResult]:
+    config, data, seeds, sigma = args
+    return dpml.train(config, data, seeds, sigma=sigma)
 
 
 def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
@@ -442,11 +450,12 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
                     base, data, sigma,
                     seeds=[derive_seed(seed, int(eps * 1000), 0xE7A, i) for i in range(tune_seeds)],
                 )
-            tasks = [
-                (replace(base, eta=eta, seed=derive_seed(seed, int(eps * 1000), r)), data, sigma)
-                for r in range(runs)
-            ]
-            results = _parallel_map(_sgd_run, tasks, workers)
+            # replicas run as at most `workers` lockstep batches; a run's
+            # result depends on its own seed only
+            seeds = [derive_seed(seed, int(eps * 1000), r) for r in range(runs)]
+            tasks = [(replace(base, eta=eta), data, chunk, sigma)
+                     for chunk in _contiguous_chunks(seeds, workers)]
+            results = [r for batch in _parallel_map(_sgd_runs, tasks, workers) for r in batch]
             finals = np.asarray([r.final_objective for r in results])
             accs = np.asarray([r.final_accuracy for r in results])
             diverged = sum(1 for r in results if r.diverged)

@@ -7,7 +7,8 @@ ring ``1, 2, ..., n``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from functools import lru_cache
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -78,7 +79,6 @@ class WalkTrace:
 
     topology: Topology
     steps: np.ndarray
-    seed: int
 
     def __post_init__(self):
         steps = np.asarray(self.steps, dtype=np.int64)
@@ -98,12 +98,27 @@ class WalkTrace:
         return self.topology.n
 
 
+class WalkBatch(NamedTuple):
+    """Equal-length token walks on one topology, one row of ``steps`` each.
+
+    ``steps`` is a read-only (B, T) int64 array of 1-based holders.
+    """
+
+    topology: Topology
+    steps: np.ndarray
+
+    @property
+    def T(self) -> int:
+        return int(self.steps.shape[1])
+
+
 def sample_walk(topology: Topology, T: int, seed: int) -> WalkTrace:
     """Sample a token walk of length T on the given topology.
 
     Ring walks are deterministic (token starts at user 1 and goes through
-    the ring ``T / n`` times); T must be a multiple of n.  Complete-graph
-    walks send the token to a user chosen uniformly at random at each step,
+    the ring ``T / n`` times); T must be a multiple of n, and the same
+    read-only trace is returned for every seed.  Complete-graph walks send
+    the token to a user chosen uniformly at random at each step,
     self-transitions included.
     """
     if T < 1:
@@ -112,10 +127,15 @@ def sample_walk(topology: Topology, T: int, seed: int) -> WalkTrace:
     if topology.kind == RING:
         if T % n != 0:
             raise ValueError(f"ring walk length T={T} must be a multiple of n={n}")
-        steps = np.tile(np.arange(1, n + 1, dtype=np.int64), T // n)
-    else:
-        steps = rng_stream(seed, STREAM_WALK).integers(1, n + 1, size=T, dtype=np.int64)
-    return WalkTrace(topology=topology, steps=steps, seed=seed)
+        return _ring_walk(topology, T)
+    steps = rng_stream(seed, STREAM_WALK).integers(1, n + 1, size=T, dtype=np.int64)
+    return WalkTrace(topology=topology, steps=steps)
+
+
+@lru_cache(maxsize=8)
+def _ring_walk(topology: Topology, T: int) -> WalkTrace:
+    steps = np.tile(np.arange(1, topology.n + 1, dtype=np.int64), T // topology.n)
+    return WalkTrace(topology=topology, steps=steps)
 
 
 def visit_counts(walk: WalkTrace) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Logistic regression under three DP-SGD regimes: local, network, centralized.
 
 The three regimes share one training loop (noisy projected SGD driven by a
-uniform token walk, mini-batch = the drawn user's full local dataset) and
-differ only in how the per-step noise scale sigma is calibrated to the
-end-to-end (eps, delta) target:
+uniform token walk, mini-batch = the drawn user's full local dataset; the
+lockstep kernel :func:`~netdp.protocols.run_complete_sgd`, which advances
+every seed of a training call, and every (eta, seed) pair of an eta search,
+through one array program) and differ only in how the per-step noise scale
+sigma is calibrated to the end-to-end (eps, delta) target:
 
   local        advanced composition over the user's own capped releases of
                the Gaussian mechanism,
@@ -13,6 +15,9 @@ end-to-end (eps, delta) target:
 
 Rows are normalized to unit L2 norm so the logistic loss is 1-Lipschitz and
 1/4-smooth, giving gradient sensitivity 2L = 2 under user-level adjacency.
+Only the iterates at every :data:`CHECKPOINT_EVERY`-th step and at step T
+are kept; the train objective and test accuracy are evaluated on those,
+one model at a time.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Literal, Sequence
+from dataclasses import dataclass
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 from scipy import special
@@ -36,7 +41,7 @@ from .accountant import (
     sigma_search,
 )
 from .mechanisms import gaussian_epsilon
-from .protocols import run_complete_sgd
+from .protocols import SgdRuns, run_complete_sgd
 
 LOCAL: Literal["local"] = "local"
 NETWORK: Literal["network"] = "network"
@@ -61,7 +66,7 @@ class Dataset:
     y_train: np.ndarray
     X_test: np.ndarray
     y_test: np.ndarray
-    user_rows: tuple  # per-user index arrays into the train split
+    user_rows: tuple  # per-user index arrays into the train split, each non-empty
 
     @property
     def n_users(self) -> int:
@@ -71,9 +76,6 @@ class Dataset:
     def dim(self) -> int:
         return self.X_train.shape[1]
 
-    def user_data(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(self.X_train[idx], self.y_train[idx]) for idx in self.user_rows]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -82,7 +84,6 @@ class TrainConfig:
     eta: float
     budget: PrivacyBudget
     cap_multiplier: float = 2.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.regime not in (LOCAL, NETWORK, CENTRALIZED):
@@ -154,7 +155,9 @@ def preprocess(X: np.ndarray, y: np.ndarray, n_users: int, seed: int) -> Dataset
 
     Feature moments come from the train split only; constant columns are
     dropped with a warning.  Rows are scaled to unit L2 norm after
-    standardization so that the logistic loss is 1-Lipschitz.
+    standardization so that the logistic loss is 1-Lipschitz.  Raises
+    ``ValueError`` when no feature column is left or when the train split
+    has fewer rows than there are users, so every user holds data.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -168,6 +171,10 @@ def preprocess(X: np.ndarray, y: np.ndarray, n_users: int, seed: int) -> Dataset
     mu = X[train_idx].mean(axis=0)
     sd = X[train_idx].std(axis=0)
     keep = sd > 0
+    if not keep.any():
+        raise ValueError("dataset has no non-constant feature column")
+    if len(train_idx) < n_users:
+        raise ValueError(f"train split has {len(train_idx)} rows for {n_users} users")
     if not keep.all():
         warnings.warn(f"dropping {int((~keep).sum())} constant feature column(s)")
     Xs = (X[:, keep] - mu[keep]) / sd[keep]
@@ -201,19 +208,49 @@ def logistic_objective(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, -margins)))
 
 
-def logistic_grad(w: np.ndarray, data: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Mean logistic-loss gradient over one user's rows; L2 norm <= 1.
+def logistic_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean logistic-loss gradient over a user's m rows; L2 norm <= 1.
 
-    grad = -(1/m) sum_i sigmoid(-y_i w.x_i) y_i x_i.  Empty user data gives
-    a zero gradient with a warning.
+    grad = -(1/m) sum_i sigmoid(-y_i w.x_i) y_i x_i.  Stacks broadcast:
+    w (..., d), X (..., m, d) and y (..., m) give (..., d) gradients, each
+    bit-identical to the call on its own slice (one BLAS gemv per slice,
+    rows summed in order).
     """
-    X, y = data
-    if X.shape[0] == 0:
-        warnings.warn("empty user dataset, returning zero gradient")
-        return np.zeros_like(w)
-    margins = y * (X @ w)
+    margins = y * (X @ w[..., None])[..., 0]
     s = special.expit(-margins)
-    return -(X * (s * y)[:, None]).mean(axis=0)
+    return -(X * (s * y)[..., None]).mean(axis=-2)
+
+
+def _batched_grad(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``grad_fn(W, users)`` for the lockstep kernel: row k is the gradient
+    of ``W[k]`` on user ``users[k]``'s rows.
+
+    Users are grouped by row count m, and the holders of one step with
+    equal m share one :func:`logistic_grad` call on their rows gathered as
+    a (holders, m, d) stack, so a step makes one call when all users hold
+    the same number of rows.  Padding short users with zero rows instead
+    would not be bit-exact: BLAS gemv blocks its rows, so a row's dot
+    product can depend on the number of rows in the call.
+    """
+    sizes = np.array([idx.size for idx in data.user_rows])
+    position = np.empty(sizes.size, dtype=np.int64)
+    row_tables = {}  # m -> (users with m rows, m) train-row indices
+    for m in np.unique(sizes):
+        users = np.flatnonzero(sizes == m)
+        position[users] = np.arange(users.size)
+        row_tables[int(m)] = np.stack([data.user_rows[u] for u in users])
+
+    def grad(W: np.ndarray, users: np.ndarray) -> np.ndarray:
+        G = np.empty_like(W)
+        m_of = sizes[users - 1]
+        for m, table in row_tables.items():
+            sel = m_of == m
+            if sel.any():
+                rows = table[position[users[sel] - 1]]
+                G[sel] = logistic_grad(W[sel], data.X_train[rows], data.y_train[rows])
+        return G
+
+    return grad
 
 
 def test_accuracy(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -314,52 +351,57 @@ def verify_privacy(config: TrainConfig, n: int, sigma: float) -> float:
 # Training
 # ---------------------------------------------------------------------------
 
-def train(config: TrainConfig, data: Dataset, sigma: float | None = None) -> TrainResult:
-    """Run one noisy-SGD training pass under the configured regime.
+def _run_lockstep(config: TrainConfig, data: Dataset, sigma: float,
+                  etas: Sequence[float], seeds: Sequence[int]) -> SgdRuns:
+    """Run b trains with step size ``etas[b]`` on the walk and noise of ``seeds[b]``."""
+    return run_complete_sgd(
+        n=data.n_users,
+        T=config.T,
+        grad_fn=_batched_grad(data),
+        eta=etas,
+        sigma=sigma,
+        d=data.dim,
+        seeds=seeds,
+        max_contributions=contribution_cap(config.T, data.n_users, config.cap_multiplier),
+        noise_when_capped=config.regime == NETWORK,
+        checkpoint_every=CHECKPOINT_EVERY,
+    )
 
-    The walk, the gradient noise and the iterate trace come from
-    :func:`~netdp.protocols.run_complete_sgd`; capped users forward the
-    token without contributing (adding noise only in the network regime).
-    The train objective and test accuracy are recorded every
-    :data:`CHECKPOINT_EVERY` steps and at step T.  A run whose final
-    objective exceeds :data:`DIVERGENCE_FACTOR` times the initial one is
-    flagged as diverged but still returned.
+
+def train(config: TrainConfig, data: Dataset, seeds: Sequence[int],
+          sigma: float | None = None) -> list[TrainResult]:
+    """Train one noisy-SGD run per seed under the configured regime.
+
+    All runs step in lockstep through
+    :func:`~netdp.protocols.run_complete_sgd`, each with its own walk and
+    gradient noise; capped users forward the token without contributing
+    (adding noise only in the network regime).  Run b's result depends on
+    ``seeds[b]`` alone, not on the other seeds of the call.  Only the
+    iterates at every :data:`CHECKPOINT_EVERY`-th step and at step T are
+    kept; the train objective and test accuracy are evaluated on each.  A
+    run whose final objective exceeds :data:`DIVERGENCE_FACTOR` times the
+    initial one is flagged as diverged but still returned.
     """
     if sigma is None:
         sigma = calibrate_regime(config, data.n_users)
+    runs = _run_lockstep(config, data, sigma, [config.eta] * len(seeds), seeds)
+    steps = runs.checkpoint_steps
     cap = contribution_cap(config.T, data.n_users, config.cap_multiplier)
-    result = run_complete_sgd(
-        n=data.n_users,
-        T=config.T,
-        datasets=data.user_data(),
-        grad_fn=logistic_grad,
-        eta=config.eta,
-        sigma=sigma,
-        seed=config.seed,
-        d=data.dim,
-        max_contributions=cap,
-        noise_when_capped=config.regime == NETWORK,
-    )
-    steps = np.arange(0, config.T + 1, CHECKPOINT_EVERY)
-    if steps[-1] != config.T:
-        steps = np.append(steps, config.T)
-    objective = np.array([
-        logistic_objective(result.iterates[s], data.X_train, data.y_train) for s in steps
-    ])
-    accuracy = np.array([
-        test_accuracy(result.iterates[s], data.X_test, data.y_test) for s in steps
-    ])
-    diverged = bool(objective[-1] > DIVERGENCE_FACTOR * max(objective[0], 1e-12))
-    return TrainResult(
-        model=result.output,
-        sigma=float(sigma),
-        objective_trace=np.column_stack([steps, objective]),
-        accuracy_trace=np.column_stack([steps, accuracy]),
-        final_objective=float(objective[-1]),
-        final_accuracy=float(accuracy[-1]),
-        diverged=diverged,
-        max_contributions=cap,
-    )
+    results = []
+    for iterates in runs.iterates:
+        objective = np.array([logistic_objective(w, data.X_train, data.y_train) for w in iterates])
+        accuracy = np.array([test_accuracy(w, data.X_test, data.y_test) for w in iterates])
+        results.append(TrainResult(
+            model=iterates[-1],
+            sigma=float(sigma),
+            objective_trace=np.column_stack([steps, objective]),
+            accuracy_trace=np.column_stack([steps, accuracy]),
+            final_objective=float(objective[-1]),
+            final_accuracy=float(accuracy[-1]),
+            diverged=bool(objective[-1] > DIVERGENCE_FACTOR * max(objective[0], 1e-12)),
+            max_contributions=cap,
+        ))
+    return results
 
 
 def tune_eta(
@@ -369,14 +411,19 @@ def tune_eta(
     seeds: Sequence[int],
     grid: np.ndarray = ETA_GRID,
 ) -> float:
-    """Pick the step size minimizing the mean final train objective."""
-    best_eta, best_obj = float(grid[0]), math.inf
-    for eta in grid:
-        objs = [
-            train(replace(config, eta=float(eta), seed=int(s)), data, sigma=sigma).final_objective
-            for s in seeds
-        ]
-        mean_obj = float(np.mean(objs))
+    """Pick the step size minimizing the mean final train objective.
+
+    The whole (eta, seed) grid is one lockstep batch: each seed's walk and
+    noise are drawn once and shared by every eta, and only the final
+    models are evaluated.
+    """
+    seeds = [int(s) for s in seeds]
+    etas = [float(eta) for eta in grid]
+    runs = _run_lockstep(config, data, sigma, np.repeat(etas, len(seeds)), seeds * len(etas))
+    finals = [logistic_objective(w, data.X_train, data.y_train) for w in runs.models]
+    best_eta, best_obj = etas[0], math.inf
+    for i, eta in enumerate(etas):
+        mean_obj = float(np.mean(finals[i * len(seeds):(i + 1) * len(seeds)]))
         if mean_obj < best_obj:
-            best_eta, best_obj = float(eta), mean_obj
+            best_eta, best_obj = eta, mean_obj
     return best_eta

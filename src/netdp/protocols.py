@@ -11,7 +11,10 @@ noise schedule is a pair of arrays, ``noise_steps`` (the 1-based randomized
 steps) and ``noise_scales`` (the scale used at each), never one object per
 event.
 Additive noise goes through :func:`~netdp.mechanisms.perturb` and randomized
-response through :func:`~netdp.mechanisms.rr_gamma_many`.  A run is a pure
+response through :func:`~netdp.mechanisms.rr_gamma_many`.  Noisy SGD is
+the exception: :func:`run_complete_sgd` advances a batch of runs in
+lockstep and returns one :class:`SgdRuns` with per-run arrays (checkpoint
+iterates, noised steps) instead of a result per run.  A run is a pure
 function of (parameters, seed): walk sampling, additive noise, randomized
 response and init draws consume independent streams of the master seed.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .core import (
     STREAM_NOISE,
     STREAM_RR,
     Topology,
+    WalkBatch,
     WalkTrace,
     rng_stream,
     sample_walk,
@@ -58,7 +62,6 @@ class ProtocolResult:
     true_value: float | np.ndarray | None
     pre_debias: np.ndarray | None = None  # raw count histogram, when applicable
     init_randomized: int = 0  # uniform elements seeding a histogram token
-    iterates: np.ndarray | None = None  # (T+1, d) SGD iterate trace
 
     def __post_init__(self):
         steps = np.asarray(self.noise_steps, dtype=np.int64)
@@ -368,81 +371,140 @@ def run_complete_hist(
 # Noisy projected SGD on a complete graph
 # ---------------------------------------------------------------------------
 
-def _project_l2(w: np.ndarray, radius: float | None) -> np.ndarray:
+def _project_l2(W: np.ndarray, radius: float | None) -> np.ndarray:
+    """Project each row of the fresh (B, d) array W onto the L2 ball, in place.
+
+    The squared norms come from the same BLAS dot as ``np.linalg.norm`` of
+    one row, so a projected row is bit-identical to a one-row projection.
+    """
     if radius is None:
-        return w
-    norm = float(np.linalg.norm(w))
-    if norm <= radius:
-        return w
-    return w * (radius / norm)
+        return W
+    norms = np.sqrt(np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0])
+    over = norms > radius
+    W[over] *= (radius / norms[over])[:, None]
+    return W
+
+
+class SgdRuns(NamedTuple):
+    """B noisy-SGD runs advanced in lockstep from S distinct seeds.
+
+    ``iterates[b, c]`` is run b's model after step ``checkpoint_steps[c]``
+    (step 0 is the all-zero start, the last checkpoint is step T).  Walks
+    and noise belong to seeds: row ``seed_index[b]`` of ``trace.steps`` is
+    run b's walk, and of ``noised`` marks the steps t + 1 that added
+    N(0, sigma^2 I_d) noise to its token (none when sigma = 0).  All arrays
+    are read-only.
+    """
+
+    trace: WalkBatch  # (S, T), one walk per distinct seed
+    noised: np.ndarray  # (S, T) bool
+    seed_index: np.ndarray  # (B,) int64
+    sigma: float
+    checkpoint_steps: np.ndarray  # (C,) int64, ascending
+    iterates: np.ndarray  # (B, C, d)
+
+    @property
+    def models(self) -> np.ndarray:
+        """(B, d) final models."""
+        return self.iterates[:, -1]
 
 
 def run_complete_sgd(
     n: int,
     T: int,
-    datasets: Sequence,
-    grad_fn: Callable[[np.ndarray, object], np.ndarray],
-    eta: float,
+    grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    eta: float | Sequence[float],
     sigma: float,
     d: int,
-    seed: int = 0,
+    seeds: Sequence[int],
     projection_radius: float | None = None,
     max_contributions: int | None = None,
     noise_when_capped: bool = True,
-) -> ProtocolResult:
-    """Noisy projected SGD driven by a uniform token walk.
+    checkpoint_every: int = 1,
+) -> SgdRuns:
+    """Noisy projected SGD driven by uniform token walks, one run per seed.
 
-    At each step the drawn user updates the token with a projected noisy
-    gradient step  w <- Proj(w - eta (grad_fn(w, D_u) + Z)),
-    Z ~ N(0, sigma^2 I_d).  Callers claiming iteration-amplification
-    guarantees must pick eta <= 2/beta for beta-smooth losses.
+    At each step the drawn user updates run b's token with a projected
+    noisy gradient step  w <- Proj(w - eta_b (g + Z)),  Z ~ N(0, sigma^2 I_d),
+    where ``grad_fn(W, users)`` returns the (k, d) gradients of the k
+    contributing runs' iterates ``W`` at their holders ``users`` (1-based).
+    Callers claiming iteration-amplification guarantees must pick
+    eta <= 2/beta for beta-smooth losses.
 
     ``max_contributions`` caps how many times one user contributes; a
     capped user forwards the token untouched, still adding noise when
     ``noise_when_capped`` (the network regime: other users' guarantees
     rely on that noise).
+
+    Walks, cap masks and noise masks depend only on the seed, so they are
+    fixed before step 1 and all B runs step in lockstep, with at most one
+    ``grad_fn`` call per step.  Runs sharing a seed share its walk and its
+    noise draws; ``eta`` may differ per run.  Each seed's noise is drawn in
+    blocks of ``checkpoint_every`` steps, one ``normal(0, sigma, (k, d))``
+    call for the block's k noised steps, which consumes the stream exactly
+    as one ``size=d`` draw per step would.  Iterates are kept at every
+    ``checkpoint_every``-th step and at step T.  Run b's result equals a
+    single-run call with ``seeds=[seeds[b]]``, bit for bit.
     """
     if n < 1 or T < 1:
         raise ValueError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
-    if not eta > 0:
-        raise ValueError("eta must be positive")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    if len(datasets) != n:
-        raise ValueError(f"expected {n} per-user datasets, got {len(datasets)}")
-    w = np.zeros(d, dtype=float)
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be >= 1")
+    seeds = [int(s) for s in seeds]
+    B = len(seeds)
+    eta = np.broadcast_to(np.asarray(eta, dtype=float), (B,))
+    if B == 0 or not np.all(eta > 0):
+        raise ValueError("need at least one seed and every eta positive")
 
-    trace = sample_walk(Topology(COMPLETE, n), T, seed)
-    rng = rng_stream(seed, STREAM_NOISE)
-    iterates = np.empty((T + 1, d), dtype=float)
-    iterates[0] = w
-    contributed = np.zeros(n, dtype=np.int64)
-    noised = np.zeros(T, dtype=bool)
-    for t in range(1, T + 1):
-        u = int(trace.steps[t - 1])
-        capped = max_contributions is not None and contributed[u - 1] >= max_contributions
-        if capped:
-            g = None
-        else:
-            g = np.asarray(grad_fn(w, datasets[u - 1]), dtype=float)
-            if g.shape != (d,):
-                raise ValueError(f"gradient shape {g.shape} does not match dimension {d}")
-            contributed[u - 1] += 1
-        if capped and not noise_when_capped:
-            iterates[t] = w
-            continue
-        z = rng.normal(0.0, sigma, size=d) if sigma > 0 else np.zeros(d)
-        update = z if g is None else g + z
-        w = _project_l2(w - eta * update, projection_radius)
-        iterates[t] = w
-        noised[t - 1] = True
+    # per distinct seed: walk, contribution (cap) mask, move mask, stream
+    index = {s: i for i, s in enumerate(dict.fromkeys(seeds))}
+    distinct = list(index)
+    row = np.array([index[s] for s in seeds], dtype=np.int64)  # run -> distinct seed
+    topology = Topology(COMPLETE, n)
+    walks = np.stack([sample_walk(topology, T, s).steps for s in distinct])
+    contributes = np.ones(walks.shape, dtype=bool)
+    if max_contributions is not None:
+        contributes = np.stack([occurrence_index(w) < max_contributions for w in walks])
+    moves = np.ones(walks.shape, dtype=bool) if noise_when_capped else contributes
+    noised = moves & (sigma > 0)
+    rngs = [rng_stream(s, STREAM_NOISE) for s in distinct]
 
-    noise_steps = np.flatnonzero(noised) + 1 if sigma > 0 else np.empty(0, dtype=np.int64)
-    return ProtocolResult(
-        output=w,
-        trace=trace,
-        noise_steps=noise_steps,
-        noise_scales=np.full(noise_steps.size, float(sigma)),
-        true_value=None,
+    checkpoint_steps = np.arange(0, T + 1, checkpoint_every, dtype=np.int64)
+    if checkpoint_steps[-1] != T:
+        checkpoint_steps = np.append(checkpoint_steps, T)
+    iterates = np.zeros((B, checkpoint_steps.size, d), dtype=float)
+    W = np.zeros((B, d), dtype=float)
+    eta_col = eta[:, None]
+    for c, (start, stop) in enumerate(zip(checkpoint_steps[:-1], checkpoint_steps[1:]), 1):
+        noise = np.zeros((len(distinct), stop - start, d))
+        for s, rng in enumerate(rngs):
+            block = noised[s, start:stop]
+            if block.any():
+                noise[s, block] = rng.normal(0.0, sigma, size=(int(block.sum()), d))
+        # runs read their seed's row at each step, so no (B, T) or
+        # (B, block, d) array is built
+        for t in range(start, stop):
+            update = noise[row, t - start]
+            live = contributes[row, t]
+            if live.any():
+                g = np.asarray(grad_fn(W[live], walks[row[live], t]), dtype=float)
+                if g.shape != (int(live.sum()), d):
+                    raise ValueError(f"gradient shape {g.shape} does not match dimension {d}")
+                update[live] += g
+            stepped = _project_l2(W - eta_col * update, projection_radius)
+            moved = moves[row, t]
+            W = stepped if moved.all() else np.where(moved[:, None], stepped, W)
+        iterates[:, c] = W
+
+    for arr in (walks, noised, row, checkpoint_steps, iterates):
+        arr.setflags(write=False)
+    return SgdRuns(
+        trace=WalkBatch(topology=topology, steps=walks),
+        noised=noised,
+        seed_index=row,
+        sigma=float(sigma),
+        checkpoint_steps=checkpoint_steps,
         iterates=iterates,
     )

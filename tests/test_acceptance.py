@@ -242,15 +242,12 @@ def test_c11_desk_scale_sgd_comparison():
                                     budget=dpml.PrivacyBudget(eps, delta),
                                     cap_multiplier=c)
             eta = dpml.tune_eta(base, data, sigmas[regime], seeds=range(5))
-            runs = [
-                dpml.train(
-                    dpml.TrainConfig(regime=regime, T=T, eta=eta,
-                                     budget=dpml.PrivacyBudget(eps, delta),
-                                     cap_multiplier=c, seed=100 + s),
-                    data, sigma=sigmas[regime],
-                )
-                for s in range(seeds)
-            ]
+            runs = dpml.train(
+                dpml.TrainConfig(regime=regime, T=T, eta=eta,
+                                 budget=dpml.PrivacyBudget(eps, delta),
+                                 cap_multiplier=c),
+                data, seeds=[100 + s for s in range(seeds)], sigma=sigmas[regime],
+            )
             results[(regime, eps)] = {
                 "objective": float(np.mean([r.final_objective for r in runs])),
                 "initial": float(np.mean([r.objective_trace[0, 1] for r in runs])),

@@ -244,6 +244,50 @@ class TestSgdCompare:
         assert run_cli("--experiment", "sgd_compare", "--config", config,
                        "--out", tmp_path / "out") == 2
 
+    def test_dataset_without_features_is_invalid(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("label\n" + "1\n-1\n" * 5)
+        config = write_config(
+            tmp_path, f"dataset = real\ndataset_path = {data}\nn = 2\nT = 50\neps = 10\n"
+        )
+        assert run_cli("--experiment", "sgd_compare", "--config", config,
+                       "--out", tmp_path / "out") == 2
+
+    def test_dataset_with_fewer_rows_than_users_is_invalid(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("f0,label\n" + "".join(f"{v}.5,{1 - 2 * (v % 2)}\n" for v in range(5)))
+        config = write_config(
+            tmp_path, f"dataset = real\ndataset_path = {data}\nn = 10\nT = 50\neps = 10\n"
+        )
+        assert run_cli("--experiment", "sgd_compare", "--config", config,
+                       "--out", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("dataset", ["synthetic", "unequal_csv"])
+    def test_output_independent_of_workers(self, tmp_path, dataset):
+        # replicas run as one lockstep batch per worker; each run depends on
+        # its own seed only, so the files match byte for byte
+        text = "n = 12\nT = 120\neps = 10\ndelta = 1e-6\ntune_seeds = 2\n"
+        if dataset == "synthetic":
+            text += "dataset = synthetic\npoints_per_user = 4\ndim = 3\n"
+        else:
+            rng = np.random.Generator(np.random.Philox(6))
+            path = tmp_path / "data.csv"
+            # 67 rows leave 54 train rows: 4 or 5 per user
+            rows = [f"{a},{b},{1 if a + b > 0 else -1}"
+                    for a, b in rng.normal(size=(67, 2)).tolist()]
+            path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+            text += f"dataset = real\ndataset_path = {path}\n"
+        config = write_config(tmp_path, text)
+        files = {}
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            assert run_cli("--experiment", "sgd_compare", "--config", config, "--out", out,
+                           "--runs", 3, "--workers", workers, "--seed", 5) == 0
+            (run_dir,) = (out / "sgd_compare").iterdir()
+            files[workers] = {p.name: p.read_bytes() for p in sorted(run_dir.glob("*.csv"))}
+        assert len(files[1]) == 4  # results.csv and one trace per regime
+        assert files[1] == files[2]
+
 
 class TestSigmaSearch:
     def test_json_payload(self, tmp_path):

@@ -15,7 +15,7 @@ from netdp.core import (
 
 
 def make_trace(steps, n, kind=COMPLETE):
-    return WalkTrace(topology=Topology(kind, n), steps=np.asarray(steps), seed=0)
+    return WalkTrace(topology=Topology(kind, n), steps=np.asarray(steps))
 
 
 class TestPrivacyBudget:
@@ -44,6 +44,14 @@ class TestSampleWalk:
     def test_ring_order_deterministic(self):
         walk = sample_walk(Topology(RING, 3), 6, seed=99)
         assert walk.steps.tolist() == [1, 2, 3, 1, 2, 3]
+
+    def test_ring_walk_built_once_and_read_only(self):
+        # the ring walk does not depend on the seed, so one trace serves all
+        a = sample_walk(Topology(RING, 4), 8, seed=1)
+        assert sample_walk(Topology(RING, 4), 8, seed=2) is a
+        assert sample_walk(Topology(RING, 4), 12, seed=1).steps.tolist() == [1, 2, 3, 4] * 3
+        with pytest.raises(ValueError):
+            a.steps[0] = 2
 
     def test_single_user_complete(self):
         walk = sample_walk(Topology(COMPLETE, 1), 5, seed=4)

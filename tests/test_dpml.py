@@ -15,6 +15,11 @@ def small_data():
     return dpml.make_synthetic(n_users=20, points_per_user=8, dim=10, seed=3)
 
 
+def user_data(data, u):
+    idx = data.user_rows[u]
+    return data.X_train[idx], data.y_train[idx]
+
+
 class TestPreprocess:
     def test_rows_unit_norm(self, small_data):
         norms = np.linalg.norm(small_data.X_train, axis=1)
@@ -53,6 +58,20 @@ class TestPreprocess:
         with pytest.raises(ValueError):
             dpml.preprocess(X, np.ones(10), n_users=2, seed=0)
 
+    @pytest.mark.parametrize("X", [np.empty((30, 0)), np.full((30, 2), 4.0)],
+                             ids=["no_columns", "only_constant_columns"])
+    def test_no_feature_rejected(self, X):
+        with pytest.raises(ValueError, match="feature"):
+            dpml.preprocess(X, np.ones(30), n_users=3, seed=0)
+
+    def test_fewer_train_rows_than_users_rejected(self):
+        rng = np.random.Generator(np.random.Philox(5))
+        X = rng.normal(size=(10, 2))
+        # 8 train rows: enough for 8 users, not for 9
+        assert dpml.preprocess(X, np.ones(10), n_users=8, seed=0).n_users == 8
+        with pytest.raises(ValueError, match="rows for 9 users"):
+            dpml.preprocess(X, np.ones(10), n_users=9, seed=0)
+
 
 class TestCsvIngestion:
     def test_round_trip(self, tmp_path):
@@ -84,15 +103,15 @@ class TestCsvIngestion:
 
 class TestLogisticGrad:
     def test_zero_weights_closed_form(self, small_data):
-        X, y = small_data.user_data()[0]
-        got = dpml.logistic_grad(np.zeros(small_data.dim), (X, y))
+        X, y = user_data(small_data, 0)
+        got = dpml.logistic_grad(np.zeros(small_data.dim), X, y)
         np.testing.assert_allclose(got, -(X * y[:, None]).mean(axis=0) / 2, atol=1e-12)
 
     def test_finite_difference(self, small_data):
-        X, y = small_data.user_data()[1]
+        X, y = user_data(small_data, 1)
         rng = np.random.Generator(np.random.Philox(7))
         w = rng.normal(size=small_data.dim)
-        grad = dpml.logistic_grad(w, (X, y))
+        grad = dpml.logistic_grad(w, X, y)
         h = 1e-6
         for j in range(small_data.dim):
             e = np.zeros_like(w)
@@ -107,12 +126,7 @@ class TestLogisticGrad:
             X /= np.linalg.norm(X, axis=1, keepdims=True)
             y = np.where(rng.random(8) < 0.5, 1.0, -1.0)
             w = rng.normal(size=6) * rng.uniform(0, 20)
-            assert np.linalg.norm(dpml.logistic_grad(w, (X, y))) <= 1.0 + 1e-12
-
-    def test_empty_user_warns_zero(self):
-        with pytest.warns(UserWarning):
-            g = dpml.logistic_grad(np.ones(3), (np.empty((0, 3)), np.empty(0)))
-        np.testing.assert_array_equal(g, np.zeros(3))
+            assert np.linalg.norm(dpml.logistic_grad(w, X, y)) <= 1.0 + 1e-12
 
 
 class TestCalibration:
@@ -120,7 +134,7 @@ class TestCalibration:
         # cap == 1 reduces the local regime to the plain Gaussian formula
         config = dpml.TrainConfig(
             regime=dpml.LOCAL, T=10, eta=0.1,
-            budget=PrivacyBudget(0.5, 1e-6), cap_multiplier=0.1, seed=0,
+            budget=PrivacyBudget(0.5, 1e-6), cap_multiplier=0.1,
         )
         sigma = dpml.calibrate_regime(config, n=100)
         exact = calibrate_gaussian(2.0, PrivacyBudget(0.5, 1e-6))
@@ -129,7 +143,7 @@ class TestCalibration:
     def test_network_recheck_meets_target(self):
         config = dpml.TrainConfig(
             regime=dpml.NETWORK, T=2000, eta=0.1,
-            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0, seed=0,
+            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0,
         )
         sigma = dpml.calibrate_regime(config, n=200)
         assert dpml.verify_privacy(config, 200, sigma) <= 1.0
@@ -137,7 +151,7 @@ class TestCalibration:
     def test_centralized_recheck_meets_target(self):
         config = dpml.TrainConfig(
             regime=dpml.CENTRALIZED, T=500, eta=0.1,
-            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0, seed=0,
+            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0,
         )
         sigma = dpml.calibrate_regime(config, n=100)
         assert dpml.verify_privacy(config, 100, sigma) <= 1.0
@@ -151,7 +165,7 @@ class TestCalibration:
         # exact grid sigmas at n=200, T=2000, eps=1, delta=1e-6, cap_multiplier=2
         config = dpml.TrainConfig(
             regime=regime, T=2000, eta=0.1,
-            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0, seed=0,
+            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0,
         )
         assert dpml.calibrate_regime(config, n=200) == golden
 
@@ -159,7 +173,7 @@ class TestCalibration:
     def test_infeasible_target(self, regime):
         config = dpml.TrainConfig(
             regime=regime, T=2000, eta=0.1,
-            budget=PrivacyBudget(1e-9, 1e-6), cap_multiplier=2.0, seed=0,
+            budget=PrivacyBudget(1e-9, 1e-6), cap_multiplier=2.0,
         )
         with pytest.raises(InfeasibleError) as exc:
             dpml.calibrate_regime(config, n=200)
@@ -181,9 +195,9 @@ class TestTrain:
     def test_noiseless_objective_decreases(self, small_data):
         config = dpml.TrainConfig(
             regime=dpml.LOCAL, T=400, eta=0.5,
-            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=100.0, seed=5,
+            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=100.0,
         )
-        res = dpml.train(config, small_data, sigma=0.0)
+        (res,) = dpml.train(config, small_data, seeds=[5], sigma=0.0)
         objs = res.objective_trace[:, 1]
         assert np.all(np.diff(objs) <= 1e-6)
         assert res.final_objective < 0.9 * objs[0]
@@ -192,27 +206,27 @@ class TestTrain:
     def test_deterministic_traces(self, small_data):
         config = dpml.TrainConfig(
             regime=dpml.NETWORK, T=200, eta=0.05,
-            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0, seed=9,
+            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0,
         )
-        a = dpml.train(config, small_data, sigma=5.0)
-        b = dpml.train(config, small_data, sigma=5.0)
+        (a,) = dpml.train(config, small_data, seeds=[9], sigma=5.0)
+        (b,) = dpml.train(config, small_data, seeds=[9], sigma=5.0)
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
         np.testing.assert_array_equal(a.model, b.model)
 
     def test_divergence_flagged_not_fatal(self, small_data):
         config = dpml.TrainConfig(
             regime=dpml.LOCAL, T=300, eta=2.0,
-            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=100.0, seed=4,
+            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=100.0,
         )
-        res = dpml.train(config, small_data, sigma=300.0)
+        (res,) = dpml.train(config, small_data, seeds=[4], sigma=300.0)
         assert res.diverged
 
     def test_trace_csv(self, small_data, tmp_path):
         config = dpml.TrainConfig(
             regime=dpml.LOCAL, T=100, eta=0.1,
-            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0, seed=1,
+            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0,
         )
-        res = dpml.train(config, small_data, sigma=1.0)
+        (res,) = dpml.train(config, small_data, seeds=[1], sigma=1.0)
         path = tmp_path / "trace.csv"
         dpml.write_trace_csv(path, res.objective_trace[:, 0], res.objective_trace[:, 1],
                              res.accuracy_trace[:, 1])
@@ -225,7 +239,7 @@ class TestTuneEta:
     def test_picks_grid_value_and_is_deterministic(self, small_data):
         config = dpml.TrainConfig(
             regime=dpml.NETWORK, T=100, eta=1.0,
-            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0, seed=0,
+            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0,
         )
         grid = np.geomspace(1e-3, 1e-1, 3)
         eta1 = dpml.tune_eta(config, small_data, sigma=2.0, seeds=[1, 2], grid=grid)

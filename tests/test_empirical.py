@@ -15,7 +15,7 @@ from netdp.empirical import (
 
 
 def make_walk(steps, n):
-    return WalkTrace(topology=Topology(COMPLETE, n), steps=np.asarray(steps), seed=0)
+    return WalkTrace(topology=Topology(COMPLETE, n), steps=np.asarray(steps))
 
 
 class TestCappedSegments:

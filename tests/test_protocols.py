@@ -308,9 +308,13 @@ class TestRunCompleteHist:
         assert np.all(np.abs(errors.mean(axis=0)) < 4 * se)
 
 
-def quadratic_grad(w, data):
-    A, b = data
-    return A.T @ (A @ w - b)
+def quadratic_grad(A, b):
+    """Batched least-squares gradient A^T (A w - b) for each row w of W."""
+    return lambda W, users: (W @ A.T - b) @ A
+
+
+def zero_grad(d):
+    return lambda W, users: np.zeros((len(users), d))
 
 
 class TestRunCompleteSgd:
@@ -320,59 +324,60 @@ class TestRunCompleteSgd:
         b = rng.normal(size=3)
         w_star = np.linalg.lstsq(A, b, rcond=None)[0]
         res = run_complete_sgd(
-            n=1, T=2000, datasets=[(A, b)], grad_fn=quadratic_grad,
-            eta=0.3, sigma=0.0, seed=1, d=2,
+            n=1, T=2000, grad_fn=quadratic_grad(A, b),
+            eta=0.3, sigma=0.0, seeds=[1], d=2,
         )
-        np.testing.assert_allclose(np.asarray(res.output), w_star, atol=1e-6)
+        np.testing.assert_allclose(res.models[0], w_star, atol=1e-6)
 
     def test_noise_magnitude(self):
         # zero gradient isolates the injected noise: per-step squared
         # displacement has mean d sigma^2
         d, sigma, T = 20, 1.5, 10_000
         res = run_complete_sgd(
-            n=4, T=T, datasets=[None] * 4, grad_fn=lambda w, _: np.zeros(d),
-            eta=1.0, sigma=sigma, seed=2, d=d,
+            n=4, T=T, grad_fn=zero_grad(d),
+            eta=1.0, sigma=sigma, seeds=[2], d=d,
         )
-        moves = np.diff(res.iterates, axis=0)
+        moves = np.diff(res.iterates[0], axis=0)
         assert np.mean(np.sum(moves**2, axis=1)) == pytest.approx(d * sigma**2, rel=0.02)
 
     def test_projection_contract(self):
         d, R = 5, 0.7
         res = run_complete_sgd(
-            n=3, T=500, datasets=[None] * 3, grad_fn=lambda w, _: np.ones(d),
-            eta=0.5, sigma=1.0, seed=3, d=d, projection_radius=R,
+            n=3, T=500, grad_fn=lambda W, users: np.ones((len(users), d)),
+            eta=0.5, sigma=1.0, seeds=[3], d=d, projection_radius=R,
         )
-        norms = np.linalg.norm(res.iterates, axis=1)
+        norms = np.linalg.norm(res.iterates[0], axis=1)
         assert np.all(norms <= R + 1e-12)
 
     def test_contribution_cap_and_network_noise(self):
         d, T, cap = 2, 300, 5
-        calls = {u: 0 for u in range(4)}
+        calls = {u: 0 for u in range(1, 5)}
 
-        def counting_grad(w, u):
-            calls[u] += 1
-            return np.zeros(d)
+        def counting_grad(W, users):
+            for u in users:
+                calls[int(u)] += 1
+            return np.zeros((len(users), d))
 
         res = run_complete_sgd(
-            n=4, T=T, datasets=list(range(4)), grad_fn=counting_grad,
-            eta=0.1, sigma=0.5, seed=4, d=d,
+            n=4, T=T, grad_fn=counting_grad,
+            eta=0.1, sigma=0.5, seeds=[4], d=d,
             max_contributions=cap, noise_when_capped=True,
         )
         assert all(c <= cap for c in calls.values())
-        assert res.noise_steps.size == T  # capped holders still add noise
+        assert res.noised[0].sum() == T  # capped holders still add noise
 
     def test_capped_local_mode_forwards_untouched(self):
         d, T, cap = 2, 300, 5
         res = run_complete_sgd(
-            n=4, T=T, datasets=[None] * 4, grad_fn=lambda w, _: np.zeros(d),
-            eta=0.1, sigma=0.5, seed=4, d=d,
+            n=4, T=T, grad_fn=zero_grad(d),
+            eta=0.1, sigma=0.5, seeds=[4], d=d,
             max_contributions=cap, noise_when_capped=False,
         )
-        assert res.noise_steps.size == 4 * cap
+        assert res.noised[0].sum() == 4 * cap
 
     def test_deterministic(self):
-        args = dict(n=3, T=100, datasets=[None] * 3, grad_fn=lambda w, _: np.ones(2),
-                    eta=0.1, sigma=1.0, seed=11, d=2)
+        args = dict(n=3, T=100, grad_fn=lambda W, users: np.ones((len(users), 2)),
+                    eta=0.1, sigma=1.0, seeds=[11], d=2)
         a = run_complete_sgd(**args)
         b = run_complete_sgd(**args)
         np.testing.assert_array_equal(a.iterates, b.iterates)
@@ -380,9 +385,43 @@ class TestRunCompleteSgd:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             run_complete_sgd(
-                n=2, T=10, datasets=[None] * 2, grad_fn=lambda w, _: np.zeros(3),
-                eta=0.1, sigma=0.0, seed=1, d=2,
+                n=2, T=10, grad_fn=zero_grad(3),
+                eta=0.1, sigma=0.0, seeds=[1], d=2,
             )
+
+    def test_one_grad_call_per_step_with_live_runs(self):
+        # runs sharing a seed share its walk and noise; eta differs per run
+        calls = []
+
+        def grad(W, users):
+            calls.append(len(users))
+            return np.ones((len(users), 2))
+
+        res = run_complete_sgd(n=3, T=40, grad_fn=grad, eta=[0.1, 0.2, 0.1], sigma=0.5,
+                               seeds=[5, 5, 6], d=2, max_contributions=4,
+                               noise_when_capped=False, checkpoint_every=7)
+        assert len(calls) <= 40 and sum(calls) == res.noised[res.seed_index].sum()
+        assert res.seed_index.tolist() == [0, 0, 1]
+        assert res.trace.steps.shape == res.noised.shape == (2, 40) and res.trace.T == 40
+        assert res.checkpoint_steps.tolist() == [0, 7, 14, 21, 28, 35, 40]
+        assert res.iterates.shape == (3, 7, 2)
+        assert not np.array_equal(res.models[0], res.models[1])
+
+    def test_arrays_are_read_only(self):
+        res = run_complete_sgd(2, 5, constant_grad, 0.1, 0.5, d=2, seeds=[1])
+        for arr in (res.models, res.iterates, res.noised, res.seed_index, res.checkpoint_steps,
+                    res.trace.steps):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(seeds=[]), dict(eta=0.0), dict(eta=[0.1, -1.0]), dict(sigma=-1.0),
+        dict(checkpoint_every=0), dict(T=0),
+    ])
+    def test_invalid_arguments(self, kwargs):
+        args = dict(n=2, T=5, grad_fn=constant_grad, eta=0.1, sigma=0.5, d=2, seeds=[1, 2])
+        with pytest.raises(ValueError):
+            run_complete_sgd(**{**args, **kwargs})
 
 
 class TestProtocolResultSchedule:
@@ -407,9 +446,6 @@ class TestProtocolResultSchedule:
             assert isinstance(arr, np.ndarray)
             with pytest.raises(ValueError):
                 arr[0] = 0
-        res = run_complete_sgd(2, 5, [None] * 2, constant_grad, 0.1, 0.5, d=2, seed=1)
-        with pytest.raises(ValueError):
-            res.output[0] = 0.0
         assert isinstance(run_ring_sum(4, 2, uniform_scalar_stream(4, 1), 1.0).output, float)
 
     def test_random_response_count_is_plain_int(self):
@@ -418,8 +454,8 @@ class TestProtocolResultSchedule:
         assert res.random_response_count == res.init_randomized + res.noise_steps.size
 
 
-def constant_grad(w, _):
-    return np.ones(2)
+def constant_grad(W, users):
+    return np.ones((len(users), 2))
 
 
 class TestPinnedRuns:
@@ -490,7 +526,8 @@ class TestPinnedRuns:
         assert res.init_randomized == 0
 
     def test_complete_sgd_capped(self):
-        res = run_complete_sgd(3, 10, [None] * 3, constant_grad, 0.1, 0.5, seed=7, d=2,
+        res = run_complete_sgd(3, 10, constant_grad, 0.1, 0.5, seeds=[7], d=2,
                                max_contributions=2, noise_when_capped=False)
-        self.check(res, [-0.6291538748937988, -0.5300487625988829], None,
-                   [1, 2, 3, 4, 5, 7], [0.5] * 6)
+        assert res.models[0].tolist() == [-0.6291538748937988, -0.5300487625988829]
+        assert (np.flatnonzero(res.noised[0]) + 1).tolist() == [1, 2, 3, 4, 5, 7]
+        assert res.sigma == 0.5
