@@ -434,6 +434,8 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
     eps_list = [float(v) for v in _as_list(config.get("eps", [1.0, 10.0]))]
     tune_seeds = int(config.get("tune_seeds", 5))
     fixed_eta = config.get("eta")
+    if fixed_eta is None and tune_seeds < 1:
+        raise ValueError(f"tune_seeds must be >= 1 when eta is tuned, got {tune_seeds}")
 
     rows = []
     for eps in eps_list:

@@ -99,12 +99,14 @@ class WalkTrace:
 
 
 class WalkBatch(NamedTuple):
-    """Equal-length token walks on one topology, one row of ``steps`` each.
+    """Equal-length token walks, one row of ``steps`` each.
 
-    ``steps`` is a read-only (B, T) int64 array of 1-based holders.
+    ``steps`` is a read-only (B, T) int64 array of 1-based holders.  The
+    type exists so that a batched protocol's ``trace`` has the walk length
+    ``T`` as :class:`WalkTrace` does; per-walk step counters (such as the
+    benchmark tracer's) read ``result.trace.T`` off every protocol alike.
     """
 
-    topology: Topology
     steps: np.ndarray
 
     @property
@@ -132,7 +134,7 @@ def sample_walk(topology: Topology, T: int, seed: int) -> WalkTrace:
     return WalkTrace(topology=topology, steps=steps)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)  # a batch of ring runs shares one (n, T); keep no other walk alive
 def _ring_walk(topology: Topology, T: int) -> WalkTrace:
     steps = np.tile(np.arange(1, topology.n + 1, dtype=np.int64), T // topology.n)
     return WalkTrace(topology=topology, steps=steps)

@@ -15,9 +15,9 @@ sigma is calibrated to the end-to-end (eps, delta) target:
 
 Rows are normalized to unit L2 norm so the logistic loss is 1-Lipschitz and
 1/4-smooth, giving gradient sensitivity 2L = 2 under user-level adjacency.
-Only the iterates at every :data:`CHECKPOINT_EVERY`-th step and at step T
-are kept; the train objective and test accuracy are evaluated on those,
-one model at a time.
+Only the iterates at every :data:`~netdp.protocols.CHECKPOINT_EVERY`-th
+step and at step T are kept; the train objective and test accuracy are
+evaluated on those, one model at a time.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ LIPSCHITZ = 1.0  # unit-norm rows make the logistic loss 1-Lipschitz
 GRAD_SENSITIVITY = 2.0 * LIPSCHITZ
 
 ETA_GRID = np.geomspace(1e-4, 2.0, 10)
-CHECKPOINT_EVERY = 100  # steps between recorded train objectives / test accuracies
 DIVERGENCE_FACTOR = 1e3  # final / initial objective above which a run is flagged
 
 _SIGMA_GRID_RATIO = 1.01
@@ -232,13 +231,15 @@ def _batched_grad(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarra
     would not be bit-exact: BLAS gemv blocks its rows, so a row's dot
     product can depend on the number of rows in the call.
     """
+    groups = {}  # m -> users (0-based) with m train rows
+    for u, idx in enumerate(data.user_rows):
+        groups.setdefault(idx.size, []).append(u)
     sizes = np.array([idx.size for idx in data.user_rows])
     position = np.empty(sizes.size, dtype=np.int64)
     row_tables = {}  # m -> (users with m rows, m) train-row indices
-    for m in np.unique(sizes):
-        users = np.flatnonzero(sizes == m)
-        position[users] = np.arange(users.size)
-        row_tables[int(m)] = np.stack([data.user_rows[u] for u in users])
+    for m, users in sorted(groups.items()):
+        position[users] = np.arange(len(users))
+        row_tables[m] = np.stack([data.user_rows[u] for u in users])
 
     def grad(W: np.ndarray, users: np.ndarray) -> np.ndarray:
         G = np.empty_like(W)
@@ -364,7 +365,6 @@ def _run_lockstep(config: TrainConfig, data: Dataset, sigma: float,
         seeds=seeds,
         max_contributions=contribution_cap(config.T, data.n_users, config.cap_multiplier),
         noise_when_capped=config.regime == NETWORK,
-        checkpoint_every=CHECKPOINT_EVERY,
     )
 
 
@@ -377,10 +377,10 @@ def train(config: TrainConfig, data: Dataset, seeds: Sequence[int],
     gradient noise; capped users forward the token without contributing
     (adding noise only in the network regime).  Run b's result depends on
     ``seeds[b]`` alone, not on the other seeds of the call.  Only the
-    iterates at every :data:`CHECKPOINT_EVERY`-th step and at step T are
-    kept; the train objective and test accuracy are evaluated on each.  A
-    run whose final objective exceeds :data:`DIVERGENCE_FACTOR` times the
-    initial one is flagged as diverged but still returned.
+    iterates at every :data:`~netdp.protocols.CHECKPOINT_EVERY`-th step and
+    at step T are kept; the train objective and test accuracy are evaluated
+    on each.  A run whose final objective exceeds :data:`DIVERGENCE_FACTOR`
+    times the initial one is flagged as diverged but still returned.
     """
     if sigma is None:
         sigma = calibrate_regime(config, data.n_users)

@@ -13,8 +13,8 @@ event.
 Additive noise goes through :func:`~netdp.mechanisms.perturb` and randomized
 response through :func:`~netdp.mechanisms.rr_gamma_many`.  Noisy SGD is
 the exception: :func:`run_complete_sgd` advances a batch of runs in
-lockstep and returns one :class:`SgdRuns` with per-run arrays (checkpoint
-iterates, noised steps) instead of a result per run.  A run is a pure
+lockstep and returns one :class:`SgdRuns` (the runs' checkpoint iterates,
+each seed's walk and noised steps) instead of a result per run.  A run is a pure
 function of (parameters, seed): walk sampling, additive noise, randomized
 response and init draws consume independent streams of the master seed.
 """
@@ -385,21 +385,23 @@ def _project_l2(W: np.ndarray, radius: float | None) -> np.ndarray:
     return W
 
 
+CHECKPOINT_EVERY = 100  # steps between kept SGD iterates, also the noise-draw block
+
+
 class SgdRuns(NamedTuple):
     """B noisy-SGD runs advanced in lockstep from S distinct seeds.
 
-    ``iterates[b, c]`` is run b's model after step ``checkpoint_steps[c]``
-    (step 0 is the all-zero start, the last checkpoint is step T).  Walks
-    and noise belong to seeds: row ``seed_index[b]`` of ``trace.steps`` is
-    run b's walk, and of ``noised`` marks the steps t + 1 that added
-    N(0, sigma^2 I_d) noise to its token (none when sigma = 0).  All arrays
-    are read-only.
+    ``iterates[b, c]`` is run b's model after step ``checkpoint_steps[c]``:
+    every :data:`CHECKPOINT_EVERY`-th step from the all-zero start at step
+    0, and step T.  Walks and noise belong to seeds: row s of
+    ``trace.steps`` is the walk of the s-th distinct seed (in order of
+    first appearance), and row s of ``noised`` marks the steps t + 1 that
+    added N(0, sigma^2 I_d) noise to its token (none when sigma = 0).  All
+    arrays are read-only.
     """
 
     trace: WalkBatch  # (S, T), one walk per distinct seed
     noised: np.ndarray  # (S, T) bool
-    seed_index: np.ndarray  # (B,) int64
-    sigma: float
     checkpoint_steps: np.ndarray  # (C,) int64, ascending
     iterates: np.ndarray  # (B, C, d)
 
@@ -420,7 +422,6 @@ def run_complete_sgd(
     projection_radius: float | None = None,
     max_contributions: int | None = None,
     noise_when_capped: bool = True,
-    checkpoint_every: int = 1,
 ) -> SgdRuns:
     """Noisy projected SGD driven by uniform token walks, one run per seed.
 
@@ -440,18 +441,16 @@ def run_complete_sgd(
     fixed before step 1 and all B runs step in lockstep, with at most one
     ``grad_fn`` call per step.  Runs sharing a seed share its walk and its
     noise draws; ``eta`` may differ per run.  Each seed's noise is drawn in
-    blocks of ``checkpoint_every`` steps, one ``normal(0, sigma, (k, d))``
+    blocks of :data:`CHECKPOINT_EVERY` steps, one ``normal(0, sigma, (k, d))``
     call for the block's k noised steps, which consumes the stream exactly
-    as one ``size=d`` draw per step would.  Iterates are kept at every
-    ``checkpoint_every``-th step and at step T.  Run b's result equals a
-    single-run call with ``seeds=[seeds[b]]``, bit for bit.
+    as one ``size=d`` draw per step would.  Iterates are kept only at the
+    block ends (see :class:`SgdRuns`).  Run b's result equals a single-run
+    call with ``seeds=[seeds[b]]``, bit for bit.
     """
     if n < 1 or T < 1:
         raise ValueError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
     seeds = [int(s) for s in seeds]
     B = len(seeds)
     eta = np.broadcast_to(np.asarray(eta, dtype=float), (B,))
@@ -471,7 +470,7 @@ def run_complete_sgd(
     noised = moves & (sigma > 0)
     rngs = [rng_stream(s, STREAM_NOISE) for s in distinct]
 
-    checkpoint_steps = np.arange(0, T + 1, checkpoint_every, dtype=np.int64)
+    checkpoint_steps = np.arange(0, T + 1, CHECKPOINT_EVERY, dtype=np.int64)
     if checkpoint_steps[-1] != T:
         checkpoint_steps = np.append(checkpoint_steps, T)
     iterates = np.zeros((B, checkpoint_steps.size, d), dtype=float)
@@ -498,13 +497,7 @@ def run_complete_sgd(
             W = stepped if moved.all() else np.where(moved[:, None], stepped, W)
         iterates[:, c] = W
 
-    for arr in (walks, noised, row, checkpoint_steps, iterates):
+    for arr in (walks, noised, checkpoint_steps, iterates):
         arr.setflags(write=False)
-    return SgdRuns(
-        trace=WalkBatch(topology=topology, steps=walks),
-        noised=noised,
-        seed_index=row,
-        sigma=float(sigma),
-        checkpoint_steps=checkpoint_steps,
-        iterates=iterates,
-    )
+    return SgdRuns(trace=WalkBatch(walks), noised=noised, checkpoint_steps=checkpoint_steps,
+                   iterates=iterates)

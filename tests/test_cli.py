@@ -262,6 +262,16 @@ class TestSgdCompare:
         assert run_cli("--experiment", "sgd_compare", "--config", config,
                        "--out", tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("tune_seeds", [0, -1])
+    def test_eta_search_without_seeds_is_invalid(self, tmp_path, tune_seeds, capsys):
+        config = write_config(
+            tmp_path, f"dataset = synthetic\nn = 10\nT = 50\neps = 10\ntune_seeds = {tune_seeds}\n"
+        )
+        assert run_cli("--experiment", "sgd_compare", "--config", config,
+                       "--out", tmp_path / "out") == 2
+        assert "tune_seeds must be >= 1" in capsys.readouterr().err
+        assert results_files(tmp_path / "out", "sgd_compare") == []
+
     @pytest.mark.parametrize("dataset", ["synthetic", "unequal_csv"])
     def test_output_independent_of_workers(self, tmp_path, dataset):
         # replicas run as one lockstep batch per worker; each run depends on

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from netdp.core import COMPLETE, RING, Topology, sample_walk
 from netdp.protocols import (
+    CHECKPOINT_EVERY,
     audit_ring_sum_structure,
     occurrence_index,
     ring_noise_steps,
@@ -330,23 +331,34 @@ class TestRunCompleteSgd:
         np.testing.assert_allclose(res.models[0], w_star, atol=1e-6)
 
     def test_noise_magnitude(self):
-        # zero gradient isolates the injected noise: per-step squared
-        # displacement has mean d sigma^2
-        d, sigma, T = 20, 1.5, 10_000
+        # zero gradient isolates the injected noise: the squared displacement
+        # between checkpoints, CHECKPOINT_EVERY steps apart, has mean
+        # CHECKPOINT_EVERY * d * sigma^2 (relative s.e. sqrt(2/d) / 10 here)
+        d, sigma, T = 100, 1.5, 10_000
         res = run_complete_sgd(
             n=4, T=T, grad_fn=zero_grad(d),
             eta=1.0, sigma=sigma, seeds=[2], d=d,
         )
+        assert np.all(np.diff(res.checkpoint_steps) == CHECKPOINT_EVERY)
         moves = np.diff(res.iterates[0], axis=0)
-        assert np.mean(np.sum(moves**2, axis=1)) == pytest.approx(d * sigma**2, rel=0.02)
+        assert np.mean(np.sum(moves**2, axis=1)) == pytest.approx(
+            CHECKPOINT_EVERY * d * sigma**2, rel=0.05)
 
     def test_projection_contract(self):
+        # every step's iterate reaches the gradient, checkpoints or not
         d, R = 5, 0.7
+        seen = []
+
+        def grad(W, users):
+            seen.append(np.linalg.norm(W, axis=1))
+            return np.ones((len(users), d))
+
         res = run_complete_sgd(
-            n=3, T=500, grad_fn=lambda W, users: np.ones((len(users), d)),
+            n=3, T=500, grad_fn=grad,
             eta=0.5, sigma=1.0, seeds=[3], d=d, projection_radius=R,
         )
-        norms = np.linalg.norm(res.iterates[0], axis=1)
+        assert len(seen) == 500
+        norms = np.concatenate(seen + [np.linalg.norm(res.iterates[0], axis=1)])
         assert np.all(norms <= R + 1e-12)
 
     def test_contribution_cap_and_network_noise(self):
@@ -397,26 +409,24 @@ class TestRunCompleteSgd:
             calls.append(len(users))
             return np.ones((len(users), 2))
 
-        res = run_complete_sgd(n=3, T=40, grad_fn=grad, eta=[0.1, 0.2, 0.1], sigma=0.5,
-                               seeds=[5, 5, 6], d=2, max_contributions=4,
-                               noise_when_capped=False, checkpoint_every=7)
-        assert len(calls) <= 40 and sum(calls) == res.noised[res.seed_index].sum()
-        assert res.seed_index.tolist() == [0, 0, 1]
-        assert res.trace.steps.shape == res.noised.shape == (2, 40) and res.trace.T == 40
-        assert res.checkpoint_steps.tolist() == [0, 7, 14, 21, 28, 35, 40]
-        assert res.iterates.shape == (3, 7, 2)
+        res = run_complete_sgd(n=3, T=250, grad_fn=grad, eta=[0.1, 0.2, 0.1], sigma=0.5,
+                               seeds=[5, 5, 6], d=2, max_contributions=60,
+                               noise_when_capped=False)
+        # rows of trace and noised follow the distinct seeds 5, 6
+        assert len(calls) <= 250 and sum(calls) == res.noised[[0, 0, 1]].sum()
+        assert res.trace.steps.shape == res.noised.shape == (2, 250) and res.trace.T == 250
+        assert res.checkpoint_steps.tolist() == [0, 100, 200, 250]
+        assert res.iterates.shape == (3, 4, 2)
         assert not np.array_equal(res.models[0], res.models[1])
 
     def test_arrays_are_read_only(self):
         res = run_complete_sgd(2, 5, constant_grad, 0.1, 0.5, d=2, seeds=[1])
-        for arr in (res.models, res.iterates, res.noised, res.seed_index, res.checkpoint_steps,
-                    res.trace.steps):
+        for arr in (res.models, res.iterates, res.noised, res.checkpoint_steps, res.trace.steps):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
     @pytest.mark.parametrize("kwargs", [
-        dict(seeds=[]), dict(eta=0.0), dict(eta=[0.1, -1.0]), dict(sigma=-1.0),
-        dict(checkpoint_every=0), dict(T=0),
+        dict(seeds=[]), dict(eta=0.0), dict(eta=[0.1, -1.0]), dict(sigma=-1.0), dict(T=0),
     ])
     def test_invalid_arguments(self, kwargs):
         args = dict(n=2, T=5, grad_fn=constant_grad, eta=0.1, sigma=0.5, d=2, seeds=[1, 2])
@@ -530,4 +540,3 @@ class TestPinnedRuns:
                                max_contributions=2, noise_when_capped=False)
         assert res.models[0].tolist() == [-0.6291538748937988, -0.5300487625988829]
         assert (np.flatnonzero(res.noised[0]) + 1).tolist() == [1, 2, 3, 4, 5, 7]
-        assert res.sigma == 0.5

@@ -14,7 +14,7 @@ from scipy import special
 
 from netdp import dpml
 from netdp.core import COMPLETE, STREAM_NOISE, PrivacyBudget, Topology, rng_stream, sample_walk
-from netdp.protocols import run_complete_sgd
+from netdp.protocols import CHECKPOINT_EVERY, run_complete_sgd
 
 
 def oracle_grad(w, data):
@@ -82,17 +82,21 @@ def unequal_rows():
     return data
 
 
-def check_against_oracle(data, T, etas, seeds, sigma, checkpoint_every, **kwargs):
+def check_against_oracle(data, T, etas, seeds, sigma, **kwargs):
     runs = run_complete_sgd(
         n=data.n_users, T=T, grad_fn=dpml._batched_grad(data), eta=etas, sigma=sigma,
-        d=data.dim, seeds=seeds, checkpoint_every=checkpoint_every, **kwargs,
+        d=data.dim, seeds=seeds, **kwargs,
     )
+    expected_steps = list(range(0, T, CHECKPOINT_EVERY)) + [T]
+    assert runs.checkpoint_steps.tolist() == expected_steps
+    distinct = list(dict.fromkeys(seeds))
+    assert runs.noised.shape == runs.trace.steps.shape == (len(distinct), T)
     for b, (eta, seed) in enumerate(zip(etas, seeds)):
         iterates, noised = oracle_sgd(data.n_users, T, user_datasets(data), eta, sigma,
                                       data.dim, seed, **kwargs)
-        assert_bits_equal(runs.iterates[b], iterates[runs.checkpoint_steps])
+        assert_bits_equal(runs.iterates[b], iterates[expected_steps])
         assert_bits_equal(runs.models[b], iterates[-1])
-        np.testing.assert_array_equal(runs.noised[runs.seed_index[b]], noised)
+        np.testing.assert_array_equal(runs.noised[distinct.index(seed)], noised)
     return runs
 
 
@@ -101,38 +105,35 @@ class TestLockstepMatchesPerRunLoop:
         (dpml.LOCAL, 3.0), (dpml.NETWORK, 0.7), (dpml.CENTRALIZED, 0.2),
     ])
     def test_regimes_with_capping(self, equal_rows, regime, sigma):
-        T = 150
+        T = 250
         cap = dpml.contribution_cap(T, equal_rows.n_users, 1.0)
         runs = check_against_oracle(
             equal_rows, T, etas=[0.05, 0.5, 0.05, 0.5, 1.3], seeds=[1, 1, 2, 2, 3],
-            sigma=sigma, checkpoint_every=40, max_contributions=cap,
-            noise_when_capped=regime == dpml.NETWORK,
+            sigma=sigma, max_contributions=cap, noise_when_capped=regime == dpml.NETWORK,
         )
-        assert runs.seed_index.tolist() == [0, 0, 1, 1, 2]
         capped = runs.noised.sum(axis=1) < T
         assert capped.any() == (regime != dpml.NETWORK)
 
     def test_zero_sigma(self, equal_rows):
-        check_against_oracle(equal_rows, 120, etas=[0.3, 0.9], seeds=[4, 5], sigma=0.0,
-                             checkpoint_every=25, max_contributions=8, noise_when_capped=False)
+        check_against_oracle(equal_rows, 220, etas=[0.3, 0.9], seeds=[4, 5], sigma=0.0,
+                             max_contributions=15, noise_when_capped=False)
 
     def test_projection_radius(self, equal_rows):
-        runs = check_against_oracle(equal_rows, 120, etas=[0.5, 2.0, 2.0], seeds=[6, 6, 7],
-                                    sigma=1.5, checkpoint_every=30, projection_radius=0.3)
+        runs = check_against_oracle(equal_rows, 230, etas=[0.5, 2.0, 2.0], seeds=[6, 6, 7],
+                                    sigma=1.5, projection_radius=0.3)
         assert np.all(np.linalg.norm(runs.models, axis=1) <= 0.3 + 1e-12)
 
     def test_unequal_row_counts(self, unequal_rows):
-        check_against_oracle(unequal_rows, 160, etas=[0.2, 0.8, 0.2], seeds=[8, 8, 9],
-                             sigma=0.4, checkpoint_every=50, max_contributions=15,
-                             noise_when_capped=True)
+        check_against_oracle(unequal_rows, 260, etas=[0.2, 0.8, 0.2], seeds=[8, 8, 9],
+                             sigma=0.4, max_contributions=15, noise_when_capped=True)
 
-    def test_single_run_every_step(self, unequal_rows):
-        check_against_oracle(unequal_rows, 90, etas=[0.4], seeds=[10], sigma=0.9,
-                             checkpoint_every=1, max_contributions=6, noise_when_capped=False)
+    def test_single_run(self, unequal_rows):
+        check_against_oracle(unequal_rows, 210, etas=[0.4], seeds=[10], sigma=0.9,
+                             max_contributions=12, noise_when_capped=False)
 
     def test_run_does_not_depend_on_its_batch(self, equal_rows):
-        args = dict(n=equal_rows.n_users, T=80, grad_fn=dpml._batched_grad(equal_rows),
-                    sigma=0.6, d=equal_rows.dim, checkpoint_every=20, max_contributions=5)
+        args = dict(n=equal_rows.n_users, T=180, grad_fn=dpml._batched_grad(equal_rows),
+                    sigma=0.6, d=equal_rows.dim, max_contributions=10)
         alone = run_complete_sgd(eta=0.4, seeds=[13], **args)
         batched = run_complete_sgd(eta=[0.1, 0.4, 0.4], seeds=[12, 13, 14], **args)
         assert_bits_equal(batched.iterates[1], alone.iterates[0])
