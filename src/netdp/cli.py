@@ -380,10 +380,7 @@ def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
     for name in names:
         spec = _MC_PROTOCOLS[name]
         tag = zlib.crc32(name.encode()) & 0xFFFF
-        # np.asarray picks one dtype for all seeds: float64 when they straddle
-        # 2**63, which rounds them; kept so that existing results stay
-        # byte-identical (see ROADMAP item 7)
-        seeds = np.asarray([derive_seed(seed, tag, r) for r in range(runs)]).tolist()
+        seeds = [derive_seed(seed, tag, r) for r in range(runs)]
         results = _parallel_map(
             _protocol_batch,
             [(name, params, chunk) for chunk in _contiguous_chunks(seeds, workers)],

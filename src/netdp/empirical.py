@@ -34,14 +34,22 @@ class PairLossMatrix:
         m.setflags(write=False)
         if m.shape != (self.n, self.n):
             raise ValueError(f"matrix shape {m.shape} does not match n={self.n}")
-        off = m[~np.eye(self.n, dtype=bool)]
-        if off.size and np.nanmin(off) < 0:
+        if np.fmin.reduce(_offdiagonal(m), axis=None, initial=np.inf) < 0:
             raise ValueError("off-diagonal entries must be non-negative")
 
     def finite_offdiagonal(self) -> np.ndarray:
-        mask = ~np.eye(self.n, dtype=bool)
-        vals = self.matrix[mask]
-        return vals[np.isfinite(vals)]
+        off = _offdiagonal(self.matrix)
+        return off[np.isfinite(off)]
+
+
+def _offdiagonal(m: np.ndarray) -> np.ndarray:
+    """View of the off-diagonal entries of square ``m``, rows in order.
+
+    After the first entry, the flat array splits into rows of n + 1 that each
+    end on a diagonal entry; dropping that column leaves the n(n-1) others.
+    """
+    n = m.shape[0]
+    return m.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
 
 
 def _capped_segments(times: np.ndarray, n: int) -> np.ndarray:
@@ -52,15 +60,14 @@ def _capped_segments(times: np.ndarray, n: int) -> np.ndarray:
     segment has length in [1, n]; the walk tail after the last visit is
     dropped (never observed).
     """
-    ends: list[int] = []
-    prev = 0
-    for t in times:
-        gap = int(t) - prev
-        full = (gap - 1) // n
-        ends.extend(prev + n * (j + 1) for j in range(full))
-        ends.append(int(t))
-        prev = int(t)
-    return np.asarray(ends, dtype=np.int64)
+    times = np.asarray(times, dtype=np.int64)
+    starts = np.concatenate(([0], times))[:-1]  # previous visit, 0 for the first
+    per_visit = (times - starts - 1) // n + 1  # fictive ends, then the visit
+    last = np.cumsum(per_visit) - 1
+    k = np.arange(per_visit.sum()) - np.repeat(last + 1 - per_visit, per_visit)
+    ends = np.repeat(starts, per_visit) + n * (k + 1)
+    ends[last] = times
+    return ends
 
 
 def empirical_pair_loss_sum(
@@ -81,7 +88,10 @@ def empirical_pair_loss_sum(
     after it (the exact amplification formula, not the closed-form cap).
     Entry (u, v) composes the cycles that actually contain a contribution
     of u via advanced composition; cycles after v's last visit and cycles
-    without u contribute nothing.  Failure probabilities are bookkeeping
+    without u contribute nothing.  Step t counts its holder's cycle iff the
+    holder's previous visit p (0 if none) lies in an earlier cycle, i.e. some
+    cycle end e has p <= e < t, so one previous-visit index per walk makes
+    each observer O(T).  Failure probabilities are bookkeeping
     only: each composed cycle consumes delta0 and the composition adds
     delta_prime, recorded in ``meta``.
     """
@@ -97,13 +107,16 @@ def empirical_pair_loss_sum(
 
     # visit times grouped by user, one stable sort for the whole walk
     order = np.argsort(steps0, kind="stable")
-    visited_users, group_starts = np.unique(steps0[order], return_index=True)
-    grouped_times = np.split(order + 1, group_starts[1:])
-    times_of = dict(zip(visited_users.tolist(), grouped_times))
+    visit_times = order + 1
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(steps0, minlength=n))))
+    # prev[t - 1]: the step of the holder's previous visit before step t, 0 if none
+    prev = np.zeros(T, dtype=np.int64)
+    same_user = steps0[order[1:]] == steps0[order[:-1]]
+    prev[order[1:][same_user]] = visit_times[:-1][same_user]
 
-    for v in range(1, n + 1):
-        times = times_of.get(v - 1)
-        if times is None:
+    for v in range(n):
+        times = visit_times[bounds[v]:bounds[v + 1]]
+        if times.size == 0:
             continue
         ends = _capped_segments(times, n)
         lengths = np.diff(ends, prepend=0)
@@ -116,12 +129,13 @@ def empirical_pair_loss_sum(
         lin = eps_cycle * np.expm1(eps_cycle)
 
         last = int(times[-1])
-        seg_of_step = np.searchsorted(ends, np.arange(1, last + 1))
-        # distinct (segment, user) pairs among the observed steps
-        keys = seg_of_step * n + steps0[:last]
-        uniq = np.unique(keys)
-        seg_ids = uniq // n
-        users = uniq % n
+        # cycle[t]: 1-based cycle of step t <= last; cycle[0] = 0 means no visit
+        cycle = np.repeat(np.arange(lengths.size + 1), np.concatenate(([1], lengths)))
+        # step t opens a (cycle, user) pair iff the holder's previous visit
+        # lies in an earlier cycle, i.e. some cycle end e has prev <= e < t
+        new_pair = np.flatnonzero(cycle[1:] > cycle[prev[:last]])
+        users = steps0[new_pair]
+        seg_ids = cycle[new_pair + 1] - 1
         sum_sq = np.bincount(users, weights=sq[seg_ids], minlength=n)
         sum_lin = np.bincount(users, weights=lin[seg_ids], minlength=n)
         counts = np.bincount(users, minlength=n)
@@ -130,7 +144,7 @@ def empirical_pair_loss_sum(
             np.sqrt(2.0 * log_dp * sum_sq) + sum_lin,
             0.0,
         )
-        matrix[:, v - 1] = col
+        matrix[:, v] = col
 
     np.fill_diagonal(matrix, np.nan)
     meta = {
@@ -150,17 +164,11 @@ def spotted_counts(walk: WalkTrace) -> np.ndarray:
     counts once.
     """
     steps0 = walk.steps - 1
-    n, T = walk.n, walk.T
-    counts = np.zeros(n * n, dtype=np.int64)
-    if T >= 2:
-        prev_keys = steps0[1:] * n + steps0[:-1]
-        np.add.at(counts, prev_keys, 1)
-        next_keys = steps0[:-1] * n + steps0[1:]
-        np.add.at(counts, next_keys, 1)
-        if T >= 3:
-            both = steps0[:-2] == steps0[2:]  # same neighbor on both sides
-            dup_keys = steps0[1:-1][both] * n + steps0[2:][both]
-            np.add.at(counts, dup_keys, -1)
+    n = walk.n
+    counts = np.bincount(steps0[1:] * n + steps0[:-1], minlength=n * n)
+    counts += np.bincount(steps0[:-1] * n + steps0[1:], minlength=n * n)
+    both = steps0[:-2] == steps0[2:]  # same neighbor on both sides
+    counts -= np.bincount(steps0[1:-1][both] * n + steps0[2:][both], minlength=n * n)
     return counts.reshape(n, n)
 
 

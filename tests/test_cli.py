@@ -200,6 +200,27 @@ class TestProtocolMc:
             "complete_hist": ("30", "", "9.0"),
         }
 
+    def test_run_seeds_are_exact_ints(self, tmp_path, monkeypatch):
+        import zlib
+
+        from netdp import cli
+
+        seen = []
+        real_batch = cli._protocol_batch
+
+        def recording_batch(args):
+            seen.extend(args[2])
+            return real_batch(args)
+
+        monkeypatch.setattr(cli, "_protocol_batch", recording_batch)
+        assert run_cli("--experiment", "protocol_mc", "--out", tmp_path / "out", "--runs", 20,
+                       "--seed", 1, "--set", "protocols=ring_sum", "--set", "n=5",
+                       "--set", "K=2") == 0
+        tag = zlib.crc32(b"ring_sum") & 0xFFFF
+        assert seen == [derive_seed(1, tag, r) for r in range(20)]
+        assert all(type(s) is int for s in seen)
+        assert any(s >= 2**63 for s in seen)  # where float64 would round
+
     def test_unknown_protocol_rejected_before_any_run(self, tmp_path, monkeypatch):
         import netdp.protocols as proto
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netdp.core import COMPLETE, RING, Topology, WalkTrace, sample_walk
 from netdp import accountant as acct
@@ -18,6 +19,79 @@ def make_walk(steps, n):
     return WalkTrace(topology=Topology(COMPLETE, n), steps=np.asarray(steps))
 
 
+# Oracles: the straightforward forms the vectorized kernels must match bit for bit
+
+def capped_segments_loop(times, n):
+    ends, prev = [], 0
+    for t in times:
+        full = (int(t) - prev - 1) // n
+        ends.extend(prev + n * (j + 1) for j in range(full))
+        ends.append(int(t))
+        prev = int(t)
+    return np.asarray(ends, dtype=np.int64)
+
+
+def pair_loss_oracle(walk, eps0, delta_prime):
+    """Per observer, the distinct (segment, user) pairs via np.unique."""
+    n = walk.n
+    log_dp = math.log(1.0 / delta_prime)
+    steps0 = walk.steps - 1
+    matrix = np.zeros((n, n))
+    max_cycles = 0
+    for v in range(1, n + 1):
+        times = np.flatnonzero(steps0 == v - 1) + 1
+        if times.size == 0:
+            continue
+        ends = capped_segments_loop(times, n)
+        lengths = np.diff(ends, prepend=0)
+        max_cycles = max(max_cycles, lengths.size)
+        eps_cycle = np.log1p(
+            (-np.expm1(lengths * math.log1p(-1.0 / n)) if n > 1 else np.ones_like(lengths, float))
+            * np.expm1(eps0 / np.sqrt(lengths))
+        )
+        sq = eps_cycle * eps_cycle
+        lin = eps_cycle * np.expm1(eps_cycle)
+        last = int(times[-1])
+        seg_of_step = np.searchsorted(ends, np.arange(1, last + 1))
+        uniq = np.unique(seg_of_step * n + steps0[:last])
+        seg_ids, users = uniq // n, uniq % n
+        sum_sq = np.bincount(users, weights=sq[seg_ids], minlength=n)
+        sum_lin = np.bincount(users, weights=lin[seg_ids], minlength=n)
+        counts = np.bincount(users, minlength=n)
+        matrix[:, v - 1] = np.where(counts > 0, np.sqrt(2.0 * log_dp * sum_sq) + sum_lin, 0.0)
+    np.fill_diagonal(matrix, np.nan)
+    return matrix, max_cycles
+
+
+def spotted_counts_add_at(walk):
+    steps0 = walk.steps - 1
+    n, T = walk.n, walk.T
+    counts = np.zeros(n * n, dtype=np.int64)
+    if T >= 2:
+        np.add.at(counts, steps0[1:] * n + steps0[:-1], 1)
+        np.add.at(counts, steps0[:-1] * n + steps0[1:], 1)
+        if T >= 3:
+            both = steps0[:-2] == steps0[2:]
+            np.add.at(counts, steps0[1:-1][both] * n + steps0[2:][both], -1)
+    return counts.reshape(n, n)
+
+
+def assert_matches_oracle(walk, eps0=0.5, delta_prime=1e-3):
+    got = empirical_pair_loss_sum(walk, eps0, 1e-7, delta_prime)
+    want, max_cycles = pair_loss_oracle(walk, eps0, delta_prime)
+    assert np.array_equal(got.matrix, want, equal_nan=True)
+    assert np.isnan(np.diag(got.matrix)).all()
+    assert got.meta["max_cycles"] == max_cycles
+    return got
+
+
+@st.composite
+def walks(draw, max_n=12, max_T=300):
+    n = draw(st.integers(1, max_n))
+    steps = draw(st.lists(st.integers(1, n), min_size=1, max_size=max_T))
+    return make_walk(steps, n)
+
+
 class TestCappedSegments:
     def test_no_capping_needed(self):
         ends = _capped_segments(np.array([2, 4]), n=10)
@@ -31,6 +105,14 @@ class TestCappedSegments:
     def test_gap_multiple_of_n(self):
         ends = _capped_segments(np.array([20]), n=10)
         assert ends.tolist() == [10, 20]
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 12), times=st.sets(st.integers(1, 400), max_size=40))
+    def test_matches_loop(self, n, times):
+        times = np.array(sorted(times), dtype=np.int64)
+        got = _capped_segments(times, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, capped_segments_loop(times, n))
 
 
 class TestEmpiricalPairLossSum:
@@ -108,6 +190,72 @@ class TestEmpiricalPairLossSum:
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
+class TestPairLossMatchesOracle:
+    """The previous-visit kernel against the per-observer np.unique oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(walk=walks())
+    def test_arbitrary_walks(self, walk):
+        assert_matches_oracle(walk)
+
+    @pytest.mark.parametrize("n,factor", [(7, 3), (30, 25), (100, 25)])
+    def test_sampled_walks(self, n, factor):
+        for seed in range(3):
+            assert_matches_oracle(sample_walk(Topology(COMPLETE, n), factor * n, seed=seed))
+
+    def test_walk_shorter_than_n(self):
+        m = assert_matches_oracle(make_walk([3, 7, 3, 1], 10))
+        assert m.matrix[6, 2] > 0.0  # 7 sits between the visits of 3
+        assert m.matrix[0, 2] == 0.0  # 1 comes after the last visit of 3
+
+    def test_never_visited_observer(self):
+        m = assert_matches_oracle(make_walk([1, 2, 1, 3, 2, 1], 4))
+        col = m.matrix[:, 3]
+        assert np.all(col[:3] == 0.0)
+        assert m.matrix[3, 0] == 0.0  # nor does user 4 contribute
+
+    @pytest.mark.parametrize("gap_factor", [1, 2, 3])
+    def test_gaps_of_whole_periods(self, gap_factor):
+        # user 1 is visited at 3 (first segment ends at n = 3), then after
+        # exactly gap_factor * n steps, so that gap splits into gap_factor
+        # segments of length n, all ending on multiples of n
+        n = 3
+        steps = [2, 3, 1] + [2, 3, 2] * (gap_factor - 1) + [3, 2, 1] + [2, 3]
+        m = assert_matches_oracle(make_walk(steps, n))
+        assert m.meta["max_cycles"] >= 1 + gap_factor
+
+    def test_single_user_walk(self):
+        m = assert_matches_oracle(make_walk([2, 2, 2, 2, 2], 4))
+        assert np.all(np.nan_to_num(m.matrix[:, [0, 2, 3]]) == 0.0)
+        assert np.all(m.matrix[[0, 2, 3], 1] == 0.0)
+        assert assert_matches_oracle(make_walk([1, 1, 1], 1)).matrix.shape == (1, 1)
+
+
+class TestPairLossMatrix:
+    def test_negative_offdiagonal_rejected(self):
+        for bad in (-1e-300, -np.inf):
+            m = np.zeros((3, 3))
+            m[2, 1] = bad
+            with pytest.raises(ValueError):
+                PairLossMatrix(matrix=m, n=3, T=1, eps0=0.5)
+
+    def test_nan_and_diagonal_are_not_checked(self):
+        m = np.full((3, 3), np.nan)
+        m[0, 1] = 0.0
+        np.fill_diagonal(m, -1.0)
+        PairLossMatrix(matrix=m, n=3, T=1, eps0=0.5)
+        PairLossMatrix(matrix=np.full((2, 2), np.nan), n=2, T=1, eps0=0.5)
+
+    def test_finite_offdiagonal_in_row_order(self):
+        m = np.arange(16.0).reshape(4, 4)
+        m[1, 2] = np.nan
+        m[3, 0] = np.inf
+        want = m[~np.eye(4, dtype=bool)]
+        for layout in (m, np.asfortranarray(m)):
+            vals = PairLossMatrix(matrix=layout, n=4, T=1, eps0=0.5).finite_offdiagonal()
+            assert np.array_equal(vals, want[np.isfinite(want)])
+
+
 class TestSpotted:
     def test_alternating_trace_counts(self):
         walk = make_walk([1, 2, 1, 2], 4)
@@ -123,6 +271,13 @@ class TestSpotted:
     def test_flanked_contribution_counts_once(self):
         walk = make_walk([2, 1, 2], 3)
         assert spotted_counts(walk)[0, 1] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk=walks(max_n=8, max_T=200))
+    def test_matches_add_at(self, walk):
+        got = spotted_counts(walk)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, spotted_counts_add_at(walk))
 
     def test_simple_term_value(self):
         walk = make_walk([1, 2, 1, 2], 4)
