@@ -129,15 +129,15 @@ def empirical_pair_loss_sum(
         lin = eps_cycle * np.expm1(eps_cycle)
 
         last = int(times[-1])
-        # cycle[t]: 1-based cycle of step t <= last; cycle[0] = 0 means no visit
+        # cycle[t]: 1-based cycle of step t <= last; cycle[0] = 0 is "no previous visit"
         cycle = np.repeat(np.arange(lengths.size + 1), np.concatenate(([1], lengths)))
         # step t opens a (cycle, user) pair iff the holder's previous visit
         # lies in an earlier cycle, i.e. some cycle end e has prev <= e < t
         new_pair = np.flatnonzero(cycle[1:] > cycle[prev[:last]])
         users = steps0[new_pair]
-        seg_ids = cycle[new_pair + 1] - 1
-        sum_sq = np.bincount(users, weights=sq[seg_ids], minlength=n)
-        sum_lin = np.bincount(users, weights=lin[seg_ids], minlength=n)
+        cycle_ids = cycle[new_pair + 1] - 1
+        sum_sq = np.bincount(users, weights=sq[cycle_ids], minlength=n)
+        sum_lin = np.bincount(users, weights=lin[cycle_ids], minlength=n)
         counts = np.bincount(users, minlength=n)
         col = np.where(
             counts > 0,
