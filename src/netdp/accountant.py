@@ -12,12 +12,12 @@ resulting report as outside the window.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .core import PrivacyBudget
 from .errors import InfeasibleError, ValidityWindowError
@@ -729,15 +729,48 @@ def sgd_utility_bound(
 # ---------------------------------------------------------------------------
 
 def _log_comb(a: float, k: float) -> float:
-    return float(special.gammaln(a + 1) - special.gammaln(k + 1) - special.gammaln(a - k + 1))
+    return math.lgamma(a + 1) - math.lgamma(k + 1) - math.lgamma(a - k + 1)
+
+
+@functools.lru_cache(maxsize=256)
+def _log_binom_row(alpha: int) -> np.ndarray:
+    """ln C(alpha, i) for i = 0..alpha, read-only (shared by every caller)."""
+    row = np.array([_log_comb(alpha, i) for i in range(alpha + 1)])
+    row.setflags(write=False)
+    return row
+
+
+def _log_erfc(x: float) -> float:
+    """ln erfc(x), finite for every real x.
+
+    Below the switch erfc(x) is a normal float and libm's erfc is accurate
+    to a few ulp.  Above it, erfc(x) = e^{-x^2} / (x sqrt(pi)) times
+    1 - r + 3 r^2 - 15 r^3 + 105 r^4 - ..., r = 1 / (2 x^2); the series
+    alternates, so stopping after the r^7 term errs by less than the r^8
+    term, 2e-19 at x = 26.
+    """
+    if x < 26.0:  # erfc(26) = 5.7e-296 is a normal float, erfc(27) is not
+        return math.log(math.erfc(x))
+    r = 1.0 / (2.0 * x * x)
+    series, term = 1.0, 1.0
+    for k in range(1, 8):
+        term *= -(2 * k - 1) * r
+        series += term
+    return -x * x - math.log(x * math.sqrt(math.pi)) + math.log(series)
 
 
 def _sgm_log_a_int(q: float, z: float, alpha: int) -> float:
-    terms = [
-        _log_comb(alpha, i) + i * math.log(q) + (alpha - i) * math.log1p(-q) + (i * i - i) / (2.0 * z * z)
-        for i in range(alpha + 1)
-    ]
-    return float(special.logsumexp(terms))
+    i = np.arange(alpha + 1)
+    terms = (
+        _log_binom_row(alpha) + i * math.log(q) + (alpha - i) * math.log1p(-q) + (i * i - i) / (2.0 * z * z)
+    )
+    # log-sum-exp with the largest term split off and the rest summed
+    # through log1p (Blanchard, Higham & Higham 2021)
+    k = int(np.argmax(terms))
+    top = terms[k]
+    shifted = np.exp(terms - top)
+    shifted[k] = 0.0
+    return float(math.log1p(shifted.sum()) + top)
 
 
 def _sgm_log_a_frac(q: float, z: float, alpha: float, max_terms: int = 2000) -> float:
@@ -745,9 +778,6 @@ def _sgm_log_a_frac(q: float, z: float, alpha: float, max_terms: int = 2000) -> 
     # densities cross; terms are accumulated in log space until both tails
     # are decreasing and negligible.  Slightly conservative for
     # non-integer alpha (term signs past i > alpha are dropped).
-    def log_erfc(x: float) -> float:
-        return math.log(2.0) + float(special.log_ndtr(-x * math.sqrt(2.0)))
-
     z0 = z * z * math.log(1.0 / q - 1.0) + 0.5
 
     def log_terms(i: int) -> tuple[float, float]:
@@ -755,8 +785,8 @@ def _sgm_log_a_frac(q: float, z: float, alpha: float, max_terms: int = 2000) -> 
         lc = _log_comb(alpha, i)
         lt0 = lc + i * math.log(q) + j * math.log1p(-q)
         lt1 = lc + j * math.log(q) + i * math.log1p(-q)
-        ls0 = lt0 + (i * i - i) / (2.0 * z * z) + math.log(0.5) + log_erfc((i - z0) / (math.sqrt(2.0) * z))
-        ls1 = lt1 + (j * j - j) / (2.0 * z * z) + math.log(0.5) + log_erfc((z0 - j) / (math.sqrt(2.0) * z))
+        ls0 = lt0 + (i * i - i) / (2.0 * z * z) + math.log(0.5) + _log_erfc((i - z0) / (math.sqrt(2.0) * z))
+        ls1 = lt1 + (j * j - j) / (2.0 * z * z) + math.log(0.5) + _log_erfc((z0 - j) / (math.sqrt(2.0) * z))
         return ls0, ls1
 
     log_a0 = log_a1 = -math.inf
@@ -787,6 +817,11 @@ def sampled_gaussian_rdp(q: float, noise_multiplier: float, alpha: float) -> flo
     N(0, (noise_multiplier * sensitivity)^2) noise; eps(alpha) follows
     Mironov, Talwar & Zhang 2019.  Exact for integer alpha, conservative
     for fractional orders.
+
+    Needs numpy and the standard library alone: log-gamma is
+    ``math.lgamma``, the integer-order log-sum-exp is max-shifted in numpy,
+    and ln erfc switches from ``log(math.erfc(x))`` to its asymptotic series
+    at x = 26, before erfc(x) leaves the normal float range.
     """
     if not 0 <= q <= 1:
         raise ValueError("q must be in [0, 1]")

@@ -26,7 +26,6 @@ import math
 import sys
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -111,6 +110,8 @@ def _contiguous_chunks(items: list, workers: int) -> list[list]:
 def _parallel_map(fn, items: list, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # ~20 ms to import; serial runs skip it
+
     # the pool forks all max_workers processes at the first submit
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
@@ -237,6 +238,8 @@ def cmd_empirical_sweep(config: dict, run_dir: Path, seed: int, runs: int,
     t_factor = int(config.get("t_factor", 100))
     delta0 = float(config.get("delta0", 1e-7))
     delta_prime = float(config.get("delta_prime", 1e-3))
+    if not 0 < delta_prime < 1:  # checked before any walk is sampled
+        raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
     tasks = [
         (n, t_factor, eps0, delta0, delta_prime, derive_seed(seed, n, r))
         for n in sorted(n_grid)

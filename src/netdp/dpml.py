@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy import special
 
 from .core import STREAM_DATA, PrivacyBudget, rng_stream
 from .errors import InfeasibleError
@@ -216,7 +215,8 @@ def logistic_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     rows summed in order).
     """
     margins = y * (X @ w[..., None])[..., 0]
-    s = special.expit(-margins)
+    with np.errstate(over="ignore"):  # exp(margins) = inf gives s = 0
+        s = 1.0 / (1.0 + np.exp(margins))
     return -(X * (s * y)[..., None]).mean(axis=-2)
 
 

@@ -99,6 +99,8 @@ def empirical_pair_loss_sum(
         raise ValueError("empirical pair loss is defined for complete-graph walks")
     if not 0 < eps0 <= 1:
         raise ValueError(f"eps0 must be in (0, 1], got {eps0}")
+    if not 0 < delta_prime < 1:
+        raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
     n, T = walk.n, walk.T
     log_dp = math.log(1.0 / delta_prime)
     steps0 = walk.steps - 1

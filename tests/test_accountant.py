@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from netdp.core import PrivacyBudget
@@ -598,6 +599,45 @@ class TestSampledGaussianRdp:
     def test_monotone_in_rate(self):
         vals = [acct.sampled_gaussian_rdp(q, 1.0, 8) for q in (0.001, 0.01, 0.1, 0.5)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+class TestRdpSpecialFunctionsAgainstScipy:
+    """The numpy/math replacements of the RDP helpers, with scipy as the oracle."""
+
+    @staticmethod
+    def scipy_log_comb(a, k):
+        return float(special.gammaln(a + 1) - special.gammaln(k + 1) - special.gammaln(a - k + 1))
+
+    def test_log_comb_matches_gammaln(self):
+        # integer rows as the integer-order sum uses them, and the fractional
+        # orders' series out to k = 500; far beyond that both forms lose
+        # digits to the cancellation of lgamma terms near 1e4
+        cases = [(a, k) for a in range(2, 65) for k in range(a + 1)]
+        cases += [(a, k) for a in (1.5, 2.5, 7.3, 33.3) for k in range(501)]
+        for a, k in cases:
+            assert acct._log_comb(a, k) == pytest.approx(self.scipy_log_comb(a, k), rel=1e-13, abs=0)
+
+    def test_log_a_int_matches_logsumexp_form(self):
+        for q in (1 / 2000, 1 / 200, 0.01, 0.05, 0.1, 0.3):
+            for z in (0.5, 0.8, 2.0, 5.0, 50.0):
+                for alpha in range(2, 65):
+                    terms = [self.scipy_log_comb(alpha, i) + i * math.log(q) + (alpha - i) * math.log1p(-q)
+                             + (i * i - i) / (2.0 * z * z) for i in range(alpha + 1)]
+                    want = float(special.logsumexp(terms))
+                    assert acct._sgm_log_a_int(q, z, alpha) == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_log_erfc_matches_log_ndtr(self):
+        xs = np.concatenate([
+            np.linspace(-5.0, 30.0, 1401),
+            np.linspace(-0.05, 0.05, 101),
+            np.geomspace(26.0, 1e4, 400),
+            [26.0 - 1e-12, 26.0, 26.0 + 1e-12],
+        ])
+        for x in xs.tolist():
+            want = math.log(2.0) + float(special.log_ndtr(-x * math.sqrt(2.0)))
+            # as ln erfc(x) nears 0 (x near 0) both forms keep only absolute
+            # accuracy; log_ndtr is off by up to 8e-14 relative there
+            assert acct._log_erfc(x) == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 class TestCollusionAdjust:

@@ -120,7 +120,7 @@ class TestEmpiricalSweep:
         assert a.read_bytes() == b.read_bytes()
 
     def test_pool_size_capped_by_task_count(self, tmp_path, monkeypatch):
-        import netdp.cli as cli
+        import concurrent.futures
 
         sizes = []
 
@@ -137,11 +137,26 @@ class TestEmpiricalSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # the CLI imports the pool class only when it runs more than one worker
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         config = write_config(tmp_path, "n_grid = 12\neps0 = 0.5\nt_factor = 10\n")
         assert run_cli("--experiment", "empirical_sweep", "--config", config,
                        "--out", tmp_path / "out", "--runs", 2, "--workers", 64) == 0
         assert sizes == [2]
+
+    @pytest.mark.parametrize("delta_prime", [0, 1, 2])
+    def test_delta_prime_outside_unit_interval_rejected_before_sampling(
+            self, tmp_path, monkeypatch, capsys, delta_prime):
+        import netdp.cli as cli
+
+        def no_walks(*args):
+            raise AssertionError("a walk was sampled")
+
+        monkeypatch.setattr(cli, "sample_walk", no_walks)
+        config = write_config(tmp_path, f"n_grid = 12\nt_factor = 10\ndelta_prime = {delta_prime}\n")
+        assert run_cli("--experiment", "empirical_sweep", "--config", config,
+                       "--out", tmp_path / "out", "--runs", 1) == 2
+        assert "delta_prime must be in (0, 1)" in capsys.readouterr().err
 
 
 class TestProtocolMc:

@@ -119,6 +119,27 @@ class TestLogisticGrad:
             fd = (dpml.logistic_objective(w + e, X, y) - dpml.logistic_objective(w - e, X, y)) / (2 * h)
             assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
+    @staticmethod
+    def sigmoid_of(margins):
+        # one row x = 1 with y = 1: the gradient is -sigmoid(-margin), exactly
+        margins = np.asarray(margins, dtype=float)
+        ones = np.ones(margins.shape + (1,))
+        return -dpml.logistic_grad(margins[:, None], ones[..., None], ones)[:, 0]
+
+    def test_sigmoid_matches_expit(self):
+        from scipy import special
+
+        rng = np.random.Generator(np.random.Philox(4))
+        margins = np.concatenate([rng.normal(0, 5, 20_000), rng.uniform(-800, 800, 20_000),
+                                  np.linspace(-1e4, 1e4, 2001)])
+        np.testing.assert_array_max_ulp(self.sigmoid_of(margins), special.expit(-margins), maxulp=4)
+
+    def test_sigmoid_tails_raise_no_warning(self):
+        with warnings.catch_warnings(), np.errstate(over="raise"):
+            warnings.simplefilter("error")
+            s = self.sigmoid_of([-1e4, 1e4])
+        assert s.tolist() == [1.0, 0.0]
+
     def test_lipschitz_bound(self):
         rng = np.random.Generator(np.random.Philox(9))
         for _ in range(200):

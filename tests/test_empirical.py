@@ -126,6 +126,12 @@ class TestEmpiricalPairLossSum:
         with pytest.raises(ValueError):
             empirical_pair_loss_sum(walk, 1.5, 1e-7, 1e-3)
 
+    @pytest.mark.parametrize("delta_prime", [0.0, 1.0, 2.0])
+    def test_delta_prime_outside_unit_interval_rejected(self, delta_prime):
+        walk = sample_walk(Topology(COMPLETE, 4), 8, seed=0)
+        with pytest.raises(ValueError, match="delta_prime"):
+            empirical_pair_loss_sum(walk, 0.5, 1e-7, delta_prime)
+
     def test_never_contributing_user_has_zero_loss(self):
         # user 1 never contributes: entry (1, v) must be 0 for every v
         walk = make_walk([2, 3, 2, 3], 3)

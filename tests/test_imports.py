@@ -2,11 +2,16 @@
 
 Every name a module imports must be used in it (a name listed in the
 module's ``__all__`` counts as used), every name in ``__all__`` must be
-bound at module level, and no module may import a private (single-underscore)
-name from another netdp module.
+bound at module level, no module may import a private (single-underscore)
+name from another netdp module, and no module may import scipy: the
+runtime needs numpy and the standard library alone.  A subprocess check
+confirms that no CLI path loads scipy at run time either.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,6 +95,20 @@ def private_imports(source: str) -> list[str]:
     return found
 
 
+def scipy_imports(source: str) -> list[str]:
+    """Imports of scipy or any of its submodules, wherever they appear."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"{m} (line {node.lineno})" for m in modules if m.split(".")[0] == "scipy"]
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -103,6 +122,42 @@ def test_all_names_are_bound(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+RUNTIME_PROBE = """
+import sys
+from pathlib import Path
+from netdp import cli
+
+out = Path(sys.argv[1])
+sgd = out / "sgd.conf"
+sgd.write_text("dataset = synthetic\\nn = 20\\npoints_per_user = 8\\ndim = 5\\n"
+               "T = 60\\neps = 10\\ndelta = 1e-6\\ntune_seeds = 1\\n")
+calls = [
+    ["sigma_search", "--set", "eps=1.0", "--set", "delta=1e-6", "--set", "T_u=10", "--set", "n=500"],
+    ["sgd_compare", "--config", str(sgd), "--runs", "2"],
+    ["empirical_sweep", "--set", "n_grid=12", "--set", "t_factor=10", "--runs", "2"],
+]
+for argv in calls:
+    if cli.main(["--experiment", *argv, "--out", str(out)]) != 0:
+        sys.exit(f"failed: {argv}")
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_cli_runs_without_loading_scipy(tmp_path):
+    # a fresh interpreter: pytest's own process has scipy loaded by other tests
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", RUNTIME_PROBE, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestCheckers:
@@ -125,6 +180,11 @@ class TestCheckers:
                "from . import protocols as proto\nfrom . import __version__\n"
                "y = proto._contributions\nz = proto.run_ring_sum\n")
         assert private_imports(src) == ["_sgm_log_a_int (line 1)", "proto._contributions (line 4)"]
+
+    def test_scipy_imports_are_reported(self):
+        src = ("import numpy as np\nimport scipy.special as sp\nfrom scipy import stats\n"
+               "from . import scipy_like\ndef f():\n    from scipy.special import expit\n")
+        assert scipy_imports(src) == ["scipy.special (line 2)", "scipy (line 3)", "scipy.special (line 6)"]
 
     def test_outside_modules_are_not_checked(self):
         assert private_imports("from os import _exit\nimport numpy as np\nnp._x\n") == []
