@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from netdp.core import PrivacyBudget
 from netdp import dpml
@@ -127,8 +128,6 @@ class TestLogisticGrad:
         return -dpml.logistic_grad(margins[:, None], ones[..., None], ones)[:, 0]
 
     def test_sigmoid_matches_expit(self):
-        from scipy import special
-
         rng = np.random.Generator(np.random.Philox(4))
         margins = np.concatenate([rng.normal(0, 5, 20_000), rng.uniform(-800, 800, 20_000),
                                   np.linspace(-1e4, 1e4, 2001)])
