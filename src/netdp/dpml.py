@@ -23,6 +23,7 @@ evaluated on those, one model at a time.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -54,6 +55,7 @@ DIVERGENCE_FACTOR = 1e3  # final / initial objective above which a run is flagge
 
 _SIGMA_GRID_RATIO = 1.01
 _CENTRAL_ALPHAS = np.concatenate(([1.5], np.arange(2.0, 65.0)))
+_CENTRAL_MAX_ORDER = 256  # accountant._log_binom_row caches 256 orders
 
 
 @dataclass(frozen=True)
@@ -217,23 +219,36 @@ def logistic_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     margins = y * (X @ w[..., None])[..., 0]
     with np.errstate(over="ignore"):  # exp(margins) = inf gives s = 0
         s = 1.0 / (1.0 + np.exp(margins))
-    return -(X * (s * y)[..., None]).mean(axis=-2)
+    # what .mean(axis=-2) computes, bit for bit, without its Python wrapper
+    return -(np.add.reduce(X * (s * y)[..., None], axis=-2) / X.shape[-2])
 
 
 def _batched_grad(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """``grad_fn(W, users)`` for the lockstep kernel: row k is the gradient
     of ``W[k]`` on user ``users[k]``'s rows.
 
-    Users are grouped by row count m, and the holders of one step with
-    equal m share one :func:`logistic_grad` call on their rows gathered as
-    a (holders, m, d) stack, so a step makes one call when all users hold
-    the same number of rows.  Padding short users with zero rows instead
-    would not be bit-exact: BLAS gemv blocks its rows, so a row's dot
-    product can depend on the number of rows in the call.
+    When every user holds the same number m of rows (as in
+    :func:`make_synthetic`), a call gathers the holders' rows from one
+    (n, m) row table and makes one :func:`logistic_grad` call on them as a
+    (holders, m, d) stack.  Otherwise users are grouped by row count, and
+    the holders of one step with equal m share one call.  Padding short
+    users with zero rows instead would not be bit-exact: BLAS gemv blocks
+    its rows, so a row's dot product can depend on the number of rows in
+    the call.
     """
+    X, y = data.X_train, data.y_train
     groups = {}  # m -> users (0-based) with m train rows
     for u, idx in enumerate(data.user_rows):
         groups.setdefault(idx.size, []).append(u)
+    if len(groups) == 1:
+        table = np.stack(data.user_rows)
+
+        def grad(W: np.ndarray, users: np.ndarray) -> np.ndarray:
+            rows = table[users - 1]
+            return logistic_grad(W, X[rows], y[rows])
+
+        return grad
+
     sizes = np.array([idx.size for idx in data.user_rows])
     position = np.empty(sizes.size, dtype=np.int64)
     row_tables = {}  # m -> (users with m rows, m) train-row indices
@@ -248,7 +263,7 @@ def _batched_grad(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarra
             sel = m_of == m
             if sel.any():
                 rows = table[position[users[sel] - 1]]
-                G[sel] = logistic_grad(W[sel], data.X_train[rows], data.y_train[rows])
+                G[sel] = logistic_grad(W[sel], X[rows], y[rows])
         return G
 
     return grad
@@ -293,15 +308,40 @@ def local_sgd_epsilon(sigma: float, releases: int, delta: float) -> float:
     return advanced_composition(eps_step, delta_step, releases, delta / 2.0).epsilon
 
 
-def centralized_sgd_epsilon(sigma: float, T: int, n: int, delta: float) -> float:
-    """End-to-end eps of T subsampled-Gaussian steps at sampling rate 1/n."""
+def centralized_sgd_epsilon(sigma: float, T: int, n: int, delta: float,
+                            target: float = 0.0) -> float:
+    """End-to-end eps of T subsampled-Gaussian steps at sampling rate 1/n.
+
+    Every order alpha > 1 gives a valid bound
+    eps(alpha) = T * rdp(alpha) + ln(1/delta) / (alpha - 1); this returns the
+    least over the orders 1.5 and 2..64.  When that least lies at order 64
+    and exceeds ``target``, the integer orders up to
+    :data:`_CENTRAL_MAX_ORDER` are searched too, by bisection on eps(alpha),
+    which is unimodal there (``tests/test_dpml.py::TestCentralizedOrders``).
+    Without that search eps could not fall below ln(1/delta) / 63, 0.219 at
+    delta = 1e-6.  Calibration passes its target, since it only asks
+    whether eps <= target; the default 0 always searches.
+    """
     z = sigma / GRAD_SENSITIVITY
     q = 1.0 / n
-    best = math.inf
-    for alpha in _CENTRAL_ALPHAS:
-        eps = T * sampled_gaussian_rdp(q, z, float(alpha)) + math.log(1.0 / delta) / (alpha - 1.0)
-        best = min(best, eps)
-    return best
+    log_inv_delta = math.log(1.0 / delta)
+
+    @functools.cache
+    def eps_at(alpha):
+        return T * sampled_gaussian_rdp(q, z, float(alpha)) + log_inv_delta / (alpha - 1.0)
+
+    eps = [eps_at(alpha) for alpha in _CENTRAL_ALPHAS]
+    best = min(eps)
+    if eps[-1] > best or best <= target:
+        return best
+    lo, hi = int(_CENTRAL_ALPHAS[-1]), _CENTRAL_MAX_ORDER
+    while lo < hi:  # the first order past which eps stops falling
+        mid = (lo + hi) // 2
+        if eps_at(mid + 1) < eps_at(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return min(best, eps_at(lo))
 
 
 def calibrate_regime(config: TrainConfig, n: int) -> float:
@@ -323,7 +363,7 @@ def calibrate_regime(config: TrainConfig, n: int) -> float:
     if config.regime == LOCAL:
         eps_of = lambda s: local_sgd_epsilon(s, cap, delta)
     else:
-        eps_of = lambda s: centralized_sgd_epsilon(s, config.T, n, delta)
+        eps_of = lambda s: centralized_sgd_epsilon(s, config.T, n, delta, target=eps)
     try:
         return float(grid[grid_bisect(eps_of, eps, grid)])
     except InfeasibleError:

@@ -385,6 +385,15 @@ def _project_l2(W: np.ndarray, radius: float | None) -> np.ndarray:
     return W
 
 
+def _checked_grad(grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                  W: np.ndarray, users: np.ndarray, d: int) -> np.ndarray:
+    """``grad_fn(W, users)`` as a float array of shape (len(users), d)."""
+    g = np.asarray(grad_fn(W, users), dtype=float)
+    if g.shape != (users.size, d):
+        raise ValueError(f"gradient shape {g.shape} does not match dimension {d}")
+    return g
+
+
 CHECKPOINT_EVERY = 100  # steps between kept SGD iterates, also the noise-draw block
 
 
@@ -428,8 +437,8 @@ def run_complete_sgd(
     At each step the drawn user updates run b's token with a projected
     noisy gradient step  w <- Proj(w - eta_b (g + Z)),  Z ~ N(0, sigma^2 I_d),
     where ``grad_fn(W, users)`` returns the (k, d) gradients of the k
-    contributing runs' iterates ``W`` at their holders ``users`` (1-based).
-    Callers claiming iteration-amplification guarantees must pick
+    contributing runs' iterates ``W`` at their holders ``users`` (1-based),
+    and must not write to ``W``.  Callers claiming iteration-amplification guarantees must pick
     eta <= 2/beta for beta-smooth losses.
 
     ``max_contributions`` caps how many times one user contributes; a
@@ -438,14 +447,18 @@ def run_complete_sgd(
     rely on that noise).
 
     Walks, cap masks and noise masks depend only on the seed, so they are
-    fixed before step 1 and all B runs step in lockstep, with at most one
-    ``grad_fn`` call per step.  Runs sharing a seed share its walk and its
-    noise draws; ``eta`` may differ per run.  Each seed's noise is drawn in
-    blocks of :data:`CHECKPOINT_EVERY` steps, one ``normal(0, sigma, (k, d))``
-    call for the block's k noised steps, which consumes the stream exactly
-    as one ``size=d`` draw per step would.  Iterates are kept only at the
-    block ends (see :class:`SgdRuns`).  Run b's result equals a single-run
-    call with ``seeds=[seeds[b]]``, bit for bit.
+    fixed before step 1 and all B runs step in lockstep.  Runs sharing a
+    seed share its walk and its noise draws; ``eta`` may differ per run.
+    The steps go in blocks of :data:`CHECKPOINT_EVERY`.  Per block, each
+    seed's noise is one ``normal(0, sigma, (k, d))`` call for the block's k
+    noised steps, which consumes the stream exactly as one ``size=d`` draw
+    per step would, and three flags per step are read off the seeds' masks:
+    every run contributes, some run does, every run moves.  A step where
+    every run contributes makes one ``grad_fn`` call on all of ``W``, a step
+    where some do makes one call on their rows, a step where none does
+    makes no call, and runs that do not move keep their iterate.  Iterates are kept
+    only at the block ends (see :class:`SgdRuns`).  Run b's result equals
+    a single-run call with ``seeds=[seeds[b]]``, bit for bit.
     """
     if n < 1 or T < 1:
         raise ValueError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
@@ -482,19 +495,25 @@ def run_complete_sgd(
             block = noised[s, start:stop]
             if block.any():
                 noise[s, block] = rng.normal(0.0, sigma, size=(int(block.sum()), d))
-        # runs read their seed's row at each step, so no (B, T) or
-        # (B, block, d) array is built
-        for t in range(start, stop):
-            update = noise[row, t - start]
-            live = contributes[row, t]
-            if live.any():
-                g = np.asarray(grad_fn(W[live], walks[row[live], t]), dtype=float)
-                if g.shape != (int(live.sum()), d):
-                    raise ValueError(f"gradient shape {g.shape} does not match dimension {d}")
-                update[live] += g
+        # the block's walks and masks stay per seed, (S, block) views; each
+        # step gathers its (B,) column, so no (B, block) or (B, block, d)
+        # array is built
+        holders = walks[:, start:stop]
+        live = contributes[:, start:stop]
+        moved = moves[:, start:stop]
+        all_live = live.all(axis=0).tolist()
+        any_live = live.any(axis=0).tolist()
+        all_moved = moved.all(axis=0).tolist()
+        for j in range(stop - start):
+            update = noise[row, j]
+            if all_live[j]:
+                update += _checked_grad(grad_fn, W, holders[:, j][row], d)
+            elif any_live[j]:
+                step_live = live[:, j][row]
+                users = holders[:, j][row[step_live]]
+                update[step_live] += _checked_grad(grad_fn, W[step_live], users, d)
             stepped = _project_l2(W - eta_col * update, projection_radius)
-            moved = moves[row, t]
-            W = stepped if moved.all() else np.where(moved[:, None], stepped, W)
+            W = stepped if all_moved[j] else np.where(moved[:, j][row, None], stepped, W)
         iterates[:, c] = W
 
     for arr in (walks, noised, checkpoint_steps, iterates):

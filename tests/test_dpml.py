@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 from netdp.core import PrivacyBudget
-from netdp import dpml
+from netdp import accountant as acct, dpml
 from netdp.errors import InfeasibleError
 from netdp.mechanisms import calibrate_gaussian
 
@@ -139,6 +140,24 @@ class TestLogisticGrad:
             s = self.sigmoid_of([-1e4, 1e4])
         assert s.tolist() == [1.0, 0.0]
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), B=st.integers(1, 60), m=st.integers(1, 20),
+           d=st.integers(1, 64))
+    @example(seed=1, B=60, m=20, d=1)  # m >= 8 rows summed along a contiguous axis
+    @example(seed=2, B=1, m=8, d=64)
+    @example(seed=3, B=50, m=8, d=20)  # the benchmark's stacks
+    def test_reduction_matches_mean_bitwise(self, seed, B, m, d):
+        rng = np.random.Generator(np.random.Philox(seed))
+        X = rng.normal(size=(B, m, d))
+        X /= np.linalg.norm(X, axis=-1, keepdims=True)
+        y = np.where(rng.random((B, m)) < 0.5, 1.0, -1.0)
+        W = rng.normal(size=(B, d)) * rng.uniform(0.0, 10.0)
+        margins = y * (X @ W[..., None])[..., 0]
+        s = 1.0 / (1.0 + np.exp(margins))
+        mean_form = -(X * (s * y)[..., None]).mean(axis=-2)
+        got = dpml.logistic_grad(W, X, y)
+        np.testing.assert_array_equal(got.view(np.int64), mean_form.view(np.int64))
+
     def test_lipschitz_bound(self):
         rng = np.random.Generator(np.random.Philox(9))
         for _ in range(200):
@@ -209,6 +228,52 @@ class TestCalibration:
     def test_contribution_cap_value(self):
         assert dpml.contribution_cap(20000, 2000, 2.0) == 20
         assert dpml.contribution_cap(10, 100, 2.0) == 1
+
+
+class TestCentralizedOrders:
+    """eps(alpha) of the centralized regime, searched past order 64."""
+
+    @staticmethod
+    def eps_by_order(sigma, T, n, delta):
+        """eps at order 1.5 and at the integer orders 2..256."""
+        def eps_at(alpha):
+            return (T * acct.sampled_gaussian_rdp(1.0 / n, sigma / dpml.GRAD_SENSITIVITY, alpha)
+                    + math.log(1.0 / delta) / (alpha - 1.0))
+        return eps_at(1.5), np.array([eps_at(float(a)) for a in range(2, dpml._CENTRAL_MAX_ORDER + 1)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=5000),
+        T=st.integers(min_value=1, max_value=50_000),
+        delta=st.floats(min_value=1e-10, max_value=1e-2),
+        data=st.data(),
+    )
+    def test_eps_is_unimodal_in_order(self, n, T, delta, data):
+        # the order search bisects on this: eps falls, then never falls again
+        grid = dpml._sigma_grid()
+        sigma = float(grid[data.draw(st.integers(min_value=0, max_value=len(grid) - 1))])
+        eps_frac, eps = self.eps_by_order(sigma, T, n, delta)
+        k = int(np.argmin(eps))
+        assert np.all(np.diff(eps[:k + 1]) < 0) and np.all(np.diff(eps[k:]) >= 0)
+        assert dpml.centralized_sgd_epsilon(sigma, T, n, delta) == min(eps_frac, eps[k])
+
+    def test_target_skips_only_a_search_it_cannot_change(self):
+        # at the grid ceiling order 64 wins among 2..64, and order 256 wins overall
+        sigma, T, n, delta = float(dpml._sigma_grid()[-1]), 2000, 200, 1e-6
+        eps_frac, eps = self.eps_by_order(sigma, T, n, delta)
+        assert int(np.argmin(eps[:63])) == 62 and eps[-1] == eps.min()
+        assert dpml.centralized_sgd_epsilon(sigma, T, n, delta, target=1.0) == eps[62]
+        for target in (0.0, 0.2):
+            assert dpml.centralized_sgd_epsilon(sigma, T, n, delta, target=target) == eps[-1] < 0.2
+
+    def test_small_eps_calibrates(self):
+        # the orders 2..64 alone cannot go below ln(1e6) / 63 = 0.219
+        config = dpml.TrainConfig(
+            regime=dpml.CENTRALIZED, T=2000, eta=0.1,
+            budget=PrivacyBudget(0.2, 1e-6), cap_multiplier=2.0,
+        )
+        sigma = dpml.calibrate_regime(config, n=200)
+        assert dpml.verify_privacy(config, 200, sigma) <= 0.2
 
 
 class TestTrain:

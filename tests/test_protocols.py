@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from netdp.core import COMPLETE, RING, Topology, sample_walk
 from netdp.protocols import (
     CHECKPOINT_EVERY,
+    _project_l2,
     audit_ring_sum_structure,
     occurrence_index,
     ring_noise_steps,
@@ -318,6 +320,11 @@ def zero_grad(d):
     return lambda W, users: np.zeros((len(users), d))
 
 
+def assert_bits_equal(a, b):
+    np.testing.assert_array_equal(np.asarray(a, dtype=float).view(np.int64),
+                                  np.asarray(b, dtype=float).view(np.int64))
+
+
 class TestRunCompleteSgd:
     def test_noiseless_quadratic_converges_to_closed_form(self):
         rng = np.random.Generator(np.random.Philox(3))
@@ -418,6 +425,89 @@ class TestRunCompleteSgd:
         assert res.checkpoint_steps.tolist() == [0, 100, 200, 250]
         assert res.iterates.shape == (3, 4, 2)
         assert not np.array_equal(res.models[0], res.models[1])
+
+    @staticmethod
+    def live_runs(res, seeds, cap):
+        """(B, T) mask: run b's holder contributes at step t + 1."""
+        distinct = list(dict.fromkeys(seeds))
+        per_seed = np.stack([occurrence_index(walk) < cap for walk in res.trace.steps])
+        return per_seed[[distinct.index(s) for s in seeds]]
+
+    def test_no_grad_call_when_no_run_contributes(self):
+        calls = []
+
+        def grad(W, users):
+            calls.append(len(users))
+            return np.ones((len(users), 2))
+
+        seeds, cap = [1, 2, 3], 20
+        res = run_complete_sgd(n=3, T=250, grad_fn=grad, eta=0.1, sigma=0.5, seeds=seeds, d=2,
+                               max_contributions=cap, noise_when_capped=True)
+        any_live = self.live_runs(res, seeds, cap).any(axis=0)
+        assert not any_live.all()  # the runs' caps run out before step T
+        assert len(calls) == any_live.sum()
+
+    def test_all_contributing_runs_share_one_full_call(self):
+        calls = []
+
+        def grad(W, users):
+            assert W.shape == (len(users), 2)
+            calls.append(len(users))
+            return np.ones((len(users), 2))
+
+        seeds, cap = [4, 5, 4, 6], 30
+        res = run_complete_sgd(n=3, T=300, grad_fn=grad, eta=[0.1, 0.2, 0.3, 0.1], sigma=0.5,
+                               seeds=seeds, d=2, max_contributions=cap, noise_when_capped=False)
+        live = self.live_runs(res, seeds, cap).sum(axis=0)
+        expected = live[live > 0].tolist()
+        assert len(seeds) in expected and any(0 < k < len(seeds) for k in expected)
+        assert calls == expected  # len(users) == B on the steps where every run contributes
+
+    def test_runs_that_do_not_move_keep_their_iterates(self):
+        # local regime without noise: run b moves exactly when it contributes,
+        # to Proj(w - eta g), and the large gradients make every move project.
+        # Projecting a projected row again can move its last bits, so a run
+        # that sits a step out must not be stepped (or projected) at all.
+        d, R, eta, cap = 3, 0.5, 0.4, 40
+        rng = np.random.Generator(np.random.Philox(5))
+        seen = []
+
+        def grad(W, users):
+            g = rng.normal(0.0, 10.0, size=(len(users), d))
+            seen.append((W.copy(), g))
+            return g
+
+        seeds = [7, 8, 9]
+        res = run_complete_sgd(n=3, T=400, grad_fn=grad, eta=eta, sigma=0.0, seeds=seeds, d=d,
+                               projection_radius=R, max_contributions=cap,
+                               noise_when_capped=False)
+        live = self.live_runs(res, seeds, cap)
+        calls = iter(seen)
+        expected = np.zeros((len(seeds), d))  # each run's iterate after its last move
+        for t in range(400):
+            runs = np.flatnonzero(live[:, t])
+            if runs.size == 0:
+                continue
+            W, g = next(calls)
+            assert 0 < runs.size <= len(seeds) and W.shape == (runs.size, d)
+            assert_bits_equal(W, expected[runs])
+            expected[runs] = _project_l2(W - eta * g, R)
+        assert (live.any(axis=0) & ~live.all(axis=0)).any()  # steps where some runs sit out
+        assert_bits_equal(res.models, expected)
+
+    def test_no_block_sized_noise_gather(self):
+        # 50 runs on 5 seeds, as an eta search batches them: per-seed noise
+        # blocks are (5, block, d), and no (B, block, d) array is built
+        B, T, d = 50, 200, 20
+        args = dict(n=20, grad_fn=zero_grad(d), sigma=1.0, d=d, max_contributions=15)
+        run_complete_sgd(T=1, eta=1.0, seeds=[1], **args)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            run_complete_sgd(T=T, eta=np.geomspace(0.01, 1.0, B), seeds=[1, 2, 3, 4, 5] * 10, **args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < B * CHECKPOINT_EVERY * d * 8
 
     def test_arrays_are_read_only(self):
         res = run_complete_sgd(2, 5, constant_grad, 0.1, 0.5, d=2, seeds=[1])
