@@ -732,7 +732,10 @@ def _log_comb(a: float, k: float) -> float:
     return math.lgamma(a + 1) - math.lgamma(k + 1) - math.lgamma(a - k + 1)
 
 
-@functools.lru_cache(maxsize=256)
+MAX_RDP_ORDER = 256  # highest integer order whose ln C(alpha, i) row stays cached
+
+
+@functools.lru_cache(maxsize=MAX_RDP_ORDER)
 def _log_binom_row(alpha: int) -> np.ndarray:
     """ln C(alpha, i) for i = 0..alpha, read-only (shared by every caller)."""
     row = np.array([_log_comb(alpha, i) for i in range(alpha + 1)])

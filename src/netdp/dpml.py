@@ -23,7 +23,6 @@ evaluated on those, one model at a time.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ import numpy as np
 from .core import STREAM_DATA, PrivacyBudget, rng_stream
 from .errors import InfeasibleError
 from .accountant import (
+    MAX_RDP_ORDER,
     advanced_composition,
     grid_bisect,
     network_sgd_eps,
@@ -54,8 +54,6 @@ ETA_GRID = np.geomspace(1e-4, 2.0, 10)
 DIVERGENCE_FACTOR = 1e3  # final / initial objective above which a run is flagged
 
 _SIGMA_GRID_RATIO = 1.01
-_CENTRAL_ALPHAS = np.concatenate(([1.5], np.arange(2.0, 65.0)))
-_CENTRAL_MAX_ORDER = 256  # accountant._log_binom_row caches 256 orders
 
 
 @dataclass(frozen=True)
@@ -308,40 +306,32 @@ def local_sgd_epsilon(sigma: float, releases: int, delta: float) -> float:
     return advanced_composition(eps_step, delta_step, releases, delta / 2.0).epsilon
 
 
-def centralized_sgd_epsilon(sigma: float, T: int, n: int, delta: float,
-                            target: float = 0.0) -> float:
+def centralized_sgd_epsilon(sigma: float, T: int, n: int, delta: float) -> float:
     """End-to-end eps of T subsampled-Gaussian steps at sampling rate 1/n.
 
     Every order alpha > 1 gives a valid bound
     eps(alpha) = T * rdp(alpha) + ln(1/delta) / (alpha - 1); this returns the
-    least over the orders 1.5 and 2..64.  When that least lies at order 64
-    and exceeds ``target``, the integer orders up to
-    :data:`_CENTRAL_MAX_ORDER` are searched too, by bisection on eps(alpha),
-    which is unimodal there (``tests/test_dpml.py::TestCentralizedOrders``).
-    Without that search eps could not fall below ln(1/delta) / 63, 0.219 at
-    delta = 1e-6.  Calibration passes its target, since it only asks
-    whether eps <= target; the default 0 always searches.
+    least over order 1.5 and the integer orders 2..``MAX_RDP_ORDER``.  Over
+    the integer orders eps(alpha) falls, then never falls again
+    (``tests/test_dpml.py::TestCentralizedOrders``), so they are searched by
+    bisection, ~17 RDP evaluations instead of 255.  The floor is
+    ln(1/delta) / (MAX_RDP_ORDER - 1), 0.054 at delta = 1e-6.
     """
     z = sigma / GRAD_SENSITIVITY
     q = 1.0 / n
     log_inv_delta = math.log(1.0 / delta)
 
-    @functools.cache
     def eps_at(alpha):
         return T * sampled_gaussian_rdp(q, z, float(alpha)) + log_inv_delta / (alpha - 1.0)
 
-    eps = [eps_at(alpha) for alpha in _CENTRAL_ALPHAS]
-    best = min(eps)
-    if eps[-1] > best or best <= target:
-        return best
-    lo, hi = int(_CENTRAL_ALPHAS[-1]), _CENTRAL_MAX_ORDER
+    lo, hi = 2, MAX_RDP_ORDER
     while lo < hi:  # the first order past which eps stops falling
         mid = (lo + hi) // 2
         if eps_at(mid + 1) < eps_at(mid):
             lo = mid + 1
         else:
             hi = mid
-    return min(best, eps_at(lo))
+    return min(eps_at(1.5), eps_at(lo))
 
 
 def calibrate_regime(config: TrainConfig, n: int) -> float:
@@ -363,7 +353,7 @@ def calibrate_regime(config: TrainConfig, n: int) -> float:
     if config.regime == LOCAL:
         eps_of = lambda s: local_sgd_epsilon(s, cap, delta)
     else:
-        eps_of = lambda s: centralized_sgd_epsilon(s, config.T, n, delta, target=eps)
+        eps_of = lambda s: centralized_sgd_epsilon(s, config.T, n, delta)
     try:
         return float(grid[grid_bisect(eps_of, eps, grid)])
     except InfeasibleError:

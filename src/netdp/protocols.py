@@ -437,8 +437,9 @@ def run_complete_sgd(
     At each step the drawn user updates run b's token with a projected
     noisy gradient step  w <- Proj(w - eta_b (g + Z)),  Z ~ N(0, sigma^2 I_d),
     where ``grad_fn(W, users)`` returns the (k, d) gradients of the k
-    contributing runs' iterates ``W`` at their holders ``users`` (1-based),
-    and must not write to ``W``.  Callers claiming iteration-amplification guarantees must pick
+    contributing runs' iterates ``W`` at their holders ``users`` (1-based).
+    ``W`` may be the kernel's own iterate array and is passed read-only.
+    Callers claiming iteration-amplification guarantees must pick
     eta <= 2/beta for beta-smooth losses.
 
     ``max_contributions`` caps how many times one user contributes; a
@@ -507,6 +508,7 @@ def run_complete_sgd(
         for j in range(stop - start):
             update = noise[row, j]
             if all_live[j]:
+                W.flags.writeable = False  # grad_fn gets the iterates themselves
                 update += _checked_grad(grad_fn, W, holders[:, j][row], d)
             elif any_live[j]:
                 step_live = live[:, j][row]

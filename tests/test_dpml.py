@@ -231,15 +231,15 @@ class TestCalibration:
 
 
 class TestCentralizedOrders:
-    """eps(alpha) of the centralized regime, searched past order 64."""
+    """eps(alpha) of the centralized regime, bisected over the integer orders."""
 
     @staticmethod
     def eps_by_order(sigma, T, n, delta):
-        """eps at order 1.5 and at the integer orders 2..256."""
+        """eps at order 1.5 and at the integer orders 2..MAX_RDP_ORDER."""
         def eps_at(alpha):
             return (T * acct.sampled_gaussian_rdp(1.0 / n, sigma / dpml.GRAD_SENSITIVITY, alpha)
                     + math.log(1.0 / delta) / (alpha - 1.0))
-        return eps_at(1.5), np.array([eps_at(float(a)) for a in range(2, dpml._CENTRAL_MAX_ORDER + 1)])
+        return eps_at(1.5), np.array([eps_at(float(a)) for a in range(2, acct.MAX_RDP_ORDER + 1)])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -257,14 +257,12 @@ class TestCentralizedOrders:
         assert np.all(np.diff(eps[:k + 1]) < 0) and np.all(np.diff(eps[k:]) >= 0)
         assert dpml.centralized_sgd_epsilon(sigma, T, n, delta) == min(eps_frac, eps[k])
 
-    def test_target_skips_only_a_search_it_cannot_change(self):
-        # at the grid ceiling order 64 wins among 2..64, and order 256 wins overall
+    def test_search_reaches_the_highest_order(self):
+        # at the grid ceiling eps falls over every order up to the cap
         sigma, T, n, delta = float(dpml._sigma_grid()[-1]), 2000, 200, 1e-6
-        eps_frac, eps = self.eps_by_order(sigma, T, n, delta)
-        assert int(np.argmin(eps[:63])) == 62 and eps[-1] == eps.min()
-        assert dpml.centralized_sgd_epsilon(sigma, T, n, delta, target=1.0) == eps[62]
-        for target in (0.0, 0.2):
-            assert dpml.centralized_sgd_epsilon(sigma, T, n, delta, target=target) == eps[-1] < 0.2
+        _, eps = self.eps_by_order(sigma, T, n, delta)
+        assert np.all(np.diff(eps) < 0) and eps[-1] < 0.2
+        assert dpml.centralized_sgd_epsilon(sigma, T, n, delta) == eps[-1]
 
     def test_small_eps_calibrates(self):
         # the orders 2..64 alone cannot go below ln(1e6) / 63 = 0.219

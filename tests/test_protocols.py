@@ -463,6 +463,15 @@ class TestRunCompleteSgd:
         assert len(seeds) in expected and any(0 < k < len(seeds) for k in expected)
         assert calls == expected  # len(users) == B on the steps where every run contributes
 
+    def test_grad_fn_cannot_write_the_iterates(self):
+        # an all-contributing step hands grad_fn the iterate array itself
+        def grad(W, users):
+            W += 1.0
+            return np.zeros((len(users), 2))
+
+        with pytest.raises(ValueError, match="read-only"):
+            run_complete_sgd(n=3, T=5, grad_fn=grad, eta=0.1, sigma=0.5, seeds=[1, 2], d=2)
+
     def test_runs_that_do_not_move_keep_their_iterates(self):
         # local regime without noise: run b moves exactly when it contributes,
         # to Proj(w - eta g), and the large gradients make every move project.
