@@ -405,13 +405,21 @@ def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
 # ---------------------------------------------------------------------------
 
 def _sgd_runs(args: tuple) -> list[dpml.TrainResult]:
-    config, data, seeds, sigma = args
-    return dpml.train(config, data, seeds, sigma=sigma)
+    batch, data, chunk = args  # chunk: (config index, seed) pairs
+    seeds = [[s for i, s in chunk if i == k] for k in range(len(batch.configs))]
+    return [r for results in dpml.train(batch, data, seeds) for r in results]
 
 
 def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
                     workers: int, unchecked: bool) -> None:
-    """Local vs network vs centralized DP-SGD on logistic regression."""
+    """Local vs network vs centralized DP-SGD on logistic regression.
+
+    Every (eps, regime) pair is calibrated before any training, so an
+    infeasible target fails before a run starts.  All pairs then share one
+    lockstep eta search and one lockstep replica batch (split into at most
+    ``workers`` contiguous chunks); a run's result depends on its own
+    config, sigma and seed only.
+    """
     dataset_kind = str(config.get("dataset", "synthetic"))
     n = int(config.get("n", 200))
     if dataset_kind == "synthetic":
@@ -437,44 +445,45 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
     if fixed_eta is None and tune_seeds < 1:
         raise ValueError(f"tune_seeds must be >= 1 when eta is tuned, got {tune_seeds}")
 
+    grid = [(eps, regime) for eps in eps_list
+            for regime in (dpml.LOCAL, dpml.NETWORK, dpml.CENTRALIZED)]
+    configs = [dpml.TrainConfig(regime=regime, T=T, eta=1.0,
+                                budget=dpml.PrivacyBudget(eps, delta), cap_multiplier=cap_mult)
+               for eps, regime in grid]
+    sigmas = [dpml.calibrate_regime(c, data.n_users) for c in configs]
+    if fixed_eta is not None:
+        etas = [float(fixed_eta)] * len(grid)
+    else:
+        etas = dpml.tune_eta(
+            dpml.RegimeBatch(configs, sigmas), data,
+            [[derive_seed(seed, int(eps * 1000), 0xE7A, i) for i in range(tune_seeds)]
+             for eps, _ in grid],
+        )
+    batch = dpml.RegimeBatch([replace(c, eta=eta) for c, eta in zip(configs, etas)], sigmas)
+    replicas = [(i, derive_seed(seed, int(eps * 1000), r))
+                for i, (eps, _) in enumerate(grid) for r in range(runs)]
+    tasks = [(batch, data, chunk) for chunk in _contiguous_chunks(replicas, workers)]
+    results = [r for chunk in _parallel_map(_sgd_runs, tasks, workers) for r in chunk]
+
     rows = []
-    for eps in eps_list:
-        for regime in (dpml.LOCAL, dpml.NETWORK, dpml.CENTRALIZED):
-            base = dpml.TrainConfig(
-                regime=regime, T=T, eta=1.0,
-                budget=dpml.PrivacyBudget(eps, delta), cap_multiplier=cap_mult,
-            )
-            sigma = dpml.calibrate_regime(base, data.n_users)
-            if fixed_eta is not None:
-                eta = float(fixed_eta)
-            else:
-                eta = dpml.tune_eta(
-                    base, data, sigma,
-                    seeds=[derive_seed(seed, int(eps * 1000), 0xE7A, i) for i in range(tune_seeds)],
-                )
-            # replicas run as at most `workers` lockstep batches; a run's
-            # result depends on its own seed only
-            seeds = [derive_seed(seed, int(eps * 1000), r) for r in range(runs)]
-            tasks = [(replace(base, eta=eta), data, chunk, sigma)
-                     for chunk in _contiguous_chunks(seeds, workers)]
-            results = [r for batch in _parallel_map(_sgd_runs, tasks, workers) for r in batch]
-            finals = np.asarray([r.final_objective for r in results])
-            accs = np.asarray([r.final_accuracy for r in results])
-            diverged = sum(1 for r in results if r.diverged)
-            rows.append({
-                "regime": regime, "eps": eps, "sigma": sigma, "eta": eta,
-                "mean_final_objective": float(finals.mean()),
-                "std_final_objective": float(finals.std(ddof=1)) if runs > 1 else 0.0,
-                "mean_final_accuracy": float(accs.mean()),
-                "diverged_runs": diverged,
-            })
-            # mean traces across seeds
-            dpml.write_trace_csv(
-                run_dir / f"trace_{regime}_eps{eps:g}.csv",
-                results[0].objective_trace[:, 0],
-                np.mean([r.objective_trace[:, 1] for r in results], axis=0),
-                np.mean([r.accuracy_trace[:, 1] for r in results], axis=0),
-            )
+    for i, ((eps, regime), sigma, eta) in enumerate(zip(grid, sigmas, etas)):
+        pair = results[i * runs:(i + 1) * runs]
+        finals = np.asarray([r.final_objective for r in pair])
+        accs = np.asarray([r.final_accuracy for r in pair])
+        rows.append({
+            "regime": regime, "eps": eps, "sigma": sigma, "eta": eta,
+            "mean_final_objective": float(finals.mean()),
+            "std_final_objective": float(finals.std(ddof=1)) if runs > 1 else 0.0,
+            "mean_final_accuracy": float(accs.mean()),
+            "diverged_runs": sum(1 for r in pair if r.diverged),
+        })
+        # mean traces across seeds
+        dpml.write_trace_csv(
+            run_dir / f"trace_{regime}_eps{eps:g}.csv",
+            pair[0].objective_trace[:, 0],
+            np.mean([r.objective_trace[:, 1] for r in pair], axis=0),
+            np.mean([r.accuracy_trace[:, 1] for r in pair], axis=0),
+        )
     _write_csv(
         run_dir / "results.csv",
         ["regime", "eps", "sigma", "eta", "mean_final_objective",

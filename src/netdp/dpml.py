@@ -1,11 +1,9 @@
 """Logistic regression under three DP-SGD regimes: local, network, centralized.
 
 The three regimes share one training loop (noisy projected SGD driven by a
-uniform token walk, mini-batch = the drawn user's full local dataset; the
-lockstep kernel :func:`~netdp.protocols.run_complete_sgd`, which advances
-every seed of a training call, and every (eta, seed) pair of an eta search,
-through one array program) and differ only in how the per-step noise scale
-sigma is calibrated to the end-to-end (eps, delta) target:
+uniform token walk, mini-batch = the drawn user's full local dataset) and
+differ only in how the per-step noise scale sigma is calibrated to the
+end-to-end (eps, delta) target:
 
   local        advanced composition over the user's own capped releases of
                the Gaussian mechanism,
@@ -15,6 +13,14 @@ sigma is calibrated to the end-to-end (eps, delta) target:
 
 Rows are normalized to unit L2 norm so the logistic loss is 1-Lipschitz and
 1/4-smooth, giving gradient sensitivity 2L = 2 under user-level adjacency.
+
+:func:`train` and :func:`tune_eta` take a :class:`RegimeBatch`: several
+regimes (configs with their calibrated sigma) that share T and the
+contribution cap, one regime being the one-element case.  Every run of a
+call, a (regime, seed) pair for ``train`` or a (regime, eta, seed) triple
+for ``tune_eta``, steps through the lockstep kernel
+:func:`~netdp.protocols.run_complete_sgd` as one array program; runs with
+one seed share its walk, and a run's result is the one it gets alone.
 Only the iterates at every :data:`~netdp.protocols.CHECKPOINT_EVERY`-th
 step and at step T are kept; the train objective and test accuracy are
 evaluated on those, one model at a time.
@@ -382,48 +388,87 @@ def verify_privacy(config: TrainConfig, n: int, sigma: float) -> float:
 # Training
 # ---------------------------------------------------------------------------
 
-def _run_lockstep(config: TrainConfig, data: Dataset, sigma: float,
-                  etas: Sequence[float], seeds: Sequence[int]) -> SgdRuns:
-    """Run b trains with step size ``etas[b]`` on the walk and noise of ``seeds[b]``."""
+@dataclass(frozen=True)
+class RegimeBatch:
+    """Configs that train as one lockstep batch, ``configs[i]`` at noise scale ``sigmas[i]``.
+
+    All configs share T and ``cap_multiplier``, hence the per-user
+    contribution cap, so that every run of the batch walks the same number
+    of steps under the same cap; a batch that mixes them is a ``ValueError``.
+    """
+
+    configs: tuple[TrainConfig, ...]
+    sigmas: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "configs", tuple(self.configs))
+        object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
+        if not self.configs or len(self.configs) != len(self.sigmas):
+            raise ValueError("need at least one config and one sigma per config")
+        if len({(c.T, c.cap_multiplier) for c in self.configs}) > 1:
+            raise ValueError("all configs of a batch must share T and cap_multiplier")
+
+    @property
+    def T(self) -> int:
+        return self.configs[0].T
+
+    def cap(self, n: int) -> int:
+        """The per-user contribution cap of every run on n users."""
+        return contribution_cap(self.T, n, self.configs[0].cap_multiplier)
+
+
+def _run_lockstep(batch: RegimeBatch, data: Dataset, which: Sequence[int],
+                  etas: Sequence[float], seeds: Sequence[int], final_only: bool = False) -> SgdRuns:
+    """Run b trains ``batch.configs[which[b]]`` at step size ``etas[b]`` on seed ``seeds[b]``."""
     return run_complete_sgd(
         n=data.n_users,
-        T=config.T,
+        T=batch.T,
         grad_fn=_batched_grad(data),
         eta=etas,
-        sigma=sigma,
+        sigma=[batch.sigmas[i] for i in which],
         d=data.dim,
         seeds=seeds,
-        max_contributions=contribution_cap(config.T, data.n_users, config.cap_multiplier),
-        noise_when_capped=config.regime == NETWORK,
+        max_contributions=batch.cap(data.n_users),
+        noise_when_capped=[batch.configs[i].regime == NETWORK for i in which],
+        final_only=final_only,
     )
 
 
-def train(config: TrainConfig, data: Dataset, seeds: Sequence[int],
-          sigma: float | None = None) -> list[TrainResult]:
-    """Train one noisy-SGD run per seed under the configured regime.
+def _seed_lists(batch: RegimeBatch, seeds: Sequence[Sequence[int]]) -> list[list[int]]:
+    if len(seeds) != len(batch.configs):
+        raise ValueError(f"need one seed list per config, got {len(seeds)} for {len(batch.configs)}")
+    return [[int(s) for s in config_seeds] for config_seeds in seeds]
 
-    All runs step in lockstep through
+
+def train(batch: RegimeBatch, data: Dataset,
+          seeds: Sequence[Sequence[int]]) -> list[list[TrainResult]]:
+    """Train one noisy-SGD run per seed in ``seeds[i]`` under ``batch.configs[i]``.
+
+    Returns one result list per config, in the order of its seeds.  All
+    runs of all configs step in lockstep through
     :func:`~netdp.protocols.run_complete_sgd`, each with its own walk and
     gradient noise; capped users forward the token without contributing
-    (adding noise only in the network regime).  Run b's result depends on
-    ``seeds[b]`` alone, not on the other seeds of the call.  Only the
-    iterates at every :data:`~netdp.protocols.CHECKPOINT_EVERY`-th step and
-    at step T are kept; the train objective and test accuracy are evaluated
-    on each.  A run whose final objective exceeds :data:`DIVERGENCE_FACTOR`
-    times the initial one is flagged as diverged but still returned.
+    (adding noise only in the network regime).  A run's result depends on
+    its config, sigma and seed alone, not on the other runs of the call.
+    Only the iterates at every :data:`~netdp.protocols.CHECKPOINT_EVERY`-th
+    step and at step T are kept; the train objective and test accuracy are
+    evaluated on each.  A run whose final objective exceeds
+    :data:`DIVERGENCE_FACTOR` times the initial one is flagged as diverged
+    but still returned.
     """
-    if sigma is None:
-        sigma = calibrate_regime(config, data.n_users)
-    runs = _run_lockstep(config, data, sigma, [config.eta] * len(seeds), seeds)
+    seeds = _seed_lists(batch, seeds)
+    which = [i for i, config_seeds in enumerate(seeds) for _ in config_seeds]
+    runs = _run_lockstep(batch, data, which, [batch.configs[i].eta for i in which],
+                         [s for config_seeds in seeds for s in config_seeds])
     steps = runs.checkpoint_steps
-    cap = contribution_cap(config.T, data.n_users, config.cap_multiplier)
-    results = []
-    for iterates in runs.iterates:
+    cap = batch.cap(data.n_users)
+    results = [[] for _ in seeds]
+    for i, iterates in zip(which, runs.iterates):
         objective = np.array([logistic_objective(w, data.X_train, data.y_train) for w in iterates])
         accuracy = np.array([test_accuracy(w, data.X_test, data.y_test) for w in iterates])
-        results.append(TrainResult(
+        results[i].append(TrainResult(
             model=iterates[-1],
-            sigma=float(sigma),
+            sigma=batch.sigmas[i],
             objective_trace=np.column_stack([steps, objective]),
             accuracy_trace=np.column_stack([steps, accuracy]),
             final_objective=float(objective[-1]),
@@ -435,25 +480,35 @@ def train(config: TrainConfig, data: Dataset, seeds: Sequence[int],
 
 
 def tune_eta(
-    config: TrainConfig,
+    batch: RegimeBatch,
     data: Dataset,
-    sigma: float,
-    seeds: Sequence[int],
+    seeds: Sequence[Sequence[int]],
     grid: np.ndarray = ETA_GRID,
-) -> float:
-    """Pick the step size minimizing the mean final train objective.
+) -> list[float]:
+    """Pick, per config, the step size minimizing the mean final train objective.
 
-    The whole (eta, seed) grid is one lockstep batch: each seed's walk and
-    noise are drawn once and shared by every eta, and only the final
-    models are evaluated.
+    Config i is scored on the seeds ``seeds[i]``; the configs' own ``eta``
+    is ignored.  The whole (config, eta, seed) grid is one lockstep batch:
+    each seed's walk is drawn once and shared by every config and eta, each
+    (seed, sigma, noise mode)'s noise is drawn once and shared by every eta,
+    and only the final models are evaluated.
     """
-    seeds = [int(s) for s in seeds]
+    seeds = _seed_lists(batch, seeds)
     etas = [float(eta) for eta in grid]
-    runs = _run_lockstep(config, data, sigma, np.repeat(etas, len(seeds)), seeds * len(etas))
-    finals = [logistic_objective(w, data.X_train, data.y_train) for w in runs.models]
-    best_eta, best_obj = etas[0], math.inf
-    for i, eta in enumerate(etas):
-        mean_obj = float(np.mean(finals[i * len(seeds):(i + 1) * len(seeds)]))
-        if mean_obj < best_obj:
-            best_eta, best_obj = eta, mean_obj
-    return best_eta
+    which, run_etas, run_seeds = [], [], []
+    for i, config_seeds in enumerate(seeds):
+        for eta in etas:
+            which += [i] * len(config_seeds)
+            run_etas += [eta] * len(config_seeds)
+            run_seeds += config_seeds
+    runs = _run_lockstep(batch, data, which, run_etas, run_seeds, final_only=True)
+    finals = iter([logistic_objective(w, data.X_train, data.y_train) for w in runs.models])
+    best = []
+    for config_seeds in seeds:
+        best_eta, best_obj = etas[0], math.inf
+        for eta in etas:
+            mean_obj = float(np.mean([next(finals) for _ in config_seeds]))
+            if mean_obj < best_obj:
+                best_eta, best_obj = eta, mean_obj
+        best.append(best_eta)
+    return best

@@ -394,23 +394,27 @@ def _checked_grad(grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return g
 
 
-CHECKPOINT_EVERY = 100  # steps between kept SGD iterates, also the noise-draw block
+CHECKPOINT_EVERY = 100  # steps between kept SGD iterates
+NOISE_BLOCK = 25  # steps per noise draw; divides CHECKPOINT_EVERY
 
 
 class SgdRuns(NamedTuple):
-    """B noisy-SGD runs advanced in lockstep from S distinct seeds.
+    """B noisy-SGD runs advanced in lockstep.
 
     ``iterates[b, c]`` is run b's model after step ``checkpoint_steps[c]``:
     every :data:`CHECKPOINT_EVERY`-th step from the all-zero start at step
-    0, and step T.  Walks and noise belong to seeds: row s of
-    ``trace.steps`` is the walk of the s-th distinct seed (in order of
-    first appearance), and row s of ``noised`` marks the steps t + 1 that
-    added N(0, sigma^2 I_d) noise to its token (none when sigma = 0).  All
-    arrays are read-only.
+    0, and step T, or step T alone for a ``final_only`` call.  Walks belong
+    to seeds and noise to noise keys, each in order of first appearance
+    among the runs: row s of ``trace.steps`` is the walk of the s-th
+    distinct seed, and row k of ``noised`` marks the steps t + 1 that added
+    N(0, sigma^2 I_d) noise under the k-th distinct (seed, sigma,
+    noise_when_capped) triple (none when sigma = 0).  With one sigma and one
+    noise mode for all runs the two row orders coincide.  All arrays are
+    read-only.
     """
 
     trace: WalkBatch  # (S, T), one walk per distinct seed
-    noised: np.ndarray  # (S, T) bool
+    noised: np.ndarray  # (K, T) bool, one row per distinct noise key
     checkpoint_steps: np.ndarray  # (C,) int64, ascending
     iterates: np.ndarray  # (B, C, d)
 
@@ -425,17 +429,18 @@ def run_complete_sgd(
     T: int,
     grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     eta: float | Sequence[float],
-    sigma: float,
+    sigma: float | Sequence[float],
     d: int,
     seeds: Sequence[int],
     projection_radius: float | None = None,
     max_contributions: int | None = None,
-    noise_when_capped: bool = True,
+    noise_when_capped: bool | Sequence[bool] = True,
+    final_only: bool = False,
 ) -> SgdRuns:
     """Noisy projected SGD driven by uniform token walks, one run per seed.
 
     At each step the drawn user updates run b's token with a projected
-    noisy gradient step  w <- Proj(w - eta_b (g + Z)),  Z ~ N(0, sigma^2 I_d),
+    noisy gradient step  w <- Proj(w - eta_b (g + Z)),  Z ~ N(0, sigma_b^2 I_d),
     where ``grad_fn(W, users)`` returns the (k, d) gradients of the k
     contributing runs' iterates ``W`` at their holders ``users`` (1-based).
     ``W`` may be the kernel's own iterate array and is passed read-only.
@@ -445,78 +450,90 @@ def run_complete_sgd(
     ``max_contributions`` caps how many times one user contributes; a
     capped user forwards the token untouched, still adding noise when
     ``noise_when_capped`` (the network regime: other users' guarantees
-    rely on that noise).
+    rely on that noise).  ``eta``, ``sigma`` and ``noise_when_capped`` each
+    take one value or one per run.  ``final_only`` keeps the final models
+    alone, for callers that read no trace.
 
-    Walks, cap masks and noise masks depend only on the seed, so they are
+    Walks and cap masks depend only on the seed, and noise masks and noise
+    streams only on the (seed, sigma, noise_when_capped) key, so they are
     fixed before step 1 and all B runs step in lockstep.  Runs sharing a
-    seed share its walk and its noise draws; ``eta`` may differ per run.
-    The steps go in blocks of :data:`CHECKPOINT_EVERY`.  Per block, each
-    seed's noise is one ``normal(0, sigma, (k, d))`` call for the block's k
-    noised steps, which consumes the stream exactly as one ``size=d`` draw
-    per step would, and three flags per step are read off the seeds' masks:
-    every run contributes, some run does, every run moves.  A step where
-    every run contributes makes one ``grad_fn`` call on all of ``W``, a step
-    where some do makes one call on their rows, a step where none does
-    makes no call, and runs that do not move keep their iterate.  Iterates are kept
-    only at the block ends (see :class:`SgdRuns`).  Run b's result equals
-    a single-run call with ``seeds=[seeds[b]]``, bit for bit.
+    seed share its walk; runs sharing a key share its noise draws.  Three
+    flags per step are read off the masks once: every run contributes, some
+    run does, every run moves.  A step where every run contributes makes
+    one ``grad_fn`` call on all of ``W``, a step where some do makes one
+    call on their rows, a step where none does makes no call, and runs that
+    do not move keep their iterate.  Noise is drawn in blocks of
+    :data:`NOISE_BLOCK` steps, one ``normal(0, sigma, (k, d))`` call per key
+    for the block's k noised steps, which consumes the stream exactly as one
+    ``size=d`` draw per step would; a short block keeps the (K, block, d)
+    noise buffer small.  Iterates are kept only at the checkpoints (see
+    :class:`SgdRuns`).  Run b's result equals a single-run call with its own
+    seed, sigma, noise mode and eta, bit for bit.
     """
     if n < 1 or T < 1:
         raise ValueError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
     seeds = [int(s) for s in seeds]
     B = len(seeds)
-    eta = np.broadcast_to(np.asarray(eta, dtype=float), (B,))
-    if B == 0 or not np.all(eta > 0):
+    eta, sigma, noise_when_capped = (
+        np.broadcast_to(np.asarray(value, dtype=dtype), (B,)).tolist()
+        for value, dtype in ((eta, float), (sigma, float), (noise_when_capped, bool))
+    )
+    if not all(s >= 0 for s in sigma):
+        raise ValueError("sigma must be non-negative")
+    if B == 0 or not all(e > 0 for e in eta):
         raise ValueError("need at least one seed and every eta positive")
 
-    # per distinct seed: walk, contribution (cap) mask, move mask, stream
-    index = {s: i for i, s in enumerate(dict.fromkeys(seeds))}
-    distinct = list(index)
-    row = np.array([index[s] for s in seeds], dtype=np.int64)  # run -> distinct seed
+    # per distinct seed: walk and contribution (cap) mask; per distinct
+    # (seed, sigma, noise mode) key: move mask, noise mask and stream
+    seed_index = {s: i for i, s in enumerate(dict.fromkeys(seeds))}
+    runs_keys = list(zip(seeds, sigma, noise_when_capped))
+    key_index = {k: i for i, k in enumerate(dict.fromkeys(runs_keys))}
+    keys = list(key_index)
+    row = np.array([seed_index[s] for s in seeds], dtype=np.int64)  # run -> seed row
+    key_row = np.array([key_index[k] for k in runs_keys], dtype=np.int64)  # run -> key row
     topology = Topology(COMPLETE, n)
-    walks = np.stack([sample_walk(topology, T, s).steps for s in distinct])
+    walks = np.stack([sample_walk(topology, T, s).steps for s in seed_index])
     contributes = np.ones(walks.shape, dtype=bool)
     if max_contributions is not None:
         contributes = np.stack([occurrence_index(w) < max_contributions for w in walks])
-    moves = np.ones(walks.shape, dtype=bool) if noise_when_capped else contributes
-    noised = moves & (sigma > 0)
-    rngs = [rng_stream(s, STREAM_NOISE) for s in distinct]
+    moves = np.stack([contributes[seed_index[s]] | always for s, _, always in keys])
+    noised = moves & np.array([sig > 0 for _, sig, _ in keys])[:, None]
+    rngs = [rng_stream(s, STREAM_NOISE) for s, _, _ in keys]
 
     checkpoint_steps = np.arange(0, T + 1, CHECKPOINT_EVERY, dtype=np.int64)
     if checkpoint_steps[-1] != T:
         checkpoint_steps = np.append(checkpoint_steps, T)
+    if final_only:
+        checkpoint_steps = checkpoint_steps[-1:]
+    kept = {int(step): c for c, step in enumerate(checkpoint_steps) if step > 0}
     iterates = np.zeros((B, checkpoint_steps.size, d), dtype=float)
     W = np.zeros((B, d), dtype=float)
-    eta_col = eta[:, None]
-    for c, (start, stop) in enumerate(zip(checkpoint_steps[:-1], checkpoint_steps[1:]), 1):
-        noise = np.zeros((len(distinct), stop - start, d))
-        for s, rng in enumerate(rngs):
-            block = noised[s, start:stop]
-            if block.any():
-                noise[s, block] = rng.normal(0.0, sigma, size=(int(block.sum()), d))
-        # the block's walks and masks stay per seed, (S, block) views; each
-        # step gathers its (B,) column, so no (B, block) or (B, block, d)
-        # array is built
-        holders = walks[:, start:stop]
-        live = contributes[:, start:stop]
-        moved = moves[:, start:stop]
-        all_live = live.all(axis=0).tolist()
-        any_live = live.any(axis=0).tolist()
-        all_moved = moved.all(axis=0).tolist()
-        for j in range(stop - start):
-            update = noise[row, j]
-            if all_live[j]:
+    eta_col = np.array(eta)[:, None]
+    # three flags per step, read off the (S, T) and (K, T) masks; each step
+    # gathers its (B,) columns, so no (B, T) or (B, block, d) array is built
+    all_live = contributes.all(axis=0).tolist()
+    any_live = contributes.any(axis=0).tolist()
+    all_moved = moves.all(axis=0).tolist()
+    for start in range(0, T, NOISE_BLOCK):
+        stop = min(start + NOISE_BLOCK, T)
+        noise = np.zeros((len(keys), stop - start, d))
+        counts = noised[:, start:stop].sum(axis=1).tolist()
+        for k, ((_, sig, _), rng, count) in enumerate(zip(keys, rngs, counts)):
+            if count:
+                noise[k, noised[k, start:stop]] = rng.normal(0.0, sig, size=(count, d))
+        for t in range(start, stop):
+            update = noise[key_row, t - start]
+            if all_live[t]:
                 W.flags.writeable = False  # grad_fn gets the iterates themselves
-                update += _checked_grad(grad_fn, W, holders[:, j][row], d)
-            elif any_live[j]:
-                step_live = live[:, j][row]
-                users = holders[:, j][row[step_live]]
+                update += _checked_grad(grad_fn, W, walks[:, t][row], d)
+            elif any_live[t]:
+                step_live = contributes[:, t][row]
+                users = walks[:, t][row[step_live]]
                 update[step_live] += _checked_grad(grad_fn, W[step_live], users, d)
             stepped = _project_l2(W - eta_col * update, projection_radius)
-            W = stepped if all_moved[j] else np.where(moved[:, j][row, None], stepped, W)
-        iterates[:, c] = W
+            W = stepped if all_moved[t] else np.where(moves[:, t][key_row, None], stepped, W)
+        if stop in kept:
+            iterates[:, kept[stop]] = W
 
     for arr in (walks, noised, checkpoint_steps, iterates):
         arr.setflags(write=False)

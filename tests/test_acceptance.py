@@ -6,6 +6,7 @@ lines; the suite is deterministic (fixed seeds throughout).
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,25 +235,26 @@ def test_c11_desk_scale_sgd_comparison():
     start = time.time()
     n, T, delta, c, seeds = 200, 2000, 1e-6, 2.0, 20
     data = dpml.make_synthetic(n_users=n, points_per_user=8, dim=20, seed=42)
-    results = {}
-    for eps in (1.0, 10.0):
-        sigmas = _regime_sigmas(n, T, eps, delta, c)
-        for regime in (dpml.LOCAL, dpml.NETWORK, dpml.CENTRALIZED):
-            base = dpml.TrainConfig(regime=regime, T=T, eta=1.0,
-                                    budget=dpml.PrivacyBudget(eps, delta),
-                                    cap_multiplier=c)
-            eta = dpml.tune_eta(base, data, sigmas[regime], seeds=range(5))
-            runs = dpml.train(
-                dpml.TrainConfig(regime=regime, T=T, eta=eta,
-                                 budget=dpml.PrivacyBudget(eps, delta),
-                                 cap_multiplier=c),
-                data, seeds=[100 + s for s in range(seeds)], sigma=sigmas[regime],
-            )
-            results[(regime, eps)] = {
-                "objective": float(np.mean([r.final_objective for r in runs])),
-                "initial": float(np.mean([r.objective_trace[0, 1] for r in runs])),
-                "blown_up": sum(r.diverged for r in runs),
-            }
+    # every (regime, eps) pair in one eta search and one training batch
+    pairs = [(regime, eps) for eps in (1.0, 10.0)
+             for regime in (dpml.LOCAL, dpml.NETWORK, dpml.CENTRALIZED)]
+    configs = [dpml.TrainConfig(regime=regime, T=T, eta=1.0,
+                                budget=dpml.PrivacyBudget(eps, delta), cap_multiplier=c)
+               for regime, eps in pairs]
+    sigmas = [dpml.calibrate_regime(config, n) for config in configs]
+    etas = dpml.tune_eta(dpml.RegimeBatch(configs, sigmas), data, [range(5)] * len(pairs))
+    trained = dpml.train(
+        dpml.RegimeBatch([replace(config, eta=eta) for config, eta in zip(configs, etas)], sigmas),
+        data, [[100 + s for s in range(seeds)]] * len(pairs),
+    )
+    results = {
+        pair: {
+            "objective": float(np.mean([r.final_objective for r in runs])),
+            "initial": float(np.mean([r.objective_trace[0, 1] for r in runs])),
+            "blown_up": sum(r.diverged for r in runs),
+        }
+        for pair, runs in zip(pairs, trained)
+    }
     elapsed = time.time() - start
     ok = True
     details = []

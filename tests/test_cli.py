@@ -1,8 +1,12 @@
+import csv
+import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from netdp import dpml
 from netdp.cli import main, parse_config, split_delta_budget, derive_seed
 
 
@@ -308,13 +312,33 @@ class TestSgdCompare:
         assert "tune_seeds must be >= 1" in capsys.readouterr().err
         assert results_files(tmp_path / "out", "sgd_compare") == []
 
+    def test_infeasible_target_exits_before_training(self, tmp_path, capsys):
+        # centralized eps = 0.05 lies below its floor ln(1/delta)/255 = 0.054;
+        # every (eps, regime) pair is calibrated before the first run
+        config = write_config(
+            tmp_path,
+            "dataset = synthetic\nn = 10\npoints_per_user = 4\ndim = 3\n"
+            "T = 40\neps = 1,0.05\ndelta = 1e-6\ntune_seeds = 1\n",
+        )
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "sgd_compare", "--config", config,
+                       "--out", out, "--runs", 2) == 3
+        assert "infeasible target" in capsys.readouterr().err
+        assert list(out.glob("sgd_compare/*/trace_*.csv")) == []
+        assert results_files(out, "sgd_compare") == []
+
     @pytest.mark.parametrize("dataset", ["synthetic", "unequal_csv"])
     def test_output_independent_of_workers(self, tmp_path, dataset):
-        # replicas run as one lockstep batch per worker; each run depends on
-        # its own seed only, so the files match byte for byte
-        text = "n = 12\nT = 120\neps = 10\ndelta = 1e-6\ntune_seeds = 2\n"
+        # every (eps, regime) pair shares one eta-search batch and one replica
+        # batch, split across the workers; each run depends on its own config,
+        # sigma and seed only, so the files match byte for byte, and match a
+        # reference that trains one regime per public dpml call
+        n, T, runs, seed, tune_seeds = 12, 120, 3, 5, 2
+        text = f"n = {n}\nT = {T}\neps = 1,10\ndelta = 1e-6\ntune_seeds = {tune_seeds}\n"
         if dataset == "synthetic":
             text += "dataset = synthetic\npoints_per_user = 4\ndim = 3\n"
+            data = dpml.make_synthetic(n_users=n, points_per_user=4, dim=3,
+                                       seed=derive_seed(seed, 0xDA7A))
         else:
             rng = np.random.Generator(np.random.Philox(6))
             path = tmp_path / "data.csv"
@@ -323,16 +347,48 @@ class TestSgdCompare:
                     for a, b in rng.normal(size=(67, 2)).tolist()]
             path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
             text += f"dataset = real\ndataset_path = {path}\n"
+            data = dpml.load_csv_dataset(path, n_users=n, seed=seed)
         config = write_config(tmp_path, text)
         files = {}
         for workers in (1, 2):
             out = tmp_path / f"out{workers}"
             assert run_cli("--experiment", "sgd_compare", "--config", config, "--out", out,
-                           "--runs", 3, "--workers", workers, "--seed", 5) == 0
+                           "--runs", runs, "--workers", workers, "--seed", seed) == 0
             (run_dir,) = (out / "sgd_compare").iterdir()
             files[workers] = {p.name: p.read_bytes() for p in sorted(run_dir.glob("*.csv"))}
-        assert len(files[1]) == 4  # results.csv and one trace per regime
+        assert len(files[1]) == 7  # results.csv and one trace per (eps, regime)
         assert files[1] == files[2]
+
+        reference_rows = [["regime", "eps", "sigma", "eta", "mean_final_objective",
+                           "std_final_objective", "mean_final_accuracy", "diverged_runs"]]
+        for eps in (1.0, 10.0):
+            for regime in (dpml.LOCAL, dpml.NETWORK, dpml.CENTRALIZED):
+                config = dpml.TrainConfig(regime=regime, T=T, eta=1.0,
+                                          budget=dpml.PrivacyBudget(eps, 1e-6))
+                sigma = dpml.calibrate_regime(config, n)
+                (eta,) = dpml.tune_eta(
+                    dpml.RegimeBatch([config], [sigma]), data,
+                    [[derive_seed(seed, int(eps * 1000), 0xE7A, i) for i in range(tune_seeds)]],
+                )
+                (results,) = dpml.train(
+                    dpml.RegimeBatch([replace(config, eta=eta)], [sigma]), data,
+                    [[derive_seed(seed, int(eps * 1000), r) for r in range(runs)]],
+                )
+                finals = np.array([r.final_objective for r in results])
+                reference_rows.append([
+                    regime, repr(eps), repr(sigma), repr(eta), repr(float(finals.mean())),
+                    repr(float(finals.std(ddof=1))),
+                    repr(float(np.mean([r.final_accuracy for r in results]))),
+                    str(sum(r.diverged for r in results)),
+                ])
+                trace = tmp_path / "trace.csv"
+                dpml.write_trace_csv(
+                    trace, results[0].objective_trace[:, 0],
+                    np.mean([r.objective_trace[:, 1] for r in results], axis=0),
+                    np.mean([r.accuracy_trace[:, 1] for r in results], axis=0),
+                )
+                assert files[1][f"trace_{regime}_eps{eps:g}.csv"] == trace.read_bytes()
+        assert list(csv.reader(io.StringIO(files[1]["results.csv"].decode()))) == reference_rows
 
 
 class TestSigmaSearch:

@@ -280,7 +280,7 @@ class TestTrain:
             regime=dpml.LOCAL, T=400, eta=0.5,
             budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=100.0,
         )
-        (res,) = dpml.train(config, small_data, seeds=[5], sigma=0.0)
+        ((res,),) = dpml.train(dpml.RegimeBatch([config], [0.0]), small_data, seeds=[[5]])
         objs = res.objective_trace[:, 1]
         assert np.all(np.diff(objs) <= 1e-6)
         assert res.final_objective < 0.9 * objs[0]
@@ -291,8 +291,9 @@ class TestTrain:
             regime=dpml.NETWORK, T=200, eta=0.05,
             budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0,
         )
-        (a,) = dpml.train(config, small_data, seeds=[9], sigma=5.0)
-        (b,) = dpml.train(config, small_data, seeds=[9], sigma=5.0)
+        batch = dpml.RegimeBatch([config], [5.0])
+        ((a,),) = dpml.train(batch, small_data, seeds=[[9]])
+        ((b,),) = dpml.train(batch, small_data, seeds=[[9]])
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
         np.testing.assert_array_equal(a.model, b.model)
 
@@ -301,7 +302,7 @@ class TestTrain:
             regime=dpml.LOCAL, T=300, eta=2.0,
             budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=100.0,
         )
-        (res,) = dpml.train(config, small_data, seeds=[4], sigma=300.0)
+        ((res,),) = dpml.train(dpml.RegimeBatch([config], [300.0]), small_data, seeds=[[4]])
         assert res.diverged
 
     def test_trace_csv(self, small_data, tmp_path):
@@ -309,7 +310,7 @@ class TestTrain:
             regime=dpml.LOCAL, T=100, eta=0.1,
             budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0,
         )
-        (res,) = dpml.train(config, small_data, seeds=[1], sigma=1.0)
+        ((res,),) = dpml.train(dpml.RegimeBatch([config], [1.0]), small_data, seeds=[[1]])
         path = tmp_path / "trace.csv"
         dpml.write_trace_csv(path, res.objective_trace[:, 0], res.objective_trace[:, 1],
                              res.accuracy_trace[:, 1])
@@ -325,7 +326,39 @@ class TestTuneEta:
             budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0,
         )
         grid = np.geomspace(1e-3, 1e-1, 3)
-        eta1 = dpml.tune_eta(config, small_data, sigma=2.0, seeds=[1, 2], grid=grid)
-        eta2 = dpml.tune_eta(config, small_data, sigma=2.0, seeds=[1, 2], grid=grid)
+        batch = dpml.RegimeBatch([config], [2.0])
+        (eta1,) = dpml.tune_eta(batch, small_data, seeds=[[1, 2]], grid=grid)
+        (eta2,) = dpml.tune_eta(batch, small_data, seeds=[[1, 2]], grid=grid)
         assert eta1 == eta2
         assert eta1 in grid
+
+
+class TestRegimeBatch:
+    def config(self, **kwargs):
+        args = dict(regime=dpml.LOCAL, T=100, eta=0.1, budget=PrivacyBudget(1.0, 1e-6),
+                    cap_multiplier=2.0)
+        return dpml.TrainConfig(**{**args, **kwargs})
+
+    def test_exposes_shared_T_and_cap(self):
+        batch = dpml.RegimeBatch([self.config(), self.config(regime=dpml.NETWORK)], [1.0, 2.0])
+        assert batch.T == 100
+        assert batch.cap(20) == dpml.contribution_cap(100, 20, 2.0)
+        assert batch.sigmas == (1.0, 2.0)
+
+    @pytest.mark.parametrize("configs, sigmas", [
+        ([], []),
+        (["base"], [1.0, 2.0]),
+        (["base", {"T": 200}], [1.0, 1.0]),
+        (["base", {"cap_multiplier": 3.0}], [1.0, 1.0]),
+    ], ids=["empty", "sigma_count", "mixed_T", "mixed_cap"])
+    def test_rejects_invalid_batches(self, configs, sigmas):
+        configs = [self.config() if c == "base" else self.config(**c) for c in configs]
+        with pytest.raises(ValueError):
+            dpml.RegimeBatch(configs, sigmas)
+
+    def test_needs_one_seed_list_per_config(self, small_data):
+        batch = dpml.RegimeBatch([self.config(), self.config()], [1.0, 1.0])
+        with pytest.raises(ValueError, match="one seed list per config"):
+            dpml.train(batch, small_data, seeds=[[1]])
+        with pytest.raises(ValueError, match="one seed list per config"):
+            dpml.tune_eta(batch, small_data, seeds=[[1], [2], [3]])

@@ -82,21 +82,30 @@ def unequal_rows():
     return data
 
 
-def check_against_oracle(data, T, etas, seeds, sigma, **kwargs):
+def check_against_oracle(data, T, etas, seeds, sigma, noise_when_capped=True, **kwargs):
+    """One lockstep call against the oracle run by run; ``sigma`` and
+    ``noise_when_capped`` take one value or one per run."""
     runs = run_complete_sgd(
         n=data.n_users, T=T, grad_fn=dpml._batched_grad(data), eta=etas, sigma=sigma,
-        d=data.dim, seeds=seeds, **kwargs,
+        d=data.dim, seeds=seeds, noise_when_capped=noise_when_capped, **kwargs,
     )
     expected_steps = list(range(0, T, CHECKPOINT_EVERY)) + [T]
     assert runs.checkpoint_steps.tolist() == expected_steps
+    sigmas = np.broadcast_to(sigma, len(seeds)).tolist()
+    modes = np.broadcast_to(noise_when_capped, len(seeds)).tolist()
     distinct = list(dict.fromkeys(seeds))
-    assert runs.noised.shape == runs.trace.steps.shape == (len(distinct), T)
-    for b, (eta, seed) in enumerate(zip(etas, seeds)):
-        iterates, noised = oracle_sgd(data.n_users, T, user_datasets(data), eta, sigma,
-                                      data.dim, seed, **kwargs)
+    noise_keys = list(dict.fromkeys(zip(seeds, sigmas, modes)))
+    assert runs.trace.steps.shape == (len(distinct), T)
+    assert runs.noised.shape == (len(noise_keys), T)
+    for b, key in enumerate(zip(etas, seeds, sigmas, modes)):
+        eta, seed, sig, mode = key
+        iterates, noised = oracle_sgd(data.n_users, T, user_datasets(data), eta, sig,
+                                      data.dim, seed, noise_when_capped=mode, **kwargs)
         assert_bits_equal(runs.iterates[b], iterates[expected_steps])
         assert_bits_equal(runs.models[b], iterates[-1])
-        np.testing.assert_array_equal(runs.noised[distinct.index(seed)], noised)
+        np.testing.assert_array_equal(runs.trace.steps[distinct.index(seed)],
+                                      sample_walk(Topology(COMPLETE, data.n_users), T, seed).steps)
+        np.testing.assert_array_equal(runs.noised[noise_keys.index((seed, sig, mode))], noised)
     return runs
 
 
@@ -138,19 +147,64 @@ class TestLockstepMatchesPerRunLoop:
         batched = run_complete_sgd(eta=[0.1, 0.4, 0.4], seeds=[12, 13, 14], **args)
         assert_bits_equal(batched.iterates[1], alone.iterates[0])
 
+    def test_per_run_sigma_and_noise_mode(self, equal_rows):
+        # two seeds, each run under every (sigma, noise mode) pair, sigma = 0
+        # included, on a walk whose cap binds: runs sharing a seed share its
+        # walk but not their noise, and each draws what it draws alone
+        T = 240
+        cap = dpml.contribution_cap(T, equal_rows.n_users, 1.0)
+        settings = [(0.7, True), (0.7, False), (2.5, True), (2.5, False), (0.0, True), (0.0, False)]
+        seeds = [21] * len(settings) + [22] * len(settings)
+        sigmas = [sig for sig, _ in settings] * 2
+        modes = [mode for _, mode in settings] * 2
+        etas = np.linspace(0.1, 0.9, len(seeds)).tolist()
+        runs = check_against_oracle(equal_rows, T, etas=etas, seeds=seeds, sigma=sigmas,
+                                    noise_when_capped=modes, max_contributions=cap)
+        assert runs.trace.steps.shape[0] == 2
+        assert runs.noised.shape[0] == len(seeds)
+        capped = ~runs.noised[1]  # seed 21, sigma 0.7, no noise when capped
+        assert capped.any() and runs.noised[0].all()
+        assert not runs.noised[[4, 5, 10, 11]].any()
+
+    def test_final_only_keeps_the_final_models(self, unequal_rows):
+        args = dict(n=unequal_rows.n_users, T=235, grad_fn=dpml._batched_grad(unequal_rows),
+                    eta=[0.3, 0.7], sigma=[0.4, 1.1], d=unequal_rows.dim, seeds=[5, 6],
+                    max_contributions=14, noise_when_capped=[False, True])
+        full = run_complete_sgd(**args)
+        final = run_complete_sgd(final_only=True, **args)
+        assert final.checkpoint_steps.tolist() == [235]
+        assert final.iterates.shape == (2, 1, unequal_rows.dim)
+        assert_bits_equal(final.models, full.models)
+        np.testing.assert_array_equal(final.noised, full.noised)
+
+    def test_runs_sharing_a_noise_key_share_one_row(self, equal_rows):
+        runs = check_against_oracle(equal_rows, 150, etas=[0.2, 0.6, 0.2, 0.6],
+                                    seeds=[3, 3, 3, 3], sigma=[0.5, 0.5, 1.5, 1.5],
+                                    noise_when_capped=False, max_contributions=8)
+        assert runs.trace.steps.shape[0] == 1
+        assert runs.noised.shape[0] == 2
+
 
 class TestTrainAndTuneMatchPerRunLoop:
     def test_train_traces(self, unequal_rows):
         T = 130
-        config = dpml.TrainConfig(regime=dpml.LOCAL, T=T, eta=0.6,
-                                  budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=1.5)
-        results = dpml.train(config, unequal_rows, seeds=[3, 4], sigma=0.8)
+        budget = PrivacyBudget(1.0, 1e-6)
+        batch = dpml.RegimeBatch(
+            [dpml.TrainConfig(regime=dpml.LOCAL, T=T, eta=0.6, budget=budget, cap_multiplier=1.5),
+             dpml.TrainConfig(regime=dpml.NETWORK, T=T, eta=0.3, budget=budget, cap_multiplier=1.5)],
+            [0.8, 0.5],
+        )
+        results = dpml.train(batch, unequal_rows, seeds=[[3, 4], [4]])
+        assert [len(r) for r in results] == [2, 1]
         cap = dpml.contribution_cap(T, unequal_rows.n_users, 1.5)
-        for res, seed in zip(results, (3, 4)):
-            iterates, _ = oracle_sgd(unequal_rows.n_users, T, user_datasets(unequal_rows), 0.6,
-                                     0.8, unequal_rows.dim, seed, max_contributions=cap,
-                                     noise_when_capped=False)
+        cases = [(results[0][0], 3, 0.6, 0.8, False), (results[0][1], 4, 0.6, 0.8, False),
+                 (results[1][0], 4, 0.3, 0.5, True)]
+        for res, seed, eta, sigma, mode in cases:
+            iterates, _ = oracle_sgd(unequal_rows.n_users, T, user_datasets(unequal_rows), eta,
+                                     sigma, unequal_rows.dim, seed, max_contributions=cap,
+                                     noise_when_capped=mode)
             steps = [0, 100, 130]
+            assert res.sigma == sigma and res.max_contributions == cap
             assert res.objective_trace[:, 0].tolist() == steps
             assert res.objective_trace[:, 1].tolist() == [
                 dpml.logistic_objective(iterates[s], unequal_rows.X_train, unequal_rows.y_train)
@@ -161,23 +215,36 @@ class TestTrainAndTuneMatchPerRunLoop:
             assert_bits_equal(res.model, iterates[-1])
 
     def test_tune_eta_picks_the_per_run_argmin(self, equal_rows):
-        T, sigma, seeds = 120, 0.5, [1, 2, 3]
+        T = 120
         grid = np.geomspace(1e-2, 2.0, 5)
-        config = dpml.TrainConfig(regime=dpml.NETWORK, T=T, eta=1.0,
-                                  budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0)
+        budget = PrivacyBudget(1.0, 1e-6)
+        cases = [(dpml.NETWORK, 0.5, [1, 2, 3]), (dpml.LOCAL, 1.5, [2, 4]),
+                 (dpml.CENTRALIZED, 0.1, [1, 2, 3])]
+        batch = dpml.RegimeBatch(
+            [dpml.TrainConfig(regime=regime, T=T, eta=1.0, budget=budget, cap_multiplier=2.0)
+             for regime, _, _ in cases],
+            [sigma for _, sigma, _ in cases],
+        )
         cap = dpml.contribution_cap(T, equal_rows.n_users, 2.0)
-        means = []
-        for eta in grid:
-            finals = [
-                dpml.logistic_objective(
-                    oracle_sgd(equal_rows.n_users, T, user_datasets(equal_rows), float(eta), sigma,
-                               equal_rows.dim, s, max_contributions=cap)[0][-1],
-                    equal_rows.X_train, equal_rows.y_train)
-                for s in seeds
-            ]
-            means.append(float(np.mean(finals)))
-        expected = float(grid[int(np.argmin(means))])
-        assert dpml.tune_eta(config, equal_rows, sigma, seeds=seeds, grid=grid) == expected
+        expected = []
+        for regime, sigma, seeds in cases:
+            means = []
+            for eta in grid:
+                finals = [
+                    dpml.logistic_objective(
+                        oracle_sgd(equal_rows.n_users, T, user_datasets(equal_rows), float(eta),
+                                   sigma, equal_rows.dim, s, max_contributions=cap,
+                                   noise_when_capped=regime == dpml.NETWORK)[0][-1],
+                        equal_rows.X_train, equal_rows.y_train)
+                    for s in seeds
+                ]
+                means.append(float(np.mean(finals)))
+            expected.append(float(grid[int(np.argmin(means))]))
+        seeds = [seeds for _, _, seeds in cases]
+        assert dpml.tune_eta(batch, equal_rows, seeds=seeds, grid=grid) == expected
+        for i in range(len(cases)):  # one config alone picks what it picks in the batch
+            alone = dpml.RegimeBatch([batch.configs[i]], [batch.sigmas[i]])
+            assert dpml.tune_eta(alone, equal_rows, seeds=[seeds[i]], grid=grid) == [expected[i]]
 
 
 @settings(max_examples=60, deadline=None)
