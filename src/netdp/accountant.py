@@ -352,19 +352,27 @@ def ring_hist_bound(
     )
 
 
-def _visit_terms(n: int, T: int, delta_hat: float | None) -> tuple[float, float]:
-    """(N_v, number of cycles) on a complete-graph walk.
+def _cycle_chain(eps: float, delta: float, eps_cycle: float, n: int, T: int,
+                 delta_prime: float, delta_hat: float | None) -> tuple[float, float, dict]:
+    """(eps_f, delta_f, intermediates) of the complete-graph cycle chain.
 
     With delta_hat, N_v is the Chernoff bound on the visits of one user and
     the fictive walk adds at most T/n free observations, giving
-    N_v + T/n cycles.  delta_hat=None selects the fixed-contribution
-    variant (exactly T/n visits, no concentration step).
+    N_v + T/n cycles; delta_hat=None selects the fixed-contribution variant
+    (exactly T/n visits, no concentration step, no delta_hat term).  Each
+    cycle costs eps_cycle, and the cycles compose as
+
+        eps_f = sqrt(2 k ln(1/delta')) eps_cycle + sqrt(k) eps (e^{eps_cycle} - 1)
+        delta_f = k delta + delta' (+ delta_hat),   k = N_v + T/n.
     """
-    if delta_hat is None:
-        n_v = T / n
-    else:
-        n_v = chernoff_visit_bound(T, 1.0 / n, delta_hat)
-    return n_v, n_v + T / n
+    n_v = T / n if delta_hat is None else chernoff_visit_bound(T, 1.0 / n, delta_hat)
+    num_cycles = n_v + T / n
+    eps_f = (
+        math.sqrt(2.0 * num_cycles * math.log(1.0 / delta_prime)) * eps_cycle
+        + math.sqrt(num_cycles) * eps * math.expm1(eps_cycle)
+    )
+    delta_f = num_cycles * delta + delta_prime + (0.0 if delta_hat is None else delta_hat)
+    return eps_f, delta_f, {"N_v": n_v, "num_cycles": num_cycles, "eps_cycle": eps_cycle}
 
 
 def complete_sum_bound(
@@ -396,13 +404,9 @@ def complete_sum_bound(
     """
     if eps > 1 and not unchecked:
         raise ValidityWindowError(f"summation bound requires eps <= 1, got {eps}")
-    n_v, num_cycles = _visit_terms(n, T, None if fixed_contributions else delta_hat)
     eps_cycle = 3.0 * eps / math.sqrt(n)
-    eps_f = (
-        math.sqrt(2.0 * num_cycles * math.log(1.0 / delta_prime)) * eps_cycle
-        + math.sqrt(num_cycles) * eps * math.expm1(eps_cycle)
-    )
-    delta_f = num_cycles * delta + delta_prime + (0.0 if fixed_contributions else delta_hat)
+    eps_f, delta_f, chain = _cycle_chain(eps, delta, eps_cycle, n, T, delta_prime,
+                                         None if fixed_contributions else delta_hat)
     return BoundReport(
         name="complete_sum" + ("_fixed" if fixed_contributions else ""),
         inputs={
@@ -412,7 +416,7 @@ def complete_sum_bound(
         },
         epsilon_out=eps_f,
         delta_out=delta_f,
-        intermediates={"N_v": n_v, "num_cycles": num_cycles, "eps_cycle": eps_cycle},
+        intermediates=chain,
         unchecked=eps > 1,
     )
 
@@ -471,13 +475,9 @@ def complete_hist_bound(
             "histogram bound needs eps <= 1 and n >= 196 ln(4/delta) "
             f"(= {196.0 * math.log(4.0 / delta):.1f}; got eps={eps}, n={n})"
         )
-    n_v, num_cycles = _visit_terms(n, T, None if fixed_contributions else delta_hat)
     eps_cycle = 21.0 * math.sqrt(math.log(4.0 / delta) / n) * eps
-    eps_f = (
-        math.sqrt(2.0 * num_cycles * math.log(1.0 / delta_prime)) * eps_cycle
-        + math.sqrt(num_cycles) * eps * math.expm1(eps_cycle)
-    )
-    delta_f = num_cycles * delta + delta_prime + (0.0 if fixed_contributions else delta_hat)
+    eps_f, delta_f, chain = _cycle_chain(eps, delta, eps_cycle, n, T, delta_prime,
+                                         None if fixed_contributions else delta_hat)
     gamma = rr_epsilon_to_gamma(eps, domain_size)
     return BoundReport(
         name="complete_hist" + ("_fixed" if fixed_contributions else ""),
@@ -490,9 +490,7 @@ def complete_hist_bound(
         epsilon_out=eps_f,
         delta_out=delta_f,
         intermediates={
-            "N_v": n_v,
-            "num_cycles": num_cycles,
-            "eps_cycle": eps_cycle,
+            **chain,
             "cycle_bound_form": "simplified shuffle arm at m = n",
             "gamma": gamma,
             "expected_random_responses": gamma * T,

@@ -14,7 +14,8 @@ in), the seed, run count and package version, and any trace files.  A
 re-run with the same config and seed reproduces the result files byte for
 byte.
 
-Exit codes: 0 success, 2 invalid configuration, 3 infeasible target.
+Exit codes: 0 success, 2 invalid configuration, 3 infeasible target.  A
+failed run removes its directory if it wrote nothing there.
 """
 
 from __future__ import annotations
@@ -405,9 +406,7 @@ def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
 # ---------------------------------------------------------------------------
 
 def _sgd_runs(args: tuple) -> list[dpml.TrainResult]:
-    batch, data, chunk = args  # chunk: (config index, seed) pairs
-    seeds = [[s for i, s in chunk if i == k] for k in range(len(batch.configs))]
-    return [r for results in dpml.train(batch, data, seeds) for r in results]
+    return dpml.train(*args)  # (batch, data, runs)
 
 
 def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
@@ -416,9 +415,11 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
 
     Every (eps, regime) pair is calibrated before any training, so an
     infeasible target fails before a run starts.  All pairs then share one
-    lockstep eta search and one lockstep replica batch (split into at most
-    ``workers`` contiguous chunks); a run's result depends on its own
-    config, sigma and seed only.
+    eta search and one replica batch (split into at most ``workers``
+    contiguous chunks), so the output follows from the lockstep contract of
+    :func:`~netdp.protocols.run_complete_sgd`.  Each eps keys its seeds by
+    ``int(eps * 1000)`` and its trace files by ``f"{eps:g}"``, so two eps
+    values that share either are rejected.
     """
     dataset_kind = str(config.get("dataset", "synthetic"))
     n = int(config.get("n", 200))
@@ -440,6 +441,10 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
     delta = float(config.get("delta", 1e-6))
     cap_mult = float(config.get("cap_multiplier", 2.0))
     eps_list = [float(v) for v in _as_list(config.get("eps", [1.0, 10.0]))]
+    seed_keys = {int(eps * 1000) for eps in eps_list}
+    file_keys = {f"{eps:g}" for eps in eps_list}
+    if min(len(seed_keys), len(file_keys)) < len(eps_list):
+        raise ValueError(f"eps values {eps_list} must differ in int(eps * 1000) and in eps:g")
     tune_seeds = int(config.get("tune_seeds", 5))
     fixed_eta = config.get("eta")
     if fixed_eta is None and tune_seeds < 1:
@@ -456,8 +461,8 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
     else:
         etas = dpml.tune_eta(
             dpml.RegimeBatch(configs, sigmas), data,
-            [[derive_seed(seed, int(eps * 1000), 0xE7A, i) for i in range(tune_seeds)]
-             for eps, _ in grid],
+            [(i, derive_seed(seed, int(eps * 1000), 0xE7A, t))
+             for i, (eps, _) in enumerate(grid) for t in range(tune_seeds)],
         )
     batch = dpml.RegimeBatch([replace(c, eta=eta) for c, eta in zip(configs, etas)], sigmas)
     replicas = [(i, derive_seed(seed, int(eps * 1000), r))
@@ -550,6 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run_dir = None
     try:
         config = parse_config(args.config) if args.config else {}
         for override in args.set:
@@ -563,14 +569,17 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"runs must be >= 1, got {runs}")
         run_dir = _make_run_dir(args.out, args.experiment, seed)
         _COMMANDS[args.experiment](config, run_dir, seed, runs, args.workers, args.unchecked)
+        print(run_dir)
+        return 0
     except InfeasibleError as exc:
         print(f"infeasible target: {exc} {exc.diagnostics}", file=sys.stderr)
-        return 3
+        code = 3
     except (ValueError, ValidityWindowError, KeyError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    print(run_dir)
-    return 0
+        code = 2
+    if run_dir is not None and not any(run_dir.iterdir()):
+        run_dir.rmdir()  # a failed run keeps only what it wrote, such as an error payload
+    return code
 
 
 if __name__ == "__main__":

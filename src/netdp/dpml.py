@@ -1,9 +1,9 @@
 """Logistic regression under three DP-SGD regimes: local, network, centralized.
 
-The three regimes share one training loop (noisy projected SGD driven by a
-uniform token walk, mini-batch = the drawn user's full local dataset) and
-differ only in how the per-step noise scale sigma is calibrated to the
-end-to-end (eps, delta) target:
+The three regimes share one training loop (noisy SGD driven by a uniform
+token walk, mini-batch = the drawn user's full local dataset) and differ
+only in how the per-step noise scale sigma is calibrated to the end-to-end
+(eps, delta) target:
 
   local        advanced composition over the user's own capped releases of
                the Gaussian mechanism,
@@ -14,16 +14,11 @@ end-to-end (eps, delta) target:
 Rows are normalized to unit L2 norm so the logistic loss is 1-Lipschitz and
 1/4-smooth, giving gradient sensitivity 2L = 2 under user-level adjacency.
 
-:func:`train` and :func:`tune_eta` take a :class:`RegimeBatch`: several
-regimes (configs with their calibrated sigma) that share T and the
-contribution cap, one regime being the one-element case.  Every run of a
-call, a (regime, seed) pair for ``train`` or a (regime, eta, seed) triple
-for ``tune_eta``, steps through the lockstep kernel
-:func:`~netdp.protocols.run_complete_sgd` as one array program; runs with
-one seed share its walk, and a run's result is the one it gets alone.
-Only the iterates at every :data:`~netdp.protocols.CHECKPOINT_EVERY`-th
-step and at step T are kept; the train objective and test accuracy are
-evaluated on those, one model at a time.
+:func:`train` and :func:`tune_eta` take a :class:`RegimeBatch` (configs
+with their calibrated sigma) and one flat list of runs, each a
+(config index, seed) pair.  All runs of a call step through the lockstep
+kernel :func:`~netdp.protocols.run_complete_sgd` as one batch, under its
+contract: a run's result is the one it gets alone.
 """
 
 from __future__ import annotations
@@ -363,9 +358,12 @@ def calibrate_regime(config: TrainConfig, n: int) -> float:
     try:
         return float(grid[grid_bisect(eps_of, eps, grid)])
     except InfeasibleError:
+        diagnostics = {"regime": config.regime, "ceiling": float(grid[-1])}
+        if config.regime == CENTRALIZED:  # no sigma brings eps below the top order's term
+            diagnostics["order_cap_floor"] = math.log(1.0 / delta) / (MAX_RDP_ORDER - 1.0)
         raise InfeasibleError(
             f"no sigma on the grid meets eps <= {eps} for regime {config.regime}",
-            diagnostics={"regime": config.regime, "ceiling": float(grid[-1])},
+            diagnostics=diagnostics,
         ) from None
 
 
@@ -417,56 +415,45 @@ class RegimeBatch:
         return contribution_cap(self.T, n, self.configs[0].cap_multiplier)
 
 
-def _run_lockstep(batch: RegimeBatch, data: Dataset, which: Sequence[int],
-                  etas: Sequence[float], seeds: Sequence[int], final_only: bool = False) -> SgdRuns:
-    """Run b trains ``batch.configs[which[b]]`` at step size ``etas[b]`` on seed ``seeds[b]``."""
+def _run_lockstep(batch: RegimeBatch, data: Dataset, runs: Sequence[tuple[int, int]],
+                  etas: Sequence[float] | None = None, final_only: bool = False) -> SgdRuns:
+    """Run b = (i, seed) trains ``batch.configs[i]`` on seed ``seed`` at step
+    size ``etas[b]``, or at the config's own ``eta`` when ``etas`` is None."""
+    which = [int(i) for i, _ in runs]
+    if not all(0 <= i < len(batch.configs) for i in which):
+        raise ValueError(f"config index out of range for {len(batch.configs)} configs: {which}")
     return run_complete_sgd(
         n=data.n_users,
         T=batch.T,
         grad_fn=_batched_grad(data),
-        eta=etas,
+        eta=[batch.configs[i].eta for i in which] if etas is None else etas,
         sigma=[batch.sigmas[i] for i in which],
         d=data.dim,
-        seeds=seeds,
+        seeds=[s for _, s in runs],
         max_contributions=batch.cap(data.n_users),
         noise_when_capped=[batch.configs[i].regime == NETWORK for i in which],
         final_only=final_only,
     )
 
 
-def _seed_lists(batch: RegimeBatch, seeds: Sequence[Sequence[int]]) -> list[list[int]]:
-    if len(seeds) != len(batch.configs):
-        raise ValueError(f"need one seed list per config, got {len(seeds)} for {len(batch.configs)}")
-    return [[int(s) for s in config_seeds] for config_seeds in seeds]
+def train(batch: RegimeBatch, data: Dataset, runs: Sequence[tuple[int, int]]) -> list[TrainResult]:
+    """Train each run (i, seed) under ``batch.configs[i]``; one result per run, in run order.
 
-
-def train(batch: RegimeBatch, data: Dataset,
-          seeds: Sequence[Sequence[int]]) -> list[list[TrainResult]]:
-    """Train one noisy-SGD run per seed in ``seeds[i]`` under ``batch.configs[i]``.
-
-    Returns one result list per config, in the order of its seeds.  All
-    runs of all configs step in lockstep through
-    :func:`~netdp.protocols.run_complete_sgd`, each with its own walk and
-    gradient noise; capped users forward the token without contributing
-    (adding noise only in the network regime).  A run's result depends on
-    its config, sigma and seed alone, not on the other runs of the call.
-    Only the iterates at every :data:`~netdp.protocols.CHECKPOINT_EVERY`-th
-    step and at step T are kept; the train objective and test accuracy are
-    evaluated on each.  A run whose final objective exceeds
-    :data:`DIVERGENCE_FACTOR` times the initial one is flagged as diverged
-    but still returned.
+    Every run has its own walk and gradient noise (shared as the kernel's
+    contract describes); capped users forward the token without
+    contributing, adding noise only in the network regime.  The train
+    objective and test accuracy are evaluated at each kept checkpoint.  A
+    run whose final objective exceeds :data:`DIVERGENCE_FACTOR` times the
+    initial one is flagged as diverged but still returned.
     """
-    seeds = _seed_lists(batch, seeds)
-    which = [i for i, config_seeds in enumerate(seeds) for _ in config_seeds]
-    runs = _run_lockstep(batch, data, which, [batch.configs[i].eta for i in which],
-                         [s for config_seeds in seeds for s in config_seeds])
-    steps = runs.checkpoint_steps
+    sgd = _run_lockstep(batch, data, runs)
+    steps = sgd.checkpoint_steps
     cap = batch.cap(data.n_users)
-    results = [[] for _ in seeds]
-    for i, iterates in zip(which, runs.iterates):
+    results = []
+    for (i, _), iterates in zip(runs, sgd.iterates):
         objective = np.array([logistic_objective(w, data.X_train, data.y_train) for w in iterates])
         accuracy = np.array([test_accuracy(w, data.X_test, data.y_test) for w in iterates])
-        results[i].append(TrainResult(
+        results.append(TrainResult(
             model=iterates[-1],
             sigma=batch.sigmas[i],
             objective_trace=np.column_stack([steps, objective]),
@@ -482,32 +469,30 @@ def train(batch: RegimeBatch, data: Dataset,
 def tune_eta(
     batch: RegimeBatch,
     data: Dataset,
-    seeds: Sequence[Sequence[int]],
+    runs: Sequence[tuple[int, int]],
     grid: np.ndarray = ETA_GRID,
 ) -> list[float]:
     """Pick, per config, the step size minimizing the mean final train objective.
 
-    Config i is scored on the seeds ``seeds[i]``; the configs' own ``eta``
-    is ignored.  The whole (config, eta, seed) grid is one lockstep batch:
-    each seed's walk is drawn once and shared by every config and eta, each
-    (seed, sigma, noise mode)'s noise is drawn once and shared by every eta,
-    and only the final models are evaluated.
+    Config i is scored on the runs (i, seed), in their given order, and gets
+    the first grid eta with the strictly least mean; the configs' own
+    ``eta`` is ignored.  Every run at every grid eta is one lockstep batch
+    that keeps the final models alone.  A config without a run is a
+    ``ValueError``.
     """
-    seeds = _seed_lists(batch, seeds)
     etas = [float(eta) for eta in grid]
-    which, run_etas, run_seeds = [], [], []
-    for i, config_seeds in enumerate(seeds):
-        for eta in etas:
-            which += [i] * len(config_seeds)
-            run_etas += [eta] * len(config_seeds)
-            run_seeds += config_seeds
-    runs = _run_lockstep(batch, data, which, run_etas, run_seeds, final_only=True)
-    finals = iter([logistic_objective(w, data.X_train, data.y_train) for w in runs.models])
+    scored = [[b for b, (i, _) in enumerate(runs) if i == k] for k in range(len(batch.configs))]
+    if not all(scored):
+        raise ValueError("every config needs at least one tuning run")
+    sgd = _run_lockstep(batch, data, [run for _ in etas for run in runs],
+                        [eta for eta in etas for _ in runs], final_only=True)
+    finals = np.array([logistic_objective(w, data.X_train, data.y_train)
+                       for w in sgd.models]).reshape(len(etas), len(runs))
     best = []
-    for config_seeds in seeds:
+    for cols in scored:
         best_eta, best_obj = etas[0], math.inf
-        for eta in etas:
-            mean_obj = float(np.mean([next(finals) for _ in config_seeds]))
+        for eta, row in zip(etas, finals):
+            mean_obj = float(np.mean(row[cols]))
             if mean_obj < best_obj:
                 best_eta, best_obj = eta, mean_obj
         best.append(best_eta)

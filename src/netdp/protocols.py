@@ -368,22 +368,8 @@ def run_complete_hist(
 
 
 # ---------------------------------------------------------------------------
-# Noisy projected SGD on a complete graph
+# Noisy SGD on a complete graph
 # ---------------------------------------------------------------------------
-
-def _project_l2(W: np.ndarray, radius: float | None) -> np.ndarray:
-    """Project each row of the fresh (B, d) array W onto the L2 ball, in place.
-
-    The squared norms come from the same BLAS dot as ``np.linalg.norm`` of
-    one row, so a projected row is bit-identical to a one-row projection.
-    """
-    if radius is None:
-        return W
-    norms = np.sqrt(np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0])
-    over = norms > radius
-    W[over] *= (radius / norms[over])[:, None]
-    return W
-
 
 def _checked_grad(grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   W: np.ndarray, users: np.ndarray, d: int) -> np.ndarray:
@@ -432,20 +418,20 @@ def run_complete_sgd(
     sigma: float | Sequence[float],
     d: int,
     seeds: Sequence[int],
-    projection_radius: float | None = None,
     max_contributions: int | None = None,
     noise_when_capped: bool | Sequence[bool] = True,
     final_only: bool = False,
 ) -> SgdRuns:
-    """Noisy projected SGD driven by uniform token walks, one run per seed.
+    """Noisy SGD driven by uniform token walks, one run per seed, all in lockstep.
 
-    At each step the drawn user updates run b's token with a projected
-    noisy gradient step  w <- Proj(w - eta_b (g + Z)),  Z ~ N(0, sigma_b^2 I_d),
-    where ``grad_fn(W, users)`` returns the (k, d) gradients of the k
+    At each step the drawn user updates run b's token with a noisy gradient
+    step  w <- w - eta_b (g + Z),  Z ~ N(0, sigma_b^2 I_d),  where
+    ``grad_fn(W, users)`` returns the (k, d) gradients of the k
     contributing runs' iterates ``W`` at their holders ``users`` (1-based).
     ``W`` may be the kernel's own iterate array and is passed read-only.
-    Callers claiming iteration-amplification guarantees must pick
-    eta <= 2/beta for beta-smooth losses.
+    The steps are unprojected; callers claiming iteration-amplification
+    guarantees must pick eta <= 2/beta for beta-smooth losses, which makes
+    each step contractive.
 
     ``max_contributions`` caps how many times one user contributes; a
     capped user forwards the token untouched, still adding noise when
@@ -454,21 +440,26 @@ def run_complete_sgd(
     take one value or one per run.  ``final_only`` keeps the final models
     alone, for callers that read no trace.
 
-    Walks and cap masks depend only on the seed, and noise masks and noise
-    streams only on the (seed, sigma, noise_when_capped) key, so they are
-    fixed before step 1 and all B runs step in lockstep.  Runs sharing a
-    seed share its walk; runs sharing a key share its noise draws.  Three
-    flags per step are read off the masks once: every run contributes, some
-    run does, every run moves.  A step where every run contributes makes
-    one ``grad_fn`` call on all of ``W``, a step where some do makes one
-    call on their rows, a step where none does makes no call, and runs that
-    do not move keep their iterate.  Noise is drawn in blocks of
+    Lockstep contract, which every batching caller relies on:
+
+    - Walks and cap masks depend only on the seed: runs sharing a seed
+      share its walk.
+    - Noise masks and noise streams depend only on the noise key
+      (seed, sigma, noise_when_capped): runs sharing a key share its draws.
+    - Run b's result equals a single-run call with its own seed, sigma,
+      noise mode and eta, bit for bit, whatever else the call runs.
+    - Iterates are kept at every :data:`CHECKPOINT_EVERY`-th step and at
+      step T, or at step T alone under ``final_only`` (see :class:`SgdRuns`).
+
+    The masks are fixed before step 1, so three flags per step are read off
+    them once: every run contributes, some run does, or none does, which
+    makes one ``grad_fn`` call on all of ``W``, one on the contributing
+    rows, or none.  A run that does not move has a zero update, so stepping
+    it leaves its iterate bit for bit.  Noise is drawn in blocks of
     :data:`NOISE_BLOCK` steps, one ``normal(0, sigma, (k, d))`` call per key
     for the block's k noised steps, which consumes the stream exactly as one
     ``size=d`` draw per step would; a short block keeps the (K, block, d)
-    noise buffer small.  Iterates are kept only at the checkpoints (see
-    :class:`SgdRuns`).  Run b's result equals a single-run call with its own
-    seed, sigma, noise mode and eta, bit for bit.
+    noise buffer small.
     """
     if n < 1 or T < 1:
         raise ValueError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
@@ -480,11 +471,11 @@ def run_complete_sgd(
     )
     if not all(s >= 0 for s in sigma):
         raise ValueError("sigma must be non-negative")
-    if B == 0 or not all(e > 0 for e in eta):
-        raise ValueError("need at least one seed and every eta positive")
+    if B == 0 or not all(0 < e < math.inf for e in eta):
+        raise ValueError("need at least one seed and every eta positive and finite")
 
     # per distinct seed: walk and contribution (cap) mask; per distinct
-    # (seed, sigma, noise mode) key: move mask, noise mask and stream
+    # (seed, sigma, noise mode) key: noise mask and stream
     seed_index = {s: i for i, s in enumerate(dict.fromkeys(seeds))}
     runs_keys = list(zip(seeds, sigma, noise_when_capped))
     key_index = {k: i for i, k in enumerate(dict.fromkeys(runs_keys))}
@@ -496,8 +487,7 @@ def run_complete_sgd(
     contributes = np.ones(walks.shape, dtype=bool)
     if max_contributions is not None:
         contributes = np.stack([occurrence_index(w) < max_contributions for w in walks])
-    moves = np.stack([contributes[seed_index[s]] | always for s, _, always in keys])
-    noised = moves & np.array([sig > 0 for _, sig, _ in keys])[:, None]
+    noised = np.stack([(contributes[seed_index[s]] | always) & (sig > 0) for s, sig, always in keys])
     rngs = [rng_stream(s, STREAM_NOISE) for s, _, _ in keys]
 
     checkpoint_steps = np.arange(0, T + 1, CHECKPOINT_EVERY, dtype=np.int64)
@@ -509,11 +499,10 @@ def run_complete_sgd(
     iterates = np.zeros((B, checkpoint_steps.size, d), dtype=float)
     W = np.zeros((B, d), dtype=float)
     eta_col = np.array(eta)[:, None]
-    # three flags per step, read off the (S, T) and (K, T) masks; each step
-    # gathers its (B,) columns, so no (B, T) or (B, block, d) array is built
+    # two flags per step, read off the (S, T) mask; each step gathers its
+    # (B,) columns, so no (B, T) or (B, block, d) array is built
     all_live = contributes.all(axis=0).tolist()
     any_live = contributes.any(axis=0).tolist()
-    all_moved = moves.all(axis=0).tolist()
     for start in range(0, T, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, T)
         noise = np.zeros((len(keys), stop - start, d))
@@ -530,8 +519,7 @@ def run_complete_sgd(
                 step_live = contributes[:, t][row]
                 users = walks[:, t][row[step_live]]
                 update[step_live] += _checked_grad(grad_fn, W[step_live], users, d)
-            stepped = _project_l2(W - eta_col * update, projection_radius)
-            W = stepped if all_moved[t] else np.where(moves[:, t][key_row, None], stepped, W)
+            W = W - eta_col * update
         if stop in kept:
             iterates[:, kept[stop]] = W
 

@@ -242,19 +242,20 @@ def test_c11_desk_scale_sgd_comparison():
                                 budget=dpml.PrivacyBudget(eps, delta), cap_multiplier=c)
                for regime, eps in pairs]
     sigmas = [dpml.calibrate_regime(config, n) for config in configs]
-    etas = dpml.tune_eta(dpml.RegimeBatch(configs, sigmas), data, [range(5)] * len(pairs))
+    etas = dpml.tune_eta(dpml.RegimeBatch(configs, sigmas), data,
+                         [(i, s) for i in range(len(pairs)) for s in range(5)])
     trained = dpml.train(
         dpml.RegimeBatch([replace(config, eta=eta) for config, eta in zip(configs, etas)], sigmas),
-        data, [[100 + s for s in range(seeds)]] * len(pairs),
+        data, [(i, 100 + s) for i in range(len(pairs)) for s in range(seeds)],
     )
-    results = {
-        pair: {
+    results = {}
+    for i, pair in enumerate(pairs):
+        runs = trained[i * seeds:(i + 1) * seeds]
+        results[pair] = {
             "objective": float(np.mean([r.final_objective for r in runs])),
             "initial": float(np.mean([r.objective_trace[0, 1] for r in runs])),
             "blown_up": sum(r.diverged for r in runs),
         }
-        for pair, runs in zip(pairs, trained)
-    }
     elapsed = time.time() - start
     ok = True
     details = []

@@ -327,6 +327,32 @@ class TestSgdCompare:
         assert list(out.glob("sgd_compare/*/trace_*.csv")) == []
         assert results_files(out, "sgd_compare") == []
 
+    @pytest.mark.parametrize("eps", ["1,1", "1,1.0004", "1234567,1234568"],
+                             ids=["equal", "same_seed_key", "same_file_name"])
+    def test_colliding_eps_values_rejected_before_calibration(self, tmp_path, monkeypatch,
+                                                               capsys, eps):
+        # 1 and 1.0004 share int(eps * 1000), hence their seeds; 1234567 and
+        # 1234568 share eps:g ("1.23457e+06"), hence their trace files
+        def no_calibration(*args):
+            raise AssertionError("a regime was calibrated")
+
+        monkeypatch.setattr(dpml, "calibrate_regime", no_calibration)
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "sgd_compare", "--out", out, "--set", "n=10",
+                       "--set", "T=40", "--set", f"eps={eps}") == 2
+        assert "must differ" in capsys.readouterr().err
+        assert list((out / "sgd_compare").iterdir()) == []
+
+    def test_failed_run_leaves_no_run_directory(self, tmp_path, capsys):
+        # the centralized regime cannot reach eps = 0.05 at n = 200 (its
+        # order-cap floor is 0.054), so the run exits 3 after calibrating
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "sgd_compare", "--out", out, "--set", "n=200",
+                       "--set", "T=2000", "--set", "eps=1.0,0.05") == 3
+        err = capsys.readouterr().err
+        assert "regime centralized" in err and "order_cap_floor" in err
+        assert list((out / "sgd_compare").iterdir()) == []
+
     @pytest.mark.parametrize("dataset", ["synthetic", "unequal_csv"])
     def test_output_independent_of_workers(self, tmp_path, dataset):
         # every (eps, regime) pair shares one eta-search batch and one replica
@@ -368,11 +394,11 @@ class TestSgdCompare:
                 sigma = dpml.calibrate_regime(config, n)
                 (eta,) = dpml.tune_eta(
                     dpml.RegimeBatch([config], [sigma]), data,
-                    [[derive_seed(seed, int(eps * 1000), 0xE7A, i) for i in range(tune_seeds)]],
+                    [(0, derive_seed(seed, int(eps * 1000), 0xE7A, i)) for i in range(tune_seeds)],
                 )
-                (results,) = dpml.train(
+                results = dpml.train(
                     dpml.RegimeBatch([replace(config, eta=eta)], [sigma]), data,
-                    [[derive_seed(seed, int(eps * 1000), r) for r in range(runs)]],
+                    [(0, derive_seed(seed, int(eps * 1000), r)) for r in range(runs)],
                 )
                 finals = np.array([r.final_objective for r in results])
                 reference_rows.append([

@@ -216,7 +216,24 @@ class TestCalibration:
         )
         with pytest.raises(InfeasibleError) as exc:
             dpml.calibrate_regime(config, n=200)
-        assert exc.value.diagnostics == {"regime": regime, "ceiling": float(dpml._sigma_grid()[-1])}
+        expected = {"regime": regime, "ceiling": float(dpml._sigma_grid()[-1])}
+        if regime == dpml.CENTRALIZED:
+            expected["order_cap_floor"] = math.log(1e6) / (acct.MAX_RDP_ORDER - 1)
+        assert exc.value.diagnostics == expected
+
+    def test_centralized_failure_names_the_order_cap_floor(self):
+        # eps = 0.05 lies below ln(1/delta)/255 = 0.054: even the grid's
+        # largest sigma leaves eps above the floor, which binds, not sigma
+        config = dpml.TrainConfig(
+            regime=dpml.CENTRALIZED, T=2000, eta=0.1,
+            budget=PrivacyBudget(0.05, 1e-6), cap_multiplier=2.0,
+        )
+        with pytest.raises(InfeasibleError) as exc:
+            dpml.calibrate_regime(config, n=200)
+        floor = exc.value.diagnostics["order_cap_floor"]
+        assert floor == pytest.approx(0.0542, abs=1e-4)
+        at_ceiling = dpml.centralized_sgd_epsilon(exc.value.diagnostics["ceiling"], 2000, 200, 1e-6)
+        assert 0.05 < floor <= at_ceiling < 1.01 * floor
 
     def test_single_release_outside_window_is_inf(self):
         # the classic Gaussian bound only holds for eps < 1
@@ -280,7 +297,7 @@ class TestTrain:
             regime=dpml.LOCAL, T=400, eta=0.5,
             budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=100.0,
         )
-        ((res,),) = dpml.train(dpml.RegimeBatch([config], [0.0]), small_data, seeds=[[5]])
+        (res,) = dpml.train(dpml.RegimeBatch([config], [0.0]), small_data, [(0, 5)])
         objs = res.objective_trace[:, 1]
         assert np.all(np.diff(objs) <= 1e-6)
         assert res.final_objective < 0.9 * objs[0]
@@ -292,8 +309,8 @@ class TestTrain:
             budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0,
         )
         batch = dpml.RegimeBatch([config], [5.0])
-        ((a,),) = dpml.train(batch, small_data, seeds=[[9]])
-        ((b,),) = dpml.train(batch, small_data, seeds=[[9]])
+        (a,) = dpml.train(batch, small_data, [(0, 9)])
+        (b,) = dpml.train(batch, small_data, [(0, 9)])
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
         np.testing.assert_array_equal(a.model, b.model)
 
@@ -302,7 +319,7 @@ class TestTrain:
             regime=dpml.LOCAL, T=300, eta=2.0,
             budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=100.0,
         )
-        ((res,),) = dpml.train(dpml.RegimeBatch([config], [300.0]), small_data, seeds=[[4]])
+        (res,) = dpml.train(dpml.RegimeBatch([config], [300.0]), small_data, [(0, 4)])
         assert res.diverged
 
     def test_trace_csv(self, small_data, tmp_path):
@@ -310,7 +327,7 @@ class TestTrain:
             regime=dpml.LOCAL, T=100, eta=0.1,
             budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0,
         )
-        ((res,),) = dpml.train(dpml.RegimeBatch([config], [1.0]), small_data, seeds=[[1]])
+        (res,) = dpml.train(dpml.RegimeBatch([config], [1.0]), small_data, [(0, 1)])
         path = tmp_path / "trace.csv"
         dpml.write_trace_csv(path, res.objective_trace[:, 0], res.objective_trace[:, 1],
                              res.accuracy_trace[:, 1])
@@ -327,8 +344,8 @@ class TestTuneEta:
         )
         grid = np.geomspace(1e-3, 1e-1, 3)
         batch = dpml.RegimeBatch([config], [2.0])
-        (eta1,) = dpml.tune_eta(batch, small_data, seeds=[[1, 2]], grid=grid)
-        (eta2,) = dpml.tune_eta(batch, small_data, seeds=[[1, 2]], grid=grid)
+        (eta1,) = dpml.tune_eta(batch, small_data, [(0, 1), (0, 2)], grid=grid)
+        (eta2,) = dpml.tune_eta(batch, small_data, [(0, 1), (0, 2)], grid=grid)
         assert eta1 == eta2
         assert eta1 in grid
 
@@ -356,9 +373,15 @@ class TestRegimeBatch:
         with pytest.raises(ValueError):
             dpml.RegimeBatch(configs, sigmas)
 
-    def test_needs_one_seed_list_per_config(self, small_data):
+    def test_rejects_config_index_out_of_range(self, small_data):
         batch = dpml.RegimeBatch([self.config(), self.config()], [1.0, 1.0])
-        with pytest.raises(ValueError, match="one seed list per config"):
-            dpml.train(batch, small_data, seeds=[[1]])
-        with pytest.raises(ValueError, match="one seed list per config"):
-            dpml.tune_eta(batch, small_data, seeds=[[1], [2], [3]])
+        for index in (2, -1):  # a negative index would otherwise wrap to the last config
+            with pytest.raises(ValueError, match="config index out of range"):
+                dpml.train(batch, small_data, [(0, 1), (index, 2)])
+            with pytest.raises(ValueError, match="config index out of range"):
+                dpml.tune_eta(batch, small_data, [(0, 1), (1, 1), (index, 2)])
+
+    def test_tune_eta_needs_a_run_per_config(self, small_data):
+        batch = dpml.RegimeBatch([self.config(), self.config()], [1.0, 1.0])
+        with pytest.raises(ValueError, match="at least one tuning run"):
+            dpml.tune_eta(batch, small_data, [(1, 1), (1, 2)])

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from netdp.core import COMPLETE, RING, Topology, sample_walk
 from netdp.protocols import (
     CHECKPOINT_EVERY,
-    _project_l2,
     audit_ring_sum_structure,
     occurrence_index,
     ring_noise_steps,
@@ -351,22 +350,20 @@ class TestRunCompleteSgd:
         assert np.mean(np.sum(moves**2, axis=1)) == pytest.approx(
             CHECKPOINT_EVERY * d * sigma**2, rel=0.05)
 
-    def test_projection_contract(self):
-        # every step's iterate reaches the gradient, checkpoints or not
-        d, R = 5, 0.7
+    def test_every_iterate_reaches_the_gradient(self):
+        # every step's iterate reaches the gradient, checkpoints or not, and
+        # a checkpoint keeps the iterate the next step's gradient sees
+        d, T = 5, 500
         seen = []
 
         def grad(W, users):
-            seen.append(np.linalg.norm(W, axis=1))
+            seen.append(W.copy())
             return np.ones((len(users), d))
 
-        res = run_complete_sgd(
-            n=3, T=500, grad_fn=grad,
-            eta=0.5, sigma=1.0, seeds=[3], d=d, projection_radius=R,
-        )
-        assert len(seen) == 500
-        norms = np.concatenate(seen + [np.linalg.norm(res.iterates[0], axis=1)])
-        assert np.all(norms <= R + 1e-12)
+        res = run_complete_sgd(n=3, T=T, grad_fn=grad, eta=0.5, sigma=1.0, seeds=[3], d=d)
+        assert len(seen) == T
+        for c, step in enumerate(res.checkpoint_steps[:-1]):
+            assert_bits_equal(seen[step][0], res.iterates[0, c])
 
     def test_contribution_cap_and_network_noise(self):
         d, T, cap = 2, 300, 5
@@ -474,10 +471,9 @@ class TestRunCompleteSgd:
 
     def test_runs_that_do_not_move_keep_their_iterates(self):
         # local regime without noise: run b moves exactly when it contributes,
-        # to Proj(w - eta g), and the large gradients make every move project.
-        # Projecting a projected row again can move its last bits, so a run
-        # that sits a step out must not be stepped (or projected) at all.
-        d, R, eta, cap = 3, 0.5, 0.4, 40
+        # to w - eta g, and a run that sits a step out keeps its iterate bit
+        # for bit
+        d, eta, cap = 3, 0.4, 40
         rng = np.random.Generator(np.random.Philox(5))
         seen = []
 
@@ -488,8 +484,7 @@ class TestRunCompleteSgd:
 
         seeds = [7, 8, 9]
         res = run_complete_sgd(n=3, T=400, grad_fn=grad, eta=eta, sigma=0.0, seeds=seeds, d=d,
-                               projection_radius=R, max_contributions=cap,
-                               noise_when_capped=False)
+                               max_contributions=cap, noise_when_capped=False)
         live = self.live_runs(res, seeds, cap)
         calls = iter(seen)
         expected = np.zeros((len(seeds), d))  # each run's iterate after its last move
@@ -500,7 +495,7 @@ class TestRunCompleteSgd:
             W, g = next(calls)
             assert 0 < runs.size <= len(seeds) and W.shape == (runs.size, d)
             assert_bits_equal(W, expected[runs])
-            expected[runs] = _project_l2(W - eta * g, R)
+            expected[runs] = W - eta * g
         assert (live.any(axis=0) & ~live.all(axis=0)).any()  # steps where some runs sit out
         assert_bits_equal(res.models, expected)
 
@@ -526,6 +521,7 @@ class TestRunCompleteSgd:
 
     @pytest.mark.parametrize("kwargs", [
         dict(seeds=[]), dict(eta=0.0), dict(eta=[0.1, -1.0]), dict(sigma=-1.0), dict(T=0),
+        dict(eta=[0.1, math.inf]),
     ])
     def test_invalid_arguments(self, kwargs):
         args = dict(n=2, T=5, grad_fn=constant_grad, eta=0.1, sigma=0.5, d=2, seeds=[1, 2])

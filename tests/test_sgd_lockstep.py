@@ -1,10 +1,9 @@
 """The lockstep SGD kernel against the per-run loop it replaced.
 
-``oracle_sgd`` is the one-run-at-a-time noisy projected SGD loop, kept here
-verbatim in behaviour: one ``logistic_grad``-style call per step on the
-holder's own rows, one ``normal(0, sigma, size=d)`` draw per noised step
-and an ``np.linalg.norm`` projection.  Every lockstep run must reproduce it
-bit for bit, at every checkpoint.
+``oracle_sgd`` is the one-run-at-a-time noisy SGD loop, kept here verbatim
+in behaviour: one ``logistic_grad``-style call per step on the holder's own
+rows and one ``normal(0, sigma, size=d)`` draw per noised step.  Every
+lockstep run must reproduce it bit for bit, at every checkpoint.
 """
 
 import numpy as np
@@ -24,8 +23,8 @@ def oracle_grad(w, data):
     return -(X * (s * y)[:, None]).mean(axis=0)
 
 
-def oracle_sgd(n, T, datasets, eta, sigma, d, seed, projection_radius=None,
-               max_contributions=None, noise_when_capped=True):
+def oracle_sgd(n, T, datasets, eta, sigma, d, seed, max_contributions=None,
+               noise_when_capped=True):
     """Per-run loop; returns the (T+1, d) iterates and the noised-step mask."""
     w = np.zeros(d)
     steps = sample_walk(Topology(COMPLETE, n), T, seed).steps
@@ -46,10 +45,6 @@ def oracle_sgd(n, T, datasets, eta, sigma, d, seed, projection_radius=None,
             continue
         z = rng.normal(0.0, sigma, size=d) if sigma > 0 else np.zeros(d)
         w = w - eta * (z if g is None else g + z)
-        if projection_radius is not None:
-            norm = float(np.linalg.norm(w))
-            if norm > projection_radius:
-                w = w * (projection_radius / norm)
         iterates[t] = w
         noised[t - 1] = sigma > 0
     return iterates, noised
@@ -127,11 +122,6 @@ class TestLockstepMatchesPerRunLoop:
         check_against_oracle(equal_rows, 220, etas=[0.3, 0.9], seeds=[4, 5], sigma=0.0,
                              max_contributions=15, noise_when_capped=False)
 
-    def test_projection_radius(self, equal_rows):
-        runs = check_against_oracle(equal_rows, 230, etas=[0.5, 2.0, 2.0], seeds=[6, 6, 7],
-                                    sigma=1.5, projection_radius=0.3)
-        assert np.all(np.linalg.norm(runs.models, axis=1) <= 0.3 + 1e-12)
-
     def test_unequal_row_counts(self, unequal_rows):
         check_against_oracle(unequal_rows, 260, etas=[0.2, 0.8, 0.2], seeds=[8, 8, 9],
                              sigma=0.4, max_contributions=15, noise_when_capped=True)
@@ -194,11 +184,11 @@ class TestTrainAndTuneMatchPerRunLoop:
              dpml.TrainConfig(regime=dpml.NETWORK, T=T, eta=0.3, budget=budget, cap_multiplier=1.5)],
             [0.8, 0.5],
         )
-        results = dpml.train(batch, unequal_rows, seeds=[[3, 4], [4]])
-        assert [len(r) for r in results] == [2, 1]
+        results = dpml.train(batch, unequal_rows, [(0, 3), (1, 4), (0, 4)])
+        assert len(results) == 3
         cap = dpml.contribution_cap(T, unequal_rows.n_users, 1.5)
-        cases = [(results[0][0], 3, 0.6, 0.8, False), (results[0][1], 4, 0.6, 0.8, False),
-                 (results[1][0], 4, 0.3, 0.5, True)]
+        cases = [(results[0], 3, 0.6, 0.8, False), (results[2], 4, 0.6, 0.8, False),
+                 (results[1], 4, 0.3, 0.5, True)]
         for res, seed, eta, sigma, mode in cases:
             iterates, _ = oracle_sgd(unequal_rows.n_users, T, user_datasets(unequal_rows), eta,
                                      sigma, unequal_rows.dim, seed, max_contributions=cap,
@@ -240,11 +230,14 @@ class TestTrainAndTuneMatchPerRunLoop:
                 ]
                 means.append(float(np.mean(finals)))
             expected.append(float(grid[int(np.argmin(means))]))
+        # the configs' runs interleave; each config is scored on its own, in seed order
         seeds = [seeds for _, _, seeds in cases]
-        assert dpml.tune_eta(batch, equal_rows, seeds=seeds, grid=grid) == expected
+        runs = [(i, s) for j in range(3) for i in range(len(cases)) for s in seeds[i][j:j + 1]]
+        assert dpml.tune_eta(batch, equal_rows, runs, grid=grid) == expected
         for i in range(len(cases)):  # one config alone picks what it picks in the batch
             alone = dpml.RegimeBatch([batch.configs[i]], [batch.sigmas[i]])
-            assert dpml.tune_eta(alone, equal_rows, seeds=[seeds[i]], grid=grid) == [expected[i]]
+            runs = [(0, s) for s in seeds[i]]
+            assert dpml.tune_eta(alone, equal_rows, runs, grid=grid) == [expected[i]]
 
 
 @settings(max_examples=60, deadline=None)
