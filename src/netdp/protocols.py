@@ -451,11 +451,11 @@ def run_complete_sgd(
     - Iterates are kept at every :data:`CHECKPOINT_EVERY`-th step and at
       step T, or at step T alone under ``final_only`` (see :class:`SgdRuns`).
 
-    The masks are fixed before step 1, so three flags per step are read off
-    them once: every run contributes, some run does, or none does, which
-    makes one ``grad_fn`` call on all of ``W``, one on the contributing
-    rows, or none.  A run that does not move has a zero update, so stepping
-    it leaves its iterate bit for bit.  Noise is drawn in blocks of
+    The masks are fixed before step 1, so two flags per step are read off
+    them once, every run contributes and some run does, which select one
+    ``grad_fn`` call on all of ``W``, one on the contributing rows, or none.
+    A run that does not move has a zero update and a finite eta, so
+    stepping it leaves its iterate bit for bit.  Noise is drawn in blocks of
     :data:`NOISE_BLOCK` steps, one ``normal(0, sigma, (k, d))`` call per key
     for the block's k noised steps, which consumes the stream exactly as one
     ``size=d`` draw per step would; a short block keeps the (K, block, d)
