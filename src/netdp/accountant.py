@@ -683,12 +683,15 @@ def sigma_search(
     relies on eps falling along the grid, which
     ``tests/test_accountant.py::TestGridMonotonicity`` pins.  Raises
     :class:`InfeasibleError` with the eps and sigma at the ceiling as
-    diagnostics when no grid point meets the target.
+    diagnostics when no grid point meets the target, and ``ValueError``
+    unless L is positive and finite and n >= 2.
     """
     if not eps_target > 0 or not 0 < delta_target < 1:
         raise ValueError("targets must satisfy eps > 0 and delta in (0, 1)")
     if T_u < 1:
         raise ValueError("T_u must be >= 1")
+    if not 0 < L < math.inf or n < 2:  # at L = 0 or inf the grid loop below never ends
+        raise ValueError(f"need L positive and finite and n >= 2, got L={L}, n={n}")
     hi = L * 1e6
     # repeated multiplication, not a power of the ratio, fixes the grid's floats
     grid = []
@@ -726,7 +729,7 @@ def sgd_utility_bound(
 # Subsampled Gaussian RDP (trusted-curator SGD baseline)
 # ---------------------------------------------------------------------------
 
-def _log_comb(a: float, k: float) -> float:
+def _log_comb(a: int, k: int) -> float:
     return math.lgamma(a + 1) - math.lgamma(k + 1) - math.lgamma(a - k + 1)
 
 
@@ -739,25 +742,6 @@ def _log_binom_row(alpha: int) -> np.ndarray:
     row = np.array([_log_comb(alpha, i) for i in range(alpha + 1)])
     row.setflags(write=False)
     return row
-
-
-def _log_erfc(x: float) -> float:
-    """ln erfc(x), finite for every real x.
-
-    Below the switch erfc(x) is a normal float and libm's erfc is accurate
-    to a few ulp.  Above it, erfc(x) = e^{-x^2} / (x sqrt(pi)) times
-    1 - r + 3 r^2 - 15 r^3 + 105 r^4 - ..., r = 1 / (2 x^2); the series
-    alternates, so stopping after the r^7 term errs by less than the r^8
-    term, 2e-19 at x = 26.
-    """
-    if x < 26.0:  # erfc(26) = 5.7e-296 is a normal float, erfc(27) is not
-        return math.log(math.erfc(x))
-    r = 1.0 / (2.0 * x * x)
-    series, term = 1.0, 1.0
-    for k in range(1, 8):
-        term *= -(2 * k - 1) * r
-        series += term
-    return -x * x - math.log(x * math.sqrt(math.pi)) + math.log(series)
 
 
 def _sgm_log_a_int(q: float, z: float, alpha: int) -> float:
@@ -774,78 +758,28 @@ def _sgm_log_a_int(q: float, z: float, alpha: int) -> float:
     return float(math.log1p(shifted.sum()) + top)
 
 
-def _sgm_log_a_frac(q: float, z: float, alpha: float, max_terms: int = 2000) -> float:
-    """ln A_alpha for a fractional order: a valid but loose upper bound.
-
-    Two-sided series split at z0, the point where the mixture and base
-    densities cross; terms are accumulated in log space until both tails
-    are decreasing and negligible.  The binomial coefficients C(alpha, i)
-    change sign past i > alpha, and the series adds them without their
-    signs, so A_alpha is overestimated: at q = 1/2 by up to 11x the
-    quadrature value (z = 5; 2x at z = 2).  It is kept unsigned because
-    order 1.5 still gives the least centralized eps in some configurations
-    (small n or eps >> 10), and a signed sum would move values where the
-    series converges today.
-    """
-    z0 = z * z * math.log(1.0 / q - 1.0) + 0.5
-
-    def log_terms(i: int) -> tuple[float, float]:
-        j = alpha - i
-        lc = _log_comb(alpha, i)
-        lt0 = lc + i * math.log(q) + j * math.log1p(-q)
-        lt1 = lc + j * math.log(q) + i * math.log1p(-q)
-        ls0 = lt0 + (i * i - i) / (2.0 * z * z) + math.log(0.5) + _log_erfc((i - z0) / (math.sqrt(2.0) * z))
-        ls1 = lt1 + (j * j - j) / (2.0 * z * z) + math.log(0.5) + _log_erfc((z0 - j) / (math.sqrt(2.0) * z))
-        return ls0, ls1
-
-    log_a0 = log_a1 = -math.inf
-    last0 = last1 = -math.inf
-    for i in range(max_terms):
-        ls0, ls1 = log_terms(i)
-        log_a0 = np.logaddexp(log_a0, ls0)
-        log_a1 = np.logaddexp(log_a1, ls1)
-        total = float(np.logaddexp(log_a0, log_a1))
-        if ls0 < last0 and ls1 < last1 and max(ls0, ls1) < total - 30.0:
-            return total
-        last0, last1 = ls0, ls1
-    if max_terms <= alpha:
-        raise RuntimeError(f"series did not converge (q={q}, z={z}, alpha={alpha})")
-    # Near q = 1/2 the terms fall only polynomially in i.  Bound the rest:
-    # each term is |C(alpha, i)| times a factor that falls with i (a power
-    # of a ratio below 1 on its side of z0), and for M > alpha
-    # sum_{i >= M} |C(alpha, i)| = M |C(alpha, M)| / alpha, so the remainder
-    # is at most M / alpha times the term at M = max_terms.
-    tail0, tail1 = log_terms(max_terms)
-    return float(np.logaddexp(total, np.logaddexp(tail0, tail1) + math.log(max_terms / alpha)))
-
-
 def sampled_gaussian_rdp(q: float, noise_multiplier: float, alpha: float) -> float:
     """RDP at order alpha of the subsampled Gaussian mechanism.
 
     The mechanism includes each step's record with probability q and adds
     N(0, (noise_multiplier * sensitivity)^2) noise; eps(alpha) follows
-    Mironov, Talwar & Zhang 2019.  Exact for integer alpha, conservative
-    for fractional orders.
+    Mironov, Talwar & Zhang 2019, exact at the integer orders it accepts.
+    A non-integer alpha is a ``ValueError``.
 
     Needs numpy and the standard library alone: log-gamma is
-    ``math.lgamma``, the integer-order log-sum-exp is max-shifted in numpy,
-    and ln erfc switches from ``log(math.erfc(x))`` to its asymptotic series
-    at x = 26, before erfc(x) leaves the normal float range.
+    ``math.lgamma`` and the binomial log-sum-exp is max-shifted in numpy.
     """
     if not 0 <= q <= 1:
         raise ValueError("q must be in [0, 1]")
     if not noise_multiplier > 0:
         raise ValueError("noise_multiplier must be positive")
-    if not alpha > 1:
-        raise ValueError("alpha must be > 1")
+    if not (alpha > 1 and float(alpha).is_integer()):
+        raise ValueError(f"alpha must be an integer order > 1, got {alpha}")
     if q == 0:
         return 0.0
     if q == 1:
         return alpha / (2.0 * noise_multiplier * noise_multiplier)
-    if float(alpha).is_integer():
-        log_a = _sgm_log_a_int(q, noise_multiplier, int(alpha))
-    else:
-        log_a = _sgm_log_a_frac(q, noise_multiplier, alpha)
+    log_a = _sgm_log_a_int(q, noise_multiplier, int(alpha))
     return max(log_a, 0.0) / (alpha - 1.0)
 
 

@@ -35,9 +35,11 @@ from .core import STREAM_DATA, PrivacyBudget, rng_stream
 from .errors import InfeasibleError
 from .accountant import (
     MAX_RDP_ORDER,
+    RdpPoint,
     advanced_composition,
     grid_bisect,
     network_sgd_eps,
+    rdp_to_dp,
     sampled_gaussian_rdp,
     sigma_search,
 )
@@ -311,19 +313,19 @@ def centralized_sgd_epsilon(sigma: float, T: int, n: int, delta: float) -> float
     """End-to-end eps of T subsampled-Gaussian steps at sampling rate 1/n.
 
     Every order alpha > 1 gives a valid bound
-    eps(alpha) = T * rdp(alpha) + ln(1/delta) / (alpha - 1); this returns the
-    least over order 1.5 and the integer orders 2..``MAX_RDP_ORDER``.  Over
-    the integer orders eps(alpha) falls, then never falls again
+    eps(alpha) = T * rdp(alpha) + ln(1/delta) / (alpha - 1)
+    (:func:`~netdp.accountant.rdp_to_dp`); this returns the least over the
+    integer orders 2..``MAX_RDP_ORDER``, where the RDP is exact.  Over them
+    eps(alpha) falls, then never falls again
     (``tests/test_dpml.py::TestCentralizedOrders``), so they are searched by
     bisection, ~17 RDP evaluations instead of 255.  The floor is
     ln(1/delta) / (MAX_RDP_ORDER - 1), 0.054 at delta = 1e-6.
     """
     z = sigma / GRAD_SENSITIVITY
     q = 1.0 / n
-    log_inv_delta = math.log(1.0 / delta)
 
     def eps_at(alpha):
-        return T * sampled_gaussian_rdp(q, z, float(alpha)) + log_inv_delta / (alpha - 1.0)
+        return rdp_to_dp(RdpPoint(alpha, T * sampled_gaussian_rdp(q, z, float(alpha))), delta)
 
     lo, hi = 2, MAX_RDP_ORDER
     while lo < hi:  # the first order past which eps stops falling
@@ -332,7 +334,7 @@ def centralized_sgd_epsilon(sigma: float, T: int, n: int, delta: float) -> float
             lo = mid + 1
         else:
             hi = mid
-    return min(eps_at(1.5), eps_at(lo))
+    return eps_at(lo)
 
 
 def calibrate_regime(config: TrainConfig, n: int) -> float:

@@ -427,6 +427,14 @@ class TestSigmaSearch:
             acct.sigma_search(1e-9, 1e-6, 10**9, 2, 1.0)
         assert exc.value.diagnostics["ceiling"] == 1e6
 
+    @pytest.mark.parametrize("L,n", [(0.0, 100), (-1.0, 100), (math.inf, 100), (math.nan, 100),
+                                     (1.0, 1)])
+    def test_rejects_degenerate_arguments(self, L, n):
+        # L = 0 or inf would never leave the grid's growth loop; L < 0 or nan
+        # would give an empty grid, and n = 1 a sigma sgd_network_rdp rejects
+        with pytest.raises(ValueError):
+            acct.sigma_search(1.0, 1e-6, 10, n, L)
+
 
 def _linear_first_hit(eps_of, target, grid):
     for i, s in enumerate(grid):
@@ -574,27 +582,15 @@ class TestSampledGaussianRdp:
         got = acct.sampled_gaussian_rdp(q, z, alpha)
         assert got == pytest.approx(self.quadrature_oracle(q, z, alpha), rel=1e-9)
 
-    @pytest.mark.parametrize("q,z,alpha", [(0.01, 1.0, 1.5), (0.005, 2.0, 2.5)])
-    def test_fractional_orders_conservative(self, q, z, alpha):
-        got = acct.sampled_gaussian_rdp(q, z, alpha)
-        oracle = self.quadrature_oracle(q, z, alpha)
-        assert got >= oracle * (1 - 1e-9)
-        assert got <= oracle * 1.10
-
-    @pytest.mark.parametrize("z", [0.9, 2.0, 100.0])
-    def test_slow_fractional_series_remainder_bounded(self, z):
-        # at q = 1/2 the terms fall polynomially and 2000 terms do not reach
-        # the stopping rule; the bounded remainder must cover the full series
-        full = acct._sgm_log_a_frac(0.5, z, 1.5, max_terms=40_000)
-        capped = acct._sgm_log_a_frac(0.5, z, 1.5)
-        assert full <= capped <= full + 1e-7
-        assert acct.sampled_gaussian_rdp(0.5, z, 1.5) >= self.quadrature_oracle(0.5, z, 1.5)
-
     def test_no_sampling_limit_is_gaussian(self):
         assert acct.sampled_gaussian_rdp(1.0, 2.0, 8.0) == pytest.approx(8 / (2 * 4))
 
     def test_zero_rate(self):
         assert acct.sampled_gaussian_rdp(0.0, 1.0, 2.0) == 0.0
+
+    def test_fractional_order_rejected(self):
+        with pytest.raises(ValueError, match="2.5"):
+            acct.sampled_gaussian_rdp(0.01, 1.0, 2.5)
 
     def test_monotone_in_rate(self):
         vals = [acct.sampled_gaussian_rdp(q, 1.0, 8) for q in (0.001, 0.01, 0.1, 0.5)]
@@ -609,11 +605,8 @@ class TestRdpSpecialFunctionsAgainstScipy:
         return float(special.gammaln(a + 1) - special.gammaln(k + 1) - special.gammaln(a - k + 1))
 
     def test_log_comb_matches_gammaln(self):
-        # integer rows as the integer-order sum uses them, and the fractional
-        # orders' series out to k = 500; far beyond that both forms lose
-        # digits to the cancellation of lgamma terms near 1e4
+        # integer rows as the integer-order sum uses them
         cases = [(a, k) for a in range(2, 65) for k in range(a + 1)]
-        cases += [(a, k) for a in (1.5, 2.5, 7.3, 33.3) for k in range(501)]
         for a, k in cases:
             assert acct._log_comb(a, k) == pytest.approx(self.scipy_log_comb(a, k), rel=1e-13, abs=0)
 
@@ -625,19 +618,6 @@ class TestRdpSpecialFunctionsAgainstScipy:
                              + (i * i - i) / (2.0 * z * z) for i in range(alpha + 1)]
                     want = float(special.logsumexp(terms))
                     assert acct._sgm_log_a_int(q, z, alpha) == pytest.approx(want, rel=0, abs=1e-12)
-
-    def test_log_erfc_matches_log_ndtr(self):
-        xs = np.concatenate([
-            np.linspace(-5.0, 30.0, 1401),
-            np.linspace(-0.05, 0.05, 101),
-            np.geomspace(26.0, 1e4, 400),
-            [26.0 - 1e-12, 26.0, 26.0 + 1e-12],
-        ])
-        for x in xs.tolist():
-            want = math.log(2.0) + float(special.log_ndtr(-x * math.sqrt(2.0)))
-            # as ln erfc(x) nears 0 (x near 0) both forms keep only absolute
-            # accuracy; log_ndtr is off by up to 8e-14 relative there
-            assert acct._log_erfc(x) == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 class TestCollusionAdjust:

@@ -452,3 +452,11 @@ class TestSigmaSearch:
         config = write_config(tmp_path, "delta = 1e-6\n")
         assert run_cli("--experiment", "sigma_search", "--config", config,
                        "--out", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("override", ["L=0", "L=-1", "n=1"])
+    def test_degenerate_arguments_exit_2(self, tmp_path, capsys, override):
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "sigma_search", "--out", out, "--set", "eps=1.0",
+                       "--set", "delta=1e-6", "--set", override) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert list((out / "sigma_search").iterdir()) == []

@@ -252,11 +252,11 @@ class TestCentralizedOrders:
 
     @staticmethod
     def eps_by_order(sigma, T, n, delta):
-        """eps at order 1.5 and at the integer orders 2..MAX_RDP_ORDER."""
+        """eps at the integer orders 2..MAX_RDP_ORDER."""
         def eps_at(alpha):
             return (T * acct.sampled_gaussian_rdp(1.0 / n, sigma / dpml.GRAD_SENSITIVITY, alpha)
                     + math.log(1.0 / delta) / (alpha - 1.0))
-        return eps_at(1.5), np.array([eps_at(float(a)) for a in range(2, acct.MAX_RDP_ORDER + 1)])
+        return np.array([eps_at(float(a)) for a in range(2, acct.MAX_RDP_ORDER + 1)])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -269,15 +269,15 @@ class TestCentralizedOrders:
         # the order search bisects on this: eps falls, then never falls again
         grid = dpml._sigma_grid()
         sigma = float(grid[data.draw(st.integers(min_value=0, max_value=len(grid) - 1))])
-        eps_frac, eps = self.eps_by_order(sigma, T, n, delta)
+        eps = self.eps_by_order(sigma, T, n, delta)
         k = int(np.argmin(eps))
         assert np.all(np.diff(eps[:k + 1]) < 0) and np.all(np.diff(eps[k:]) >= 0)
-        assert dpml.centralized_sgd_epsilon(sigma, T, n, delta) == min(eps_frac, eps[k])
+        assert dpml.centralized_sgd_epsilon(sigma, T, n, delta) == eps[k]
 
     def test_search_reaches_the_highest_order(self):
         # at the grid ceiling eps falls over every order up to the cap
         sigma, T, n, delta = float(dpml._sigma_grid()[-1]), 2000, 200, 1e-6
-        _, eps = self.eps_by_order(sigma, T, n, delta)
+        eps = self.eps_by_order(sigma, T, n, delta)
         assert np.all(np.diff(eps) < 0) and eps[-1] < 0.2
         assert dpml.centralized_sgd_epsilon(sigma, T, n, delta) == eps[-1]
 

@@ -3,9 +3,10 @@
 Every name a module imports must be used in it (a name listed in the
 module's ``__all__`` counts as used), every name in ``__all__`` must be
 bound at module level, no module may import a private (single-underscore)
-name from another netdp module, and no module may import scipy: the
-runtime needs numpy and the standard library alone.  A subprocess check
-confirms that no CLI path loads scipy at run time either.
+name from another netdp module, every private module-level name must be
+read somewhere in the package outside its own definition, and no module may
+import scipy: the runtime needs numpy and the standard library alone.  A
+subprocess check confirms that no CLI path loads scipy at run time either.
 """
 
 import ast
@@ -95,6 +96,34 @@ def private_imports(source: str) -> list[str]:
     return found
 
 
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names of ``sources`` (file name -> source) that no
+    ``ast.Name`` or ``ast.Attribute`` in any of them reads, outside the
+    statement that defines the name."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    found = []
+    for file, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                continue
+            inside = {id(node) for node in ast.walk(stmt)}
+            for name in sorted(filter(is_private, defined)):
+                read = any(
+                    id(node) not in inside
+                    and (isinstance(node, ast.Name) and node.id == name
+                         or isinstance(node, ast.Attribute) and node.attr == name)
+                    for other in trees.values() for node in ast.walk(other)
+                )
+                if not read:
+                    found.append(f"{file}: {name} (line {stmt.lineno})")
+    return found
+
+
 def scipy_imports(source: str) -> list[str]:
     """Imports of scipy or any of its submodules, wherever they appear."""
     found = []
@@ -127,6 +156,10 @@ def test_no_private_imports_across_modules(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_scipy_imports(path):
     assert scipy_imports(path.read_text()) == []
+
+
+def test_no_dead_private_names():
+    assert dead_private_names({path.name: path.read_text() for path in MODULES}) == []
 
 
 RUNTIME_PROBE = """
@@ -180,6 +213,16 @@ class TestCheckers:
                "from . import protocols as proto\nfrom . import __version__\n"
                "y = proto._contributions\nz = proto.run_ring_sum\n")
         assert private_imports(src) == ["_sgm_log_a_int (line 1)", "proto._contributions (line 4)"]
+
+    def test_dead_private_names_are_reported(self):
+        sources = {
+            "a.py": ('def _used(): pass\ndef _recursive(k): return _recursive(k - 1)\n'
+                     '_CONST, _LOOSE = 1, 2\nclass _Holder: x = _CONST\ndef _named(): pass\n'
+                     'def f():\n    """Calls _named."""\n    return _used()\n__all__ = ["f"]\n'),
+            "b.py": "from . import a\ny = a._Holder\n",
+        }
+        assert dead_private_names(sources) == [
+            "a.py: _recursive (line 2)", "a.py: _LOOSE (line 3)", "a.py: _named (line 5)"]
 
     def test_scipy_imports_are_reported(self):
         src = ("import numpy as np\nimport scipy.special as sp\nfrom scipy import stats\n"

@@ -208,17 +208,19 @@ class TestTrainAndTuneMatchPerRunLoop:
         T = 120
         grid = np.geomspace(1e-2, 2.0, 5)
         budget = PrivacyBudget(1.0, 1e-6)
+        # the last config's first seed alone would pick another eta than the
+        # mean over its seeds, so a scorer reading only first runs fails here
         cases = [(dpml.NETWORK, 0.5, [1, 2, 3]), (dpml.LOCAL, 1.5, [2, 4]),
-                 (dpml.CENTRALIZED, 0.1, [1, 2, 3])]
+                 (dpml.CENTRALIZED, 0.1, [1, 2, 3]), (dpml.NETWORK, 0.5, [4, 1, 2])]
         batch = dpml.RegimeBatch(
             [dpml.TrainConfig(regime=regime, T=T, eta=1.0, budget=budget, cap_multiplier=2.0)
              for regime, _, _ in cases],
             [sigma for _, sigma, _ in cases],
         )
         cap = dpml.contribution_cap(T, equal_rows.n_users, 2.0)
-        expected = []
+        expected, first_only = [], []
         for regime, sigma, seeds in cases:
-            means = []
+            means, firsts = [], []
             for eta in grid:
                 finals = [
                     dpml.logistic_objective(
@@ -229,7 +231,10 @@ class TestTrainAndTuneMatchPerRunLoop:
                     for s in seeds
                 ]
                 means.append(float(np.mean(finals)))
+                firsts.append(finals[0])
             expected.append(float(grid[int(np.argmin(means))]))
+            first_only.append(float(grid[int(np.argmin(firsts))]))
+        assert first_only[-1] != expected[-1]
         # the configs' runs interleave; each config is scored on its own, in seed order
         seeds = [seeds for _, _, seeds in cases]
         runs = [(i, s) for j in range(3) for i in range(len(cases)) for s in seeds[i][j:j + 1]]
