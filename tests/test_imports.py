@@ -13,6 +13,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -96,30 +97,25 @@ def private_imports(source: str) -> list[str]:
     return found
 
 
+def name_refs(node: ast.AST) -> Counter:
+    """How often each name appears as an ``ast.Name`` or ``ast.Attribute`` under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
 def dead_private_names(sources: dict[str, str]) -> list[str]:
     """Private module-level names of ``sources`` (file name -> source) that no
     ``ast.Name`` or ``ast.Attribute`` in any of them reads, outside the
     statement that defines the name."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
+    refs = sum((name_refs(tree) for tree in trees.values()), Counter())
     found = []
     for file, tree in trees.items():
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined = {stmt.name}
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                defined = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-            else:
-                continue
-            inside = {id(node) for node in ast.walk(stmt)}
+            own = name_refs(stmt)
+            defined = module_level_names(ast.Module(body=[stmt], type_ignores=[]))
             for name in sorted(filter(is_private, defined)):
-                read = any(
-                    id(node) not in inside
-                    and (isinstance(node, ast.Name) and node.id == name
-                         or isinstance(node, ast.Attribute) and node.attr == name)
-                    for other in trees.values() for node in ast.walk(other)
-                )
-                if not read:
+                if refs[name] == own[name]:
                     found.append(f"{file}: {name} (line {stmt.lineno})")
     return found
 
