@@ -10,9 +10,11 @@ command-line flags override the matching config keys.  Every run writes
 ``<out>/<experiment>/<timestamp>-<seed>/`` containing ``results.csv`` (or
 ``results.json``), ``meta.json`` with the configuration as given (config
 file plus ``--set`` overrides, without the defaults the experiment fills
-in), the seed, run count and package version, and any trace files.  A
-re-run with the same config and seed reproduces the result files byte for
-byte.
+in), the seed, run count, package version and an ``environment`` block
+(Python and numpy versions, CPU count, usable CPUs, workers), and any trace
+files.  A re-run with the same config and seed reproduces the result files
+byte for byte.  Integer keys take an int or an integral float such as
+``3.0``; any other value is an invalid configuration.
 
 Exit codes: 0 success, 2 invalid configuration, 3 infeasible target.  A
 failed run removes its directory if it wrote nothing there.
@@ -24,6 +26,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 import zlib
@@ -80,6 +83,15 @@ def parse_config(path) -> dict:
 
 def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
+
+
+def _int_key(config: dict, key: str, default: int) -> int:
+    """``config[key]`` (or ``default``) as an int; an int or an integral
+    float such as ``3.0`` is accepted, anything else is a ``ValueError``."""
+    value = config.get(key, default)
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def derive_seed(*parts) -> int:
@@ -158,6 +170,11 @@ def _write_meta(run_dir: Path, experiment: str, config: dict, seed: int, runs: i
         "unchecked": unchecked,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "environment": {
+            "python": sys.version.split()[0], "numpy": np.__version__, "workers": workers,
+            "cpu_count": os.cpu_count(),
+            "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        },
     }
     if extra:
         meta.update(extra)
@@ -180,7 +197,7 @@ def cmd_bounds_sweep(config: dict, run_dir: Path, seed: int, runs: int,
     if not n_grid:
         raise ValueError("empty n_grid")
     eps0 = float(config.get("eps0", 0.5))
-    t_factor = int(config.get("t_factor", 100))
+    t_factor = _int_key(config, "t_factor", 100)
     rows = []
     for n in sorted(n_grid):
         T = t_factor * n
@@ -236,7 +253,7 @@ def cmd_empirical_sweep(config: dict, run_dir: Path, seed: int, runs: int,
     if not n_grid:
         raise ValueError("empty n_grid")
     eps0 = float(config.get("eps0", 0.5))
-    t_factor = int(config.get("t_factor", 100))
+    t_factor = _int_key(config, "t_factor", 100)
     delta0 = float(config.get("delta0", 1e-7))
     delta_prime = float(config.get("delta_prime", 1e-3))
     if not 0 < delta_prime < 1:  # checked before any walk is sampled
@@ -370,12 +387,12 @@ def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
     if unknown:
         raise ValueError(f"unknown protocol(s) {unknown}; choose from {sorted(_MC_PROTOCOLS)}")
     params = {
-        "n": int(config.get("n", 100)),
-        "K": int(config.get("K", 10)),
-        "T": int(config.get("T", 1000)),
+        "n": _int_key(config, "n", 100),
+        "K": _int_key(config, "K", 10),
+        "T": _int_key(config, "T", 1000),
         "sigma_loc": float(config.get("sigma_loc", 1.0)),
         "gamma": float(config.get("gamma", 0.3)),
-        "domain_size": int(config.get("domain_size", 5)),
+        "domain_size": _int_key(config, "domain_size", 5),
         "clip": float(config.get("clip", 1.0)),
         "mode": str(config.get("mode", "single_noiser")),
         "stream_seed": derive_seed(seed, 0xDA7A),
@@ -422,12 +439,12 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
     values that share either are rejected.
     """
     dataset_kind = str(config.get("dataset", "synthetic"))
-    n = int(config.get("n", 200))
+    n = _int_key(config, "n", 200)
     if dataset_kind == "synthetic":
         data = dpml.make_synthetic(
             n_users=n,
-            points_per_user=int(config.get("points_per_user", 8)),
-            dim=int(config.get("dim", 20)),
+            points_per_user=_int_key(config, "points_per_user", 8),
+            dim=_int_key(config, "dim", 20),
             seed=derive_seed(seed, 0xDA7A),
         )
     elif dataset_kind == "real":
@@ -437,7 +454,7 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
     else:
         raise ValueError(f"unknown dataset kind {dataset_kind!r}")
 
-    T = int(config.get("T", 2000))
+    T = _int_key(config, "T", 2000)
     delta = float(config.get("delta", 1e-6))
     cap_mult = float(config.get("cap_multiplier", 2.0))
     eps_list = [float(v) for v in _as_list(config.get("eps", [1.0, 10.0]))]
@@ -445,7 +462,7 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
     file_keys = {f"{eps:g}" for eps in eps_list}
     if min(len(seed_keys), len(file_keys)) < len(eps_list):
         raise ValueError(f"eps values {eps_list} must differ in int(eps * 1000) and in eps:g")
-    tune_seeds = int(config.get("tune_seeds", 5))
+    tune_seeds = _int_key(config, "tune_seeds", 5)
     fixed_eta = config.get("eta")
     if fixed_eta is None and tune_seeds < 1:
         raise ValueError(f"tune_seeds must be >= 1 when eta is tuned, got {tune_seeds}")
@@ -508,7 +525,7 @@ def cmd_sigma_search(config: dict, run_dir: Path, seed: int, runs: int,
     eps = float(config["eps"])
     delta = float(config["delta"])
     T_u = float(config.get("T_u", 10))
-    n = int(config.get("n", 1000))
+    n = _int_key(config, "n", 1000)
     L = float(config.get("L", 1.0))
     try:
         sigma, alpha = acct.sigma_search(eps, delta, T_u, n, L)
@@ -563,8 +580,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"--set expects KEY=VALUE, got {override!r}")
             key, raw = override.split("=", 1)
             config[key.strip()] = _parse_value(raw)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        runs = args.runs if args.runs is not None else int(config.get("runs", 10))
+        seed = args.seed if args.seed is not None else _int_key(config, "seed", 0)
+        runs = args.runs if args.runs is not None else _int_key(config, "runs", 10)
         if runs < 1:
             raise ValueError(f"runs must be >= 1, got {runs}")
         run_dir = _make_run_dir(args.out, args.experiment, seed)

@@ -215,13 +215,20 @@ def logistic_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     grad = -(1/m) sum_i sigmoid(-y_i w.x_i) y_i x_i.  Stacks broadcast:
     w (..., d), X (..., m, d) and y (..., m) give (..., d) gradients, each
     bit-identical to the call on its own slice (one BLAS gemv per slice,
-    rows summed in order).
+    rows summed in order).  The summed terms are stored visit-major, as
+    (m, ..., d), so the sum adds whole (..., d) slabs row after row, the
+    additions of ``.mean(axis=-2)`` without its short inner loops.  At
+    d = 1 they keep the (..., m, d) order: there each slice's m terms are
+    contiguous and numpy sums them pairwise, as a single slice does.
     """
     margins = y * (X @ w[..., None])[..., 0]
     with np.errstate(over="ignore"):  # exp(margins) = inf gives s = 0
         s = 1.0 / (1.0 + np.exp(margins))
-    # what .mean(axis=-2) computes, bit for bit, without its Python wrapper
-    return -(np.add.reduce(X * (s * y)[..., None], axis=-2) / X.shape[-2])
+    rows = X.ndim - 2 if X.shape[-1] == 1 else 0  # where the row axis goes in memory
+    axes = (*range(rows), X.ndim - 2, *range(rows, X.ndim - 2))
+    terms = np.multiply(X.transpose(*axes, X.ndim - 1), (s * y).transpose(axes)[..., None],
+                        order="C")
+    return -(np.add.reduce(terms, axis=rows) / X.shape[-2])
 
 
 def _batched_grad(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -229,33 +236,33 @@ def _batched_grad(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarra
     of ``W[k]`` on user ``users[k]``'s rows.
 
     When every user holds the same number m of rows (as in
-    :func:`make_synthetic`), a call gathers the holders' rows from one
-    (n, m) row table and makes one :func:`logistic_grad` call on them as a
-    (holders, m, d) stack.  Otherwise users are grouped by row count, and
-    the holders of one step with equal m share one call.  Padding short
-    users with zero rows instead would not be bit-exact: BLAS gemv blocks
-    its rows, so a row's dot product can depend on the number of rows in
-    the call.
+    :func:`make_synthetic`), a call gathers the holders' rows through one
+    visit-major (m, n) row index, as an (m, holders, d) stack that
+    :func:`logistic_grad` gets as its (holders, m, d) transpose, so the
+    stack is laid out the way its row sum reads it.  Otherwise users are
+    grouped by row count, and the holders of one step with equal m share
+    one call, gathered the same way.  Padding short users with zero rows
+    instead would not be bit-exact: BLAS gemv blocks its rows, so a row's
+    dot product can depend on the number of rows in the call.
     """
     X, y = data.X_train, data.y_train
+
+    def stack_grad(W: np.ndarray, rows: np.ndarray) -> np.ndarray:  # rows: (m, holders)
+        return logistic_grad(W, X.take(rows, axis=0).transpose(1, 0, 2), y.take(rows).T)
+
     groups = {}  # m -> users (0-based) with m train rows
     for u, idx in enumerate(data.user_rows):
         groups.setdefault(idx.size, []).append(u)
     if len(groups) == 1:
-        table = np.stack(data.user_rows)
-
-        def grad(W: np.ndarray, users: np.ndarray) -> np.ndarray:
-            rows = table[users - 1]
-            return logistic_grad(W, X[rows], y[rows])
-
-        return grad
+        visits = np.stack(data.user_rows, axis=1)
+        return lambda W, users: stack_grad(W, visits.take(users - 1, axis=1))
 
     sizes = np.array([idx.size for idx in data.user_rows])
     position = np.empty(sizes.size, dtype=np.int64)
-    row_tables = {}  # m -> (users with m rows, m) train-row indices
+    row_tables = {}  # m -> (m, users with m rows) train-row indices
     for m, users in sorted(groups.items()):
         position[users] = np.arange(len(users))
-        row_tables[m] = np.stack([data.user_rows[u] for u in users])
+        row_tables[m] = np.stack([data.user_rows[u] for u in users], axis=1)
 
     def grad(W: np.ndarray, users: np.ndarray) -> np.ndarray:
         G = np.empty_like(W)
@@ -263,8 +270,7 @@ def _batched_grad(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarra
         for m, table in row_tables.items():
             sel = m_of == m
             if sel.any():
-                rows = table[position[users[sel] - 1]]
-                G[sel] = logistic_grad(W[sel], X[rows], y[rows])
+                G[sel] = stack_grad(W[sel], table.take(position[users[sel] - 1], axis=1))
         return G
 
     return grad

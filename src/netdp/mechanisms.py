@@ -60,11 +60,13 @@ def perturb(x, kind: Literal["gaussian", "laplace"], stddev, rng: np.random.Gene
     The noise takes the broadcast shape of x and stddev, so
     ``perturb(0.0, kind, scales, rng)`` draws one value per entry of
     ``scales``.  Laplace noise uses scale b = stddev / sqrt(2), whose
-    std-dev is ``stddev``.
+    std-dev is ``stddev``.  Gaussian noise is ``rng.normal(0.0, stddev,
+    shape)`` bit for bit, formed from standard draws without its per-entry
+    broadcast; ``stddev`` must be non-negative.
     """
     shape = np.broadcast(x, stddev).shape
     if kind == GAUSSIAN:
-        noise = rng.normal(0.0, stddev, size=shape)
+        noise = 0.0 + stddev * rng.standard_normal(shape)
     elif kind == LAPLACE:
         noise = rng.laplace(0.0, np.divide(stddev, math.sqrt(2.0)), size=shape)
     else:

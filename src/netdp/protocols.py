@@ -458,7 +458,7 @@ def run_complete_sgd(
     stepping it leaves its iterate bit for bit.  Noise is drawn in blocks of
     :data:`NOISE_BLOCK` steps, one ``normal(0, sigma, (k, d))`` call per key
     for the block's k noised steps, which consumes the stream exactly as one
-    ``size=d`` draw per step would; a short block keeps the (K, block, d)
+    ``size=d`` draw per step would; a short block keeps the (block, K, d)
     noise buffer small.
     """
     if n < 1 or T < 1:
@@ -499,26 +499,28 @@ def run_complete_sgd(
     iterates = np.zeros((B, checkpoint_steps.size, d), dtype=float)
     W = np.zeros((B, d), dtype=float)
     eta_col = np.array(eta)[:, None]
-    # two flags per step, read off the (S, T) mask; each step gathers its
-    # (B,) columns, so no (B, T) or (B, block, d) array is built
+    # two flags per step, read off the (S, T) mask; a block builds its
+    # (block, K, d) noise buffer, one (K, d) slab per step, and the (block, B)
+    # holders of every run, so no (B, T) or (B, block, d) array is built
     all_live = contributes.all(axis=0).tolist()
     any_live = contributes.any(axis=0).tolist()
     for start in range(0, T, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, T)
-        noise = np.zeros((len(keys), stop - start, d))
+        noise = np.zeros((stop - start, len(keys), d))
         counts = noised[:, start:stop].sum(axis=1).tolist()
         for k, ((_, sig, _), rng, count) in enumerate(zip(keys, rngs, counts)):
             if count:
-                noise[k, noised[k, start:stop]] = rng.normal(0.0, sig, size=(count, d))
+                noise[noised[k, start:stop], k] = rng.normal(0.0, sig, size=(count, d))
+        holders = walks[:, start:stop].T.take(row, axis=1)
         for t in range(start, stop):
-            update = noise[key_row, t - start]
+            update = noise[t - start].take(key_row, axis=0)
+            users = holders[t - start]
             if all_live[t]:
                 W.flags.writeable = False  # grad_fn gets the iterates themselves
-                update += _checked_grad(grad_fn, W, walks[:, t][row], d)
+                update += _checked_grad(grad_fn, W, users, d)
             elif any_live[t]:
                 step_live = contributes[:, t][row]
-                users = walks[:, t][row[step_live]]
-                update[step_live] += _checked_grad(grad_fn, W[step_live], users, d)
+                update[step_live] += _checked_grad(grad_fn, W[step_live], users[step_live], d)
             W = W - eta_col * update
         if stop in kept:
             iterates[:, kept[stop]] = W

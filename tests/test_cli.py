@@ -460,3 +460,43 @@ class TestSigmaSearch:
                        "--set", "delta=1e-6", "--set", override) == 2
         assert "invalid configuration" in capsys.readouterr().err
         assert list((out / "sigma_search").iterdir()) == []
+
+    def test_non_integral_n_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "sigma_search", "--out", out, "--set", "eps=1.0",
+                       "--set", "delta=1e-6", "--set", "n=2.9") == 2
+        assert "n must be an integer, got 2.9" in capsys.readouterr().err
+        assert list((out / "sigma_search").iterdir()) == []
+
+    def test_integral_float_n_runs_as_its_int(self, tmp_path):
+        payloads = []
+        for n in ("500", "500.0"):
+            out = tmp_path / n
+            assert run_cli("--experiment", "sigma_search", "--out", out, "--set", "eps=1.0",
+                           "--set", "delta=1e-6", "--set", f"n={n}") == 0
+            (json_path,) = results_files(out, "sigma_search", "results.json")
+            payloads.append(json_path.read_bytes())
+        assert payloads[0] == payloads[1]
+
+
+class TestMeta:
+    @pytest.mark.parametrize("value", ["2.5", "abc", "true", "1,2"])
+    def test_integer_keys_reject_other_values(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "bounds_sweep", "--out", out, "--set", "n_grid=20",
+                       "--set", f"t_factor={value}") == 2
+        assert "t_factor must be an integer" in capsys.readouterr().err
+        assert list((out / "bounds_sweep").iterdir()) == []
+
+    def test_environment_block(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "bounds_sweep", "--out", out, "--set", "n_grid=20",
+                       "--workers", 3) == 0
+        (csv_path,) = results_files(out, "bounds_sweep")
+        meta = json.loads((csv_path.parent / "meta.json").read_text())
+        env = meta["environment"]
+        assert set(env) == {"python", "numpy", "cpu_count", "usable_cpus", "workers"}
+        assert env["numpy"] == np.__version__ and env["workers"] == 3
+        assert env["python"].count(".") == 2
+        assert 1 <= env["usable_cpus"] <= env["cpu_count"]
+        assert "environment" not in csv_path.read_text()

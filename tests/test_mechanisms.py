@@ -102,6 +102,22 @@ class TestPerturb:
             perturb(0.0, "cauchy", 1.0, rng)
 
 
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 60), zeros=st.integers(0, 60),
+       scalar=st.floats(0.0, 1e3))
+def test_gaussian_perturb_draws_what_normal_draws(seed, size, zeros, scalar):
+    """Per-entry and scalar scales, zeros included, give the bytes of
+    ``rng.normal(0.0, stddev, shape)``, signed zeros too: x = -0.0 keeps the
+    sign of a zero draw, which x = 0.0 would erase."""
+    scales = rng_stream(seed, 2).uniform(0.0, 5.0, size)
+    scales[:zeros] = 0.0
+    for x, stddev in ((-0.0, scales), (np.full(size, -0.0), scalar), (0.0, scalar),
+                      (np.full(size, -0.0), 0.0)):
+        got = perturb(x, GAUSSIAN, stddev, rng_stream(seed, 1))
+        expected = x + rng_stream(seed, 1).normal(0.0, stddev, np.broadcast(x, stddev).shape)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        assert np.shape(got) == np.shape(expected)
+
+
 class TestRandomizedResponse:
     def test_gamma_zero_is_identity(self, rng):
         xs = np.arange(1, 5)

@@ -29,6 +29,10 @@ CASES = {
     "sgd_compare": ["--set", "dataset=synthetic", "--set", "points_per_user=4",
                     "--set", "dim=3", *SGD],
     "sgd_compare_csv": ["--set", "dataset=real", "--set", "dataset_path={csv}", *SGD],
+    # at these eps the gradient noise is small enough not to absorb the
+    # last bits of a one-feature gradient, so the outputs pin how its rows are summed
+    "sgd_compare_csv_d1": ["--set", "dataset=real", "--set", "dataset_path={csv_d1}", *SGD,
+                           "--set", "eps=100,10000"],
     "sigma_search": ["--set", "eps=1.0", "--set", "delta=1e-6", "--set", "T_u=10",
                      "--set", "n=500"],
 }
@@ -53,6 +57,13 @@ DIGESTS = {
         "sgd_compare_csv/trace_local_eps10.csv": "1e8d86b384bc556088fd542f17b0851fb96ada9ded2d2dd653c70c82152e5385",
         "sgd_compare_csv/trace_network_eps1.csv": "5d805fd0a5b83882f643d55065e0706a90169f248fca461c4d29abf6c17091cb",
         "sgd_compare_csv/trace_network_eps10.csv": "e3074eefc3556253188d24a35847a03fe53a3dc6f5a530c5865df0c6106f331f",
+        "sgd_compare_csv_d1/results.csv": "2bed687e1ca11443d66fe51251ae333888334ced222624c3dc9ea519212ddef1",
+        "sgd_compare_csv_d1/trace_centralized_eps100.csv": "3230c58d1f038dd658cc33ee84136ec7e98a9a3c201991f379592f88c004ec2d",
+        "sgd_compare_csv_d1/trace_centralized_eps10000.csv": "db2e7a7c1709a2c722f1289e50ae552ce9bb53e8df3051cd46259f73e0691f10",
+        "sgd_compare_csv_d1/trace_local_eps100.csv": "392eb026ebf0cff45ec0df4462fcf7a6a678ce286b1ea0f31065583949d1cd37",
+        "sgd_compare_csv_d1/trace_local_eps10000.csv": "874a14dfc23a43d01725ad3f1ad610f05941074ab52100b265383b39aaabefaf",
+        "sgd_compare_csv_d1/trace_network_eps100.csv": "eb89e996e36fe69b68fad3487ab8523a689640b041a155094e24e131a6cf6871",
+        "sgd_compare_csv_d1/trace_network_eps10000.csv": "5920ba4809083aa42eeff649cb8399a3e2bc51f16c70b86a6961b7396874a2a9",
         "sigma_search/results.json": "08166649dd832fb7856cd06ab629367b06aee487e800806b0c421c4dc9cf7d03",
     },
 }
@@ -69,19 +80,37 @@ def write_unequal_csv(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_one_feature_csv(path):
+    """125 rows in one feature: 100 train rows, so 12 users hold 8 or 9 rows.
+    With one feature a user's gradient sums m >= 8 scalars, where numpy's
+    pairwise and sequential sums part ways."""
+    lines = ["f0,label"]
+    for i in range(125):
+        a = math.sin(1.3 * i + 0.7)
+        lines.append(f"{a!r},{1 if a + 0.4 * math.cos(3.1 * i) > 0 else -1}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def experiment_of(case):
+    return case.split("_csv")[0]
+
+
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     root = tmp_path_factory.mktemp("replay")
-    csv_path = root / "unequal.csv"
+    csv_path, csv_d1_path = root / "unequal.csv", root / "one_feature.csv"
     write_unequal_csv(csv_path)
+    write_one_feature_csv(csv_d1_path)
     data = dpml.load_csv_dataset(csv_path, n_users=12, seed=SEED)
     assert {rows.size for rows in data.user_rows} == {4, 5}
+    data = dpml.load_csv_dataset(csv_d1_path, n_users=12, seed=SEED)
+    assert data.dim == 1 and {rows.size for rows in data.user_rows} == {8, 9}
     found = {}
     for case, args in CASES.items():
-        experiment = case.removesuffix("_csv")
+        experiment = experiment_of(case)
         out = root / case
         argv = ["--experiment", experiment, "--out", str(out), "--seed", str(SEED),
-                *(a.format(csv=csv_path) for a in args)]
+                *(a.format(csv=csv_path, csv_d1=csv_d1_path) for a in args)]
         assert main(argv) == 0, case
         (run_dir,) = (out / experiment).iterdir()
         for path in sorted([*run_dir.glob("results.*"), *run_dir.glob("trace_*.csv")]):
@@ -99,7 +128,8 @@ def test_outputs_match_pinned_digests(digests):
 
 
 def test_every_experiment_is_pinned(digests):
-    experiments = {key.split("/")[0].removesuffix("_csv") for key in digests}
+    experiments = {experiment_of(key.split("/")[0]) for key in digests}
     assert experiments == {"bounds_sweep", "empirical_sweep", "protocol_mc", "sgd_compare",
                            "sigma_search"}
     assert sum(key.startswith("sgd_compare_csv/trace_") for key in digests) == 6
+    assert sum(key.startswith("sgd_compare_csv_d1/trace_") for key in digests) == 6

@@ -175,6 +175,48 @@ class TestLockstepMatchesPerRunLoop:
         assert runs.noised.shape[0] == 2
 
 
+def rows_dataset(sizes, d, seed):
+    """A Dataset whose users hold ``sizes`` train rows, in that order."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    total = int(sum(sizes))
+    X = rng.normal(size=(total + 4, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    y = np.where(rng.random(total + 4) < 0.5, 1.0, -1.0)
+    bounds = np.cumsum([0, *sizes])
+    perm = rng.permutation(total)
+    user_rows = tuple(np.sort(perm[a:b]).astype(np.int64) for a, b in zip(bounds, bounds[1:]))
+    return dpml.Dataset(X[:total], y[:total], X[total:], y[total:], user_rows)
+
+
+class TestBatchedGrad:
+    @pytest.mark.parametrize("equal", [True, False])
+    @pytest.mark.parametrize("m", [1, 7, 8, 9])
+    @pytest.mark.parametrize("d", [1, 2, 20])
+    def test_rows_match_single_slice_calls(self, d, m, equal):
+        sizes = [m] * 9 if equal else [m, m + 1, m + 2] * 3
+        data = rows_dataset(sizes, d, seed=100 * d + m)
+        rng = np.random.Generator(np.random.Philox(m + d))
+        users = np.array([3, 1, 9, 3, 5, 2, 2, 8, 7, 6, 4, 9, 1])
+        W = rng.normal(size=(users.size, d)) * 4.0
+        G = dpml._batched_grad(data)(W, users)
+        for b, u in enumerate(users):
+            X, y = data.X_train[data.user_rows[u - 1]], data.y_train[data.user_rows[u - 1]]
+            assert_bits_equal(G[b], dpml.logistic_grad(W[b], X, y))
+            assert_bits_equal(G[b], oracle_grad(W[b], (X, y)))
+
+    def test_one_feature_run_does_not_depend_on_its_batch(self):
+        data = dpml.make_synthetic(n_users=12, points_per_user=8, dim=1, seed=4)
+        assert data.dim == 1 and {idx.size for idx in data.user_rows} == {8}
+        args = dict(n=data.n_users, T=160, grad_fn=dpml._batched_grad(data), d=1,
+                    max_contributions=12)
+        alone = run_complete_sgd(eta=0.7, sigma=0.3, seeds=[6], **args)
+        batched = run_complete_sgd(eta=[0.2, 0.7, 0.7, 1.1], sigma=[0.3, 0.3, 0.0, 0.3],
+                                   seeds=[5, 6, 6, 7], **args)
+        assert_bits_equal(batched.iterates[1], alone.iterates[0])
+        check_against_oracle(data, 160, etas=[0.2, 0.7, 1.1], seeds=[5, 6, 7], sigma=0.3,
+                             max_contributions=12)
+
+
 class TestTrainAndTuneMatchPerRunLoop:
     def test_train_traces(self, unequal_rows):
         T = 130
