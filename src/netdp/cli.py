@@ -14,7 +14,8 @@ in), the seed, run count, package version and an ``environment`` block
 (Python and numpy versions, CPU count, usable CPUs, workers), and any trace
 files.  A re-run with the same config and seed reproduces the result files
 byte for byte.  Integer keys take an int or an integral float such as
-``3.0``; any other value is an invalid configuration.
+``3.0``; any other value is an invalid configuration, and so is a negative
+seed.
 
 Exit codes: 0 success, 2 invalid configuration, 3 infeasible target.  A
 failed run removes its directory if it wrote nothing there.
@@ -95,8 +96,12 @@ def _int_key(config: dict, key: str, default: int) -> int:
 
 
 def derive_seed(*parts) -> int:
-    """Deterministic child seed from a tuple of integers."""
-    mixed = np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts])
+    """Deterministic child seed from a tuple of non-negative integers.
+
+    The parts enter ``SeedSequence`` whole, so parts that differ above bit
+    32 give different seeds.
+    """
+    mixed = np.random.SeedSequence([int(p) for p in parts])
     return int(mixed.generate_state(1, np.uint64)[0])
 
 
@@ -283,16 +288,15 @@ def cmd_empirical_sweep(config: dict, run_dir: Path, seed: int, runs: int,
 # protocol_mc
 # ---------------------------------------------------------------------------
 
-def _sum_moments(errors: list, rr_counts: list) -> dict:
-    arr = np.asarray(errors, dtype=float)
+def _sum_moments(errors: np.ndarray, rr_counts: np.ndarray) -> dict:
     return {
-        "mean_error": float(arr.mean()),
-        "std_error": float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
+        "mean_error": float(errors.mean()),
+        "std_error": float(errors.std(ddof=1)) if len(errors) > 1 else 0.0,
     }
 
 
-def _hist_moments(errors: list, rr_counts: list) -> dict:
-    errors = np.asarray(errors, dtype=float)  # (runs, L) debiased - true
+def _hist_moments(errors: np.ndarray, rr_counts: np.ndarray) -> dict:
+    # errors: (runs, L) debiased - true
     se = errors.std(axis=0, ddof=1) / math.sqrt(len(errors)) if len(errors) > 1 else np.ones(errors.shape[1])
     return {
         "max_bin_bias_se": float(np.max(np.abs(errors.mean(axis=0)) / np.maximum(se, 1e-300))),
@@ -308,13 +312,19 @@ def _ring_sum_expected(p: dict, steps: int) -> dict:
 
 class _McProtocol(NamedTuple):
     """One protocol_mc protocol and the closed form its Monte Carlo row is
-    checked against."""
+    checked against.  ``run`` makes one protocol call on a list of seeds,
+    one run per seed, and returns its :class:`~netdp.protocols.ProtocolRuns`."""
 
     table: Callable[[dict], np.ndarray]  # contributions; depends on stream_seed only
-    run: Callable[[dict, np.ndarray, int], proto.ProtocolResult]  # one run at seed s
+    run: Callable[[dict, np.ndarray, list[int]], proto.ProtocolRuns]  # one run per seed
     steps: Callable[[dict], int]  # walk length
-    moments: Callable[[list, list], dict]  # observed, from errors and response counts
+    moments: Callable[[np.ndarray, np.ndarray], dict]  # observed, from errors and response counts
     expected: Callable[[dict, int], dict]  # expected_std or rr_expected, from (params, steps)
+
+
+# bytes of per-run (R, T) arrays (int64 walks, flip masks) one protocol call
+# may hold; sizes a call's seed list, so 200 runs of T = 10^4 take 16 calls
+MC_CALL_BYTES = 1 << 20
 
 
 def _scalar_table(p: dict) -> np.ndarray:
@@ -326,12 +336,12 @@ def _category_table(p: dict) -> np.ndarray:
 
 
 # the run lambdas look the runner up on the protocols module at call time, so
-# wrappers installed there (profilers, tracers) see every run
+# wrappers installed there (profilers, tracers) see every call
 _MC_PROTOCOLS = {
     "ring_sum": _McProtocol(
         table=_scalar_table,
         run=lambda p, table, s: proto.run_ring_sum(
-            p["n"], p["K"], table, p["sigma_loc"], mode=p["mode"], seed=s, clip=p["clip"]),
+            p["n"], p["K"], table, p["sigma_loc"], mode=p["mode"], seeds=s, clip=p["clip"]),
         steps=lambda p: p["K"] * p["n"],
         moments=_sum_moments,
         expected=_ring_sum_expected,
@@ -339,7 +349,7 @@ _MC_PROTOCOLS = {
     "complete_sum": _McProtocol(
         table=_scalar_table,
         run=lambda p, table, s: proto.run_complete_sum(
-            p["n"], p["T"], table, p["sigma_loc"], seed=s, clip=p["clip"]),
+            p["n"], p["T"], table, p["sigma_loc"], seeds=s, clip=p["clip"]),
         steps=lambda p: p["T"],
         moments=_sum_moments,
         expected=lambda p, steps: {"expected_std": math.sqrt(steps) * p["sigma_loc"]},
@@ -347,7 +357,7 @@ _MC_PROTOCOLS = {
     "ring_hist": _McProtocol(
         table=_category_table,
         run=lambda p, table, s: proto.run_ring_hist(
-            p["n"], p["K"], p["domain_size"], table, p["gamma"], seed=s),
+            p["n"], p["K"], p["domain_size"], table, p["gamma"], seeds=s),
         steps=lambda p: p["K"] * p["n"],
         moments=_hist_moments,
         expected=lambda p, steps: {"rr_expected": math.ceil(p["gamma"] * p["n"]) + p["gamma"] * steps},
@@ -355,7 +365,7 @@ _MC_PROTOCOLS = {
     "complete_hist": _McProtocol(
         table=_category_table,
         run=lambda p, table, s: proto.run_complete_hist(
-            p["n"], p["T"], p["domain_size"], table, p["gamma"], seed=s),
+            p["n"], p["T"], p["domain_size"], table, p["gamma"], seeds=s),
         steps=lambda p: p["T"],
         moments=_hist_moments,
         expected=lambda p, steps: {"rr_expected": p["gamma"] * steps},
@@ -363,18 +373,23 @@ _MC_PROTOCOLS = {
 }
 
 
-def _protocol_batch(args: tuple) -> tuple[list, list]:
-    """Run a batch of seeds for one protocol; collects output - true and the
-    randomized-response count per run."""
+def _protocol_batch(args: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Run a list of seeds for one protocol, one protocol call per
+    :data:`MC_CALL_BYTES` of per-run walk rows; returns output - true and the
+    randomized-response count per run, in seed order."""
     name, params, seeds = args
     spec = _MC_PROTOCOLS[name]
     table = spec.table(params)
-    errors, rr_counts = [], []
-    for s in seeds:
-        res = spec.run(params, table, s)
-        errors.append(res.output - res.true_value)
-        rr_counts.append(res.random_response_count)
-    return errors, rr_counts
+    per_call = max(1, MC_CALL_BYTES // (8 * spec.steps(params)))
+    # each call's result is dropped once its columns are read, so the next
+    # call does not start while it holds the last one's walks
+    errors, rr_counts = zip(*[_mc_columns(spec.run(params, table, seeds[i:i + per_call]))
+                              for i in range(0, len(seeds), per_call)])
+    return np.concatenate(errors), np.concatenate(rr_counts)
+
+
+def _mc_columns(res: proto.ProtocolRuns) -> tuple[np.ndarray, np.ndarray]:
+    return res.outputs - res.true_values, res.response_counts
 
 
 def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
@@ -407,8 +422,8 @@ def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
             [(name, params, chunk) for chunk in _contiguous_chunks(seeds, workers)],
             workers,
         )
-        errors = [e for r in results for e in r[0]]
-        rr_counts = [c for r in results for c in r[1]]
+        errors = np.concatenate([r[0] for r in results])
+        rr_counts = np.concatenate([r[1] for r in results])
         steps = spec.steps(params)
         rows.append({"protocol": name, "runs": runs, "n": params["n"], "steps": steps,
                      **spec.moments(errors, rr_counts), **spec.expected(params, steps)})
@@ -581,6 +596,8 @@ def main(argv: list[str] | None = None) -> int:
             key, raw = override.split("=", 1)
             config[key.strip()] = _parse_value(raw)
         seed = args.seed if args.seed is not None else _int_key(config, "seed", 0)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         runs = args.runs if args.runs is not None else _int_key(config, "runs", 10)
         if runs < 1:
             raise ValueError(f"runs must be >= 1, got {runs}")

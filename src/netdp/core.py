@@ -7,8 +7,7 @@ ring ``1, 2, ..., n``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,8 +102,8 @@ class WalkBatch(NamedTuple):
 
     ``steps`` is a read-only (B, T) int64 array of 1-based holders.  The
     type exists so that a batched protocol's ``trace`` has the walk length
-    ``T`` as :class:`WalkTrace` does; per-walk step counters (such as the
-    benchmark tracer's) read ``result.trace.T`` off every protocol alike.
+    ``T`` as :class:`WalkTrace` does; step counters (such as the benchmark
+    tracer's) read ``result.trace.T`` off every protocol alike.
     """
 
     steps: np.ndarray
@@ -114,14 +113,14 @@ class WalkBatch(NamedTuple):
         return int(self.steps.shape[1])
 
 
-def sample_walk(topology: Topology, T: int, seed: int) -> WalkTrace:
-    """Sample a token walk of length T on the given topology.
+def sample_walks(topology: Topology, T: int, seeds: Sequence[int]) -> WalkBatch:
+    """Sample one token walk of length T per seed on the given topology.
 
     Ring walks are deterministic (token starts at user 1 and goes through
-    the ring ``T / n`` times); T must be a multiple of n, and the same
-    read-only trace is returned for every seed.  Complete-graph walks send
-    the token to a user chosen uniformly at random at each step,
-    self-transitions included.
+    the ring ``T / n`` times); T must be a multiple of n, and the batch holds
+    the one walk that every seed shares as its single row.  Complete-graph
+    walks send the token to a user chosen uniformly at random at each step,
+    self-transitions included, one row per seed from its walk stream.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -129,15 +128,18 @@ def sample_walk(topology: Topology, T: int, seed: int) -> WalkTrace:
     if topology.kind == RING:
         if T % n != 0:
             raise ValueError(f"ring walk length T={T} must be a multiple of n={n}")
-        return _ring_walk(topology, T)
-    steps = rng_stream(seed, STREAM_WALK).integers(1, n + 1, size=T, dtype=np.int64)
-    return WalkTrace(topology=topology, steps=steps)
+        steps = np.tile(np.arange(1, n + 1, dtype=np.int64), T // n)[None, :]
+    else:
+        steps = np.empty((len(seeds), T), dtype=np.int64)
+        for row, seed in zip(steps, seeds):
+            row[:] = rng_stream(seed, STREAM_WALK).integers(1, n + 1, size=T, dtype=np.int64)
+    steps.setflags(write=False)
+    return WalkBatch(steps)
 
 
-@lru_cache(maxsize=1)  # a batch of ring runs shares one (n, T); keep no other walk alive
-def _ring_walk(topology: Topology, T: int) -> WalkTrace:
-    steps = np.tile(np.arange(1, topology.n + 1, dtype=np.int64), T // topology.n)
-    return WalkTrace(topology=topology, steps=steps)
+def sample_walk(topology: Topology, T: int, seed: int) -> WalkTrace:
+    """The walk of :func:`sample_walks` for one seed, as a :class:`WalkTrace`."""
+    return WalkTrace(topology=topology, steps=sample_walks(topology, T, [seed]).steps[0])
 
 
 def visit_counts(walk: WalkTrace) -> np.ndarray:

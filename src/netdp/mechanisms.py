@@ -54,7 +54,7 @@ def calibrate_laplace(sensitivity: float, epsilon: float) -> float:
     return sensitivity / epsilon
 
 
-def perturb(x, kind: Literal["gaussian", "laplace"], stddev, rng: np.random.Generator):
+def perturb(x, kind: Literal["gaussian", "laplace"], stddev, rng: np.random.Generator, out=None):
     """Add centered noise of std-dev ``stddev`` (scalar or per-entry) to x.
 
     The noise takes the broadcast shape of x and stddev, so
@@ -62,16 +62,19 @@ def perturb(x, kind: Literal["gaussian", "laplace"], stddev, rng: np.random.Gene
     ``scales``.  Laplace noise uses scale b = stddev / sqrt(2), whose
     std-dev is ``stddev``.  Gaussian noise is ``rng.normal(0.0, stddev,
     shape)`` bit for bit, formed from standard draws without its per-entry
-    broadcast; ``stddev`` must be non-negative.
+    broadcast; ``stddev`` must be non-negative.  ``out``, a float64 array of
+    the broadcast shape, receives the result (and the Gaussian draws) in
+    place of new arrays, for callers that perturb many times in turn.
     """
     shape = np.broadcast(x, stddev).shape
     if kind == GAUSSIAN:
-        noise = 0.0 + stddev * rng.standard_normal(shape)
+        noise = rng.standard_normal(shape, out=out)
+        noise = np.add(0.0, np.multiply(stddev, noise, out=out), out=out)
     elif kind == LAPLACE:
         noise = rng.laplace(0.0, np.divide(stddev, math.sqrt(2.0)), size=shape)
     else:
         raise ValueError(f"unknown noise kind {kind!r}")
-    return x + noise
+    return np.add(x, noise, out=out)
 
 
 def clip_contribution(x, sensitivity: float):
@@ -84,27 +87,33 @@ def clip_contribution(x, sensitivity: float):
     return np.clip(x, -half, half)
 
 
-def rr_gamma_many(xs: np.ndarray, gamma: float, domain_size: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """L-ary randomized response on values in [1, domain_size].
+def check_categories(xs, domain_size: int) -> np.ndarray:
+    """``xs`` as an int64 array; raises ValueError unless every entry lies in
+    [1, domain_size]."""
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.size and (xs.min() < 1 or xs.max() > domain_size):
+        raise ValueError(f"values outside domain [1, {domain_size}]")
+    return xs
 
-    Each entry is kept w.p. 1 - gamma, else replaced by a uniform value (which
-    may land on the original, so the overall keep probability is
-    1 - gamma + gamma/L).  Returns (responses, randomized_mask); the mask
-    marks entries that took the uniform branch (the protocol's "random
-    responses").  Draws one uniform per entry, then one category per
-    randomized entry.
+
+def rr_gamma_draws(size: int, gamma: float, domain_size: int, rng: np.random.Generator,
+                   mask: np.ndarray | None = None,
+                   uniforms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of L-ary randomized response on ``size`` values in [1, domain_size].
+
+    Each value is kept w.p. 1 - gamma, else replaced by a uniform category
+    (which may land on the original, so the overall keep probability is
+    1 - gamma + gamma/L).  Draws one uniform per value, marks those below
+    gamma (the protocol's "random responses"), then draws one category per
+    marked value.  Returns (mask, categories): the responses are the values
+    with ``values[mask] = categories``.  ``mask`` (bool) and ``uniforms``
+    (float64), arrays of ``size`` entries, receive the mask and the uniform
+    draws in place of new arrays.
     """
     if not 0 <= gamma <= 1:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    xs = np.asarray(xs, dtype=np.int64)
-    L = domain_size
-    if xs.size and (xs.min() < 1 or xs.max() > L):
-        raise ValueError(f"values outside domain [1, {L}]")
-    mask = rng.random(xs.shape) < gamma
-    out = xs.copy()
-    out[mask] = rng.integers(1, L + 1, size=int(mask.sum()))
-    return out, mask
+    mask = np.less(rng.random(size, out=uniforms), gamma, out=mask)
+    return mask, rng.integers(1, domain_size + 1, size=int(np.count_nonzero(mask)))
 
 
 def rr_epsilon_to_gamma(epsilon0: float, domain_size: int) -> float:

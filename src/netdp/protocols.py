@@ -3,26 +3,26 @@
 Each holder adds its contribution x_u^k to the token, the aggregate that
 walks the ring or the complete graph.  The contributions come in as one
 plain table: an (n,) array gives user u the same contribution at every
-visit, an (n, k_max) array gives it x_u^k at its k-th visit.  Each run
-returns the token's final value (a float or an array) together with the
-walk trace, the noise schedule and the reference aggregate, which is
-everything the empirical accountant and the Monte Carlo drivers need.  The
-noise schedule is a pair of arrays, ``noise_steps`` (the 1-based randomized
-steps) and ``noise_scales`` (the scale used at each), never one object per
-event.
-Additive noise goes through :func:`~netdp.mechanisms.perturb` and randomized
-response through :func:`~netdp.mechanisms.rr_gamma_many`.  Noisy SGD is
-the exception: :func:`run_complete_sgd` advances a batch of runs in
-lockstep and returns one :class:`SgdRuns` (the runs' checkpoint iterates,
-each seed's walk and noised steps) instead of a result per run.  A run is a pure
-function of (parameters, seed): walk sampling, additive noise, randomized
-response and init draws consume independent streams of the master seed.
+visit, an (n, k_max) array gives it x_u^k at its k-th visit.
+
+Every protocol takes a sequence of seeds and makes one run per seed; a
+single run is the one-seed call.  Run r is a pure function of (parameters,
+seeds[r]) and equals the one-seed call for that seed bit for bit: walk
+sampling, additive noise, randomized response and init draws consume
+independent streams of the run's seed.  What does not depend on the seed is
+built once per call: the parameter and table checks, the ring walk and its
+contributions, the noise schedule and the per-step scales.  Summation and
+histograms return one :class:`ProtocolRuns` (outputs, reference aggregates,
+walks, noise masks and scales as arrays, never one object per event);
+noisy SGD, :func:`run_complete_sgd`, advances its runs in lockstep and
+returns one :class:`SgdRuns`.  Additive noise goes through
+:func:`~netdp.mechanisms.perturb` and randomized response through
+:func:`~netdp.mechanisms.rr_gamma_draws`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -35,49 +35,67 @@ from .core import (
     STREAM_RR,
     Topology,
     WalkBatch,
-    WalkTrace,
     rng_stream,
-    sample_walk,
+    sample_walks,
 )
-from .mechanisms import GAUSSIAN, clip_contribution, perturb, rr_gamma_many
+from .mechanisms import GAUSSIAN, check_categories, clip_contribution, perturb, rr_gamma_draws
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
-    """Output of one protocol execution plus its accounting metadata.
+class ProtocolRuns(NamedTuple):
+    """R runs of a summation or histogram protocol, one per entry of ``seeds``.
 
-    ``output`` is the token's final value: a scalar sum, a debiased
-    histogram or a parameter vector; array values, like ``pre_debias``, are
-    read-only.  The noise schedule is two read-only arrays of equal length:
-    ``noise_steps`` (int64, 1-based, ascending) are the randomized steps and
-    ``noise_scales`` (float64) the scale used at each, i.e. the noise
-    std-dev for additive mechanisms or the flip probability for randomized
-    response.
+    ``outputs[r]`` is run r's final token: a sum, or a debiased histogram
+    over the L categories; ``true_values[r]`` is the aggregate it estimates,
+    ``pre_debias[r]`` a histogram run's raw counts and
+    ``response_counts[r]`` its randomized submissions (init block plus
+    randomized steps).  Rows that do not depend on the seed are held once:
+    ``trace.steps`` has the ring's one walk or one walk per run on the
+    complete graph, and ``noised`` marks the randomized steps t + 1 in one
+    row for a sum, whose schedule is fixed, or one flip mask per run for a
+    histogram.  ``scales[t]`` is the noise std-dev or flip probability of a
+    randomized step t + 1.  :meth:`walk` and :meth:`noise_steps` read run
+    r's rows.  All arrays are read-only.
     """
 
-    output: float | np.ndarray
-    trace: WalkTrace
-    noise_steps: np.ndarray
-    noise_scales: np.ndarray
-    true_value: float | np.ndarray | None
-    pre_debias: np.ndarray | None = None  # raw count histogram, when applicable
-    init_randomized: int = 0  # uniform elements seeding a histogram token
+    trace: WalkBatch  # (1, T) on the ring, (R, T) on the complete graph
+    noised: np.ndarray  # (1, T) bool for sums, (R, T) for histograms
+    scales: np.ndarray  # (T,) float64
+    outputs: np.ndarray  # (R,) float64 or (R, L) float64
+    true_values: np.ndarray  # (R,) float64 or (R, L) int64
+    pre_debias: np.ndarray | None  # (R, L) int64 raw counts; None for sums
+    response_counts: np.ndarray  # (R,) int64
 
-    def __post_init__(self):
-        steps = np.asarray(self.noise_steps, dtype=np.int64)
-        scales = np.asarray(self.noise_scales, dtype=np.float64)
-        if steps.ndim != 1 or steps.shape != scales.shape:
-            raise ValueError("noise_steps and noise_scales must be 1-d arrays of equal length")
-        for arr in (steps, scales, self.output, self.pre_debias):
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-        object.__setattr__(self, "noise_steps", steps)
-        object.__setattr__(self, "noise_scales", scales)
+    def walk(self, r: int) -> np.ndarray:
+        """(T,) holders of run r's walk."""
+        return self.trace.steps[r if len(self.trace.steps) > 1 else 0]
 
-    @property
-    def random_response_count(self) -> int:
-        """Total randomized submissions (init block plus flipped responses)."""
-        return self.init_randomized + self.noise_steps.size
+    def noise_steps(self, r: int) -> np.ndarray:
+        """Ascending 1-based steps at which run r randomized."""
+        return np.flatnonzero(self.noised[r if len(self.noised) > 1 else 0]) + 1
+
+
+def _read_only(runs: ProtocolRuns) -> ProtocolRuns:
+    for arr in runs[1:]:  # trace.steps is read-only already
+        if arr is not None:
+            arr.setflags(write=False)
+    return runs
+
+
+def _seed_list(seeds: Sequence[int]) -> list[int]:
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
+    return seeds
+
+
+def _check_args(n: int, min_n: int, steps_name: str, steps: int,
+                sigma_loc: float = 0.0, gamma: float = 0.0) -> None:
+    if n < min_n or steps < 1:
+        raise ValueError(f"need n >= {min_n} and {steps_name} >= 1, got n={n}, {steps_name}={steps}")
+    if sigma_loc < 0:
+        raise ValueError("sigma_loc must be non-negative")
+    if not 0 <= gamma < 1:
+        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +149,29 @@ def _contributions(table: np.ndarray, steps: np.ndarray) -> np.ndarray:
     An (n,) table gives user u the entry u - 1 at every visit; an
     (n, k_max) table gives it column k at its (0-based) k-th visit.
     """
-    table = np.asarray(table)
     if table.ndim == 1:
-        return table[steps - 1]
+        return table.take(steps - 1)
     return table[steps - 1, occurrence_index(steps)]
 
 
 # ---------------------------------------------------------------------------
-# Ring summation
+# Summation
 # ---------------------------------------------------------------------------
+
+def _sum_runs(trace: WalkBatch, noised: np.ndarray, scales: np.ndarray, true_values: np.ndarray,
+              sigma_loc: float, noise_kind: str, seeds: list[int]) -> ProtocolRuns:
+    """Each seed's output: its true value plus the sum of one ``perturb``
+    draw over the noised steps' scales, drawn into one reused buffer."""
+    outputs = true_values.copy()
+    if sigma_loc > 0:
+        step_scales = scales[noised]
+        noise = np.empty(step_scales.size)
+        for r, seed in enumerate(seeds):
+            outputs[r] += perturb(0.0, noise_kind, step_scales, rng_stream(seed, STREAM_NOISE),
+                                  out=noise).sum()
+    return _read_only(ProtocolRuns(trace, noised[None, :], scales, outputs, true_values, None,
+                                   np.full(len(seeds), np.count_nonzero(noised), dtype=np.int64)))
+
 
 def ring_noise_steps(n: int, K: int, protect_first_cycle: bool = False) -> np.ndarray:
     """1-based steps at which the single-noiser ring schedule perturbs.
@@ -168,11 +200,11 @@ def run_ring_sum(
     table: np.ndarray,
     sigma_loc: float,
     mode: Literal["single_noiser", "distributed"] = "single_noiser",
-    seed: int = 0,
+    seeds: Sequence[int] = (0,),
     clip: float = 1.0,
     noise_kind: Literal["gaussian", "laplace"] = GAUSSIAN,
     protect_first_cycle: bool = False,
-) -> ProtocolResult:
+) -> ProtocolRuns:
     """Real summation on a directed ring, noise once every n - 1 hops.
 
     The token makes K laps; contributions are clipped to the declared
@@ -181,38 +213,84 @@ def run_ring_sum(
     spreads the noise instead: every holder adds std-dev sigma_loc/sqrt(n),
     except the first contribution which uses the full sigma_loc; the total
     noise std-dev is then sqrt(floor(K n/(n-1)) + 1) * sigma_loc up to a
-    vanishing 1/n correction.
+    vanishing 1/n correction.  The walk, the true sum and the schedule are
+    the same for every seed; each seed draws its own noise.
     """
-    if n < 2 or K < 1:
-        raise ValueError(f"need n >= 2 and K >= 1, got n={n}, K={K}")
-    if sigma_loc < 0:
-        raise ValueError("sigma_loc must be non-negative")
+    seeds = _seed_list(seeds)
+    _check_args(n, 2, "K", K, sigma_loc=sigma_loc)
     T = K * n
-    trace = sample_walk(Topology(RING, n), T, seed)
-    x = clip_contribution(_contributions(table, trace.steps), clip)
-    true_value = float(np.sum(x))
-
     if mode == "single_noiser":
-        noise_steps = ring_noise_steps(n, K, protect_first_cycle)
-        scales = np.full(noise_steps.size, float(sigma_loc))
+        noised = np.zeros(T, dtype=bool)
+        noised[ring_noise_steps(n, K, protect_first_cycle) - 1] = True
+        scales = np.full(T, float(sigma_loc))
     elif mode == "distributed":
-        noise_steps = np.arange(1, T + 1, dtype=np.int64)
+        noised = np.ones(T, dtype=bool)
         scales = np.full(T, sigma_loc / math.sqrt(n))
         scales[0] = sigma_loc
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    trace = sample_walks(Topology(RING, n), T, seeds)
+    x = _contributions(clip_contribution(np.asarray(table), clip), trace.steps[0])
+    true_values = np.full(len(seeds), float(np.sum(x)))
+    return _sum_runs(trace, noised, scales, true_values, sigma_loc, noise_kind, seeds)
 
-    total = true_value
-    if sigma_loc > 0:
-        total += float(np.sum(perturb(0.0, noise_kind, scales, rng_stream(seed, STREAM_NOISE))))
 
-    return ProtocolResult(
-        output=total,
-        trace=trace,
-        noise_steps=noise_steps,
-        noise_scales=scales,
-        true_value=true_value,
-    )
+def run_complete_sum(
+    n: int,
+    T: int,
+    table: np.ndarray,
+    sigma_loc: float,
+    seeds: Sequence[int] = (0,),
+    clip: float = 1.0,
+    noise_kind: Literal["gaussian", "laplace"] = GAUSSIAN,
+) -> ProtocolRuns:
+    """Real summation along a uniform random walk; every holder perturbs.
+
+    The output is unbiased for the sum of the T contributions actually
+    drawn, with noise std-dev sqrt(T) * sigma_loc.  The table is clipped
+    once per call; each seed draws its own walk and noise.
+    """
+    seeds = _seed_list(seeds)
+    _check_args(n, 1, "T", T, sigma_loc=sigma_loc)
+    trace = sample_walks(Topology(COMPLETE, n), T, seeds)
+    clipped = clip_contribution(np.asarray(table), clip)
+    true_values = np.array([np.sum(_contributions(clipped, walk)) for walk in trace.steps], dtype=float)
+    return _sum_runs(trace, np.ones(T, dtype=bool), np.full(T, float(sigma_loc)), true_values,
+                     sigma_loc, noise_kind, seeds)
+
+
+def audit_ring_sum_structure(n: int, steps: np.ndarray, noise_steps: np.ndarray,
+                             require_other_noiser: bool = True) -> int:
+    """Count inter-observation windows violating the ring privacy structure.
+
+    ``steps`` is a walk on the n users, such as :meth:`ProtocolRuns.walk`,
+    and ``noise_steps`` its ascending 1-based noise steps, such as
+    :meth:`ProtocolRuns.noise_steps`.  A user at ring position p observes the
+    token each time it arrives, i.e. after steps p - 1 + i * n.  The
+    difference between two consecutive observations covers n steps and must
+    contain at least one noise event and at most one contribution of the
+    observer; with ``require_other_noiser`` the noise must include an event
+    added by a different user, which is what actually protects the others.
+    Returns the number of violating (observer, window) pairs.
+    """
+    T = steps.size
+    K = T // n
+    p = np.arange(1, n + 1, dtype=np.int64)[:, None]
+    i = np.arange(1, K, dtype=np.int64)[None, :]
+    lo = p + (i - 1) * n  # first step after observation i
+    hi = p - 1 + i * n  # step producing observation i + 1
+    upto_hi = np.searchsorted(noise_steps, hi, side="right")
+    ok = upto_hi > np.searchsorted(noise_steps, lo, side="left")
+    # the observer's own visits in [lo, hi], counted on (user, step) keys
+    visits = np.sort(steps * (T + 1) + np.arange(1, T + 1))
+    own = (np.searchsorted(visits, p * (T + 1) + hi, side="right")
+           - np.searchsorted(visits, p * (T + 1) + lo, side="left"))
+    ok &= own <= 1
+    if require_other_noiser:
+        # noise step s is performed by ring position ((s-1) mod n)+1; in the
+        # n-step window only step lo belongs to the observer
+        ok &= upto_hi > np.searchsorted(noise_steps, lo + 1, side="left")
+    return int(np.count_nonzero(~ok))
 
 
 # ---------------------------------------------------------------------------
@@ -233,60 +311,35 @@ def _debias_histogram(counts: np.ndarray, gamma: float, domain_size: int,
     return (counts - num_responses * gamma / domain_size - init_count / domain_size) / (1.0 - gamma)
 
 
-def _rr_histogram(trace: WalkTrace, x: np.ndarray, domain_size: int, gamma: float,
-                  seed: int, init_count: int) -> ProtocolResult:
-    """Randomize every contribution, count the responses plus ``init_count``
-    uniform seed elements, and debias."""
-    x = np.asarray(x, dtype=np.int64)
-    responses, flip = rr_gamma_many(x, gamma, domain_size, rng_stream(seed, STREAM_RR))
-    counts = np.bincount(responses - 1, minlength=domain_size).astype(np.int64)
-    if init_count:
-        init = rng_stream(seed, STREAM_INIT).integers(1, domain_size + 1, size=init_count)
-        counts += np.bincount(init - 1, minlength=domain_size).astype(np.int64)
-    debiased = _debias_histogram(counts, gamma, domain_size, num_responses=x.size, init_count=init_count)
-    noise_steps = np.flatnonzero(flip) + 1
-    return ProtocolResult(
-        output=debiased,
-        trace=trace,
-        noise_steps=noise_steps,
-        noise_scales=np.full(noise_steps.size, gamma),
-        true_value=np.bincount(x - 1, minlength=domain_size).astype(np.int64),
-        pre_debias=counts,
-        init_randomized=init_count,
-    )
+def _rr_runs(trace: WalkBatch, table: np.ndarray, domain_size: int, gamma: float,
+             seeds: list[int], init_count: int) -> ProtocolRuns:
+    """Randomize every contribution of each seed's run, count the responses
+    plus ``init_count`` uniform seed elements, and debias.
 
-
-def audit_ring_sum_structure(result: ProtocolResult, require_other_noiser: bool = True) -> int:
-    """Count inter-observation windows violating the ring privacy structure.
-
-    A user at ring position p observes the token each time it arrives, i.e.
-    after steps p - 1 + i * n.  The difference between two consecutive
-    observations covers n steps and must contain at least one noise event
-    and at most one contribution of the observer; with
-    ``require_other_noiser`` the noise must include an event added by a
-    different user, which is what actually protects the others.  Returns
-    the number of violating (observer, window) pairs.
+    A run's counts are its true histogram, less its randomized contributions,
+    plus the categories they drew; the uniforms and the flip mask are drawn
+    straight into a reused buffer and the run's row of ``noised``.
     """
-    n = result.trace.n
-    T = result.trace.T
-    K = T // n
-    p = np.arange(1, n + 1, dtype=np.int64)[:, None]
-    i = np.arange(1, K, dtype=np.int64)[None, :]
-    lo = p + (i - 1) * n  # first step after observation i
-    hi = p - 1 + i * n  # step producing observation i + 1
-    noise_steps = result.noise_steps
-    upto_hi = np.searchsorted(noise_steps, hi, side="right")
-    ok = upto_hi > np.searchsorted(noise_steps, lo, side="left")
-    # the observer's own visits in [lo, hi], counted on (user, step) keys
-    visits = np.sort(result.trace.steps * (T + 1) + np.arange(1, T + 1))
-    own = (np.searchsorted(visits, p * (T + 1) + hi, side="right")
-           - np.searchsorted(visits, p * (T + 1) + lo, side="left"))
-    ok &= own <= 1
-    if require_other_noiser:
-        # noise step s is performed by ring position ((s-1) mod n)+1; in the
-        # n-step window only step lo belongs to the observer
-        ok &= upto_hi > np.searchsorted(noise_steps, lo + 1, side="left")
-    return int(np.count_nonzero(~ok))
+    L = domain_size
+    R, T = len(seeds), trace.T
+    noised = np.empty((R, T), dtype=bool)
+    uniforms = np.empty(T)
+    true_values = np.empty((R, L), dtype=np.int64)
+    counts = np.empty((R, L), dtype=np.int64)
+    for r, seed in enumerate(seeds):
+        if r < len(trace.steps):  # a new walk; the ring's one walk serves every run
+            x = _contributions(table, trace.steps[r])
+            true = np.bincount(x, minlength=L + 1)[1:]
+        flip, categories = rr_gamma_draws(T, gamma, L, rng_stream(seed, STREAM_RR), noised[r], uniforms)
+        counts[r] = (true - np.bincount(x.compress(flip), minlength=L + 1)[1:]
+                     + np.bincount(categories, minlength=L + 1)[1:])
+        if init_count:
+            init = rng_stream(seed, STREAM_INIT).integers(1, L + 1, size=init_count)
+            counts[r] += np.bincount(init, minlength=L + 1)[1:]
+        true_values[r] = true
+    outputs = _debias_histogram(counts, gamma, L, num_responses=T, init_count=init_count)
+    return _read_only(ProtocolRuns(trace, noised, np.full(T, float(gamma)), outputs, true_values, counts,
+                                   init_count + np.count_nonzero(noised, axis=1)))
 
 
 def run_ring_hist(
@@ -295,59 +348,22 @@ def run_ring_hist(
     domain_size: int,
     table: np.ndarray,
     gamma: float,
-    seed: int = 0,
-) -> ProtocolResult:
+    seeds: Sequence[int] = (0,),
+) -> ProtocolRuns:
     """Discrete histogram on a directed ring via L-ary randomized response.
 
     The token histogram is seeded with ceil(gamma * n) uniform elements to
     hide the first contributions, then every contribution passes through
-    RR_gamma before being counted.  The returned output is the debiased
-    (unbiased) estimate; the raw counts and the randomized-submission count
-    are exposed for verification.
+    RR_gamma before being counted.  The outputs are the debiased (unbiased)
+    estimates; the raw counts and the randomized-submission counts are
+    exposed for verification.  Every category in the table must lie in
+    [1, domain_size].
     """
-    if n < 2 or K < 1:
-        raise ValueError(f"need n >= 2 and K >= 1, got n={n}, K={K}")
-    if not 0 <= gamma < 1:
-        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-    T = K * n
-    trace = sample_walk(Topology(RING, n), T, seed)
-    return _rr_histogram(trace, _contributions(table, trace.steps), domain_size, gamma, seed, init_count=math.ceil(gamma * n))
-
-
-def run_complete_sum(
-    n: int,
-    T: int,
-    table: np.ndarray,
-    sigma_loc: float,
-    seed: int = 0,
-    clip: float = 1.0,
-    noise_kind: Literal["gaussian", "laplace"] = GAUSSIAN,
-) -> ProtocolResult:
-    """Real summation along a uniform random walk; every holder perturbs.
-
-    The output is unbiased for the sum of the T contributions actually
-    drawn, with noise std-dev sqrt(T) * sigma_loc.  Per-user counters track
-    how many times each user has contributed so far.
-    """
-    if n < 1 or T < 1:
-        raise ValueError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
-    if sigma_loc < 0:
-        raise ValueError("sigma_loc must be non-negative")
-    trace = sample_walk(Topology(COMPLETE, n), T, seed)
-    x = clip_contribution(_contributions(table, trace.steps), clip)
-    true_value = float(np.sum(x))
-
-    scales = np.full(T, float(sigma_loc))
-    total = true_value
-    if sigma_loc > 0:
-        total += float(np.sum(perturb(0.0, noise_kind, scales, rng_stream(seed, STREAM_NOISE))))
-    return ProtocolResult(
-        output=total,
-        trace=trace,
-        noise_steps=np.arange(1, T + 1, dtype=np.int64),
-        noise_scales=scales,
-        true_value=true_value,
-    )
+    seeds = _seed_list(seeds)
+    _check_args(n, 2, "K", K, gamma=gamma)
+    table = check_categories(table, domain_size)
+    trace = sample_walks(Topology(RING, n), K * n, seeds)
+    return _rr_runs(trace, table, domain_size, gamma, seeds, init_count=math.ceil(gamma * n))
 
 
 def run_complete_hist(
@@ -356,15 +372,14 @@ def run_complete_hist(
     domain_size: int,
     table: np.ndarray,
     gamma: float,
-    seed: int = 0,
-) -> ProtocolResult:
+    seeds: Sequence[int] = (0,),
+) -> ProtocolRuns:
     """Discrete histogram along a uniform random walk, no init block."""
-    if n < 1 or T < 1:
-        raise ValueError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
-    if not 0 <= gamma < 1:
-        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-    trace = sample_walk(Topology(COMPLETE, n), T, seed)
-    return _rr_histogram(trace, _contributions(table, trace.steps), domain_size, gamma, seed, init_count=0)
+    seeds = _seed_list(seeds)
+    _check_args(n, 1, "T", T, gamma=gamma)
+    table = check_categories(table, domain_size)
+    trace = sample_walks(Topology(COMPLETE, n), T, seeds)
+    return _rr_runs(trace, table, domain_size, gamma, seeds, init_count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +476,8 @@ def run_complete_sgd(
     ``size=d`` draw per step would; a short block keeps the (block, K, d)
     noise buffer small.
     """
-    if n < 1 or T < 1:
-        raise ValueError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
-    seeds = [int(s) for s in seeds]
+    _check_args(n, 1, "T", T)
+    seeds = _seed_list(seeds)
     B = len(seeds)
     eta, sigma, noise_when_capped = (
         np.broadcast_to(np.asarray(value, dtype=dtype), (B,)).tolist()
@@ -471,8 +485,8 @@ def run_complete_sgd(
     )
     if not all(s >= 0 for s in sigma):
         raise ValueError("sigma must be non-negative")
-    if B == 0 or not all(0 < e < math.inf for e in eta):
-        raise ValueError("need at least one seed and every eta positive and finite")
+    if not all(0 < e < math.inf for e in eta):
+        raise ValueError("every eta must be positive and finite")
 
     # per distinct seed: walk and contribution (cap) mask; per distinct
     # (seed, sigma, noise mode) key: noise mask and stream
@@ -482,8 +496,7 @@ def run_complete_sgd(
     keys = list(key_index)
     row = np.array([seed_index[s] for s in seeds], dtype=np.int64)  # run -> seed row
     key_row = np.array([key_index[k] for k in runs_keys], dtype=np.int64)  # run -> key row
-    topology = Topology(COMPLETE, n)
-    walks = np.stack([sample_walk(topology, T, s).steps for s in seed_index])
+    walks = sample_walks(Topology(COMPLETE, n), T, list(seed_index)).steps
     contributes = np.ones(walks.shape, dtype=bool)
     if max_contributions is not None:
         contributes = np.stack([occurrence_index(w) < max_contributions for w in walks])

@@ -27,9 +27,7 @@ def test_c01_ring_sum_variance():
     start = time.time()
     n, K, runs = 100, 10, 100_000
     stream = proto.uniform_scalar_stream(n, seed=17)
-    outs = np.empty(runs)
-    for s in range(runs):
-        outs[s] = proto.run_ring_sum(n, K, stream, 1.0, seed=s).output
+    outs = proto.run_ring_sum(n, K, stream, 1.0, seeds=range(runs)).outputs
     std = outs.std(ddof=1)
     elapsed = time.time() - start
     ok = abs(std - math.sqrt(10)) <= 0.03 * math.sqrt(10) and elapsed < 60
@@ -47,9 +45,10 @@ def test_c02_ring_structural_privacy():
     checked = 0
     for n, K in configs:
         stream = proto.uniform_scalar_stream(n, seed=23)
-        for s in range(250):
-            res = proto.run_ring_sum(n, K, stream, 1.0, seed=s)
-            violations += proto.audit_ring_sum_structure(res, require_other_noiser=True)
+        res = proto.run_ring_sum(n, K, stream, 1.0, seeds=range(250))
+        for r in range(250):
+            violations += proto.audit_ring_sum_structure(n, res.walk(r), res.noise_steps(r),
+                                                         require_other_noiser=True)
             checked += 1
     criterion_line("ring_structural_privacy", violations == 0,
                    f"{violations} violations over {checked} traces")
@@ -154,17 +153,21 @@ def test_c07_chernoff_coverage():
     assert elapsed < 120
 
 
+CALL_RUNS = 125  # divides both run counts of c08
+
+
 def test_c08_histogram_unbiasedness_and_response_counts():
-    # ring: n=500, K=20, L=5, gamma=0.3 over 1e4 runs
+    # ring: n=500, K=20, L=5, gamma=0.3 over 1e4 runs; calls of CALL_RUNS
+    # seeds keep each call's (runs, T) flip masks and walks near 10 MB
     n, K, L, gamma, runs = 500, 20, 5, 0.3, 10_000
     stream = proto.uniform_category_stream(n, L, seed=31)
     true_hist = np.bincount(np.repeat(stream - 1, K), minlength=L)
     errors = np.empty((runs, L))
     rr = np.empty(runs)
-    for s in range(runs):
-        res = proto.run_ring_hist(n, K, L, stream, gamma, seed=s)
-        errors[s] = np.asarray(res.output) - true_hist
-        rr[s] = res.random_response_count
+    for s in range(0, runs, CALL_RUNS):
+        res = proto.run_ring_hist(n, K, L, stream, gamma, seeds=range(s, s + CALL_RUNS))
+        errors[s:s + CALL_RUNS] = res.outputs - true_hist
+        rr[s:s + CALL_RUNS] = res.response_counts
     se = errors.std(axis=0, ddof=1) / math.sqrt(runs)
     bias_ok = bool(np.all(np.abs(errors.mean(axis=0)) <= 3 * se))
     ring_expected = gamma * n * (K + 1)
@@ -173,9 +176,9 @@ def test_c08_histogram_unbiasedness_and_response_counts():
     # complete graph: response count against gamma * T
     T, runs_c = 10_000, 2000
     rr_c = np.empty(runs_c)
-    for s in range(runs_c):
-        res = proto.run_complete_hist(n, T, L, stream, gamma, seed=s)
-        rr_c[s] = res.random_response_count
+    for s in range(0, runs_c, CALL_RUNS):
+        res = proto.run_complete_hist(n, T, L, stream, gamma, seeds=range(s, s + CALL_RUNS))
+        rr_c[s:s + CALL_RUNS] = res.response_counts
     complete_count_ok = abs(rr_c.mean() - gamma * T) <= 0.02 * gamma * T
 
     ok = bias_ok and ring_count_ok and complete_count_ok

@@ -52,6 +52,14 @@ class TestConfigParsing:
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
 
+    def test_derive_seed_keeps_bits_above_32(self):
+        # parts below 2**32 keep the values they always had
+        assert derive_seed(1, 2, 3) == 12997252459554536576
+        assert derive_seed(2**32 - 1, 0xDA7A) == 2706235518615794121
+        assert derive_seed(1, 0xDA7A) == 5339024011857495557
+        assert derive_seed(2**32 + 1, 0xDA7A) != derive_seed(1, 0xDA7A)
+        assert derive_seed(2**64 + 1, 7) != derive_seed(1, 7)
+
     def test_delta_split_spends_thirds(self):
         total, n, T = 3e-3, 100, 10**4
         d0, dp, dh = split_delta_budget(total, n, T)
@@ -218,6 +226,24 @@ class TestProtocolMc:
             "ring_hist": ("21", "", "9.3"),
             "complete_hist": ("30", "", "9.0"),
         }
+
+    def test_seeds_apart_by_2_pow_32_differ(self, tmp_path):
+        digests = []
+        for seed in (1, 2**32 + 1):
+            out = tmp_path / f"out{seed}"
+            assert run_cli("--experiment", "protocol_mc", "--out", out, "--runs", 3, "--seed", seed,
+                           "--set", "n=6", "--set", "K=2", "--set", "T=12") == 0
+            (csv_path,) = results_files(out, "protocol_mc")
+            digests.append(csv_path.read_bytes())
+        assert digests[0] != digests[1]
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, how, capsys):
+        seed = ["--seed", -1] if how == "flag" else ["--set", "seed=-1"]
+        assert run_cli("--experiment", "protocol_mc", "--out", tmp_path / "out", "--runs", 2,
+                       *seed, "--set", "n=5", "--set", "K=2") == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_seeds_are_exact_ints(self, tmp_path, monkeypatch):
         import zlib

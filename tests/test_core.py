@@ -10,6 +10,7 @@ from netdp.core import (
     WalkTrace,
     rng_stream,
     sample_walk,
+    sample_walks,
     visit_counts,
 )
 
@@ -45,13 +46,24 @@ class TestSampleWalk:
         walk = sample_walk(Topology(RING, 3), 6, seed=99)
         assert walk.steps.tolist() == [1, 2, 3, 1, 2, 3]
 
-    def test_ring_walk_built_once_and_read_only(self):
-        # the ring walk does not depend on the seed, so one trace serves all
+    def test_ring_walk_is_seed_free_and_read_only(self):
+        # the ring walk does not depend on the seed, so a batch holds one row
         a = sample_walk(Topology(RING, 4), 8, seed=1)
-        assert sample_walk(Topology(RING, 4), 8, seed=2) is a
+        assert sample_walk(Topology(RING, 4), 8, seed=2).steps.tolist() == a.steps.tolist()
         assert sample_walk(Topology(RING, 4), 12, seed=1).steps.tolist() == [1, 2, 3, 4] * 3
+        batch = sample_walks(Topology(RING, 4), 8, [1, 2, 3])
+        assert batch.steps.tolist() == [a.steps.tolist()] and batch.T == 8
+        for steps in (a.steps, batch.steps):
+            with pytest.raises(ValueError):
+                steps[0] = 2
+
+    def test_complete_walks_are_the_seeds_walks(self):
+        batch = sample_walks(Topology(COMPLETE, 7), 50, [3, 9, 3])
+        assert batch.steps.shape == (3, 50)
+        for row, seed in zip(batch.steps, [3, 9, 3]):
+            assert row.tolist() == sample_walk(Topology(COMPLETE, 7), 50, seed).steps.tolist()
         with pytest.raises(ValueError):
-            a.steps[0] = 2
+            batch.steps[0, 0] = 1
 
     def test_single_user_complete(self):
         walk = sample_walk(Topology(COMPLETE, 1), 5, seed=4)

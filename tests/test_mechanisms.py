@@ -11,11 +11,12 @@ from netdp.mechanisms import (
     LAPLACE,
     calibrate_gaussian,
     calibrate_laplace,
+    check_categories,
     clip_contribution,
     gaussian_epsilon,
     perturb,
     rr_epsilon_to_gamma,
-    rr_gamma_many,
+    rr_gamma_draws,
     rr_gamma_to_epsilon,
 )
 
@@ -90,6 +91,14 @@ class TestPerturb:
         assert acc.var() == pytest.approx(reps * sigma**2, rel=0.02)
 
     @pytest.mark.parametrize("kind", [GAUSSIAN, LAPLACE])
+    def test_out_receives_the_result(self, kind):
+        scales = np.linspace(0.0, 2.0, 40)
+        out = np.full(40, np.nan)
+        got = perturb(1.5, kind, scales, rng_stream(4, 1), out=out)
+        assert got is out
+        assert out.tobytes() == perturb(1.5, kind, scales, rng_stream(4, 1)).tobytes()
+
+    @pytest.mark.parametrize("kind", [GAUSSIAN, LAPLACE])
     def test_per_entry_stddev_draws_like_scalar(self, kind):
         # protocols pass one std-dev per step; the draws must not depend on
         # whether the std-dev is a scalar or an array
@@ -116,36 +125,58 @@ def test_gaussian_perturb_draws_what_normal_draws(seed, size, zeros, scalar):
         expected = x + rng_stream(seed, 1).normal(0.0, stddev, np.broadcast(x, stddev).shape)
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
         assert np.shape(got) == np.shape(expected)
+        buffer = np.empty(np.shape(expected))
+        assert perturb(x, GAUSSIAN, stddev, rng_stream(seed, 1), out=buffer) is buffer
+        assert buffer.tobytes() == np.asarray(expected).tobytes()
+
+
+def rr_responses(xs, gamma, domain_size, rng):
+    """The responses of randomized response on the values xs."""
+    mask, categories = rr_gamma_draws(xs.size, gamma, domain_size, rng)
+    out = xs.copy()
+    out[mask] = categories
+    return out, mask
 
 
 class TestRandomizedResponse:
     def test_gamma_zero_is_identity(self, rng):
         xs = np.arange(1, 5)
-        out, mask = rr_gamma_many(xs, 0.0, 4, rng)
+        out, mask = rr_responses(xs, 0.0, 4, rng)
         assert out.tolist() == xs.tolist()
         assert not mask.any()
 
     def test_gamma_one_uniform(self, rng):
-        out, _ = rr_gamma_many(np.ones(10**5, dtype=int), 1.0, 2, rng)
+        out, _ = rr_responses(np.ones(10**5, dtype=int), 1.0, 2, rng)
         assert np.mean(out == 1) == pytest.approx(0.5, abs=0.005)
 
     def test_plug_in_probabilities(self, rng):
         # gamma=0.3, L=5: keep prob 0.76, each other value 0.06
-        out, _ = rr_gamma_many(np.full(10**5, 2), 0.3, 5, rng)
+        out, _ = rr_responses(np.full(10**5, 2), 0.3, 5, rng)
         freqs = np.bincount(out, minlength=6)[1:] / out.size
         assert freqs[1] == pytest.approx(0.76, abs=0.01)
         for other in (0, 2, 3, 4):
             assert freqs[other] == pytest.approx(0.06, abs=0.01)
 
-    def test_out_of_domain(self, rng):
+    def test_out_of_domain(self):
         with pytest.raises(ValueError):
-            rr_gamma_many(np.array([0]), 0.5, 3, rng)
+            check_categories(np.array([0]), 3)
         with pytest.raises(ValueError):
-            rr_gamma_many(np.array([1, 4]), 0.5, 3, rng)
+            check_categories(np.array([1, 4]), 3)
+        assert check_categories([[1.0, 3.0]], 3).dtype == np.int64
 
     def test_gamma_outside_unit_interval(self, rng):
         with pytest.raises(ValueError):
-            rr_gamma_many(np.array([1]), 1.5, 3, rng)
+            rr_gamma_draws(1, 1.5, 3, rng)
+
+    def test_buffers_take_the_draws(self):
+        # reused buffers consume the stream as new arrays do
+        mask, uniforms = np.empty(500, dtype=bool), np.empty(500)
+        got = rr_gamma_draws(500, 0.3, 4, rng_stream(7, 2), mask, uniforms)
+        expected = rr_gamma_draws(500, 0.3, 4, rng_stream(7, 2))
+        assert got[0] is mask
+        assert uniforms.tolist() == rng_stream(7, 2).random(500).tolist()
+        for a, b in zip(got, expected):
+            assert a.tolist() == b.tolist()
 
 
 class TestRrCalibration:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -45,64 +44,55 @@ class TestRingNoiseSchedule:
 class TestRunRingSum:
     def test_noiseless_equals_exact_sum(self):
         stream = uniform_scalar_stream(10, seed=3)
-        res = run_ring_sum(10, 4, stream, sigma_loc=0.0, seed=5)
-        assert float(res.output) == pytest.approx(res.true_value, abs=1e-12)
-        assert res.true_value == pytest.approx(4 * np.sum(stream))
+        res = run_ring_sum(10, 4, stream, sigma_loc=0.0, seeds=[5])
+        assert float(res.outputs[0]) == pytest.approx(res.true_values[0], abs=1e-12)
+        assert res.true_values[0] == pytest.approx(4 * np.sum(stream))
 
     def test_noise_event_count_and_spacing(self):
-        res = run_ring_sum(100, 10, uniform_scalar_stream(100, 1), 1.0, seed=2)
-        steps = res.noise_steps
+        res = run_ring_sum(100, 10, uniform_scalar_stream(100, 1), 1.0, seeds=[2])
+        steps = res.noise_steps(0)
         assert steps.size == 10
         assert np.all(np.diff(steps) == 99)
-        assert np.all(res.noise_scales == 1.0)
+        assert np.all(res.scales[steps - 1] == 1.0)
 
     def test_structural_audit_default_schedule(self):
-        res = run_ring_sum(20, 5, uniform_scalar_stream(20, 1), 1.0, seed=2)
-        assert audit_ring_sum_structure(res, require_other_noiser=True) == 0
+        res = run_ring_sum(20, 5, uniform_scalar_stream(20, 1), 1.0, seeds=[2])
+        assert audit_ring_sum_structure(20, res.walk(0), res.noise_steps(0), require_other_noiser=True) == 0
 
     def test_structural_audit_protected_schedule(self):
-        res = run_ring_sum(20, 5, uniform_scalar_stream(20, 1), 1.0, seed=2,
+        res = run_ring_sum(20, 5, uniform_scalar_stream(20, 1), 1.0, seeds=[2],
                            protect_first_cycle=True)
-        assert audit_ring_sum_structure(res, require_other_noiser=True) == 0
+        assert audit_ring_sum_structure(20, res.walk(0), res.noise_steps(0), require_other_noiser=True) == 0
 
     def test_monte_carlo_stddev(self):
         # smaller sibling of the acceptance run: 2e4 runs, 5% tolerance
         stream = uniform_scalar_stream(100, seed=9)
-        outs = np.array([
-            float(run_ring_sum(100, 10, stream, 1.0, seed=s).output)
-            for s in range(20_000)
-        ])
+        outs = run_ring_sum(100, 10, stream, 1.0, seeds=range(20_000)).outputs
         assert outs.std(ddof=1) == pytest.approx(math.sqrt(10), rel=0.05)
         assert outs.mean() == pytest.approx(float(10 * np.sum(stream)), abs=0.1)
 
     def test_distributed_mode_schedule(self):
         n, K = 100, 10
-        res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 2.0, mode="distributed", seed=3)
-        assert res.noise_steps.size == K * n
-        assert res.noise_scales[0] == 2.0
-        assert res.noise_scales[1] == pytest.approx(2.0 / math.sqrt(n))
+        res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 2.0, mode="distributed", seeds=[3])
+        assert res.noise_steps(0).size == K * n
+        assert res.scales[0] == 2.0
+        assert res.scales[1] == pytest.approx(2.0 / math.sqrt(n))
 
     def test_distributed_mode_stddev(self):
         # total noise std sqrt(floor(Kn/(n-1)) + 1) sigma up to a 1/n term
         stream = uniform_scalar_stream(100, seed=9)
-        outs = np.array([
-            float(run_ring_sum(100, 10, stream, 1.0, mode="distributed", seed=s).output)
-            for s in range(20_000)
-        ])
+        outs = run_ring_sum(100, 10, stream, 1.0, mode="distributed", seeds=range(20_000)).outputs
         assert outs.std(ddof=1) == pytest.approx(math.sqrt(11), rel=0.05)
 
     def test_purity(self):
         stream = uniform_scalar_stream(10, seed=3)
-        a = run_ring_sum(10, 2, stream, 1.0, seed=7)
-        b = run_ring_sum(10, 2, stream, 1.0, seed=7)
-        assert float(a.output) == float(b.output)
+        a = run_ring_sum(10, 2, stream, 1.0, seeds=[7])
+        b = run_ring_sum(10, 2, stream, 1.0, seeds=[7])
+        assert float(a.outputs[0]) == float(b.outputs[0])
 
     def test_laplace_noise_kind(self):
         stream = uniform_scalar_stream(50, seed=3)
-        outs = np.array([
-            float(run_ring_sum(50, 4, stream, 1.0, seed=s, noise_kind="laplace").output)
-            for s in range(4000)
-        ])
+        outs = run_ring_sum(50, 4, stream, 1.0, seeds=range(4000), noise_kind="laplace").outputs
         # laplace draws are scaled so the per-event std is still sigma_loc
         assert outs.std(ddof=1) == pytest.approx(math.sqrt((4 * 50) // 49), rel=0.1)
 
@@ -116,28 +106,22 @@ class TestRunRingSum:
             run_ring_sum(10, 2, stream, 1.0, mode="triple")
 
 
-def audit_loop(result, require_other_noiser=True):
+def audit_loop(n, steps, noise_steps, require_other_noiser=True):
     """Reference window-by-window audit the vectorized one must reproduce."""
-    n = result.trace.n
-    K = result.trace.T // n
-    noise_steps = result.noise_steps
+    K = steps.size // n
     violations = 0
     for p in range(1, n + 1):
         for i in range(1, K):
             lo = p + (i - 1) * n
             hi = p - 1 + i * n
             window = (noise_steps >= lo) & (noise_steps <= hi)
-            own = np.sum(result.trace.steps[lo - 1 : hi] == p)
+            own = np.sum(steps[lo - 1 : hi] == p)
             ok = window.any() and own <= 1
             if ok and require_other_noiser:
                 positions = (noise_steps[window] - 1) % n + 1
                 ok = bool(np.any(positions != p))
             violations += not ok
     return violations
-
-
-def with_noise_steps(res, keep):
-    return dataclasses.replace(res, noise_steps=res.noise_steps[keep], noise_scales=res.noise_scales[keep])
 
 
 class TestAuditRingSumStructure:
@@ -148,20 +132,22 @@ class TestAuditRingSumStructure:
     def test_default_schedules_match_loop(self, n, K, require):
         stream = uniform_scalar_stream(n, 1)
         for kwargs in ({}, {"protect_first_cycle": True}, {"mode": "distributed"}):
-            res = run_ring_sum(n, K, stream, 1.0, seed=2, **kwargs)
-            assert audit_ring_sum_structure(res, require) == audit_loop(res, require) == 0
+            res = run_ring_sum(n, K, stream, 1.0, seeds=[2], **kwargs)
+            args = (n, res.walk(0), res.noise_steps(0), require)
+            assert audit_ring_sum_structure(*args) == audit_loop(*args) == 0
 
     @pytest.mark.parametrize("n,K", CASES)
     @pytest.mark.parametrize("require", [True, False])
     def test_removed_noise_events_match_loop(self, n, K, require):
-        res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 1.0, seed=2, mode="distributed")
+        res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 1.0, seeds=[2], mode="distributed")
+        noise_steps = res.noise_steps(0)
         rng = np.random.Generator(np.random.Philox(n * K))
         found = 0
         for frac in (0.0, 0.5, 0.9, 0.97):
-            keep = rng.random(res.noise_steps.size) >= frac
-            thinned = with_noise_steps(res, keep)
-            got = audit_ring_sum_structure(thinned, require)
-            assert got == audit_loop(thinned, require)
+            keep = rng.random(noise_steps.size) >= frac
+            args = (n, res.walk(0), noise_steps[keep], require)
+            got = audit_ring_sum_structure(*args)
+            assert got == audit_loop(*args)
             found += got
         assert found > 0 or K == 1
 
@@ -169,28 +155,28 @@ class TestAuditRingSumStructure:
         # keep only steps 1, n + 1, 2n + 1, ...: each holder-1 window has
         # noise, but all of it is user 1's own
         n, K = 6, 4
-        res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 1.0, seed=2, mode="distributed")
-        thinned = with_noise_steps(res, (res.noise_steps - 1) % n == 0)
-        assert audit_ring_sum_structure(thinned, False) == audit_loop(thinned, False)
-        assert audit_ring_sum_structure(thinned, True) == audit_loop(thinned, True) > 0
+        res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 1.0, seeds=[2], mode="distributed")
+        noise_steps = res.noise_steps(0)
+        thinned = (n, res.walk(0), noise_steps[(noise_steps - 1) % n == 0])
+        assert audit_ring_sum_structure(*thinned, False) == audit_loop(*thinned, False)
+        assert audit_ring_sum_structure(*thinned, True) == audit_loop(*thinned, True) > 0
 
     @pytest.mark.parametrize("require", [True, False])
     def test_repeated_holders_match_loop(self, require):
         # a complete-graph trace repeats holders inside a window
         n, K = 5, 6
-        res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 1.0, seed=2)
+        res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 1.0, seeds=[2])
         for seed in range(5):
-            mixed = dataclasses.replace(res, trace=sample_walk(Topology(COMPLETE, n), K * n, seed))
-            assert audit_ring_sum_structure(mixed, require) == audit_loop(mixed, require)
+            mixed = (n, sample_walk(Topology(COMPLETE, n), K * n, seed).steps, res.noise_steps(0), require)
+            assert audit_ring_sum_structure(*mixed) == audit_loop(*mixed)
 
 
 class TestRunRingHist:
     def test_gamma_zero_exact(self):
         stream = uniform_category_stream(50, 4, seed=2)
-        res = run_ring_hist(50, 3, 4, stream, gamma=0.0, seed=1)
-        np.testing.assert_allclose(np.asarray(res.output), res.true_value)
-        assert res.init_randomized == 0
-        assert res.random_response_count == 0
+        res = run_ring_hist(50, 3, 4, stream, gamma=0.0, seeds=[1])
+        np.testing.assert_allclose(res.outputs[0], res.true_values[0])
+        assert res.response_counts[0] == 0  # no init block, no flips
 
     def test_gamma_one_rejected(self):
         stream = uniform_category_stream(50, 4, seed=2)
@@ -199,31 +185,31 @@ class TestRunRingHist:
 
     def test_pre_debias_counts_are_nonnegative_integers(self):
         stream = uniform_category_stream(50, 4, seed=2)
-        res = run_ring_hist(50, 3, 4, stream, gamma=0.4, seed=1)
-        counts = np.asarray(res.pre_debias)
+        res = run_ring_hist(50, 3, 4, stream, gamma=0.4, seeds=[1])
+        counts = res.pre_debias[0]
         assert counts.dtype.kind == "i"
         assert np.all(counts >= 0)
-        assert counts.sum() == 50 * 3 + res.init_randomized
+        assert counts.sum() == 50 * 3 + math.ceil(0.4 * 50)
 
     def test_debias_unbiased_small_monte_carlo(self):
         n, K, L, gamma, runs = 200, 5, 5, 0.3, 2000
         stream = uniform_category_stream(n, L, seed=8)
-        errors = np.array([
-            np.asarray(run_ring_hist(n, K, L, stream, gamma, seed=s).output)
-            - np.bincount(np.repeat(stream - 1, K), minlength=L)
-            for s in range(runs)
-        ])
+        errors = (run_ring_hist(n, K, L, stream, gamma, seeds=range(runs)).outputs
+                  - np.bincount(np.repeat(stream - 1, K), minlength=L))
         se = errors.std(axis=0, ddof=1) / math.sqrt(runs)
         assert np.all(np.abs(errors.mean(axis=0)) < 4 * se)
 
     def test_random_response_count_mean(self):
         n, K, L, gamma, runs = 500, 4, 5, 0.3, 500
         stream = uniform_category_stream(n, L, seed=8)
-        counts = [
-            run_ring_hist(n, K, L, stream, gamma, seed=s).random_response_count
-            for s in range(runs)
-        ]
+        counts = run_ring_hist(n, K, L, stream, gamma, seeds=range(runs)).response_counts
         assert np.mean(counts) == pytest.approx(gamma * n * (K + 1), rel=0.02)
+
+    @pytest.mark.parametrize("table", [[1, 2, 0, 3], [1, 2, 5, 3], [[1, 2], [3, 1], [2, 9], [1, 1]]],
+                             ids=["below", "above", "per_visit"])
+    def test_out_of_domain_table_rejected(self, table):
+        with pytest.raises(ValueError, match="outside domain"):
+            run_ring_hist(4, 2, 4, np.array(table), 0.3, seeds=[1, 2])
 
 
 class TestOccurrenceIndex:
@@ -260,54 +246,52 @@ class TestOccurrenceIndex:
 class TestRunCompleteSum:
     def test_noiseless_exact(self):
         stream = uniform_scalar_stream(20, seed=4)
-        res = run_complete_sum(20, 500, stream, sigma_loc=0.0, seed=6)
-        assert float(res.output) == pytest.approx(res.true_value, abs=1e-12)
+        res = run_complete_sum(20, 500, stream, sigma_loc=0.0, seeds=[6])
+        assert float(res.outputs[0]) == pytest.approx(res.true_values[0], abs=1e-12)
 
     def test_single_user_structure(self):
-        res = run_complete_sum(1, 7, np.array([0.25]), 0.0, seed=1)
-        assert res.trace.steps.tolist() == [1] * 7
-        assert res.true_value == pytest.approx(7 * 0.25)
-        assert res.noise_steps.size == 7
+        res = run_complete_sum(1, 7, np.array([0.25]), 0.0, seeds=[1])
+        assert res.walk(0).tolist() == [1] * 7
+        assert res.true_values[0] == pytest.approx(7 * 0.25)
+        assert res.noise_steps(0).size == 7
 
     def test_monte_carlo_stddev(self):
         stream = uniform_scalar_stream(50, seed=4)
-        errs = np.array([
-            float(run_complete_sum(50, 400, stream, 1.0, seed=s).output)
-            - run_complete_sum(50, 400, stream, 0.0, seed=s).true_value
-            for s in range(5000)
-        ])
+        noisy = run_complete_sum(50, 400, stream, 1.0, seeds=range(5000))
+        errs = noisy.outputs - run_complete_sum(50, 400, stream, 0.0, seeds=range(5000)).true_values
         assert errs.std(ddof=1) == pytest.approx(math.sqrt(400), rel=0.05)
 
     def test_contributions_clipped(self):
-        res = run_complete_sum(5, 50, np.full(5, 10.0), 0.0, seed=1, clip=1.0)
-        assert res.true_value == pytest.approx(50 * 0.5)
+        res = run_complete_sum(5, 50, np.full(5, 10.0), 0.0, seeds=[1], clip=1.0)
+        assert res.true_values[0] == pytest.approx(50 * 0.5)
 
 
 class TestRunCompleteHist:
     def test_gamma_zero_exact(self):
         stream = uniform_category_stream(30, 6, seed=5)
-        res = run_complete_hist(30, 200, 6, stream, gamma=0.0, seed=3)
-        np.testing.assert_allclose(np.asarray(res.output), res.true_value)
+        res = run_complete_hist(30, 200, 6, stream, gamma=0.0, seeds=[3])
+        np.testing.assert_allclose(res.outputs[0], res.true_values[0])
 
     def test_random_response_count_mean(self):
         n, T, L, gamma, runs = 100, 2000, 5, 0.3, 500
         stream = uniform_category_stream(n, L, seed=8)
-        counts = [
-            run_complete_hist(n, T, L, stream, gamma, seed=s).random_response_count
-            for s in range(runs)
-        ]
+        counts = run_complete_hist(n, T, L, stream, gamma, seeds=range(runs)).response_counts
         assert np.mean(counts) == pytest.approx(gamma * T, rel=0.02)
 
     def test_debias_unbiased_small_monte_carlo(self):
         n, T, L, gamma, runs = 100, 1000, 4, 0.25, 2000
         stream = uniform_category_stream(n, L, seed=8)
-        errors = []
-        for s in range(runs):
-            res = run_complete_hist(n, T, L, stream, gamma, seed=s)
-            errors.append(np.asarray(res.output) - np.asarray(res.true_value))
-        errors = np.array(errors)
+        res = run_complete_hist(n, T, L, stream, gamma, seeds=range(runs))
+        errors = res.outputs - res.true_values
         se = errors.std(axis=0, ddof=1) / math.sqrt(runs)
         assert np.all(np.abs(errors.mean(axis=0)) < 4 * se)
+
+    @pytest.mark.parametrize("table", [[1, 2, 0], [1, 2, 4], [[1, 2], [3, 1], [2, 4]]],
+                             ids=["below", "above", "per_visit"])
+    def test_out_of_domain_table_rejected(self, table):
+        # an entry outside [1, L] is rejected even if no walk would visit it
+        with pytest.raises(ValueError, match="outside domain"):
+            run_complete_hist(3, 2, 3, np.array(table), 0.3, seeds=[1, 2])
 
 
 def quadratic_grad(A, b):
@@ -531,32 +515,117 @@ class TestRunCompleteSgd:
 
 class TestProtocolResultSchedule:
     def test_arrays_are_typed_and_read_only(self):
-        res = run_ring_hist(20, 3, 4, uniform_category_stream(20, 4, seed=2), 0.4, seed=1)
-        assert res.noise_steps.dtype == np.int64
-        assert res.noise_scales.dtype == np.float64
-        assert np.all(np.diff(res.noise_steps) > 0)
+        res = run_ring_hist(20, 3, 4, uniform_category_stream(20, 4, seed=2), 0.4, seeds=[1])
+        assert res.noise_steps(0).dtype == np.int64
+        assert res.noised.dtype == bool and res.noised.shape == (1, 60)
+        assert res.scales.dtype == np.float64 and res.scales.shape == (60,)
+        assert np.all(np.diff(res.noise_steps(0)) > 0)
         with pytest.raises(ValueError):
-            res.noise_steps[0] = 1
+            res.noised[0, 0] = True
         with pytest.raises(ValueError):
-            res.noise_scales[0] = 0.0
-
-    def test_mismatched_lengths_rejected(self):
-        res = run_ring_sum(4, 2, uniform_scalar_stream(4, 1), 1.0)
-        with pytest.raises(ValueError):
-            dataclasses.replace(res, noise_scales=np.ones(res.noise_steps.size + 1))
+            res.scales[0] = 0.0
 
     def test_output_arrays_are_read_only(self):
-        res = run_ring_hist(20, 3, 4, uniform_category_stream(20, 4, seed=2), 0.4, seed=1)
-        for arr in (res.output, res.pre_debias):
+        res = run_ring_hist(20, 3, 4, uniform_category_stream(20, 4, seed=2), 0.4, seeds=[1, 2])
+        for arr in (res.outputs, res.pre_debias, res.true_values, res.response_counts, res.trace.steps):
             assert isinstance(arr, np.ndarray)
             with pytest.raises(ValueError):
                 arr[0] = 0
-        assert isinstance(run_ring_sum(4, 2, uniform_scalar_stream(4, 1), 1.0).output, float)
+        sums = run_ring_sum(4, 2, uniform_scalar_stream(4, 1), 1.0, seeds=[1, 2])
+        assert sums.outputs.dtype == np.float64 and sums.outputs.shape == (2,)
+        assert sums.pre_debias is None
 
-    def test_random_response_count_is_plain_int(self):
-        res = run_ring_hist(20, 3, 4, uniform_category_stream(20, 4, seed=2), 0.4, seed=1)
-        assert type(res.random_response_count) is int
-        assert res.random_response_count == res.init_randomized + res.noise_steps.size
+    def test_response_counts_are_int64(self):
+        res = run_ring_hist(20, 3, 4, uniform_category_stream(20, 4, seed=2), 0.4, seeds=[1, 2])
+        assert res.response_counts.dtype == np.int64
+        for r in range(2):
+            assert res.response_counts[r] == math.ceil(0.4 * 20) + res.noise_steps(r).size
+
+
+def assert_run_is_single_call(batch, r, single):
+    """Run r of ``batch`` equals the one-seed call ``single``, bit for bit."""
+    pairs = [(batch.outputs[r], single.outputs[0]), (batch.true_values[r], single.true_values[0]),
+             (batch.response_counts[r], single.response_counts[0]), (batch.walk(r), single.walk(0)),
+             (batch.noise_steps(r), single.noise_steps(0)), (batch.scales, single.scales)]
+    if single.pre_debias is not None:
+        pairs.append((batch.pre_debias[r], single.pre_debias[0]))
+    for got, want in pairs:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# small seeds repeat within a list, large ones reach the top of the uint64 range
+SEED_LISTS = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)), min_size=1, max_size=6)
+
+
+class TestSeedLists:
+    """A call on a seed list makes the runs the one-seed calls make."""
+
+    @given(seeds=SEED_LISTS, n=st.integers(2, 6), K=st.integers(1, 4), per_visit=st.booleans(),
+           mode=st.sampled_from(["single_noiser", "distributed"]), protect=st.booleans(),
+           noise_kind=st.sampled_from(["gaussian", "laplace"]), sigma=st.sampled_from([0.0, 0.7]))
+    def test_ring_sum(self, seeds, n, K, per_visit, mode, protect, noise_kind, sigma):
+        table = uniform_scalar_stream(n, 11, clip=1.5, k_max=K if per_visit else None)
+        args = dict(n=n, K=K, table=table, sigma_loc=sigma, mode=mode, noise_kind=noise_kind,
+                    protect_first_cycle=protect)
+        batch = run_ring_sum(**args, seeds=seeds)
+        assert batch.trace.steps.shape == batch.noised.shape == (1, K * n)
+        for r, seed in enumerate(seeds):
+            assert_run_is_single_call(batch, r, run_ring_sum(**args, seeds=[seed]))
+
+    @given(seeds=SEED_LISTS, n=st.integers(1, 6), T=st.integers(1, 30), per_visit=st.booleans(),
+           noise_kind=st.sampled_from(["gaussian", "laplace"]), sigma=st.sampled_from([0.0, 0.7]))
+    def test_complete_sum(self, seeds, n, T, per_visit, noise_kind, sigma):
+        table = uniform_scalar_stream(n, 12, clip=1.5, k_max=T if per_visit else None)
+        args = dict(n=n, T=T, table=table, sigma_loc=sigma, noise_kind=noise_kind, clip=0.8)
+        batch = run_complete_sum(**args, seeds=seeds)
+        assert batch.trace.steps.shape == (len(seeds), T) and batch.noised.shape == (1, T)
+        for r, seed in enumerate(seeds):
+            assert_run_is_single_call(batch, r, run_complete_sum(**args, seeds=[seed]))
+
+    @given(seeds=SEED_LISTS, n=st.integers(2, 6), K=st.integers(1, 4), L=st.integers(2, 5),
+           per_visit=st.booleans(), gamma=st.sampled_from([0.0, 0.4, 0.9]))
+    def test_ring_hist(self, seeds, n, K, L, per_visit, gamma):
+        table = uniform_category_stream(n, L, 13, k_max=K if per_visit else None)
+        args = dict(n=n, K=K, domain_size=L, table=table, gamma=gamma)
+        batch = run_ring_hist(**args, seeds=seeds)
+        assert batch.trace.steps.shape == (1, K * n) and batch.noised.shape == (len(seeds), K * n)
+        for r, seed in enumerate(seeds):
+            assert_run_is_single_call(batch, r, run_ring_hist(**args, seeds=[seed]))
+
+    @given(seeds=SEED_LISTS, n=st.integers(1, 6), T=st.integers(1, 30), L=st.integers(2, 5),
+           per_visit=st.booleans(), gamma=st.sampled_from([0.0, 0.4, 0.9]))
+    def test_complete_hist(self, seeds, n, T, L, per_visit, gamma):
+        table = uniform_category_stream(n, L, 14, k_max=T if per_visit else None)
+        args = dict(n=n, T=T, domain_size=L, table=table, gamma=gamma)
+        batch = run_complete_hist(**args, seeds=seeds)
+        assert batch.trace.steps.shape == batch.noised.shape == (len(seeds), T)
+        for r, seed in enumerate(seeds):
+            assert_run_is_single_call(batch, r, run_complete_hist(**args, seeds=[seed]))
+
+    CALLS = {
+        "ring_sum": lambda **kw: run_ring_sum(**{**dict(n=4, K=2, table=np.zeros(4), sigma_loc=1.0), **kw}),
+        "complete_sum": lambda **kw: run_complete_sum(**{**dict(n=4, T=8, table=np.zeros(4), sigma_loc=1.0), **kw}),
+        "ring_hist": lambda **kw: run_ring_hist(**{**dict(n=4, K=2, domain_size=3, table=np.ones(4, dtype=int),
+                                                          gamma=0.3), **kw}),
+        "complete_hist": lambda **kw: run_complete_hist(**{**dict(n=4, T=8, domain_size=3,
+                                                                  table=np.ones(4, dtype=int), gamma=0.3), **kw}),
+    }
+    BAD = [("ring_sum", dict(seeds=[])), ("ring_sum", dict(sigma_loc=-1.0)), ("ring_sum", dict(mode="triple")),
+           ("ring_sum", dict(n=1)), ("ring_sum", dict(K=0)),
+           ("complete_sum", dict(seeds=[])), ("complete_sum", dict(sigma_loc=-0.5)), ("complete_sum", dict(n=0)),
+           ("complete_sum", dict(T=0)),
+           ("ring_hist", dict(seeds=[])), ("ring_hist", dict(gamma=1.0)), ("ring_hist", dict(gamma=-0.1)),
+           ("ring_hist", dict(n=1)), ("ring_hist", dict(K=0)),
+           ("complete_hist", dict(seeds=[])), ("complete_hist", dict(gamma=1.0)), ("complete_hist", dict(n=0)),
+           ("complete_hist", dict(T=0))]
+
+    @pytest.mark.parametrize("name,kwargs", BAD, ids=[f"{n}-{sorted(k)[0]}={list(k.values())[0]}" for n, k in BAD])
+    def test_invalid_arguments(self, name, kwargs):
+        # checked once per call, so a multi-seed call rejects what a one-seed call does
+        with pytest.raises(ValueError):
+            self.CALLS[name](**{"seeds": [1, 2], **kwargs})
 
 
 def constant_grad(W, users):
@@ -572,63 +641,61 @@ class TestPinnedRuns:
 
     @staticmethod
     def check(res, payload, true_value, steps, scales):
-        got = res.output
-        assert (got.tolist() if isinstance(got, np.ndarray) else got) == payload
-        tv = res.true_value
-        assert (tv.tolist() if isinstance(tv, np.ndarray) else tv) == true_value
-        assert res.noise_steps.tolist() == steps
-        assert res.noise_scales.tolist() == scales
+        assert res.outputs[0].tolist() == payload
+        assert res.true_values[0].tolist() == true_value
+        assert res.noise_steps(0).tolist() == steps
+        assert res.scales[res.noise_steps(0) - 1].tolist() == scales
 
     def test_ring_sum_single_noiser(self):
-        res = run_ring_sum(6, 3, uniform_scalar_stream(6, 11), 1.0, seed=5)
+        res = run_ring_sum(6, 3, uniform_scalar_stream(6, 11), 1.0, seeds=[5])
         self.check(res, 2.295934511539557, -2.163848472741783, [5, 10, 15], [1.0] * 3)
 
     def test_ring_sum_distributed(self):
-        res = run_ring_sum(5, 2, uniform_scalar_stream(5, 11), 2.0, mode="distributed", seed=5)
+        res = run_ring_sum(5, 2, uniform_scalar_stream(5, 11), 2.0, mode="distributed", seeds=[5])
         self.check(res, 0.917365653244911, -1.0479187990540617, list(range(1, 11)),
                    [2.0] + [0.8944271909999159] * 9)
 
     def test_ring_sum_laplace_protected(self):
-        res = run_ring_sum(6, 3, uniform_scalar_stream(6, 11), 1.5, seed=5,
+        res = run_ring_sum(6, 3, uniform_scalar_stream(6, 11), 1.5, seeds=[5],
                            noise_kind="laplace", protect_first_cycle=True)
         self.check(res, -1.0272614226613164, -2.163848472741783, [1, 6, 11, 16], [1.5] * 4)
 
     def test_ring_sum_per_visit_table(self):
-        res = run_ring_sum(5, 3, uniform_scalar_stream(5, 11, k_max=3), 1.0, seed=5)
+        res = run_ring_sum(5, 3, uniform_scalar_stream(5, 11, k_max=3), 1.0, seeds=[5])
         self.check(res, 2.845947460887868, -1.6138355233934716, [4, 8, 12], [1.0] * 3)
 
     def test_ring_sum_per_visit_table_distributed(self):
-        res = run_ring_sum(4, 3, uniform_scalar_stream(4, 11, k_max=3), 1.0, mode="distributed", seed=5)
+        res = run_ring_sum(4, 3, uniform_scalar_stream(4, 11, k_max=3), 1.0, mode="distributed", seeds=[5])
         self.check(res, 1.061254993683345, -0.9289585395373507, list(range(1, 13)),
                    [1.0] + [0.5] * 11)
 
     def test_complete_sum_gaussian(self):
-        res = run_complete_sum(4, 12, uniform_scalar_stream(4, 12, k_max=12), 0.7, seed=6)
+        res = run_complete_sum(4, 12, uniform_scalar_stream(4, 12, k_max=12), 0.7, seeds=[6])
         self.check(res, -7.517539898312643, -2.3639463763963557, list(range(1, 13)), [0.7] * 12)
 
     def test_complete_sum_laplace(self):
-        res = run_complete_sum(4, 12, uniform_scalar_stream(4, 12), 0.7, seed=6, noise_kind="laplace")
+        res = run_complete_sum(4, 12, uniform_scalar_stream(4, 12), 0.7, seeds=[6], noise_kind="laplace")
         self.check(res, 3.2102393094119344, -0.7642479756317032, list(range(1, 13)), [0.7] * 12)
 
     def test_ring_hist(self):
-        res = run_ring_hist(6, 3, 4, uniform_category_stream(6, 4, 2), 0.4, seed=2)
+        res = run_ring_hist(6, 3, 4, uniform_category_stream(6, 4, 2), 0.4, seeds=[2])
         self.check(res, [5.750000000000001, 4.083333333333334, 2.416666666666667, 5.750000000000001],
                    [6, 3, 3, 6], [2, 3, 4, 5, 6, 8, 9, 11, 12, 13, 18], [0.4] * 11)
-        assert res.pre_debias.tolist() == [6, 5, 4, 6]
-        assert res.init_randomized == 3
+        assert res.pre_debias[0].tolist() == [6, 5, 4, 6]
+        assert res.response_counts[0] == 3 + 11
 
     def test_ring_hist_per_visit_table(self):
-        res = run_ring_hist(6, 3, 4, uniform_category_stream(6, 4, 2, k_max=3), 0.4, seed=2)
+        res = run_ring_hist(6, 3, 4, uniform_category_stream(6, 4, 2, k_max=3), 0.4, seeds=[2])
         self.check(res, [7.416666666666667, 0.75, 4.083333333333334, 5.750000000000001],
                    [8, 2, 5, 3], [2, 3, 4, 5, 6, 8, 9, 11, 12, 13, 18], [0.4] * 11)
-        assert res.pre_debias.tolist() == [7, 3, 5, 6]
-        assert res.init_randomized == 3
+        assert res.pre_debias[0].tolist() == [7, 3, 5, 6]
+        assert res.response_counts[0] == 3 + 11
 
     def test_complete_hist(self):
-        res = run_complete_hist(5, 15, 3, uniform_category_stream(5, 3, 3, k_max=15), 0.5, seed=4)
+        res = run_complete_hist(5, 15, 3, uniform_category_stream(5, 3, 3, k_max=15), 0.5, seeds=[4])
         self.check(res, [5.0, 7.0, 3.0], [5, 5, 5], [1, 2, 3, 5, 8, 10, 11, 14], [0.5] * 8)
-        assert res.pre_debias.tolist() == [5, 6, 4]
-        assert res.init_randomized == 0
+        assert res.pre_debias[0].tolist() == [5, 6, 4]
+        assert res.response_counts[0] == 8
 
     def test_complete_sgd_capped(self):
         res = run_complete_sgd(3, 10, constant_grad, 0.1, 0.5, seeds=[7], d=2,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from netdp import dpml
-from netdp.cli import main
+from netdp.cli import EXPERIMENTS, main
 
 SEED = 7
 SGD = ["--set", "n=12", "--set", "T=150", "--set", "eps=1,10", "--set", "delta=1e-6",
@@ -33,6 +33,10 @@ CASES = {
     # last bits of a one-feature gradient, so the outputs pin how its rows are summed
     "sgd_compare_csv_d1": ["--set", "dataset=real", "--set", "dataset_path={csv_d1}", *SGD,
                            "--set", "eps=100,10000"],
+    # nine rows a user, where in-order and pairwise row sums part ways, at
+    # eps whose noise leaves a d > 1 gradient's last bits in the outputs
+    "sgd_compare_m9": ["--set", "dataset=synthetic", "--set", "points_per_user=9",
+                       "--set", "dim=3", *SGD, "--set", "eps=100,10000"],
     "sigma_search": ["--set", "eps=1.0", "--set", "delta=1e-6", "--set", "T_u=10",
                      "--set", "n=500"],
 }
@@ -64,6 +68,13 @@ DIGESTS = {
         "sgd_compare_csv_d1/trace_local_eps10000.csv": "874a14dfc23a43d01725ad3f1ad610f05941074ab52100b265383b39aaabefaf",
         "sgd_compare_csv_d1/trace_network_eps100.csv": "eb89e996e36fe69b68fad3487ab8523a689640b041a155094e24e131a6cf6871",
         "sgd_compare_csv_d1/trace_network_eps10000.csv": "5920ba4809083aa42eeff649cb8399a3e2bc51f16c70b86a6961b7396874a2a9",
+        "sgd_compare_m9/results.csv": "24ac14d6a88f50b42f2cff224b38ce028743b2809e9a666f44cd70c5af3c52a0",
+        "sgd_compare_m9/trace_centralized_eps100.csv": "04cdb7099aa60836f96fc9b9aa36ef5a224389b7117c877eab28eeb75e0ab07f",
+        "sgd_compare_m9/trace_centralized_eps10000.csv": "dddd2f94f7350d20056d5e6d823699cf9a0540b18aae5cd96d2c69422e5dd704",
+        "sgd_compare_m9/trace_local_eps100.csv": "a25b68abbe339ad0c3d31947d0b19d04d9956ce786836c508e7088bd5b3dd432",
+        "sgd_compare_m9/trace_local_eps10000.csv": "bc996b811a77bd6ffc0241f0b8304a8da24b780f8ac2ac8dab78176c3cec6cef",
+        "sgd_compare_m9/trace_network_eps100.csv": "b3e9247fe7f991ee666789bf30b2b06a32a363b1ca6ba37c0a41c6e46ecde5b0",
+        "sgd_compare_m9/trace_network_eps10000.csv": "017534b2d1a09c18b4013989272eeae847eb75983841f5c3aa63af9e64626af1",
         "sigma_search/results.json": "08166649dd832fb7856cd06ab629367b06aee487e800806b0c421c4dc9cf7d03",
     },
 }
@@ -92,7 +103,8 @@ def write_one_feature_csv(path):
 
 
 def experiment_of(case):
-    return case.split("_csv")[0]
+    """The experiment a case runs: its name, or the prefix before ``_<variant>``."""
+    return next(e for e in EXPERIMENTS if case == e or case.startswith(e + "_"))
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +145,4 @@ def test_every_experiment_is_pinned(digests):
                            "sigma_search"}
     assert sum(key.startswith("sgd_compare_csv/trace_") for key in digests) == 6
     assert sum(key.startswith("sgd_compare_csv_d1/trace_") for key in digests) == 6
+    assert sum(key.startswith("sgd_compare_m9/trace_") for key in digests) == 6
