@@ -98,10 +98,14 @@ def _int_key(config: dict, key: str, default: int) -> int:
 def derive_seed(*parts) -> int:
     """Deterministic child seed from a tuple of non-negative integers.
 
-    The parts enter ``SeedSequence`` whole, so parts that differ above bit
-    32 give different seeds.
+    The parts enter ``SeedSequence`` whole, as their 32-bit words.  When a
+    part spans more than one word, the parts' word counts go in as the
+    ``spawn_key``, so (1, 5, 7) and (1 + 5 * 2**32, 7) differ; tuples of
+    parts below 2**32 keep the seeds they always had.
     """
-    mixed = np.random.SeedSequence([int(p) for p in parts])
+    parts = [int(p) for p in parts]
+    words = [max(1, -(-p.bit_length() // 32)) for p in parts]
+    mixed = np.random.SeedSequence(parts, spawn_key=words if max(words, default=1) > 1 else ())
     return int(mixed.generate_state(1, np.uint64)[0])
 
 
@@ -243,12 +247,12 @@ def cmd_bounds_sweep(config: dict, run_dir: Path, seed: int, runs: int,
 # empirical_sweep
 # ---------------------------------------------------------------------------
 
-def _empirical_point(args: tuple) -> tuple[int, int, float, float, float]:
+def _empirical_point(args: tuple) -> tuple[int, float, float, float, int]:
     n, t_factor, eps0, delta0, delta_prime, walk_seed = args
     walk = sample_walk(Topology(COMPLETE, n), t_factor * n, walk_seed)
     matrix = emp.empirical_pair_loss_sum(walk, eps0, delta0, delta_prime)
     vals = matrix.finite_offdiagonal()
-    return n, walk_seed, float(vals.mean()), float(vals.min()), float(vals.max())
+    return n, float(vals.mean()), float(vals.min()), float(vals.max()), matrix.meta["max_cycles"]
 
 
 def cmd_empirical_sweep(config: dict, run_dir: Path, seed: int, runs: int,
@@ -269,19 +273,22 @@ def cmd_empirical_sweep(config: dict, run_dir: Path, seed: int, runs: int,
         for r in range(runs)
     ]
     points = _parallel_map(_empirical_point, tasks, workers)
-    rows = []
+    rows, max_cycles = [], {}
     for n in sorted(n_grid):
-        stats = [(m, lo, hi) for (pn, _, m, lo, hi) in points if pn == n]
-        means, los, his = zip(*stats)
+        means, los, his, cycles = zip(*(p[1:] for p in points if p[0] == n))
         rows.append({
             "n": n,
             "mean": float(np.mean(means)),
             "min": float(np.min(los)),
             "max": float(np.max(his)),
         })
+        max_cycles[str(n)] = max(cycles)
     _write_csv(run_dir / "results.csv", ["n", "mean", "min", "max"], rows)
+    # the most capped cycles any observer composed, per n (the closed-form
+    # bounds provision N_v + T/n of them)
     _write_meta(run_dir, "empirical_sweep", config, seed, runs, workers, unchecked,
-                extra={"delta_convention": "per-pair delta = cycles * delta0 + delta_prime"})
+                extra={"delta_convention": "per-pair delta = cycles * delta0 + delta_prime",
+                       "max_cycles": max_cycles})
 
 
 # ---------------------------------------------------------------------------

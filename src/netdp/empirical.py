@@ -39,6 +39,8 @@ class PairLossMatrix:
 
     def finite_offdiagonal(self) -> np.ndarray:
         off = _offdiagonal(self.matrix)
+        if np.isfinite(off).all():
+            return off.ravel()  # one row-order copy, with no n x n mask beside it
         return off[np.isfinite(off)]
 
 
@@ -52,22 +54,23 @@ def _offdiagonal(m: np.ndarray) -> np.ndarray:
     return m.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
 
 
-def _capped_segments(times: np.ndarray, n: int) -> np.ndarray:
-    """Segment end positions (1-based) after capping cycles at length n.
+def _capped_segments(times: np.ndarray, starts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cycle end steps (1-based) and lengths after capping cycles at length n.
 
-    ``times`` are an observer's visit steps.  Every inter-visit gap longer
-    than n is split by fictive observations every n steps, so each returned
-    segment has length in [1, n]; the walk tail after the last visit is
-    dropped (never observed).
+    Visit i at step ``times[i]`` follows its observer's previous visit at
+    ``starts[i]`` (0 for the first).  A gap longer than n is split by fictive
+    observations every n steps, so each cycle has length in [1, n]; the walk
+    tail after an observer's last visit is never observed and has no cycle.
+    Returns ``(ends, lengths, offsets)``: visit i's cycles are
+    ``ends[offsets[i]:offsets[i + 1]]``, the last ending at ``times[i]``.
     """
-    times = np.asarray(times, dtype=np.int64)
-    starts = np.concatenate(([0], times))[:-1]  # previous visit, 0 for the first
     per_visit = (times - starts - 1) // n + 1  # fictive ends, then the visit
-    last = np.cumsum(per_visit) - 1
-    k = np.arange(per_visit.sum()) - np.repeat(last + 1 - per_visit, per_visit)
-    ends = np.repeat(starts, per_visit) + n * (k + 1)
-    ends[last] = times
-    return ends
+    offsets = np.concatenate(([0], np.cumsum(per_visit)))
+    k = np.arange(offsets[-1]) - np.repeat(offsets[:-1], per_visit)  # cycle's place in its gap
+    begins = np.repeat(starts, per_visit) + n * k
+    ends = begins + n
+    ends[offsets[1:] - 1] = times
+    return ends, ends - begins, offsets
 
 
 def empirical_pair_loss_sum(
@@ -88,12 +91,15 @@ def empirical_pair_loss_sum(
     after it (the exact amplification formula, not the closed-form cap).
     Entry (u, v) composes the cycles that actually contain a contribution
     of u via advanced composition; cycles after v's last visit and cycles
-    without u contribute nothing.  Step t counts its holder's cycle iff the
+    without u contribute nothing, so entry (u, v) is exactly 0.0 iff u holds
+    no step up to v's last visit.  Step t counts its holder's cycle iff the
     holder's previous visit p (0 if none) lies in an earlier cycle, i.e. some
-    cycle end e has p <= e < t, so one previous-visit index per walk makes
-    each observer O(T).  Failure probabilities are bookkeeping
-    only: each composed cycle consumes delta0 and the composition adds
-    delta_prime, recorded in ``meta``.
+    cycle end e has p <= e < t.  One walk-wide table holds every observer's
+    capped cycles and their costs, built once per walk from the previous-visit
+    index, so each observer's pass is O(T): one repeat, one comparison and
+    two weighted bincounts over its new (cycle, user) pairs.  Failure
+    probabilities are bookkeeping only: each composed cycle consumes delta0
+    and the composition adds delta_prime, recorded in ``meta``.
     """
     if walk.topology.kind != COMPLETE:
         raise ValueError("empirical pair loss is defined for complete-graph walks")
@@ -105,7 +111,6 @@ def empirical_pair_loss_sum(
     log_dp = math.log(1.0 / delta_prime)
     steps0 = walk.steps - 1
     matrix = np.zeros((n, n), dtype=float)
-    max_cycles = 0
 
     # visit times grouped by user, one stable sort for the whole walk
     order = np.argsort(steps0, kind="stable")
@@ -116,44 +121,42 @@ def empirical_pair_loss_sum(
     same_user = steps0[order[1:]] == steps0[order[:-1]]
     prev[order[1:][same_user]] = visit_times[:-1][same_user]
 
-    for v in range(n):
-        times = visit_times[bounds[v]:bounds[v + 1]]
-        if times.size == 0:
-            continue
-        ends = _capped_segments(times, n)
-        lengths = np.diff(ends, prepend=0)
-        max_cycles = max(max_cycles, lengths.size)
-        eps_cycle = np.log1p(
-            (-np.expm1(lengths * math.log1p(-1.0 / n)) if n > 1 else np.ones_like(lengths, float))
-            * np.expm1(eps0 / np.sqrt(lengths))
-        )
-        sq = eps_cycle * eps_cycle
-        lin = eps_cycle * np.expm1(eps_cycle)
+    # every observer's capped cycles in one table, grouped by observer
+    ends, lengths, offsets = _capped_segments(visit_times, prev[order], n)
+    cycle_bounds = offsets[bounds]
+    eps_cycle = np.log1p(
+        (-np.expm1(lengths * math.log1p(-1.0 / n)) if n > 1 else np.ones_like(lengths, float))
+        * np.expm1(eps0 / np.sqrt(lengths))
+    )
+    sq = eps_cycle * eps_cycle
+    lin = eps_cycle * np.expm1(eps_cycle)
+    one = np.ones(1, dtype=np.int64)
 
-        last = int(times[-1])
-        # cycle[t]: 1-based cycle of step t <= last; cycle[0] = 0 is "no previous visit"
-        cycle = np.repeat(np.arange(lengths.size + 1), np.concatenate(([1], lengths)))
+    for v in range(n):
+        c0, c1 = cycle_bounds[v], cycle_bounds[v + 1]
+        if c0 == c1:
+            continue
+        last = int(ends[c1 - 1])
+        # cycle[t]: table id of the cycle of step t <= last; cycle[0] = c0 - 1
+        # lies below all of v's ids and stands for "no previous visit"
+        cycle = np.repeat(np.arange(c0 - 1, c1), np.concatenate((one, lengths[c0:c1])))
         # step t opens a (cycle, user) pair iff the holder's previous visit
         # lies in an earlier cycle, i.e. some cycle end e has prev <= e < t
-        new_pair = np.flatnonzero(cycle[1:] > cycle[prev[:last]])
+        of_step = cycle[1:]
+        new_pair = np.flatnonzero(of_step > cycle[prev[:last]])
         users = steps0[new_pair]
-        cycle_ids = cycle[new_pair + 1] - 1
+        cycle_ids = of_step[new_pair]
+        # a user without a new pair sums to 0.0 in both, so its entry is 0.0
         sum_sq = np.bincount(users, weights=sq[cycle_ids], minlength=n)
         sum_lin = np.bincount(users, weights=lin[cycle_ids], minlength=n)
-        counts = np.bincount(users, minlength=n)
-        col = np.where(
-            counts > 0,
-            np.sqrt(2.0 * log_dp * sum_sq) + sum_lin,
-            0.0,
-        )
-        matrix[:, v] = col
+        matrix[:, v] = np.sqrt(2.0 * log_dp * sum_sq) + sum_lin
 
     np.fill_diagonal(matrix, np.nan)
     meta = {
         "delta0": delta0,
         "delta_prime": delta_prime,
         "delta_convention": "per-pair total delta = (composed cycles) * delta0 + delta_prime",
-        "max_cycles": max_cycles,
+        "max_cycles": int(np.diff(cycle_bounds).max()),
     }
     return PairLossMatrix(matrix=matrix, n=n, T=T, eps0=eps0, meta=meta)
 

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from netdp import dpml
+from netdp import dpml, empirical as emp
 from netdp.cli import main, parse_config, split_delta_budget, derive_seed
+from netdp.core import COMPLETE, Topology, sample_walk
 
 
 def write_config(tmp_path, text, name="conf.txt"):
@@ -60,6 +61,12 @@ class TestConfigParsing:
         assert derive_seed(2**32 + 1, 0xDA7A) != derive_seed(1, 0xDA7A)
         assert derive_seed(2**64 + 1, 7) != derive_seed(1, 7)
 
+    def test_derive_seed_parts_do_not_alias(self):
+        # the same 32-bit words, split into parts differently
+        assert derive_seed(1, 5, 7) != derive_seed(1 + 5 * 2**32, 7)
+        assert derive_seed(5, 1, 7) != derive_seed(5 * 2**32 + 1, 7)
+        assert derive_seed(2**32 + 1, 2) != derive_seed(2**32 + 1 + 2 * 2**64)
+
     def test_delta_split_spends_thirds(self):
         total, n, T = 3e-3, 100, 10**4
         d0, dp, dh = split_delta_budget(total, n, T)
@@ -110,6 +117,25 @@ class TestEmpiricalSweep:
         assert header == "n,mean,min,max"
         _, mean, lo, hi = row.split(",")
         assert float(lo) <= float(mean) <= float(hi)
+
+    def test_meta_records_max_cycles_per_n(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "empirical_sweep", "--out", out, "--runs", 3, "--seed", 11,
+                       "--set", "n_grid=12,15", "--set", "t_factor=10") == 0
+        (csv_path,) = results_files(out, "empirical_sweep")
+        meta = json.loads((csv_path.parent / "meta.json").read_text())
+        want = {
+            str(n): max(
+                emp.empirical_pair_loss_sum(
+                    sample_walk(Topology(COMPLETE, n), 10 * n, derive_seed(11, n, r)), 0.5, 1e-7, 1e-3
+                ).meta["max_cycles"]
+                for r in range(3)
+            )
+            for n in (12, 15)
+        }
+        assert meta["max_cycles"] == want
+        assert all(type(c) is int and c >= 1 for c in want.values())
+        assert "max_cycles" not in csv_path.read_text()
 
     def test_seed_replay_bit_identical(self, tmp_path):
         config = write_config(tmp_path, "n_grid = 12,15\neps0 = 0.5\nt_factor = 10\n")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from netdp.core import COMPLETE, RING, Topology, WalkTrace, sample_walk
 from netdp import accountant as acct
@@ -92,27 +92,60 @@ def walks(draw, max_n=12, max_T=300):
     return make_walk(steps, n)
 
 
+def visit_table(walk):
+    """Every observer's visit steps and previous visits, grouped by observer."""
+    steps0 = walk.steps - 1
+    times = [np.flatnonzero(steps0 == v) + 1 for v in range(walk.n)]
+    starts = [np.concatenate(([0], t))[:-1] for t in times]
+    bounds = np.cumsum([0] + [t.size for t in times])
+    return times, np.concatenate(times), np.concatenate(starts).astype(np.int64), bounds
+
+
 class TestCappedSegments:
     def test_no_capping_needed(self):
-        ends = _capped_segments(np.array([2, 4]), n=10)
+        ends, lengths, offsets = _capped_segments(np.array([2, 4]), np.array([0, 2]), n=10)
         assert ends.tolist() == [2, 4]
+        assert lengths.tolist() == [2, 2]
+        assert offsets.tolist() == [0, 1, 2]
 
     def test_long_gap_split_every_n(self):
         # visit at 25 with n=10: fictive observations at 10 and 20
-        ends = _capped_segments(np.array([25]), n=10)
+        ends, lengths, offsets = _capped_segments(np.array([25]), np.array([0]), n=10)
         assert ends.tolist() == [10, 20, 25]
+        assert lengths.tolist() == [10, 10, 5]
+        assert offsets.tolist() == [0, 3]
 
     def test_gap_multiple_of_n(self):
-        ends = _capped_segments(np.array([20]), n=10)
+        ends, _, _ = _capped_segments(np.array([20]), np.array([0]), n=10)
         assert ends.tolist() == [10, 20]
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 12), times=st.sets(st.integers(1, 400), max_size=40))
     def test_matches_loop(self, n, times):
         times = np.array(sorted(times), dtype=np.int64)
-        got = _capped_segments(times, n)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, capped_segments_loop(times, n))
+        ends, lengths, offsets = _capped_segments(times, np.concatenate(([0], times))[:-1], n)
+        assert ends.dtype == np.int64
+        assert np.array_equal(ends, capped_segments_loop(times, n))
+        assert np.array_equal(lengths, np.diff(ends, prepend=0))
+        assert np.array_equal(ends[offsets[1:] - 1], times)
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk=walks())
+    @example(walk=make_walk([2, 3, 2, 3], 3))  # user 1 never holds the token
+    @example(walk=make_walk([2, 2, 3], 4))  # nor do users 1 and 4
+    @example(walk=make_walk([1, 1, 1], 1))  # n = 1
+    @example(walk=make_walk([2, 3, 1, 2, 3, 2, 3, 2, 1], 3))  # gaps of n and 2n
+    @example(walk=make_walk([2, 3, 2, 3, 2, 1, 3], 3))  # user 1 first visits after step n
+    def test_walk_wide_table_matches_loop(self, walk):
+        times, all_times, starts, bounds = visit_table(walk)
+        ends, lengths, offsets = _capped_segments(all_times, starts, walk.n)
+        assert offsets[0] == 0 and offsets[-1] == ends.size
+        cycle_bounds = offsets[bounds]
+        for v, t in enumerate(times):
+            want = capped_segments_loop(t, walk.n)
+            assert np.array_equal(ends[cycle_bounds[v]:cycle_bounds[v + 1]], want)
+            assert np.array_equal(lengths[cycle_bounds[v]:cycle_bounds[v + 1]], np.diff(want, prepend=0))
+        assert np.array_equal(ends[offsets[1:] - 1], all_times)
 
 
 class TestEmpiricalPairLossSum:
@@ -230,11 +263,37 @@ class TestPairLossMatchesOracle:
         m = assert_matches_oracle(make_walk(steps, n))
         assert m.meta["max_cycles"] >= 1 + gap_factor
 
+    @pytest.mark.parametrize("steps,n,unvisited", [
+        ([2, 3, 2, 3], 3, [0]),  # user 1 never holds the token
+        ([2, 3, 3, 2], 4, [0, 3]),  # users 1 and 4 never do
+        ([2, 3, 2, 3, 2, 1, 3], 3, []),  # user 1 first visits after step n
+    ])
+    def test_unvisited_observers(self, steps, n, unvisited):
+        m = assert_matches_oracle(make_walk(steps, n))
+        assert np.all(np.nan_to_num(m.matrix[:, unvisited]) == 0.0)
+
     def test_single_user_walk(self):
         m = assert_matches_oracle(make_walk([2, 2, 2, 2, 2], 4))
         assert np.all(np.nan_to_num(m.matrix[:, [0, 2, 3]]) == 0.0)
         assert np.all(m.matrix[[0, 2, 3], 1] == 0.0)
         assert assert_matches_oracle(make_walk([1, 1, 1], 1)).matrix.shape == (1, 1)
+
+
+class TestZeroEntries:
+    @settings(max_examples=300, deadline=None)
+    @given(walk=walks(), eps0=st.floats(0.01, 1.0))
+    @example(walk=make_walk([2, 3, 2, 3], 3), eps0=0.5)
+    @example(walk=make_walk([3, 7, 3, 1], 10), eps0=1.0)
+    def test_zero_iff_no_step_before_last_visit(self, walk, eps0):
+        """Entry (u, v) is exactly 0.0 iff u holds no step up to v's last visit."""
+        m = empirical_pair_loss_sum(walk, eps0, 1e-7, 1e-3).matrix
+        steps = walk.steps.tolist()
+        for v in range(1, walk.n + 1):
+            last = max((t for t, s in enumerate(steps, 1) if s == v), default=0)
+            held = set(steps[:last])
+            for u in range(1, walk.n + 1):
+                if u != v:
+                    assert (m[u - 1, v - 1] == 0.0) == (u not in held), (u, v)
 
 
 class TestPairLossMatrix:
@@ -260,6 +319,15 @@ class TestPairLossMatrix:
         for layout in (m, np.asfortranarray(m)):
             vals = PairLossMatrix(matrix=layout, n=4, T=1, eps0=0.5).finite_offdiagonal()
             assert np.array_equal(vals, want[np.isfinite(want)])
+
+    def test_all_finite_offdiagonal_is_a_row_order_copy(self):
+        m = np.arange(16.0).reshape(4, 4)
+        m[2, 2] = np.nan
+        for layout in (m, np.asfortranarray(m)):
+            pair = PairLossMatrix(matrix=layout, n=4, T=1, eps0=0.5)
+            vals = pair.finite_offdiagonal()
+            assert np.array_equal(vals, m[~np.eye(4, dtype=bool)])
+            assert vals.flags.c_contiguous and not np.shares_memory(vals, pair.matrix)
 
 
 class TestSpotted:
