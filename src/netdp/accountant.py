@@ -210,6 +210,8 @@ def cycle_bound_hist(eps: float, delta: float, n: int, m: int) -> float:
         raise ValueError("delta must be in (0, 1)")
     if not 1 <= m:
         raise ValueError("m must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     arm_subsample = 3.0 * m * eps / (2.0 * n)
     arm_shuffle = 21.0 * math.sqrt(math.log(4.0 / delta) * m) / n * eps
     return min(arm_subsample, arm_shuffle)
@@ -230,6 +232,8 @@ def erlingsson_shuffle(
     """
     if not eps0 > 0:
         raise ValueError("eps0 must be positive")
+    if n < 1 or not 0 < delta < 1:
+        raise ValueError(f"need n >= 1 and delta in (0, 1), got n={n}, delta={delta}")
     if not unchecked:
         if n < 100 or not eps0 < 0.5 or not 0 < delta < 0.01:
             raise ValidityWindowError(
@@ -259,6 +263,8 @@ def feldman_shuffle(
         raise ValueError("eps0 must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     limit = math.log(n / (16.0 * math.log(2.0 / delta))) if n > 16.0 * math.log(2.0 / delta) else float("-inf")
     if eps0 > limit and not unchecked:
         raise ValidityWindowError(
@@ -287,6 +293,8 @@ def ring_sum_bound(
     output is unbiased with standard deviation
     sqrt(floor(K n / (n - 1))) * sigma_loc.
     """
+    if n < 2:
+        raise ValueError(f"a ring needs n >= 2, got {n}")
     budget = advanced_composition(eps, delta, K, delta_prime)
     noise_events = (K * n) // (n - 1)
     return BoundReport(
@@ -320,6 +328,8 @@ def ring_hist_bound(
     delta < 1/100, n > 1000.  The protocol draws gamma * n * (K + 1)
     random responses in expectation (init block included).
     """
+    if n < 1 or not 0 < delta < 1:
+        raise ValueError(f"need n >= 1 and delta in (0, 1), got n={n}, delta={delta}")
     window_ok = eps < 0.5 and 0 < delta < 0.01 and n > 1000
     if not window_ok and not unchecked:
         raise ValidityWindowError(
@@ -365,6 +375,8 @@ def _cycle_chain(eps: float, delta: float, eps_cycle: float, n: int, T: int,
         eps_f = sqrt(2 k ln(1/delta')) eps_cycle + sqrt(k) eps (e^{eps_cycle} - 1)
         delta_f = k delta + delta' (+ delta_hat),   k = N_v + T/n.
     """
+    if not 0 < delta_prime < 1:
+        raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
     n_v = T / n if delta_hat is None else chernoff_visit_bound(T, 1.0 / n, delta_hat)
     num_cycles = n_v + T / n
     eps_f = (
@@ -402,6 +414,8 @@ def complete_sum_bound(
     ``fixed_contributions=True`` replaces N_v by exactly T/n and drops the
     delta_hat term (every user contributes exactly T/n times).
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if eps > 1 and not unchecked:
         raise ValidityWindowError(f"summation bound requires eps <= 1, got {eps}")
     eps_cycle = 3.0 * eps / math.sqrt(n)
@@ -469,6 +483,8 @@ def complete_hist_bound(
     binding one for the longest cycles).  gamma = L / (e^eps + L - 1) and
     the protocol draws gamma * T random responses in expectation.
     """
+    if n < 1 or not 0 < delta < 1:
+        raise ValueError(f"need n >= 1 and delta in (0, 1), got n={n}, delta={delta}")
     window_ok = eps <= 1 and n >= 196.0 * math.log(4.0 / delta)
     if not window_ok and not unchecked:
         raise ValidityWindowError(
@@ -597,8 +613,8 @@ def sgd_closed_form_bound(
         raise ValidityWindowError(
             f"closed form needs eps < 1 and delta < 1/2 (got eps={eps}, delta={delta})"
         )
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if n < 2 or not 0 < delta < 1:
+        raise ValueError(f"need n >= 2 and delta in (0, 1), got n={n}, delta={delta}")
     n_u = chernoff_visit_bound(T, 1.0 / n, delta_hat)
     q = max(2.0 * n_u * math.log(n) / n, 2.0 * math.log(1.0 / delta))
     eps_out = math.sqrt(2.0 * q * math.log(1.0 / delta)) * eps / math.sqrt(math.log(1.25 / delta))
@@ -622,6 +638,9 @@ def network_sgd_eps(sigma: float, T_u: float, n: int, L: float, delta: float) ->
     alpha* = 1 + sqrt(ln(1/delta) / A); when it violates the weak-convexity
     constraint the boundary order alpha_max is used instead.
     """
+    if not (sigma > 0 and L > 0 and 0 < delta < 1):
+        raise ValueError(f"need sigma > 0, L > 0 and delta in (0, 1); got sigma={sigma}, L={L}, "
+                         f"delta={delta}")
     A = 4.0 * T_u * L * L * math.log(n) / (sigma * sigma * n)
     # boundary order solving sigma = L sqrt(2 a (a - 1)); the u/(sqrt(1+u)+1)
     # form avoids cancellation for small sigma
@@ -823,8 +842,8 @@ def spotted_bound(
 
     which the caller adds (together with delta_tilde) to a base bound.
     """
-    if N_u < 0 or n < 1:
-        raise ValueError("need N_u >= 0 and n >= 1")
+    if N_u < 0 or n < 1 or eps < 0:
+        raise ValueError("need N_u >= 0, n >= 1 and eps >= 0")
     if not 0 < delta_tilde < 1 or not 0 < delta_prime < 1:
         raise ValueError("delta_tilde and delta_prime must be in (0, 1)")
     if mode not in ("simple", "advanced"):

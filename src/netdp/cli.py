@@ -5,17 +5,23 @@ Usage:
     netdp --experiment bounds_sweep --config conf.txt --out results/ [--seed S]
           [--runs R] [--workers W] [--unchecked]
 
-Configs are flat ``key = value`` text files ('#' starts a comment); the
-command-line flags override the matching config keys.  Every run writes
-``<out>/<experiment>/<timestamp>-<seed>/`` containing ``results.csv`` (or
-``results.json``), ``meta.json`` with the configuration as given (config
-file plus ``--set`` overrides, without the defaults the experiment fills
-in), the seed, run count, package version and an ``environment`` block
-(Python and numpy versions, CPU count, usable CPUs, workers), and any trace
-files.  A re-run with the same config and seed reproduces the result files
-byte for byte.  Integer keys take an int or an integral float such as
-``3.0``; any other value is an invalid configuration, and so is a negative
-seed.
+Configs are flat ``key = value`` text files ('#' starts a comment); ``--set``
+overrides a config entry, and ``--seed``/``--runs`` override the ``seed`` and
+``runs`` keys.  :data:`KEYS` lists every experiment's keys, each with its
+type, default and range, and :func:`resolve_config` checks the whole config
+against it before the run directory exists: an unknown key, a missing
+required key, a value of the wrong type (integer keys take an int or an
+integral float such as ``3.0``), a non-finite float or a value out of range
+is an invalid configuration whose message names the key.
+
+Every run writes ``<out>/<experiment>/<timestamp>-<seed>/`` containing
+``results.csv`` (or ``results.json``), ``meta.json`` and any trace files.
+``meta.json`` records the configuration as given (config file plus ``--set``
+overrides), the ``resolved_config`` the run used (every key of the
+experiment, defaults included, unset keys as null), the seed, run count,
+package version and an ``environment`` block (Python and numpy versions,
+CPU count, usable CPUs, workers).  A re-run with the same config and seed
+reproduces the result files byte for byte.
 
 Exit codes: 0 success, 2 invalid configuration, 3 infeasible target.  A
 failed run removes its directory if it wrote nothing there.
@@ -45,9 +51,6 @@ from . import dpml
 from . import empirical as emp
 from . import protocols as proto
 
-EXPERIMENTS = ("bounds_sweep", "empirical_sweep", "protocol_mc", "sgd_compare", "sigma_search")
-
-
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
@@ -67,32 +70,18 @@ def _parse_value(raw: str):
     return raw
 
 
+def _parse_entry(text: str, where: str) -> tuple[str, object]:
+    if "=" not in text:
+        raise ValueError(f"{where}: expected 'key = value', got {text!r}")
+    key, raw = text.split("=", 1)
+    return key.strip(), _parse_value(raw)
+
+
 def parse_config(path) -> dict:
     """Read a flat ``key = value`` config file."""
-    config: dict = {}
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, raw = line.split("=", 1)
-            config[key.strip()] = _parse_value(raw)
-    return config
-
-
-def _as_list(value) -> list:
-    return value if isinstance(value, list) else [value]
-
-
-def _int_key(config: dict, key: str, default: int) -> int:
-    """``config[key]`` (or ``default``) as an int; an int or an integral
-    float such as ``3.0`` is accepted, anything else is a ``ValueError``."""
-    value = config.get(key, default)
-    if not (type(value) is int or type(value) is float and value.is_integer()):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+        lines = [(lineno, line.split("#", 1)[0].strip()) for lineno, line in enumerate(fh, 1)]
+    return dict(_parse_entry(line, f"{path}:{lineno}") for lineno, line in lines if line)
 
 
 def derive_seed(*parts) -> int:
@@ -109,18 +98,16 @@ def derive_seed(*parts) -> int:
     return int(mixed.generate_state(1, np.uint64)[0])
 
 
-def split_delta_budget(total: float, n: int, T: int, delta_hat: float | None = None) -> tuple[float, float, float]:
+def split_delta_budget(total: float, n: int, T: int) -> tuple[float, float, float]:
     """Split one total failure probability into (delta0, delta', delta_hat).
 
     Equal thirds: delta' = delta_hat = total/3, and the per-contribution
     delta0 spends the remaining third across the (N_v + T/n) composed
     cycles.
     """
-    delta_prime = total / 3.0
-    delta_hat = total / 3.0 if delta_hat is None else delta_hat
-    n_v = acct.chernoff_visit_bound(T, 1.0 / n, delta_hat)
-    delta0 = (total / 3.0) / (n_v + T / n)
-    return delta0, delta_prime, delta_hat
+    third = total / 3.0
+    n_v = acct.chernoff_visit_bound(T, 1.0 / n, third)
+    return third / (n_v + T / n), third, third
 
 
 def _contiguous_chunks(items: list, workers: int) -> list[list]:
@@ -168,65 +155,50 @@ def _fmt(value):
     return value
 
 
-def _write_meta(run_dir: Path, experiment: str, config: dict, seed: int, runs: int,
-                workers: int, unchecked: bool, extra: dict | None = None) -> None:
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+
+
+def _write_meta(run_dir: Path, meta: dict) -> None:
     meta = {
-        "experiment": experiment,
-        "config": config,
-        "seed": seed,
-        "runs": runs,
-        "workers": workers,
-        "unchecked": unchecked,
+        **meta,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "environment": {
-            "python": sys.version.split()[0], "numpy": np.__version__, "workers": workers,
+            "python": sys.version.split()[0], "numpy": np.__version__, "workers": meta["workers"],
             "cpu_count": os.cpu_count(),
             "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         },
     }
-    if extra:
-        meta.update(extra)
-    with open(run_dir / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=str)
+    _write_json(run_dir / "meta.json", meta)
 
 
 # ---------------------------------------------------------------------------
 # bounds_sweep
 # ---------------------------------------------------------------------------
 
-def cmd_bounds_sweep(config: dict, run_dir: Path, seed: int, runs: int,
-                     workers: int, unchecked: bool) -> None:
+def cmd_bounds_sweep(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> dict:
     """Theory curves over an n grid at T = t_factor * n.
 
     Columns: n, network_eps, local_eps, network_fixed_eps, local_fixed_eps;
-    the *_fixed variants assume exactly T/n contributions per user.
+    the *_fixed variants assume exactly T/n contributions per user.  Without
+    ``delta0``, each n splits ``total_delta`` by :func:`split_delta_budget`;
+    ``meta.json`` records the (delta0, delta_prime, delta_hat) each n used.
     """
-    n_grid = [int(v) for v in _as_list(config.get("n_grid", [20, 50, 100, 1000, 10000]))]
-    if not n_grid:
-        raise ValueError("empty n_grid")
-    eps0 = float(config.get("eps0", 0.5))
-    t_factor = _int_key(config, "t_factor", 100)
-    rows = []
-    for n in sorted(n_grid):
-        T = t_factor * n
-        if "delta0" in config:
-            delta0 = float(config["delta0"])
-            delta_prime = float(config.get("delta_prime", 1e-3))
-            delta_hat = float(config.get("delta_hat", 1e-3))
+    eps0 = cfg["eps0"]
+    rows, delta_split = [], {}
+    for n in sorted(cfg["n_grid"]):
+        T = cfg["t_factor"] * n
+        if cfg["delta0"] is None:
+            delta0, delta_prime, delta_hat = split_delta_budget(cfg["total_delta"], n, T)
         else:
-            delta0, delta_prime, delta_hat = split_delta_budget(
-                float(config.get("total_delta", 3e-3)), n, T
-            )
-        network = acct.complete_sum_bound(
-            eps0, delta0, n, T, delta_prime, delta_hat, unchecked=unchecked
-        )
-        n_v = network.intermediates["N_v"]
-        local = acct.local_baseline_sum(eps0, delta0, n_v, delta_prime)
-        network_fixed = acct.complete_sum_bound(
-            eps0, delta0, n, T, delta_prime, delta_hat,
-            fixed_contributions=True, unchecked=unchecked,
-        )
+            delta0, delta_prime, delta_hat = cfg["delta0"], cfg["delta_prime"], cfg["delta_hat"]
+        delta_split[str(n)] = {"delta0": delta0, "delta_prime": delta_prime, "delta_hat": delta_hat}
+        chain = (eps0, delta0, n, T, delta_prime, delta_hat)
+        network = acct.complete_sum_bound(*chain, unchecked=unchecked)
+        local = acct.local_baseline_sum(eps0, delta0, network.intermediates["N_v"], delta_prime)
+        network_fixed = acct.complete_sum_bound(*chain, fixed_contributions=True, unchecked=unchecked)
         local_fixed = acct.local_baseline_sum(eps0, delta0, T / n, delta_prime)
         rows.append({
             "n": n,
@@ -239,8 +211,7 @@ def cmd_bounds_sweep(config: dict, run_dir: Path, seed: int, runs: int,
     _write_csv(run_dir / "results.csv",
                ["n", "network_eps", "local_eps", "network_fixed_eps", "local_fixed_eps", "unchecked"],
                rows)
-    _write_meta(run_dir, "bounds_sweep", config, seed, runs, workers, unchecked,
-                extra={"delta_split": "total_delta split equally into delta0*cycles, delta_prime, delta_hat"})
+    return {"delta_split": delta_split}
 
 
 # ---------------------------------------------------------------------------
@@ -248,47 +219,29 @@ def cmd_bounds_sweep(config: dict, run_dir: Path, seed: int, runs: int,
 # ---------------------------------------------------------------------------
 
 def _empirical_point(args: tuple) -> tuple[int, float, float, float, int]:
-    n, t_factor, eps0, delta0, delta_prime, walk_seed = args
-    walk = sample_walk(Topology(COMPLETE, n), t_factor * n, walk_seed)
-    matrix = emp.empirical_pair_loss_sum(walk, eps0, delta0, delta_prime)
+    cfg, n, walk_seed = args
+    walk = sample_walk(Topology(COMPLETE, n), cfg["t_factor"] * n, walk_seed)
+    matrix = emp.empirical_pair_loss_sum(walk, cfg["eps0"], cfg["delta0"], cfg["delta_prime"])
     vals = matrix.finite_offdiagonal()
     return n, float(vals.mean()), float(vals.min()), float(vals.max()), matrix.meta["max_cycles"]
 
 
-def cmd_empirical_sweep(config: dict, run_dir: Path, seed: int, runs: int,
-                        workers: int, unchecked: bool) -> None:
+def cmd_empirical_sweep(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> dict:
     """Per-pair empirical losses on sampled walks, pooled per n."""
-    n_grid = [int(v) for v in _as_list(config.get("n_grid", [20, 100, 1000]))]
-    if not n_grid:
-        raise ValueError("empty n_grid")
-    eps0 = float(config.get("eps0", 0.5))
-    t_factor = _int_key(config, "t_factor", 100)
-    delta0 = float(config.get("delta0", 1e-7))
-    delta_prime = float(config.get("delta_prime", 1e-3))
-    if not 0 < delta_prime < 1:  # checked before any walk is sampled
-        raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
-    tasks = [
-        (n, t_factor, eps0, delta0, delta_prime, derive_seed(seed, n, r))
-        for n in sorted(n_grid)
-        for r in range(runs)
-    ]
+    n_grid = sorted(cfg["n_grid"])
+    tasks = [(cfg, n, derive_seed(cfg["seed"], n, r)) for n in n_grid for r in range(cfg["runs"])]
     points = _parallel_map(_empirical_point, tasks, workers)
     rows, max_cycles = [], {}
-    for n in sorted(n_grid):
+    for n in n_grid:
         means, los, his, cycles = zip(*(p[1:] for p in points if p[0] == n))
-        rows.append({
-            "n": n,
-            "mean": float(np.mean(means)),
-            "min": float(np.min(los)),
-            "max": float(np.max(his)),
-        })
+        rows.append({"n": n, "mean": float(np.mean(means)),
+                     "min": float(np.min(los)), "max": float(np.max(his))})
         max_cycles[str(n)] = max(cycles)
     _write_csv(run_dir / "results.csv", ["n", "mean", "min", "max"], rows)
     # the most capped cycles any observer composed, per n (the closed-form
     # bounds provision N_v + T/n of them)
-    _write_meta(run_dir, "empirical_sweep", config, seed, runs, workers, unchecked,
-                extra={"delta_convention": "per-pair delta = cycles * delta0 + delta_prime",
-                       "max_cycles": max_cycles})
+    return {"delta_convention": "per-pair delta = cycles * delta0 + delta_prime",
+            "max_cycles": max_cycles}
 
 
 # ---------------------------------------------------------------------------
@@ -399,28 +352,12 @@ def _mc_columns(res: proto.ProtocolRuns) -> tuple[np.ndarray, np.ndarray]:
     return res.outputs - res.true_values, res.response_counts
 
 
-def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
-                    workers: int, unchecked: bool) -> None:
+def cmd_protocol_mc(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> None:
     """Monte Carlo estimates of protocol output moments and response counts."""
-    if runs < 1:
-        raise ValueError("protocol_mc needs runs >= 1")
-    names = [str(v) for v in _as_list(config.get("protocols", ["ring_sum", "complete_sum"]))]
-    unknown = [name for name in names if name not in _MC_PROTOCOLS]
-    if unknown:
-        raise ValueError(f"unknown protocol(s) {unknown}; choose from {sorted(_MC_PROTOCOLS)}")
-    params = {
-        "n": _int_key(config, "n", 100),
-        "K": _int_key(config, "K", 10),
-        "T": _int_key(config, "T", 1000),
-        "sigma_loc": float(config.get("sigma_loc", 1.0)),
-        "gamma": float(config.get("gamma", 0.3)),
-        "domain_size": _int_key(config, "domain_size", 5),
-        "clip": float(config.get("clip", 1.0)),
-        "mode": str(config.get("mode", "single_noiser")),
-        "stream_seed": derive_seed(seed, 0xDA7A),
-    }
+    seed, runs = cfg["seed"], cfg["runs"]
+    params = {**cfg, "stream_seed": derive_seed(seed, 0xDA7A)}
     rows = []
-    for name in names:
+    for name in cfg["protocols"]:
         spec = _MC_PROTOCOLS[name]
         tag = zlib.crc32(name.encode()) & 0xFFFF
         seeds = [derive_seed(seed, tag, r) for r in range(runs)]
@@ -437,7 +374,6 @@ def cmd_protocol_mc(config: dict, run_dir: Path, seed: int, runs: int,
     columns = ["protocol", "runs", "n", "steps", "mean_error", "std_error",
                "expected_std", "max_bin_bias_se", "rr_mean", "rr_expected"]
     _write_csv(run_dir / "results.csv", columns, rows)
-    _write_meta(run_dir, "protocol_mc", config, seed, runs, workers, unchecked)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +384,7 @@ def _sgd_runs(args: tuple) -> list[dpml.TrainResult]:
     return dpml.train(*args)  # (batch, data, runs)
 
 
-def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
-                    workers: int, unchecked: bool) -> None:
+def cmd_sgd_compare(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> None:
     """Local vs network vs centralized DP-SGD on logistic regression.
 
     Every (eps, regime) pair is calibrated before any training, so an
@@ -460,48 +395,33 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
     ``int(eps * 1000)`` and its trace files by ``f"{eps:g}"``, so two eps
     values that share either are rejected.
     """
-    dataset_kind = str(config.get("dataset", "synthetic"))
-    n = _int_key(config, "n", 200)
-    if dataset_kind == "synthetic":
-        data = dpml.make_synthetic(
-            n_users=n,
-            points_per_user=_int_key(config, "points_per_user", 8),
-            dim=_int_key(config, "dim", 20),
-            seed=derive_seed(seed, 0xDA7A),
-        )
-    elif dataset_kind == "real":
-        if "dataset_path" not in config:
-            raise ValueError("dataset = real requires a dataset_path entry")
-        data = dpml.load_csv_dataset(config["dataset_path"], n_users=n, seed=seed)
-    else:
-        raise ValueError(f"unknown dataset kind {dataset_kind!r}")
-
-    T = _int_key(config, "T", 2000)
-    delta = float(config.get("delta", 1e-6))
-    cap_mult = float(config.get("cap_multiplier", 2.0))
-    eps_list = [float(v) for v in _as_list(config.get("eps", [1.0, 10.0]))]
-    seed_keys = {int(eps * 1000) for eps in eps_list}
-    file_keys = {f"{eps:g}" for eps in eps_list}
-    if min(len(seed_keys), len(file_keys)) < len(eps_list):
+    seed, runs, n, eps_list = cfg["seed"], cfg["runs"], cfg["n"], cfg["eps"]
+    if cfg["dataset"] == "real" and cfg["dataset_path"] is None:
+        raise ValueError("dataset = real requires a dataset_path entry")
+    if min(len({int(eps * 1000) for eps in eps_list}), len({f"{eps:g}" for eps in eps_list})) < len(eps_list):
         raise ValueError(f"eps values {eps_list} must differ in int(eps * 1000) and in eps:g")
-    tune_seeds = _int_key(config, "tune_seeds", 5)
-    fixed_eta = config.get("eta")
-    if fixed_eta is None and tune_seeds < 1:
-        raise ValueError(f"tune_seeds must be >= 1 when eta is tuned, got {tune_seeds}")
+    if cfg["eta"] is None and cfg["tune_seeds"] < 1:
+        raise ValueError(f"tune_seeds must be >= 1 when eta is tuned, got {cfg['tune_seeds']}")
+    if cfg["dataset"] == "synthetic":
+        data = dpml.make_synthetic(n_users=n, points_per_user=cfg["points_per_user"], dim=cfg["dim"],
+                                   seed=derive_seed(seed, 0xDA7A))
+    else:
+        data = dpml.load_csv_dataset(cfg["dataset_path"], n_users=n, seed=seed)
 
     grid = [(eps, regime) for eps in eps_list
             for regime in (dpml.LOCAL, dpml.NETWORK, dpml.CENTRALIZED)]
-    configs = [dpml.TrainConfig(regime=regime, T=T, eta=1.0,
-                                budget=dpml.PrivacyBudget(eps, delta), cap_multiplier=cap_mult)
+    configs = [dpml.TrainConfig(regime=regime, T=cfg["T"], eta=1.0,
+                                budget=dpml.PrivacyBudget(eps, cfg["delta"]),
+                                cap_multiplier=cfg["cap_multiplier"])
                for eps, regime in grid]
     sigmas = [dpml.calibrate_regime(c, data.n_users) for c in configs]
-    if fixed_eta is not None:
-        etas = [float(fixed_eta)] * len(grid)
+    if cfg["eta"] is not None:
+        etas = [cfg["eta"]] * len(grid)
     else:
         etas = dpml.tune_eta(
             dpml.RegimeBatch(configs, sigmas), data,
             [(i, derive_seed(seed, int(eps * 1000), 0xE7A, t))
-             for i, (eps, _) in enumerate(grid) for t in range(tune_seeds)],
+             for i, (eps, _) in enumerate(grid) for t in range(cfg["tune_seeds"])],
         )
     batch = dpml.RegimeBatch([replace(c, eta=eta) for c, eta in zip(configs, etas)], sigmas)
     replicas = [(i, derive_seed(seed, int(eps * 1000), r))
@@ -534,34 +454,152 @@ def cmd_sgd_compare(config: dict, run_dir: Path, seed: int, runs: int,
          "std_final_objective", "mean_final_accuracy", "diverged_runs"],
         rows,
     )
-    _write_meta(run_dir, "sgd_compare", config, seed, runs, workers, unchecked)
 
 
 # ---------------------------------------------------------------------------
 # sigma_search
 # ---------------------------------------------------------------------------
 
-def cmd_sigma_search(config: dict, run_dir: Path, seed: int, runs: int,
-                     workers: int, unchecked: bool) -> None:
-    """Smallest network-SGD sigma for a target budget, with a chain re-check."""
-    eps = float(config["eps"])
-    delta = float(config["delta"])
-    T_u = float(config.get("T_u", 10))
-    n = _int_key(config, "n", 1000)
-    L = float(config.get("L", 1.0))
+def cmd_sigma_search(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> None:
+    """Smallest network-SGD sigma for a target budget, with a chain re-check.
+
+    An infeasible target writes its error and diagnostics to
+    ``results.json`` before exiting 3."""
+    eps, delta, T_u, n, L = (cfg[k] for k in ("eps", "delta", "T_u", "n", "L"))
     try:
         sigma, alpha = acct.sigma_search(eps, delta, T_u, n, L)
     except InfeasibleError as exc:
-        payload = {"error": str(exc), "diagnostics": exc.diagnostics}
-        with open(run_dir / "results.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        _write_meta(run_dir, "sigma_search", config, seed, runs, workers, unchecked)
+        _write_json(run_dir / "results.json", {"error": str(exc), "diagnostics": exc.diagnostics})
         raise
     recheck = acct.rdp_to_dp(acct.sgd_network_rdp(alpha, T_u, L, sigma, n), delta)
-    payload = {"sigma_min": sigma, "alpha_used": alpha, "recheck_eps": recheck}
-    with open(run_dir / "results.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    _write_meta(run_dir, "sigma_search", config, seed, runs, workers, unchecked)
+    _write_json(run_dir / "results.json", {"sigma_min": sigma, "alpha_used": alpha, "recheck_eps": recheck})
+
+
+# ---------------------------------------------------------------------------
+# Config keys
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()  # a Key default: the key must be given
+
+
+class Key(NamedTuple):
+    """One config key.
+
+    ``type`` is int, float or str, or ``list[...]`` of one of them for a
+    non-empty comma list (a single value counts as a one-item list).  A
+    ``default`` of None leaves the key unset; :data:`REQUIRED` makes it
+    mandatory.  ``range`` is an interval such as ``"[1, inf)"`` or a tuple of
+    the allowed strings; it applies to every item of a list.
+    """
+
+    type: type
+    default: object = None
+    range: str | tuple[str, ...] | None = None
+
+
+_COMMON_KEYS = {"seed": Key(int, 0, "[0, inf)"), "runs": Key(int, 10, "[1, inf)")}
+
+# every experiment's keys; ranges guard only what would otherwise fail
+# without a ValueError, or without naming the key, in this module's own
+# arithmetic: the library checks its own domains
+KEYS: dict[str, dict[str, Key]] = {experiment: {**keys, **_COMMON_KEYS} for experiment, keys in {
+    "bounds_sweep": {
+        "n_grid": Key(list[int], [20, 50, 100, 1000, 10000], "[1, inf)"),
+        "eps0": Key(float, 0.5),
+        "t_factor": Key(int, 100),
+        "total_delta": Key(float, 3e-3),
+        "delta0": Key(float),  # unset: split total_delta
+        "delta_prime": Key(float, 1e-3),
+        "delta_hat": Key(float, 1e-3),
+    },
+    "empirical_sweep": {
+        "n_grid": Key(list[int], [20, 100, 1000], "[2, inf)"),
+        "eps0": Key(float, 0.5),
+        "t_factor": Key(int, 100),
+        "delta0": Key(float, 1e-7),
+        "delta_prime": Key(float, 1e-3, "(0, 1)"),
+    },
+    "protocol_mc": {
+        "protocols": Key(list[str], ["ring_sum", "complete_sum"], tuple(_MC_PROTOCOLS)),
+        "n": Key(int, 100, "[1, inf)"),
+        "K": Key(int, 10, "[1, inf)"),
+        "T": Key(int, 1000, "[1, inf)"),
+        "sigma_loc": Key(float, 1.0),
+        "gamma": Key(float, 0.3),
+        "domain_size": Key(int, 5),
+        "clip": Key(float, 1.0),
+        "mode": Key(str, "single_noiser"),
+    },
+    "sgd_compare": {
+        "dataset": Key(str, "synthetic", ("synthetic", "real")),
+        "dataset_path": Key(str),
+        "n": Key(int, 200),
+        "points_per_user": Key(int, 8),
+        "dim": Key(int, 20, "[1, inf)"),
+        "T": Key(int, 2000),
+        "eps": Key(list[float], [1.0, 10.0]),
+        "delta": Key(float, 1e-6, "(0, inf)"),
+        "cap_multiplier": Key(float, 2.0),
+        "eta": Key(float),  # unset: tune eta
+        "tune_seeds": Key(int, 5),
+    },
+    "sigma_search": {
+        "eps": Key(float, REQUIRED),
+        "delta": Key(float, REQUIRED),
+        "T_u": Key(float, 10.0),
+        "n": Key(int, 1000),
+        "L": Key(float, 1.0),
+    },
+}.items()}
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def resolve_config(experiment: str, config: dict) -> dict:
+    """Every key of ``KEYS[experiment]``, typed and range-checked, defaults
+    filled in and unset keys as None.
+
+    An unknown key, a missing required key, a value of the wrong type, a
+    non-finite float or a value out of range is a ``ValueError`` naming the
+    key.  An int key takes an int or an integral float such as ``3.0``; a
+    float key takes an int or a float.
+    """
+    keys = KEYS[experiment]
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} for {experiment}; known keys: {sorted(keys)}")
+    resolved = {}
+    for name, key in keys.items():
+        value = config.get(name, key.default)
+        if value is REQUIRED:
+            raise ValueError(f"{name} is required")
+        if value is None:  # unset
+            resolved[name] = None
+            continue
+        kind = getattr(key.type, "__args__", (key.type,))[0]  # list[int] -> int
+        values = value if kind is not key.type and isinstance(value, list) else [value]
+        if not values:
+            raise ValueError(f"{name} must list at least one value")
+        checked = [_check_value(name, kind, v, key.range) for v in values]
+        resolved[name] = checked if kind is not key.type else checked[0]
+    return resolved
+
+
+def _check_value(name: str, kind: type, value, allowed):
+    if kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    elif kind is float and type(value) is int:
+        value = float(value) if abs(value) <= 2**1023 else math.inf  # float() of a larger int overflows
+    if type(value) is not kind or kind is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if isinstance(allowed, str):  # an interval such as "[1, inf)" or "(0, 1)"
+        lo, hi = (float(x) for x in allowed[1:-1].split(","))
+        at_open_end = value == lo and allowed[0] == "(" or value == hi and allowed[-1] == ")"
+        if not lo <= value <= hi or at_open_end:
+            raise ValueError(f"{name} must be in {allowed}, got {value!r}")
+    elif allowed is not None and value not in allowed:
+        raise ValueError(f"{name} must be one of {list(allowed)}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +613,7 @@ _COMMANDS = {
     "sgd_compare": cmd_sgd_compare,
     "sigma_search": cmd_sigma_search,
 }
+EXPERIMENTS = tuple(_COMMANDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -597,19 +636,18 @@ def main(argv: list[str] | None = None) -> int:
     run_dir = None
     try:
         config = parse_config(args.config) if args.config else {}
-        for override in args.set:
-            if "=" not in override:
-                raise ValueError(f"--set expects KEY=VALUE, got {override!r}")
-            key, raw = override.split("=", 1)
-            config[key.strip()] = _parse_value(raw)
-        seed = args.seed if args.seed is not None else _int_key(config, "seed", 0)
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
-        runs = args.runs if args.runs is not None else _int_key(config, "runs", 10)
-        if runs < 1:
-            raise ValueError(f"runs must be >= 1, got {runs}")
-        run_dir = _make_run_dir(args.out, args.experiment, seed)
-        _COMMANDS[args.experiment](config, run_dir, seed, runs, args.workers, args.unchecked)
+        config.update(_parse_entry(override, "--set") for override in args.set)
+        flags = {k: v for k, v in (("seed", args.seed), ("runs", args.runs)) if v is not None}
+        cfg = resolve_config(args.experiment, {**config, **flags})
+        meta = {"experiment": args.experiment, "config": config, "resolved_config": cfg,
+                "seed": cfg["seed"], "runs": cfg["runs"], "workers": args.workers,
+                "unchecked": args.unchecked}
+        run_dir = _make_run_dir(args.out, args.experiment, cfg["seed"])
+        try:
+            meta.update(_COMMANDS[args.experiment](cfg, run_dir, args.workers, args.unchecked) or {})
+        finally:
+            if any(run_dir.iterdir()):  # a failed run's error payload gets its meta.json too
+                _write_meta(run_dir, meta)
         print(run_dir)
         return 0
     except InfeasibleError as exc:

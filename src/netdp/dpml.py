@@ -347,24 +347,20 @@ def calibrate_regime(config: TrainConfig, n: int) -> float:
     """Smallest grid sigma meeting the regime's (eps, delta) target.
 
     The local and centralized regimes bisect the grid index of
-    :func:`_sigma_grid` with :func:`~netdp.accountant.grid_bisect`; the
-    network regime does the same on its own grid in
-    :func:`~netdp.accountant.sigma_search`.  The bisection relies on eps
-    falling along the grid, which
+    :func:`_sigma_grid` with :func:`~netdp.accountant.grid_bisect`, taking
+    each sigma's eps from :func:`verify_privacy`; the network regime does
+    the same on its own grid in :func:`~netdp.accountant.sigma_search`.  The
+    bisection relies on eps falling along the grid, which
     ``tests/test_accountant.py::TestGridMonotonicity`` pins for all three.
     """
     eps, delta = config.budget.epsilon, config.budget.delta
-    cap = contribution_cap(config.T, n, config.cap_multiplier)
     if config.regime == NETWORK:
+        cap = contribution_cap(config.T, n, config.cap_multiplier)
         sigma, _ = sigma_search(eps, delta, T_u=cap, n=n, L=LIPSCHITZ)
         return sigma
     grid = _sigma_grid()
-    if config.regime == LOCAL:
-        eps_of = lambda s: local_sgd_epsilon(s, cap, delta)
-    else:
-        eps_of = lambda s: centralized_sgd_epsilon(s, config.T, n, delta)
     try:
-        return float(grid[grid_bisect(eps_of, eps, grid)])
+        return float(grid[grid_bisect(lambda s: verify_privacy(config, n, s), eps, grid)])
     except InfeasibleError:
         diagnostics = {"regime": config.regime, "ceiling": float(grid[-1])}
         if config.regime == CENTRALIZED:  # no sigma brings eps below the top order's term

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -691,3 +692,77 @@ class TestBoundReport:
             acct.BoundReport("x", {}, -1.0, 0.0)
         with pytest.raises(ValueError):
             acct.BoundReport("x", {}, 1.0, 1.5)
+
+
+class TestCornerInputs:
+    """Every public closed form, on a grid of corner inputs (zero, negative,
+    one, the ends of (0, 1)), returns a finite eps >= 0 or raises
+    ``ValueError``/``ValidityWindowError``, and nothing else."""
+
+    EPS = (-1.0, 0.0, 0.5, 2.0)
+    DELTA = (0.0, 1e-6, 0.5, 1.0)
+    COUNT = (-1, 0, 1, 2, 1000)
+    GRIDS = {
+        "advanced_composition": (EPS, DELTA, (0, 1, 2.5), DELTA),
+        "advanced_composition_hetero": (([], [0.0], [-1.0, 0.5], [0.5, 2.0]), DELTA),
+        "simple_composition": (EPS, DELTA, (0, 1, 2.5)),
+        "chernoff_visit_bound": (COUNT, (-1.0, 0.0, 0.5, 1.0, 2.0), DELTA),
+        "subsample_amplify": (EPS, COUNT, COUNT),
+        "cycle_bound_sum": (EPS, COUNT),
+        "cycle_bound_hist": (EPS, DELTA, COUNT, COUNT),
+        "erlingsson_shuffle": (EPS, COUNT, DELTA),
+        "feldman_shuffle": (EPS, COUNT, DELTA),
+        "ring_sum_bound": (EPS, DELTA, COUNT, DELTA, COUNT),
+        "ring_hist_bound": (EPS, DELTA, COUNT, COUNT, (1, 5), DELTA),
+        "complete_sum_bound": (EPS, DELTA, COUNT, COUNT, DELTA, DELTA),
+        "complete_hist_bound": (EPS, DELTA, COUNT, COUNT, DELTA, DELTA, (1, 5)),
+        "local_baseline_sum": (EPS, DELTA, (0, 1, 2.5), DELTA),
+        "rdp_to_dp": ((1.5, 2.0), (0.0, 1.0), DELTA),
+        "pnsgd_iteration_rdp": ((1.5, 2.0), (-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), COUNT),
+        "sgd_network_rdp": ((1.5, 2.0), (-1.0, 0.0, 10.0), (-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0, 5.0), COUNT),
+        "sgd_closed_form_bound": (EPS, DELTA, COUNT, COUNT, DELTA),
+        "network_sgd_eps": ((-1.0, 0.0, 0.5, 100.0), (-1.0, 0.0, 10.0), COUNT, (-1.0, 0.0, 1.0), DELTA),
+        "sgd_utility_bound": ((0.0, 1.0), (0.0, 1.0), (0, 5), EPS, DELTA, COUNT),
+        "sampled_gaussian_rdp": ((-1.0, 0.0, 0.5, 1.0), (-1.0, 0.0, 1.0), (1, 2, 2.5)),
+        "collusion_adjust": (COUNT, COUNT),
+        "spotted_bound": ((-1.0, 0.0, 10.0), COUNT, EPS, DELTA, DELTA, ("simple", "advanced")),
+    }
+    WINDOWED = {"cycle_bound_sum", "erlingsson_shuffle", "feldman_shuffle", "ring_hist_bound",
+                "complete_sum_bound", "complete_hist_bound", "sgd_network_rdp", "sgd_closed_form_bound"}
+
+    @staticmethod
+    def epsilons(result) -> list[float]:
+        if isinstance(result, acct.BoundReport):
+            return [result.epsilon_out]
+        if isinstance(result, PrivacyBudget):
+            return [result.epsilon]
+        if isinstance(result, acct.RdpPoint):
+            return [result.eps_rdp]
+        if isinstance(result, acct.FeldmanShuffleBound):
+            return list(result)
+        if isinstance(result, tuple):  # network_sgd_eps: (eps, alpha)
+            return [result[0]]
+        return [result]
+
+    def test_every_public_closed_form_has_a_grid(self):
+        searches = {"grid_bisect", "sigma_search", "rdp_compose"}
+        callables = {name for name in acct.__all__
+                     if callable(getattr(acct, name)) and not isinstance(getattr(acct, name), type)}
+        assert callables - searches - {"FeldmanShuffleBound"} == set(self.GRIDS)
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_finite_nonnegative_or_value_error(self, name):
+        fn = getattr(acct, name)
+        if name == "rdp_to_dp":
+            fn = lambda alpha, eps_rdp, delta: acct.rdp_to_dp(acct.RdpPoint(alpha, eps_rdp), delta)
+        options = [{}, {"unchecked": True}] if name in self.WINDOWED else [{}]
+        if name in ("complete_sum_bound", "complete_hist_bound"):
+            options += [{"fixed_contributions": True, **o} for o in list(options)]
+        for args in itertools.product(*self.GRIDS[name]):
+            for kwargs in options:
+                try:
+                    result = fn(*args, **kwargs)
+                except (ValueError, ValidityWindowError):
+                    continue
+                for eps in self.epsilons(result):
+                    assert math.isfinite(eps) and eps >= 0, (name, args, kwargs, eps)

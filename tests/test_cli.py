@@ -25,6 +25,10 @@ def results_files(out, experiment, pattern="results.csv"):
     return sorted((out / experiment).glob(f"*/{pattern}"))
 
 
+def run_dirs(out):
+    return sorted(out.glob("*/*"))
+
+
 class TestConfigParsing:
     def test_types(self, tmp_path):
         path = write_config(
@@ -268,7 +272,7 @@ class TestProtocolMc:
         seed = ["--seed", -1] if how == "flag" else ["--set", "seed=-1"]
         assert run_cli("--experiment", "protocol_mc", "--out", tmp_path / "out", "--runs", 2,
                        *seed, "--set", "n=5", "--set", "K=2") == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
+        assert "seed must be in [0, inf), got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_run_seeds_are_exact_ints(self, tmp_path, monkeypatch):
@@ -393,7 +397,7 @@ class TestSgdCompare:
         assert run_cli("--experiment", "sgd_compare", "--out", out, "--set", "n=10",
                        "--set", "T=40", "--set", f"eps={eps}") == 2
         assert "must differ" in capsys.readouterr().err
-        assert list((out / "sgd_compare").iterdir()) == []
+        assert run_dirs(out) == []
 
     def test_failed_run_leaves_no_run_directory(self, tmp_path, capsys):
         # the centralized regime cannot reach eps = 0.05 at n = 200 (its
@@ -403,7 +407,7 @@ class TestSgdCompare:
                        "--set", "T=2000", "--set", "eps=1.0,0.05") == 3
         err = capsys.readouterr().err
         assert "regime centralized" in err and "order_cap_floor" in err
-        assert list((out / "sgd_compare").iterdir()) == []
+        assert run_dirs(out) == []
 
     @pytest.mark.parametrize("dataset", ["synthetic", "unequal_csv"])
     def test_output_independent_of_workers(self, tmp_path, dataset):
@@ -511,14 +515,14 @@ class TestSigmaSearch:
         assert run_cli("--experiment", "sigma_search", "--out", out, "--set", "eps=1.0",
                        "--set", "delta=1e-6", "--set", override) == 2
         assert "invalid configuration" in capsys.readouterr().err
-        assert list((out / "sigma_search").iterdir()) == []
+        assert run_dirs(out) == []
 
     def test_non_integral_n_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("--experiment", "sigma_search", "--out", out, "--set", "eps=1.0",
                        "--set", "delta=1e-6", "--set", "n=2.9") == 2
         assert "n must be an integer, got 2.9" in capsys.readouterr().err
-        assert list((out / "sigma_search").iterdir()) == []
+        assert run_dirs(out) == []
 
     def test_integral_float_n_runs_as_its_int(self, tmp_path):
         payloads = []
@@ -538,7 +542,42 @@ class TestMeta:
         assert run_cli("--experiment", "bounds_sweep", "--out", out, "--set", "n_grid=20",
                        "--set", f"t_factor={value}") == 2
         assert "t_factor must be an integer" in capsys.readouterr().err
-        assert list((out / "bounds_sweep").iterdir()) == []
+        assert run_dirs(out) == []
+
+    def test_resolved_config_beside_config_as_given(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "bounds_sweep", "--out", out, "--set", "n_grid=20",
+                       "--set", "t_factor=10.0", "--seed", 4) == 0
+        (csv_path,) = results_files(out, "bounds_sweep")
+        meta = json.loads((csv_path.parent / "meta.json").read_text())
+        assert meta["config"] == {"n_grid": 20, "t_factor": 10.0}
+        assert meta["resolved_config"] == {
+            "n_grid": [20], "eps0": 0.5, "t_factor": 10, "total_delta": 3e-3, "delta0": None,
+            "delta_prime": 1e-3, "delta_hat": 1e-3, "seed": 4, "runs": 10,
+        }
+        assert "resolved_config" not in csv_path.read_text()
+
+    def test_empty_config_resolves_to_the_defaults(self):
+        from netdp.cli import resolve_config
+
+        assert resolve_config("bounds_sweep", {}) == {
+            "n_grid": [20, 50, 100, 1000, 10000], "eps0": 0.5, "t_factor": 100,
+            "total_delta": 3e-3, "delta0": None, "delta_prime": 1e-3, "delta_hat": 1e-3,
+            "seed": 0, "runs": 10,
+        }
+
+    @pytest.mark.parametrize("given", [[], ["delta0=1e-8", "delta_prime=2e-3", "delta_hat=4e-3"]],
+                             ids=["split", "given"])
+    def test_delta_split_recorded_as_numbers(self, tmp_path, given):
+        out = tmp_path / "out"
+        sets = [arg for s in ["n_grid=100,20", "t_factor=10", *given] for arg in ("--set", s)]
+        assert run_cli("--experiment", "bounds_sweep", "--out", out, *sets) == 0
+        (csv_path,) = results_files(out, "bounds_sweep")
+        split = json.loads((csv_path.parent / "meta.json").read_text())["delta_split"]
+        for n in (20, 100):
+            want = split_delta_budget(3e-3, n, 10 * n) if not given else (1e-8, 2e-3, 4e-3)
+            assert split[str(n)] == dict(zip(("delta0", "delta_prime", "delta_hat"), want))
+        assert "delta" not in csv_path.read_text()
 
     def test_environment_block(self, tmp_path):
         out = tmp_path / "out"
@@ -552,3 +591,125 @@ class TestMeta:
         assert env["python"].count(".") == 2
         assert 1 <= env["usable_cpus"] <= env["cpu_count"]
         assert "environment" not in csv_path.read_text()
+
+
+class TestKeyTable:
+    """The CLI contract on one-key-at-a-time variations of small configs:
+    every run exits 0, 2 or 3, and an invalid configuration leaves no run
+    directory."""
+
+    BASE = {
+        "bounds_sweep": ["n_grid=20", "t_factor=10"],
+        # with delta0 set, delta_prime and delta_hat reach the bounds
+        "bounds_sweep_delta0": ["n_grid=20", "t_factor=10", "delta0=1e-7"],
+        "empirical_sweep": ["n_grid=12", "t_factor=5"],
+        "protocol_mc": ["protocols=ring_sum,complete_sum,ring_hist,complete_hist",
+                        "n=6", "K=2", "T=12", "domain_size=3"],
+        "sgd_compare": ["n=6", "T=20", "eta=0.05", "eps=10", "points_per_user=2", "dim=2"],
+        "sigma_search": ["eps=1.0", "delta=1e-6", "n=50"],
+    }
+    VALUES = ["0", "-1", "2.5", "nan", "inf", "x"]
+    # before the key table, the first 13 exited 1 with a traceback and left
+    # an empty run directory, and a mistyped key was ignored
+    PINNED = [
+        ("bounds_sweep", "n_grid", "0"), ("bounds_sweep", "n_grid", "0.5"),
+        ("bounds_sweep", "n_grid", "inf"), ("empirical_sweep", "n_grid", "inf"),
+        ("protocol_mc", "n", "0"), ("protocol_mc", "K", "0"), ("protocol_mc", "T", "0"),
+        ("protocol_mc", "clip", "nan"), ("protocol_mc", "clip", "inf"),
+        ("sgd_compare", "delta", "0"), ("sgd_compare", "dim", "0"),
+        ("sgd_compare", "eps", "inf"), ("sgd_compare", "cap_multiplier", "inf"),
+        ("protocol_mc", "sigma_lco", "2"),  # a mistyped key
+    ]
+
+    @staticmethod
+    def run(tmp_path, experiment, key, value):
+        out = tmp_path / f"{experiment}-{key}-{value}"
+        base = [s for s in TestKeyTable.BASE[experiment] if s.split("=")[0] != key]
+        sets = [arg for s in [*base, f"{key}={value}"] for arg in ("--set", s)]
+        runs = [] if key == "runs" else ["--runs", 2]
+        return run_cli("--experiment", experiment.removesuffix("_delta0"), "--out", out,
+                       "--workers", 1, *runs, *sets), out
+
+    @staticmethod
+    def edges(key) -> list[str]:
+        if isinstance(key.range, tuple):
+            return list(key.range)
+        if key.range is None:
+            return []
+        return [x.strip() for x in key.range[1:-1].split(",") if x.strip() != "inf"]
+
+    @pytest.mark.parametrize("experiment", sorted(BASE))
+    def test_one_key_at_a_time(self, tmp_path, experiment):
+        from netdp.cli import KEYS
+
+        for name, key in KEYS[experiment.removesuffix("_delta0")].items():
+            for value in dict.fromkeys([*self.edges(key), *self.VALUES]):
+                code, out = self.run(tmp_path, experiment, name, value)
+                assert code in (0, 2, 3), (name, value, code)
+                if code == 2:
+                    assert run_dirs(out) == [], (name, value)
+
+    def test_values_are_typed_and_edges_kept(self):
+        from netdp.cli import resolve_config
+
+        cfg = resolve_config("protocol_mc", {"n": 6.0, "K": 1, "runs": 1, "seed": 0,
+                                             "protocols": "ring_sum", "sigma_loc": 2})
+        assert (cfg["n"], cfg["K"], cfg["runs"], cfg["seed"]) == (6, 1, 1, 0)
+        assert type(cfg["n"]) is int and type(cfg["sigma_loc"]) is float
+        assert cfg["protocols"] == ["ring_sum"]
+        assert resolve_config("sgd_compare", {"delta": 0.5})["eta"] is None  # unset
+
+    @pytest.mark.parametrize("experiment,config,message", [
+        ("sigma_search", {"delta": 1e-6}, "eps is required"),
+        ("empirical_sweep", {"delta_prime": 1}, "delta_prime must be in (0, 1), got 1.0"),
+        ("empirical_sweep", {"n_grid": [20, 1]}, "n_grid must be in [2, inf), got 1"),
+        ("empirical_sweep", {"n_grid": []}, "n_grid must list at least one value"),
+        ("protocol_mc", {"protocols": ["ring_sum", "x"]}, "protocols must be one of"),
+        ("protocol_mc", {"clip": float("nan")}, "clip must be a finite number, got nan"),
+        ("protocol_mc", {"K": [1, 2]}, "K must be an integer, got [1, 2]"),
+        ("protocol_mc", {"mode": True}, "mode must be a string, got True"),
+        ("protocol_mc", {"sigma_lco": 2}, "unknown key(s) ['sigma_lco']"),
+        ("sgd_compare", {"eps": 10**400}, "eps must be a finite number, got inf"),
+    ])
+    def test_invalid_values_name_their_key(self, experiment, config, message):
+        from netdp.cli import resolve_config
+
+        with pytest.raises(ValueError) as exc:
+            resolve_config(experiment, config)
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("experiment,key,value", PINNED)
+    def test_pinned_cases_exit_2_naming_the_key(self, tmp_path, capsys, experiment, key, value):
+        code, out = self.run(tmp_path, experiment, key, value)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_readme_key_table_matches_keys():
+    """README's key table lists every key of ``cli.KEYS`` with its type,
+    default and range, and nothing else."""
+    from pathlib import Path
+
+    from netdp.cli import KEYS, REQUIRED
+
+    def shown(key) -> tuple[str, str, str]:
+        kind = str(key.type) if hasattr(key.type, "__args__") else key.type.__name__
+        default = ("unset" if key.default is None else "required" if key.default is REQUIRED
+                   else ",".join(map(str, key.default)) if isinstance(key.default, list)
+                   else str(key.default))
+        allowed = (", ".join(key.range) if isinstance(key.range, tuple)
+                   else key.range if key.range else "—")
+        return kind, default, allowed
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| ") and len(cells) == 6 and cells[1].startswith("`"):
+            experiment, key, kind, default, allowed, _ = cells
+            rows.setdefault(experiment, {})[key.strip("`")] = (kind, default.split(":")[0], allowed)
+    common = rows.pop("every experiment")
+    assert set(rows) == set(KEYS)
+    for experiment, keys in KEYS.items():
+        assert {**rows[experiment], **common} == {name: shown(key) for name, key in keys.items()}
