@@ -221,9 +221,8 @@ def cmd_bounds_sweep(cfg: dict, run_dir: Path, workers: int, unchecked: bool) ->
 def _empirical_point(args: tuple) -> tuple[int, float, float, float, int]:
     cfg, n, walk_seed = args
     walk = sample_walk(Topology(COMPLETE, n), cfg["t_factor"] * n, walk_seed)
-    matrix = emp.empirical_pair_loss_sum(walk, cfg["eps0"], cfg["delta0"], cfg["delta_prime"])
-    vals = matrix.finite_offdiagonal()
-    return n, float(vals.mean()), float(vals.min()), float(vals.max()), matrix.meta["max_cycles"]
+    pairs = emp.empirical_pair_loss_summary(walk, cfg["eps0"], cfg["delta0"], cfg["delta_prime"])
+    return n, pairs.mean, pairs.min, pairs.max, pairs.meta["max_cycles"]
 
 
 def cmd_empirical_sweep(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> dict:
@@ -489,12 +488,15 @@ class Key(NamedTuple):
     non-empty comma list (a single value counts as a one-item list).  A
     ``default`` of None leaves the key unset; :data:`REQUIRED` makes it
     mandatory.  ``range`` is an interval such as ``"[1, inf)"`` or a tuple of
-    the allowed strings; it applies to every item of a list.
+    the allowed strings; it applies to every item of a list.  A key that
+    ``needs`` another is read only when that one is set: given without it,
+    it is an invalid configuration, and otherwise it resolves to None.
     """
 
     type: type
     default: object = None
     range: str | tuple[str, ...] | None = None
+    needs: str | None = None
 
 
 _COMMON_KEYS = {"seed": Key(int, 0, "[0, inf)"), "runs": Key(int, 10, "[1, inf)")}
@@ -509,8 +511,8 @@ KEYS: dict[str, dict[str, Key]] = {experiment: {**keys, **_COMMON_KEYS} for expe
         "t_factor": Key(int, 100),
         "total_delta": Key(float, 3e-3),
         "delta0": Key(float),  # unset: split total_delta
-        "delta_prime": Key(float, 1e-3),
-        "delta_hat": Key(float, 1e-3),
+        "delta_prime": Key(float, 1e-3, needs="delta0"),
+        "delta_hat": Key(float, 1e-3, needs="delta0"),
     },
     "empirical_sweep": {
         "n_grid": Key(list[int], [20, 100, 1000], "[2, inf)"),
@@ -557,12 +559,13 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 def resolve_config(experiment: str, config: dict) -> dict:
     """Every key of ``KEYS[experiment]``, typed and range-checked, defaults
-    filled in and unset keys as None.
+    filled in and unset keys (and keys whose ``needs`` is unset) as None.
 
     An unknown key, a missing required key, a value of the wrong type, a
-    non-finite float or a value out of range is a ``ValueError`` naming the
-    key.  An int key takes an int or an integral float such as ``3.0``; a
-    float key takes an int or a float.
+    non-finite float, a value out of range or a key given without the key it
+    ``needs`` is a ``ValueError`` naming the key.  An int key takes an int
+    or an integral float such as ``3.0``; a float key takes an int or a
+    float.
     """
     keys = KEYS[experiment]
     unknown = sorted(set(config) - set(keys))
@@ -582,6 +585,11 @@ def resolve_config(experiment: str, config: dict) -> dict:
             raise ValueError(f"{name} must list at least one value")
         checked = [_check_value(name, kind, v, key.range) for v in values]
         resolved[name] = checked if kind is not key.type else checked[0]
+    for name, key in keys.items():
+        if key.needs is not None and resolved[key.needs] is None:
+            if name in config:
+                raise ValueError(f"{name} is read only when {key.needs} is set")
+            resolved[name] = None  # not read, so its default is not what ran
     return resolved
 
 

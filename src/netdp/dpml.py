@@ -157,8 +157,9 @@ def preprocess(X: np.ndarray, y: np.ndarray, n_users: int, seed: int) -> Dataset
     Feature moments come from the train split only; constant columns are
     dropped with a warning.  Rows are scaled to unit L2 norm after
     standardization so that the logistic loss is 1-Lipschitz.  Raises
-    ``ValueError`` when no feature column is left or when the train split
-    has fewer rows than there are users, so every user holds data.
+    ``ValueError`` when the train split is empty or has fewer rows than
+    there are users, so every user holds data, and when no feature column
+    is left.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -168,14 +169,14 @@ def preprocess(X: np.ndarray, y: np.ndarray, n_users: int, seed: int) -> Dataset
     perm = rng.permutation(X.shape[0])
     n_test = int(round(0.2 * X.shape[0]))
     test_idx, train_idx = perm[:n_test], perm[n_test:]
+    if len(train_idx) < max(n_users, 1):  # before the column moments, which need a row
+        raise ValueError(f"train split has {len(train_idx)} rows for {n_users} users")
 
     mu = X[train_idx].mean(axis=0)
     sd = X[train_idx].std(axis=0)
     keep = sd > 0
     if not keep.any():
         raise ValueError("dataset has no non-constant feature column")
-    if len(train_idx) < n_users:
-        raise ValueError(f"train split has {len(train_idx)} rows for {n_users} users")
     if not keep.all():
         warnings.warn(f"dropping {int((~keep).sum())} constant feature column(s)")
     Xs = (X[:, keep] - mu[keep]) / sd[keep]

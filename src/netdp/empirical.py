@@ -4,14 +4,16 @@ Instead of bounding the visit counts and cycle lengths with concentration
 inequalities, these routines read them off a concrete walk and compose the
 exact per-cycle amplification, which is how tight the deployment-time
 guarantee really is.  Matrix entry (u, v) is the loss of user u's data with
-respect to observer v for one walk; the diagonal is NaN.
+respect to observer v for one walk; the diagonal is NaN.  One column pass
+over the walk feeds both the full matrix and a per-observer summary (column
+sums, minima and maxima) that never holds the n x n array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -37,11 +39,43 @@ class PairLossMatrix:
         if np.fmin.reduce(_offdiagonal(m), axis=None, initial=np.inf) < 0:
             raise ValueError("off-diagonal entries must be non-negative")
 
-    def finite_offdiagonal(self) -> np.ndarray:
-        off = _offdiagonal(self.matrix)
-        if np.isfinite(off).all():
-            return off.ravel()  # one row-order copy, with no n x n mask beside it
-        return off[np.isfinite(off)]
+
+@dataclass(frozen=True)
+class PairLossSummary:
+    """One walk's off-diagonal pair losses reduced per observer.
+
+    Entry v of ``col_sum``, ``col_min`` and ``col_max`` reduces column v of
+    the :class:`PairLossMatrix` without its diagonal: the losses of every
+    other user's data as seen by observer v.  At n = 1 no pair exists: the
+    sums are 0, the extremes are +inf and -inf, and ``mean`` is NaN.
+    """
+
+    col_sum: np.ndarray
+    col_min: np.ndarray
+    col_max: np.ndarray
+    n: int
+    T: int
+    eps0: float
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def min(self) -> float:
+        return float(self.col_min.min())
+
+    @property
+    def max(self) -> float:
+        return float(self.col_max.max())
+
+    @property
+    def mean(self) -> float:
+        """Mean over the n(n - 1) pairs: an fsum of the column sums.
+
+        The true mean lies in [min, max], so rounding is kept from leaving it.
+        """
+        if self.n < 2:
+            return math.nan
+        mean = math.fsum(self.col_sum.tolist()) / (self.n * (self.n - 1))
+        return min(max(mean, self.min), self.max)
 
 
 def _offdiagonal(m: np.ndarray) -> np.ndarray:
@@ -54,23 +88,100 @@ def _offdiagonal(m: np.ndarray) -> np.ndarray:
     return m.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
 
 
-def _capped_segments(times: np.ndarray, starts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cycle end steps (1-based) and lengths after capping cycles at length n.
+def _capped_segments(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle lengths after capping cycles at length n.
 
-    Visit i at step ``times[i]`` follows its observer's previous visit at
-    ``starts[i]`` (0 for the first).  A gap longer than n is split by fictive
-    observations every n steps, so each cycle has length in [1, n]; the walk
-    tail after an observer's last visit is never observed and has no cycle.
-    Returns ``(ends, lengths, offsets)``: visit i's cycles are
-    ``ends[offsets[i]:offsets[i + 1]]``, the last ending at ``times[i]``.
+    Visit i comes ``gaps[i]`` >= 1 steps after its observer's previous visit
+    (or after step 0 for the first).  A gap longer than n is split by
+    fictive observations every n steps, so each cycle has length in [1, n];
+    the walk tail after an observer's last visit is never observed and has
+    no cycle.  Returns ``(lengths, offsets)``: visit i's cycles are
+    ``lengths[offsets[i]:offsets[i + 1]]`` in walk order, each n long but the
+    last, which ends at the visit.
     """
-    per_visit = (times - starts - 1) // n + 1  # fictive ends, then the visit
+    # in place: these T-long temporaries set the peak of a summary pass
+    per_visit, last_length = np.divmod(gaps - 1, n)
+    per_visit += 1  # the fictive ends, then the visit
+    last_length += 1
     offsets = np.concatenate(([0], np.cumsum(per_visit)))
-    k = np.arange(offsets[-1]) - np.repeat(offsets[:-1], per_visit)  # cycle's place in its gap
-    begins = np.repeat(starts, per_visit) + n * k
-    ends = begins + n
-    ends[offsets[1:] - 1] = times
-    return ends, ends - begins, offsets
+    lengths = np.full(offsets[-1], n, dtype=np.int64)
+    lengths[offsets[1:] - 1] = last_length
+    return lengths, offsets
+
+
+def _pair_loss_columns(
+    walk: WalkTrace,
+    eps0: float,
+    delta0: float,
+    delta_prime: float,
+) -> tuple[dict, Iterator[tuple[int, np.ndarray]]]:
+    """Checks the arguments, builds the walk's cycle table and returns
+    ``(meta, columns)``.
+
+    ``columns`` yields ``(v, column)`` for every observer v the walk visits,
+    in order of v: ``column[u]`` is entry (u, v) of the pair-loss matrix, a
+    fresh length-n array whose entry v (the observer itself) is not a pair.
+    An observer the walk never visits has an all-zero column and is skipped.
+    See :func:`empirical_pair_loss_sum` for the accounting.  The table holds
+    O(T) numbers and each column's temporaries die with it, so no pass holds
+    more than O(n + T).
+    """
+    if walk.topology.kind != COMPLETE:
+        raise ValueError("empirical pair loss is defined for complete-graph walks")
+    if not 0 < eps0 <= 1:
+        raise ValueError(f"eps0 must be in (0, 1], got {eps0}")
+    if not 0 < delta_prime < 1:
+        raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
+    n, T, steps = walk.n, walk.T, walk.steps
+    log_dp = math.log(1.0 / delta_prime)
+
+    # visit steps grouped by user, one stable sort for the whole walk;
+    # user 0 does not exist, so bounds[v - 1]:bounds[v] are user v's visits
+    order = np.argsort(steps, kind="stable")
+    bounds = np.cumsum(np.bincount(steps, minlength=n + 1))
+    # prev[t - 1]: the step of the holder's previous visit before step t, 0 if none
+    prev = np.zeros(T, dtype=np.int64)
+    same_user = steps[order[1:]] == steps[order[:-1]]
+    prev[order[1:][same_user]] = order[:-1][same_user] + 1
+    visited = np.flatnonzero(np.diff(bounds))
+    last_visit = order[bounds[visited + 1] - 1] + 1
+
+    # every observer's capped cycles in one table, grouped by observer
+    lengths, offsets = _capped_segments(order + 1 - prev[order], n)
+    cycle_bounds = offsets[bounds]
+    del order, offsets  # the column pass reads only the cycle table and prev
+    eps_cycle = np.log1p(
+        (-np.expm1(lengths * math.log1p(-1.0 / n)) if n > 1 else np.ones_like(lengths, float))
+        * np.expm1(eps0 / np.sqrt(lengths))
+    )
+    sq = eps_cycle * eps_cycle
+    lin = eps_cycle * np.expm1(eps_cycle)
+    one = np.ones(1, dtype=np.int64)
+
+    def column(v: int, last: int) -> np.ndarray:
+        c0, c1 = cycle_bounds[v], cycle_bounds[v + 1]
+        # cycle[t]: table id of the cycle of step t <= last; cycle[0] = c0 - 1
+        # lies below all of v's ids and stands for "no previous visit"
+        cycle = np.repeat(np.arange(c0 - 1, c1), np.concatenate((one, lengths[c0:c1])))
+        # step t opens a (cycle, user) pair iff the holder's previous visit
+        # lies in an earlier cycle, i.e. some cycle end e has prev <= e < t
+        of_step = cycle[1:]
+        new_pair = np.flatnonzero(of_step > cycle[prev[:last]])
+        users = steps[new_pair]
+        cycle_ids = of_step[new_pair]
+        del cycle, of_step, new_pair  # freed before the weights are gathered
+        # a user without a new pair sums to 0.0 in both, so its entry is 0.0
+        sum_sq = np.bincount(users, weights=sq[cycle_ids], minlength=n + 1)[1:]
+        sum_lin = np.bincount(users, weights=lin[cycle_ids], minlength=n + 1)[1:]
+        return np.sqrt(2.0 * log_dp * sum_sq) + sum_lin
+
+    meta = {
+        "delta0": delta0,
+        "delta_prime": delta_prime,
+        "delta_convention": "per-pair total delta = (composed cycles) * delta0 + delta_prime",
+        "max_cycles": int(np.diff(cycle_bounds).max()),
+    }
+    return meta, ((int(v), column(v, int(t))) for v, t in zip(visited, last_visit))
 
 
 def empirical_pair_loss_sum(
@@ -100,65 +211,43 @@ def empirical_pair_loss_sum(
     two weighted bincounts over its new (cycle, user) pairs.  Failure
     probabilities are bookkeeping only: each composed cycle consumes delta0
     and the composition adds delta_prime, recorded in ``meta``.
+
+    The matrix takes n^2 floats; :func:`empirical_pair_loss_summary` reduces
+    the same columns to per-observer sums and extremes without it.
     """
-    if walk.topology.kind != COMPLETE:
-        raise ValueError("empirical pair loss is defined for complete-graph walks")
-    if not 0 < eps0 <= 1:
-        raise ValueError(f"eps0 must be in (0, 1], got {eps0}")
-    if not 0 < delta_prime < 1:
-        raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
-    n, T = walk.n, walk.T
-    log_dp = math.log(1.0 / delta_prime)
-    steps0 = walk.steps - 1
+    meta, columns = _pair_loss_columns(walk, eps0, delta0, delta_prime)
+    n = walk.n
     matrix = np.zeros((n, n), dtype=float)
-
-    # visit times grouped by user, one stable sort for the whole walk
-    order = np.argsort(steps0, kind="stable")
-    visit_times = order + 1
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(steps0, minlength=n))))
-    # prev[t - 1]: the step of the holder's previous visit before step t, 0 if none
-    prev = np.zeros(T, dtype=np.int64)
-    same_user = steps0[order[1:]] == steps0[order[:-1]]
-    prev[order[1:][same_user]] = visit_times[:-1][same_user]
-
-    # every observer's capped cycles in one table, grouped by observer
-    ends, lengths, offsets = _capped_segments(visit_times, prev[order], n)
-    cycle_bounds = offsets[bounds]
-    eps_cycle = np.log1p(
-        (-np.expm1(lengths * math.log1p(-1.0 / n)) if n > 1 else np.ones_like(lengths, float))
-        * np.expm1(eps0 / np.sqrt(lengths))
-    )
-    sq = eps_cycle * eps_cycle
-    lin = eps_cycle * np.expm1(eps_cycle)
-    one = np.ones(1, dtype=np.int64)
-
-    for v in range(n):
-        c0, c1 = cycle_bounds[v], cycle_bounds[v + 1]
-        if c0 == c1:
-            continue
-        last = int(ends[c1 - 1])
-        # cycle[t]: table id of the cycle of step t <= last; cycle[0] = c0 - 1
-        # lies below all of v's ids and stands for "no previous visit"
-        cycle = np.repeat(np.arange(c0 - 1, c1), np.concatenate((one, lengths[c0:c1])))
-        # step t opens a (cycle, user) pair iff the holder's previous visit
-        # lies in an earlier cycle, i.e. some cycle end e has prev <= e < t
-        of_step = cycle[1:]
-        new_pair = np.flatnonzero(of_step > cycle[prev[:last]])
-        users = steps0[new_pair]
-        cycle_ids = of_step[new_pair]
-        # a user without a new pair sums to 0.0 in both, so its entry is 0.0
-        sum_sq = np.bincount(users, weights=sq[cycle_ids], minlength=n)
-        sum_lin = np.bincount(users, weights=lin[cycle_ids], minlength=n)
-        matrix[:, v] = np.sqrt(2.0 * log_dp * sum_sq) + sum_lin
-
+    for v, column in columns:
+        matrix[:, v] = column
     np.fill_diagonal(matrix, np.nan)
-    meta = {
-        "delta0": delta0,
-        "delta_prime": delta_prime,
-        "delta_convention": "per-pair total delta = (composed cycles) * delta0 + delta_prime",
-        "max_cycles": int(np.diff(cycle_bounds).max()),
-    }
-    return PairLossMatrix(matrix=matrix, n=n, T=T, eps0=eps0, meta=meta)
+    return PairLossMatrix(matrix=matrix, n=n, T=walk.T, eps0=eps0, meta=meta)
+
+
+def empirical_pair_loss_summary(
+    walk: WalkTrace,
+    eps0: float,
+    delta0: float,
+    delta_prime: float,
+) -> PairLossSummary:
+    """Per-observer sums and extremes of :func:`empirical_pair_loss_sum`'s
+    off-diagonal entries, in O(n + T) memory.
+
+    Each observer's column is reduced as the kernel yields it, so no n x n
+    array exists; minima and maxima equal the matrix's column extremes bit
+    for bit.
+    """
+    meta, columns = _pair_loss_columns(walk, eps0, delta0, delta_prime)
+    n = walk.n
+    # an unvisited observer's column is all zeros
+    col_sum, col_min, col_max = np.zeros(n), np.zeros(n), np.zeros(n)
+    for v, column in columns:
+        pairs = np.delete(column, v)
+        col_sum[v] = pairs.sum()
+        col_min[v] = pairs.min(initial=np.inf)
+        col_max[v] = pairs.max(initial=-np.inf)
+    return PairLossSummary(col_sum=col_sum, col_min=col_min, col_max=col_max,
+                           n=n, T=walk.T, eps0=eps0, meta=meta)
 
 
 def spotted_counts(walk: WalkTrace) -> np.ndarray:

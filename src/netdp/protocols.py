@@ -117,6 +117,8 @@ def uniform_category_stream(n: int, domain_size: int, seed: int, k_max: int | No
 
     Returns an (n,) table, or (n, k_max) with one column per visit.
     """
+    if domain_size < 1:
+        raise ValueError(f"domain_size must be >= 1, got {domain_size}")
     rng = rng_stream(seed, STREAM_INIT)
     shape = (n,) if k_max is None else (n, k_max)
     return rng.integers(1, domain_size + 1, size=shape)

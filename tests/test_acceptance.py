@@ -111,16 +111,14 @@ def test_c06_empirical_beats_theory():
         maxima, means, respected_maxima = [], [], []
         for r in range(10):
             walk = sample_walk(Topology(COMPLETE, n), T, seed=1000 * n + r)
-            matrix = emp.empirical_pair_loss_sum(walk, eps0, delta0, dp)
-            vals = matrix.finite_offdiagonal()
-            maxima.append(vals.max())
-            means.append(vals.mean())
+            pairs = emp.empirical_pair_loss_summary(walk, eps0, delta0, dp)
+            maxima.append(pairs.max)
+            means.append(pairs.mean)
             # columns of observers within the visit bound (the event the
             # delta_hat budget pays for); walks outside it are reported
             counts = visit_counts(walk)
             ok_cols = np.flatnonzero(counts <= n_v)
-            sub = matrix.matrix[:, ok_cols]
-            respected_maxima.append(np.nanmax(sub))
+            respected_maxima.append(pairs.col_max[ok_cols].max())
         hard_ok = max(maxima) <= bound.epsilon_out
         filtered_ok = max(respected_maxima) <= bound.epsilon_out
         mean_ratio = np.mean(means) / bound.epsilon_out

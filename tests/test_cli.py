@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,17 @@ class TestBoundsSweep:
         code = run_cli("--experiment", "bounds_sweep", "--config", config,
                        "--out", out, "--set", "n_grid=")
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["delta_prime", "delta_hat"])
+    def test_composition_delta_without_delta0_exits_2(self, tmp_path, capsys, key):
+        # without delta0 the bounds split total_delta, so the given value would go unused
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "bounds_sweep", "--out", out, "--set", "n_grid=20",
+                       "--set", f"{key}=2e-3") == 2
+        assert f"{key} is read only when delta0 is set" in capsys.readouterr().err
+        assert run_dirs(out) == []
+        assert run_cli("--experiment", "bounds_sweep", "--out", out, "--set", "n_grid=20",
+                       "--set", f"{key}=2e-3", "--set", "delta0=1e-8") == 0
 
     def test_deterministic_output(self, tmp_path):
         config = write_config(tmp_path, "n_grid = 20,50\neps0 = 1.0\n")
@@ -202,6 +214,14 @@ class TestEmpiricalSweep:
 
 
 class TestProtocolMc:
+    def test_empty_category_domain_names_the_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "protocol_mc", "--out", out, "--runs", 2,
+                       "--set", "protocols=complete_hist", "--set", "n=6", "--set", "T=12",
+                       "--set", "domain_size=0") == 2
+        assert "domain_size must be >= 1, got 0" in capsys.readouterr().err
+        assert run_dirs(out) == []
+
     def test_zero_runs_invalid(self, tmp_path):
         config = write_config(tmp_path, "protocols = ring_sum\nn = 10\nK = 2\n")
         assert run_cli("--experiment", "protocol_mc", "--config", config,
@@ -553,7 +573,7 @@ class TestMeta:
         assert meta["config"] == {"n_grid": 20, "t_factor": 10.0}
         assert meta["resolved_config"] == {
             "n_grid": [20], "eps0": 0.5, "t_factor": 10, "total_delta": 3e-3, "delta0": None,
-            "delta_prime": 1e-3, "delta_hat": 1e-3, "seed": 4, "runs": 10,
+            "delta_prime": None, "delta_hat": None, "seed": 4, "runs": 10,
         }
         assert "resolved_config" not in csv_path.read_text()
 
@@ -562,9 +582,11 @@ class TestMeta:
 
         assert resolve_config("bounds_sweep", {}) == {
             "n_grid": [20, 50, 100, 1000, 10000], "eps0": 0.5, "t_factor": 100,
-            "total_delta": 3e-3, "delta0": None, "delta_prime": 1e-3, "delta_hat": 1e-3,
+            "total_delta": 3e-3, "delta0": None, "delta_prime": None, "delta_hat": None,
             "seed": 0, "runs": 10,
         }
+        given = resolve_config("bounds_sweep", {"delta0": 1e-8})
+        assert (given["delta_prime"], given["delta_hat"]) == (1e-3, 1e-3)
 
     @pytest.mark.parametrize("given", [[], ["delta0=1e-8", "delta_prime=2e-3", "delta_hat=4e-3"]],
                              ids=["split", "given"])
@@ -644,10 +666,15 @@ class TestKeyTable:
 
         for name, key in KEYS[experiment.removesuffix("_delta0")].items():
             for value in dict.fromkeys([*self.edges(key), *self.VALUES]):
-                code, out = self.run(tmp_path, experiment, name, value)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code, out = self.run(tmp_path, experiment, name, value)
                 assert code in (0, 2, 3), (name, value, code)
                 if code == 2:
                     assert run_dirs(out) == [], (name, value)
+                # an invalid value is reported by its error alone
+                runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+                assert runtime == [], (name, value, runtime)
 
     def test_values_are_typed_and_edges_kept(self):
         from netdp.cli import resolve_config

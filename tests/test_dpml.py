@@ -66,6 +66,13 @@ class TestPreprocess:
         with pytest.raises(ValueError, match="feature"):
             dpml.preprocess(X, np.ones(30), n_users=3, seed=0)
 
+    @pytest.mark.parametrize("n_users,points_per_user", [(0, 8), (5, 0)])
+    def test_empty_synthetic_dataset_rejected_without_warnings(self, n_users, points_per_user):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way to the error
+            with pytest.raises(ValueError, match="train split has 0 rows"):
+                dpml.make_synthetic(n_users=n_users, points_per_user=points_per_user, dim=3)
+
     def test_fewer_train_rows_than_users_rejected(self):
         rng = np.random.Generator(np.random.Philox(5))
         X = rng.normal(size=(10, 2))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from netdp.core import COMPLETE, RING, Topology, WalkTrace, sample_walk
 from netdp import accountant as acct
 from netdp.empirical import (
     PairLossMatrix,
+    PairLossSummary,
     empirical_pair_loss_spotted,
     empirical_pair_loss_sum,
+    empirical_pair_loss_summary,
     spotted_counts,
     _capped_segments,
 )
@@ -63,6 +66,16 @@ def pair_loss_oracle(walk, eps0, delta_prime):
     return matrix, max_cycles
 
 
+def cycle_ends(times, lengths, offsets):
+    """Each cycle's end step: a visit's cycles run back to back up to the visit."""
+    ends = []
+    for i, t in enumerate(times):
+        seg = lengths[offsets[i]:offsets[i + 1]]
+        after = np.cumsum(seg[::-1])[::-1] - seg  # length of the visit's later cycles
+        ends.extend((int(t) - after).tolist())
+    return np.asarray(ends, dtype=np.int64)
+
+
 def spotted_counts_add_at(walk):
     steps0 = walk.steps - 1
     n, T = walk.n, walk.T
@@ -103,31 +116,34 @@ def visit_table(walk):
 
 class TestCappedSegments:
     def test_no_capping_needed(self):
-        ends, lengths, offsets = _capped_segments(np.array([2, 4]), np.array([0, 2]), n=10)
-        assert ends.tolist() == [2, 4]
+        # visits at steps 2 and 4
+        lengths, offsets = _capped_segments(np.array([2, 2]), n=10)
         assert lengths.tolist() == [2, 2]
         assert offsets.tolist() == [0, 1, 2]
+        assert cycle_ends([2, 4], lengths, offsets).tolist() == [2, 4]
 
     def test_long_gap_split_every_n(self):
         # visit at 25 with n=10: fictive observations at 10 and 20
-        ends, lengths, offsets = _capped_segments(np.array([25]), np.array([0]), n=10)
-        assert ends.tolist() == [10, 20, 25]
+        lengths, offsets = _capped_segments(np.array([25]), n=10)
+        assert cycle_ends([25], lengths, offsets).tolist() == [10, 20, 25]
         assert lengths.tolist() == [10, 10, 5]
         assert offsets.tolist() == [0, 3]
 
     def test_gap_multiple_of_n(self):
-        ends, _, _ = _capped_segments(np.array([20]), np.array([0]), n=10)
-        assert ends.tolist() == [10, 20]
+        lengths, offsets = _capped_segments(np.array([20]), n=10)
+        assert cycle_ends([20], lengths, offsets).tolist() == [10, 20]
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 12), times=st.sets(st.integers(1, 400), max_size=40))
     def test_matches_loop(self, n, times):
         times = np.array(sorted(times), dtype=np.int64)
-        ends, lengths, offsets = _capped_segments(times, np.concatenate(([0], times))[:-1], n)
-        assert ends.dtype == np.int64
+        gaps = np.diff(times, prepend=0)
+        lengths, offsets = _capped_segments(gaps, n)
+        assert lengths.dtype == np.int64
+        ends = cycle_ends(times, lengths, offsets)
         assert np.array_equal(ends, capped_segments_loop(times, n))
         assert np.array_equal(lengths, np.diff(ends, prepend=0))
-        assert np.array_equal(ends[offsets[1:] - 1], times)
+        assert [lengths[a:b].sum() for a, b in zip(offsets[:-1], offsets[1:])] == gaps.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(walk=walks())
@@ -138,8 +154,9 @@ class TestCappedSegments:
     @example(walk=make_walk([2, 3, 2, 3, 2, 1, 3], 3))  # user 1 first visits after step n
     def test_walk_wide_table_matches_loop(self, walk):
         times, all_times, starts, bounds = visit_table(walk)
-        ends, lengths, offsets = _capped_segments(all_times, starts, walk.n)
-        assert offsets[0] == 0 and offsets[-1] == ends.size
+        lengths, offsets = _capped_segments(all_times - starts, walk.n)
+        assert offsets[0] == 0 and offsets[-1] == lengths.size
+        ends = cycle_ends(all_times, lengths, offsets)
         cycle_bounds = offsets[bounds]
         for v, t in enumerate(times):
             want = capped_segments_loop(t, walk.n)
@@ -192,7 +209,11 @@ class TestEmpiricalPairLossSum:
     def test_single_user_walk_has_empty_offdiagonal(self):
         walk = make_walk([1, 1, 1], 1)
         m = empirical_pair_loss_sum(walk, 0.5, 1e-7, 1e-3)
-        assert m.finite_offdiagonal().size == 0
+        assert m.matrix.shape == (1, 1) and np.isnan(m.matrix[0, 0])
+        pairs = empirical_pair_loss_summary(walk, 0.5, 1e-7, 1e-3)
+        assert pairs.col_sum.tolist() == [0.0]
+        assert (pairs.min, pairs.max) == (np.inf, -np.inf)
+        assert math.isnan(pairs.mean)
 
     def test_diagonal_is_nan(self):
         walk = sample_walk(Topology(COMPLETE, 5), 100, seed=3)
@@ -311,23 +332,78 @@ class TestPairLossMatrix:
         PairLossMatrix(matrix=m, n=3, T=1, eps0=0.5)
         PairLossMatrix(matrix=np.full((2, 2), np.nan), n=2, T=1, eps0=0.5)
 
-    def test_finite_offdiagonal_in_row_order(self):
-        m = np.arange(16.0).reshape(4, 4)
-        m[1, 2] = np.nan
-        m[3, 0] = np.inf
-        want = m[~np.eye(4, dtype=bool)]
-        for layout in (m, np.asfortranarray(m)):
-            vals = PairLossMatrix(matrix=layout, n=4, T=1, eps0=0.5).finite_offdiagonal()
-            assert np.array_equal(vals, want[np.isfinite(want)])
 
-    def test_all_finite_offdiagonal_is_a_row_order_copy(self):
-        m = np.arange(16.0).reshape(4, 4)
-        m[2, 2] = np.nan
-        for layout in (m, np.asfortranarray(m)):
-            pair = PairLossMatrix(matrix=layout, n=4, T=1, eps0=0.5)
-            vals = pair.finite_offdiagonal()
-            assert np.array_equal(vals, m[~np.eye(4, dtype=bool)])
-            assert vals.flags.c_contiguous and not np.shares_memory(vals, pair.matrix)
+def ulps(a: float, b: float) -> float:
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+def assert_summary_matches_matrix(walk, eps0=0.5, delta_prime=1e-3):
+    pairs = empirical_pair_loss_summary(walk, eps0, 1e-7, delta_prime)
+    m = empirical_pair_loss_sum(walk, eps0, 1e-7, delta_prime)
+    n = walk.n
+    off = m.matrix[~np.eye(n, dtype=bool)].reshape(n, n - 1)  # row u: u's losses, v != u
+    cols = m.matrix.T[~np.eye(n, dtype=bool)].reshape(n, n - 1)  # row v: column v without v
+    assert (pairs.n, pairs.T, pairs.eps0, pairs.meta) == (n, walk.T, eps0, m.meta)
+    assert np.array_equal(pairs.col_min, cols.min(axis=1, initial=np.inf))
+    assert np.array_equal(pairs.col_max, cols.max(axis=1, initial=-np.inf))
+    if n == 1:
+        assert math.isnan(pairs.mean) and pairs.col_sum.tolist() == [0.0]
+        return pairs
+    assert pairs.min == off.min() and pairs.max == off.max()
+    want = math.fsum(off.ravel().tolist()) / (n * (n - 1))
+    assert ulps(pairs.mean, want) <= 4, (pairs.mean, want)
+    assert pairs.min <= pairs.mean <= pairs.max
+    return pairs
+
+
+class TestPairLossSummary:
+    """The per-observer reduction against the matrix of the same walk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk=walks(max_n=40, max_T=400), eps0=st.floats(0.01, 1.0))
+    @example(walk=make_walk([1, 2, 1, 1, 2], 2), eps0=0.5)  # n = 2
+    @example(walk=make_walk([2, 2, 3], 4), eps0=0.5)  # users 1 and 4 never visited
+    @example(walk=make_walk([2, 2, 2, 2, 2], 4), eps0=0.5)  # one user holds every step
+    @example(walk=make_walk([1, 1, 1], 1), eps0=0.5)  # n = 1: no pair at all
+    def test_matches_matrix(self, walk, eps0):
+        assert_summary_matches_matrix(walk, eps0)
+
+    @pytest.mark.parametrize("n,factor", [(2, 5), (30, 25), (200, 2)])
+    def test_sampled_walks(self, n, factor):
+        for seed in range(3):
+            assert_summary_matches_matrix(sample_walk(Topology(COMPLETE, n), factor * n, seed=seed))
+
+    def test_unvisited_observer_column_is_zero(self):
+        pairs = assert_summary_matches_matrix(make_walk([2, 3, 3, 2], 4))
+        assert (pairs.col_sum[[0, 3]] == 0.0).all() and (pairs.col_max[[0, 3]] == 0.0).all()
+
+    def test_mean_stays_between_min_and_max(self):
+        # every pair loses 0.1; the fsum of the column sums 0.1 + 0.1, over
+        # n(n - 1) = 6, rounds to 0.10000000000000002 without the clamp
+        pairs = PairLossSummary(col_sum=np.full(3, 0.1 + 0.1), col_min=np.full(3, 0.1),
+                                col_max=np.full(3, 0.1), n=3, T=6, eps0=0.5)
+        assert math.fsum(pairs.col_sum.tolist()) / 6 > 0.1
+        assert pairs.mean == 0.1
+
+    def test_arguments_checked_as_for_the_matrix(self):
+        with pytest.raises(ValueError, match="delta_prime"):
+            empirical_pair_loss_summary(make_walk([1, 2], 2), 0.5, 1e-7, 1.0)
+        with pytest.raises(ValueError, match="complete"):
+            empirical_pair_loss_summary(sample_walk(Topology(RING, 4), 8, seed=0), 0.5, 1e-7, 1e-3)
+
+    def test_peak_memory_far_below_the_matrix(self):
+        # one n x n float64 array is 8 MB at n = 1000; the summary must stay
+        # under a quarter of it
+        n = 1000
+        walk = sample_walk(Topology(COMPLETE, n), 25 * n, seed=0)
+        tracemalloc.start()
+        try:
+            pairs = empirical_pair_loss_summary(walk, 0.5, 1e-7, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4, f"traced peak {peak} bytes"
+        assert 0.0 < pairs.min <= pairs.mean <= pairs.max
 
 
 class TestSpotted:

@@ -267,6 +267,11 @@ class TestRunCompleteSum:
 
 
 class TestRunCompleteHist:
+    @pytest.mark.parametrize("domain_size", [0, -1])
+    def test_empty_category_domain_rejected(self, domain_size):
+        with pytest.raises(ValueError, match="domain_size must be >= 1"):
+            uniform_category_stream(5, domain_size, seed=0)
+
     def test_gamma_zero_exact(self):
         stream = uniform_category_stream(30, 6, seed=5)
         res = run_complete_hist(30, 200, 6, stream, gamma=0.0, seeds=[3])

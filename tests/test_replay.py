@@ -49,7 +49,7 @@ CASES = {
 DIGESTS = {
     "2.4.6": {
         "bounds_sweep/results.csv": "16dba5ad201c3570f39663a02a0c67f51b3bee03101211507efdfd1507cef09e",
-        "empirical_sweep/results.csv": "0146cb006f7acb1bc95a57f9c6538ea2939b1708689d7bcc857c60ff9b325002",
+        "empirical_sweep/results.csv": "0c4718af85de4ba2375056bb4a9b052eb8f028738bcdc15ab6ad7f36a5a25ec4",
         "empirical_sweep_sparse/results.csv": "c2d42495de0e6b6c0c71793453b62846a373039ad774736436c8bf2164c7cf26",
         "protocol_mc/results.csv": "b52e3dfeeb1ff18ac8ec874b594204ed861f09c655b1b8186759669b6f80c78a",
         "sgd_compare/results.csv": "37ff596f9c167ec2324792cb69dbd2537cb51aeeb00f1c586c039fff78bdcc09",
