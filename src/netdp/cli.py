@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import COMPLETE, Topology, sample_walk
+from .core import COMPLETE, Topology, sample_walk, seed_sequence_state
 from .errors import InfeasibleError, ValidityWindowError
 from . import accountant as acct
 from . import dpml
@@ -84,18 +84,50 @@ def parse_config(path) -> dict:
     return dict(_parse_entry(line, f"{path}:{lineno}") for lineno, line in lines if line)
 
 
+def _seed_entropy(parts) -> list[int]:
+    """The 32-bit entropy words :func:`derive_seed` hashes for one tuple,
+    zero-padded to the 4-word pool, which does not change the hash."""
+    parts = [int(p) for p in parts]
+    if min(parts, default=0) < 0:
+        raise ValueError(f"seed parts must be non-negative, got {parts}")
+    words = [max(1, -(-p.bit_length() // 32)) for p in parts]
+    entropy = parts
+    if max(words, default=1) > 1:  # the spawn key follows the run entropy, padded to the pool
+        entropy = [p >> (32 * i) & 0xFFFFFFFF for p, count in zip(parts, words) for i in range(count)]
+        entropy += [0] * (4 - len(entropy)) + words
+    return entropy + [0] * (4 - len(entropy))
+
+
 def derive_seed(*parts) -> int:
     """Deterministic child seed from a tuple of non-negative integers.
 
-    The parts enter ``SeedSequence`` whole, as their 32-bit words.  When a
-    part spans more than one word, the parts' word counts go in as the
-    ``spawn_key``, so (1, 5, 7) and (1 + 5 * 2**32, 7) differ; tuples of
-    parts below 2**32 keep the seeds they always had.
+    The seed is ``SeedSequence(parts).generate_state(1, np.uint64)``: the
+    parts enter whole, as their 32-bit words.  When a part spans more than
+    one word, the parts' word counts go in as the ``spawn_key``, so
+    (1, 5, 7) and (1 + 5 * 2**32, 7) differ; tuples of parts below 2**32
+    keep the seeds they always had.
     """
-    parts = [int(p) for p in parts]
-    words = [max(1, -(-p.bit_length() // 32)) for p in parts]
-    mixed = np.random.SeedSequence(parts, spawn_key=words if max(words, default=1) > 1 else ())
-    return int(mixed.generate_state(1, np.uint64)[0])
+    return derive_seeds([parts])[0]
+
+
+def derive_seeds(rows) -> list[int]:
+    """``[derive_seed(*parts) for parts in rows]``, hashed in one
+    :func:`~netdp.core.seed_sequence_state` call per entropy word count."""
+    entropy = [_seed_entropy(parts) for parts in rows]
+    by_width: dict[int, list[int]] = {}
+    for r, words in enumerate(entropy):
+        by_width.setdefault(len(words), []).append(r)
+    seeds = [0] * len(entropy)
+    for members in by_width.values():
+        state = seed_sequence_state([entropy[r] for r in members], 1, np.uint64)
+        for r, seed in zip(members, state[:, 0].tolist()):
+            seeds[r] = seed
+    return seeds
+
+
+def _indexed_seeds(rows: list[tuple]) -> list[tuple]:
+    """``[(key, derive_seed(*parts)) for key, parts in rows]``, derived in one batch."""
+    return list(zip([key for key, _ in rows], derive_seeds([parts for _, parts in rows])))
 
 
 def split_delta_budget(total: float, n: int, T: int) -> tuple[float, float, float]:
@@ -228,7 +260,8 @@ def _empirical_point(args: tuple) -> tuple[int, float, float, float, int]:
 def cmd_empirical_sweep(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> dict:
     """Per-pair empirical losses on sampled walks, pooled per n."""
     n_grid = sorted(cfg["n_grid"])
-    tasks = [(cfg, n, derive_seed(cfg["seed"], n, r)) for n in n_grid for r in range(cfg["runs"])]
+    tasks = [(cfg, n, walk_seed) for n, walk_seed in
+             _indexed_seeds([(n, (cfg["seed"], n, r)) for n in n_grid for r in range(cfg["runs"])])]
     points = _parallel_map(_empirical_point, tasks, workers)
     rows, max_cycles = [], {}
     for n in n_grid:
@@ -359,7 +392,7 @@ def cmd_protocol_mc(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> 
     for name in cfg["protocols"]:
         spec = _MC_PROTOCOLS[name]
         tag = zlib.crc32(name.encode()) & 0xFFFF
-        seeds = [derive_seed(seed, tag, r) for r in range(runs)]
+        seeds = derive_seeds([(seed, tag, r) for r in range(runs)])
         results = _parallel_map(
             _protocol_batch,
             [(name, params, chunk) for chunk in _contiguous_chunks(seeds, workers)],
@@ -419,12 +452,12 @@ def cmd_sgd_compare(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> 
     else:
         etas = dpml.tune_eta(
             dpml.RegimeBatch(configs, sigmas), data,
-            [(i, derive_seed(seed, int(eps * 1000), 0xE7A, t))
-             for i, (eps, _) in enumerate(grid) for t in range(cfg["tune_seeds"])],
+            _indexed_seeds([(i, (seed, int(eps * 1000), 0xE7A, t))
+                            for i, (eps, _) in enumerate(grid) for t in range(cfg["tune_seeds"])]),
         )
     batch = dpml.RegimeBatch([replace(c, eta=eta) for c, eta in zip(configs, etas)], sigmas)
-    replicas = [(i, derive_seed(seed, int(eps * 1000), r))
-                for i, (eps, _) in enumerate(grid) for r in range(runs)]
+    replicas = _indexed_seeds([(i, (seed, int(eps * 1000), r))
+                               for i, (eps, _) in enumerate(grid) for r in range(runs)])
     tasks = [(batch, data, chunk) for chunk in _contiguous_chunks(replicas, workers)]
     results = [r for chunk in _parallel_map(_sgd_runs, tasks, workers) for r in chunk]
 

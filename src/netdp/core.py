@@ -7,7 +7,7 @@ ring ``1, 2, ..., n``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,15 +27,143 @@ STREAM_DATA = 3
 STREAM_INIT = 4
 
 
+# numpy's SeedSequence hash (bit_generator.pyx) in uint32 lanes.  Entropy
+# words fill a 4-word pool through a multiply-xorshift hash whose constant
+# steps by a fixed multiplier at every call; the pool words are mixed pairwise,
+# and a second such hash reads the state words out of the pool in turn.
+_POOL = 4
+_M32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)  # the xorshift, half a word
+_FILL = (0x43B0D7E5, 0x931E8875)  # (init, mult) of the pool's hash
+_READ = (0x8B51F9DD, 0x58F38DED)  # (init, mult) of the read-out hash
+
+
+def _hash_calls(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiply) constants of ``count`` successive hash calls as (count, 1)
+    columns: call i xors with init * mult**i and multiplies by the next power."""
+    const = [init]
+    for _ in range(count):
+        const.append(const[-1] * mult & _M32)
+    column = np.array(const, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+# Built once here, so a pass allocates no lasting constants: the pool hash's
+# calls 0-3 fill the pool and 4-15 mix it (4 more per word past the pool),
+# and the read-out's first 8 calls give up to 8 state words.
+_FILL_CALLS = _hash_calls(*_FILL, 4 * _POOL)
+_READ_CALLS = _hash_calls(*_READ, 8)
+
+# The pairwise mix for source word i hashes it once per other word j, with
+# calls 4 + 3i, 5 + 3i, 6 + 3i in order of j; row i of each (4, 1) column is
+# a placeholder, as word i is left as it is.
+_MIX_CALLS = [
+    [column[[4 + 3 * src + dst - (dst > src) if dst != src else 0 for dst in range(_POOL)]]
+     for column in _FILL_CALLS]
+    for src in range(_POOL)
+]
+
+
+def seed_sequence_state(words, n_words: int, dtype=np.uint32) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words, dtype)`` for each row of ``words``.
+
+    ``words`` is an (R, W) array of 32-bit entropy words, one row per
+    sequence, laid out as ``SeedSequence`` splits its entropy: each int as
+    its words, least significant first.  The rows are hashed together in
+    uint32 lanes.  A row shorter than the 4-word pool hashes as if
+    zero-padded, since the pool hashes a missing word as a zero word.
+    Returns an (R, n_words) array of ``dtype``, uint32 or uint64.
+    """
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.uint32), np.dtype(np.uint64)):
+        raise ValueError(f"dtype must be uint32 or uint64, got {dtype}")
+    words = np.asarray(words, dtype=np.uint32)
+    width = words.shape[1]
+    lanes = words.T
+    if width < _POOL:
+        lanes = np.zeros((_POOL, words.shape[0]), dtype=np.uint32)
+        lanes[:width] = words.T
+    xor, mul = _FILL_CALLS if width <= _POOL else _hash_calls(*_FILL, 4 * width)
+    pool = lanes[:_POOL] ^ xor[:_POOL]  # in place from here: on few lanes, each call's fixed cost dominates
+    pool *= mul[:_POOL]
+    pool ^= pool >> _SHIFT
+    for src, (mix_xor, mix_mul) in enumerate(_MIX_CALLS):
+        mixed = pool[src] ^ mix_xor
+        mixed *= mix_mul
+        mixed ^= mixed >> _SHIFT
+        mixed *= _MIX_R
+        np.subtract(_MIX_L * pool, mixed, out=mixed)
+        mixed ^= mixed >> _SHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    for extra in range(_POOL, width):  # words past the pool mix into every pool word
+        calls = slice(4 * extra, 4 * extra + _POOL)
+        mixed = lanes[extra] ^ xor[calls]
+        mixed *= mul[calls]
+        mixed ^= mixed >> _SHIFT
+        mixed *= _MIX_R
+        pool = np.subtract(_MIX_L * pool, mixed, out=mixed)
+        pool ^= pool >> _SHIFT
+    n32 = n_words * (dtype.itemsize // 4)
+    xor, mul = _READ_CALLS if n32 <= len(_READ_CALLS[0]) else _hash_calls(*_READ, n32)
+    state = pool.take(np.arange(n32), axis=0, mode="wrap")
+    state ^= xor[:n32]
+    state *= mul[:n32]
+    state ^= state >> _SHIFT
+    # each uint64 is a little-endian pair of uint32 words, as in numpy
+    return np.ascontiguousarray(state.T).view("<u" + str(dtype.itemsize)).astype(dtype, copy=False)
+
+
+def _stream_keys(seeds: Iterable[int], stream: int) -> np.ndarray:
+    """(R, 2) uint64 Philox keys of (seed mod 2**64, stream), one per seed."""
+    if not 0 <= stream <= _M32:
+        raise ValueError(f"stream must lie in [0, 2**32), got {stream}")
+    words = []  # the pair as SeedSequence reads it: one or two seed words, then the stream
+    for seed in seeds:
+        seed = int(seed) & _UINT64_MASK
+        words.append((seed & _M32, seed >> 32, stream, 0) if seed > _M32 else (seed, stream, 0, 0))
+    return seed_sequence_state(np.array(words, dtype=np.uint32).reshape(-1, _POOL), 2, np.uint64)
+
+
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Return the generator for (seed, stream).
 
-    Identical ``(seed, stream)`` pairs reproduce identical draws bit-for-bit
-    within one build.  Streams with different ids are statistically
-    independent (counter-based Philox keyed on the pair).
+    Identical ``(seed, stream)`` pairs reproduce identical draws bit for bit.
+    The generator is a Philox keyed by the first two uint64 state words of
+    ``SeedSequence((seed mod 2**64, stream))``, as
+    :func:`seed_sequence_state` computes them.  Stream ids do not always
+    give independent streams: the pair enters as its 32-bit words, zero
+    padded to the 4-word pool, so for s < 2**32 stream k of seed s is
+    stream 0 of seed s + k * 2**32 (ROADMAP item 2).
     """
-    key = np.random.SeedSequence((int(seed) & _UINT64_MASK, int(stream)))
-    return np.random.Generator(np.random.Philox(key))
+    return rng_stream_list([seed], stream)[0]
+
+
+def rng_stream_list(seeds: Sequence[int], stream: int = 0) -> list[np.random.Generator]:
+    """``[rng_stream(s, stream) for s in seeds]``, keyed by one hash call;
+    each generator owns its Philox, so their draws may interleave."""
+    return [np.random.Generator(np.random.Philox(key=key)) for key in _stream_keys(seeds, stream)]
+
+
+def rng_streams(seeds: Iterable[int], stream: int = 0) -> Iterator[np.random.Generator]:
+    """Yield the generator of ``rng_stream(s, stream)`` for each seed in turn.
+
+    The keys come from one hash call, and one Philox and one Generator
+    serve every seed: taking the next generator re-keys the Philox to that
+    seed's key with counter 0.  Philox is counter-based, so it then draws
+    what a new Philox with that key would draw.  A yielded generator is
+    valid only until the next one is taken.
+    """
+    rng = None
+    for key in _stream_keys(seeds, stream).tolist():
+        if rng is None:
+            rng = np.random.Generator(np.random.Philox(key=key[0] | key[1] << 64))
+        else:
+            rng.bit_generator.state = {
+                "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+                "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -131,8 +259,8 @@ def sample_walks(topology: Topology, T: int, seeds: Sequence[int]) -> WalkBatch:
         steps = np.tile(np.arange(1, n + 1, dtype=np.int64), T // n)[None, :]
     else:
         steps = np.empty((len(seeds), T), dtype=np.int64)
-        for row, seed in zip(steps, seeds):
-            row[:] = rng_stream(seed, STREAM_WALK).integers(1, n + 1, size=T, dtype=np.int64)
+        for row, rng in zip(steps, rng_streams(seeds, STREAM_WALK)):
+            row[:] = rng.integers(1, n + 1, size=T, dtype=np.int64)
     steps.setflags(write=False)
     return WalkBatch(steps)
 

@@ -36,6 +36,8 @@ from .core import (
     Topology,
     WalkBatch,
     rng_stream,
+    rng_stream_list,
+    rng_streams,
     sample_walks,
 )
 from .mechanisms import GAUSSIAN, check_categories, clip_contribution, perturb, rr_gamma_draws
@@ -168,9 +170,8 @@ def _sum_runs(trace: WalkBatch, noised: np.ndarray, scales: np.ndarray, true_val
     if sigma_loc > 0:
         step_scales = scales[noised]
         noise = np.empty(step_scales.size)
-        for r, seed in enumerate(seeds):
-            outputs[r] += perturb(0.0, noise_kind, step_scales, rng_stream(seed, STREAM_NOISE),
-                                  out=noise).sum()
+        for r, rng in enumerate(rng_streams(seeds, STREAM_NOISE)):
+            outputs[r] += perturb(0.0, noise_kind, step_scales, rng, out=noise).sum()
     return _read_only(ProtocolRuns(trace, noised[None, :], scales, outputs, true_values, None,
                                    np.full(len(seeds), np.count_nonzero(noised), dtype=np.int64)))
 
@@ -327,17 +328,17 @@ def _rr_runs(trace: WalkBatch, table: np.ndarray, domain_size: int, gamma: float
     noised = np.empty((R, T), dtype=bool)
     uniforms = np.empty(T)
     true_values = np.empty((R, L), dtype=np.int64)
-    counts = np.empty((R, L), dtype=np.int64)
-    for r, seed in enumerate(seeds):
+    counts = np.zeros((R, L), dtype=np.int64)
+    if init_count:
+        for r, rng in enumerate(rng_streams(seeds, STREAM_INIT)):
+            counts[r] = np.bincount(rng.integers(1, L + 1, size=init_count), minlength=L + 1)[1:]
+    for r, rng in enumerate(rng_streams(seeds, STREAM_RR)):
         if r < len(trace.steps):  # a new walk; the ring's one walk serves every run
             x = _contributions(table, trace.steps[r])
             true = np.bincount(x, minlength=L + 1)[1:]
-        flip, categories = rr_gamma_draws(T, gamma, L, rng_stream(seed, STREAM_RR), noised[r], uniforms)
-        counts[r] = (true - np.bincount(x.compress(flip), minlength=L + 1)[1:]
-                     + np.bincount(categories, minlength=L + 1)[1:])
-        if init_count:
-            init = rng_stream(seed, STREAM_INIT).integers(1, L + 1, size=init_count)
-            counts[r] += np.bincount(init, minlength=L + 1)[1:]
+        flip, categories = rr_gamma_draws(T, gamma, L, rng, noised[r], uniforms)
+        counts[r] += (true - np.bincount(x.compress(flip), minlength=L + 1)[1:]
+                      + np.bincount(categories, minlength=L + 1)[1:])
         true_values[r] = true
     outputs = _debias_histogram(counts, gamma, L, num_responses=T, init_count=init_count)
     return _read_only(ProtocolRuns(trace, noised, np.full(T, float(gamma)), outputs, true_values, counts,
@@ -503,7 +504,7 @@ def run_complete_sgd(
     if max_contributions is not None:
         contributes = np.stack([occurrence_index(w) < max_contributions for w in walks])
     noised = np.stack([(contributes[seed_index[s]] | always) & (sig > 0) for s, sig, always in keys])
-    rngs = [rng_stream(s, STREAM_NOISE) for s, _, _ in keys]
+    rngs = rng_stream_list([s for s, _, _ in keys], STREAM_NOISE)  # interleaved draws: one Philox each
 
     checkpoint_steps = np.arange(0, T + 1, CHECKPOINT_EVERY, dtype=np.int64)
     if checkpoint_steps[-1] != T:

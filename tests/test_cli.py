@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netdp import dpml, empirical as emp
-from netdp.cli import main, parse_config, split_delta_budget, derive_seed
+from netdp.cli import main, parse_config, split_delta_budget, derive_seed, derive_seeds
 from netdp.core import COMPLETE, Topology, sample_walk
 
 
@@ -71,6 +73,30 @@ class TestConfigParsing:
         assert derive_seed(1, 5, 7) != derive_seed(1 + 5 * 2**32, 7)
         assert derive_seed(5, 1, 7) != derive_seed(5 * 2**32 + 1, 7)
         assert derive_seed(2**32 + 1, 2) != derive_seed(2**32 + 1 + 2 * 2**64)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: SeedSequence zero-pads its 4-word pool, "
+                                           "so a trailing zero part is lost")
+    def test_derive_seed_trailing_zero_part_does_not_alias(self):
+        assert derive_seed(7, 12) != derive_seed(7, 12, 0)
+
+    @staticmethod
+    def numpy_derive_seed(*parts):
+        # derive_seed written with numpy's SeedSequence itself
+        words = [max(1, -(-p.bit_length() // 32)) for p in parts]
+        mixed = np.random.SeedSequence(parts, spawn_key=words if max(words, default=1) > 1 else ())
+        return int(mixed.generate_state(1, np.uint64)[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**70)), max_size=4),
+                    max_size=6))
+    def test_derive_seeds_is_seed_sequence(self, rows):
+        # rows of every word count, spawn-key rows among them, in one call
+        expected = [self.numpy_derive_seed(*parts) for parts in rows]
+        assert derive_seeds(rows) == expected == [derive_seed(*parts) for parts in rows]
+
+    def test_derive_seed_rejects_negative_parts(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_seed(1, -2)
 
     def test_delta_split_spends_thirds(self):
         total, n, T = 3e-3, 100, 10**4
@@ -308,13 +334,16 @@ class TestProtocolMc:
             return real_batch(args)
 
         monkeypatch.setattr(cli, "_protocol_batch", recording_batch)
-        assert run_cli("--experiment", "protocol_mc", "--out", tmp_path / "out", "--runs", 20,
-                       "--seed", 1, "--set", "protocols=ring_sum", "--set", "n=5",
-                       "--set", "K=2") == 0
         tag = zlib.crc32(b"ring_sum") & 0xFFFF
-        assert seen == [derive_seed(1, tag, r) for r in range(20)]
-        assert all(type(s) is int for s in seen)
-        assert any(s >= 2**63 for s in seen)  # where float64 would round
+        # a seed of 2**32 or more takes the spawn-key path; 10**4 seeds are derived in one call
+        for seed, runs in [(1, 20), (2**32 + 1, 20), (1, 10**4)]:
+            seen.clear()
+            assert run_cli("--experiment", "protocol_mc", "--out", tmp_path / f"out{seed}-{runs}",
+                           "--runs", runs, "--seed", seed, "--set", "protocols=ring_sum", "--set", "n=5",
+                           "--set", "K=2") == 0
+            assert seen == [derive_seed(seed, tag, r) for r in range(runs)]
+            assert all(type(s) is int for s in seen)
+            assert any(s >= 2**63 for s in seen)  # where float64 would round
 
     def test_unknown_protocol_rejected_before_any_run(self, tmp_path, monkeypatch):
         import netdp.protocols as proto

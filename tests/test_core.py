@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from netdp.cli import derive_seeds
 from netdp.core import (
     COMPLETE,
     RING,
@@ -9,8 +12,11 @@ from netdp.core import (
     Topology,
     WalkTrace,
     rng_stream,
+    rng_stream_list,
+    rng_streams,
     sample_walk,
     sample_walks,
+    seed_sequence_state,
     visit_counts,
 )
 
@@ -143,3 +149,74 @@ class TestRngStreams:
 
     def test_negative_seed_accepted(self):
         assert rng_stream(-1, 0).random() == rng_stream(-1, 0).random()
+
+    # edge seeds of both word counts, and seeds as the CLI derives them
+    # (the last from a --seed of 2**32 + 1, the spawn-key path)
+    SEEDS = [-1, 0, 2**32 - 1, 2**32, 2**64 - 1,
+             *derive_seeds([(1, 0x5EED, r) for r in range(3)] + [(2**32 + 1, 0x5EED, 0)])]
+
+    @staticmethod
+    def first_draws(rng):
+        # an odd count of 32-bit draws leaves half a word buffered in the Philox
+        return rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist(), rng.random(3).tolist()
+
+    @pytest.mark.parametrize("stream", [0, 1, 2, 3, 4])
+    def test_stream_is_numpy_seed_sequence_philox(self, stream):
+        for seed in self.SEEDS:
+            numpy_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed % 2**64, stream))))
+            assert self.first_draws(rng_stream(seed, stream)) == self.first_draws(numpy_rng)
+
+    @pytest.mark.parametrize("stream", [0, 1, 2, 3, 4])
+    def test_bulk_streams_draw_as_rng_stream(self, stream):
+        expected = [self.first_draws(rng_stream(seed, stream)) for seed in self.SEEDS]
+        assert [self.first_draws(rng) for rng in rng_streams(self.SEEDS, stream)] == expected
+        assert [self.first_draws(rng) for rng in rng_stream_list(self.SEEDS, stream)] == expected
+
+    def test_rng_stream_list_generators_are_independent_objects(self):
+        a, b = rng_stream_list([5, 5], 1)
+        assert a.random() == b.random()
+
+    def test_no_seeds_no_streams(self):
+        assert list(rng_streams([], 1)) == [] and rng_stream_list([], 1) == []
+
+    @pytest.mark.parametrize("stream", [-1, 2**32])
+    def test_stream_id_out_of_range(self, stream):
+        with pytest.raises(ValueError, match="stream"):
+            rng_stream(1, stream)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: (seed, stream) words are zero-padded to "
+                                           "SeedSequence's pool, so stream k of s aliases s + k * 2**32")
+    def test_stream_ids_do_not_alias_wide_seeds(self):
+        assert rng_stream(12345, 1).random(4).tolist() != rng_stream(12345 + 2**32, 0).random(4).tolist()
+
+
+WORD = st.integers(0, 2**32 - 1)
+
+
+class TestSeedSequenceState:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 8).flatmap(lambda width: st.lists(
+               st.lists(WORD, min_size=width, max_size=width), min_size=1, max_size=5)),
+           n_words=st.sampled_from([1, 2, 4]))
+    def test_matches_seed_sequence(self, rows, n_words):
+        for dtype in (np.uint32, np.uint64):
+            expected = [np.random.SeedSequence(row).generate_state(n_words, dtype) for row in rows]
+            got = seed_sequence_state(np.array(rows, dtype=np.uint32), n_words, dtype)
+            assert got.dtype == dtype and got.tolist() == np.array(expected).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(entropy=st.lists(WORD, min_size=1, max_size=6),
+           spawn_key=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           n_words=st.sampled_from([1, 2, 4]))
+    def test_spawn_key_layout(self, entropy, spawn_key, n_words):
+        # SeedSequence pads the run entropy to its 4-word pool before the spawn key
+        row = entropy + [0] * (4 - len(entropy)) + spawn_key
+        expected = np.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(n_words)
+        assert seed_sequence_state([row], n_words).tolist() == [expected.tolist()]
+
+    def test_no_rows(self):
+        assert seed_sequence_state(np.zeros((0, 3), dtype=np.uint32), 2, np.uint64).shape == (0, 2)
+
+    def test_other_dtypes_rejected(self):
+        with pytest.raises(ValueError, match="dtype"):
+            seed_sequence_state([[1]], 1, np.int64)

@@ -7,6 +7,9 @@ name from another netdp module, every private module-level name must be
 read somewhere in the package outside its own definition, and no module may
 import scipy: the runtime needs numpy and the standard library alone.  A
 subprocess check confirms that no CLI path loads scipy at run time either.
+Random generators come from ``core`` alone: no other module calls anything
+under ``np.random`` or imports from it, so every stream is keyed by the one
+seed hash in ``core``.
 """
 
 import ast
@@ -134,6 +137,34 @@ def scipy_imports(source: str) -> list[str]:
     return found
 
 
+def dotted_name(node: ast.AST) -> str:
+    """``a.b.c`` for a chain of attributes on a name, else ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def numpy_random_uses(source: str) -> list[str]:
+    """Calls of anything under ``np.random`` or ``numpy.random``, and imports
+    from ``numpy.random``; annotations such as ``np.random.Generator`` are
+    not calls and pass."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = dotted_name(node.func)
+            if name.split(".")[:2] in (["np", "random"], ["numpy", "random"]):
+                found.append(f"{name} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            found += [f"{n} (line {node.lineno})" for n in names if n.startswith("numpy.random")]
+        elif isinstance(node, ast.Import):
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.startswith("numpy.random")]
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -152,6 +183,11 @@ def test_no_private_imports_across_modules(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_scipy_imports(path):
     assert scipy_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "core.py"], ids=lambda p: p.name)
+def test_generators_come_from_core(path):
+    assert numpy_random_uses(path.read_text()) == []
 
 
 def test_no_dead_private_names():
@@ -224,6 +260,16 @@ class TestCheckers:
         src = ("import numpy as np\nimport scipy.special as sp\nfrom scipy import stats\n"
                "from . import scipy_like\ndef f():\n    from scipy.special import expit\n")
         assert scipy_imports(src) == ["scipy.special (line 2)", "scipy (line 3)", "scipy.special (line 6)"]
+
+    def test_numpy_random_uses_are_reported(self):
+        src = ("import numpy as np\nimport numpy\nimport numpy.random\nfrom numpy import random\n"
+               "from numpy.random import Philox\n"
+               "def f(rng: np.random.Generator) -> np.random.Generator:\n"
+               "    isinstance(rng, np.random.Generator)\n"
+               "    return np.random.Generator(numpy.random.Philox(key=1)), np.random.default_rng()\n")
+        assert numpy_random_uses(src) == [
+            "numpy.random (line 3)", "numpy.random (line 4)", "numpy.random.Philox (line 5)",
+            "np.random.Generator (line 8)", "np.random.default_rng (line 8)", "numpy.random.Philox (line 8)"]
 
     def test_outside_modules_are_not_checked(self):
         assert private_imports("from os import _exit\nimport numpy as np\nnp._x\n") == []
