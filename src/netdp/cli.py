@@ -674,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    run_dir = None
+    run_dir, made = None, []
     try:
         config = parse_config(args.config) if args.config else {}
         config.update(_parse_entry(override, "--set") for override in args.set)
@@ -683,6 +683,8 @@ def main(argv: list[str] | None = None) -> int:
         meta = {"experiment": args.experiment, "config": config, "resolved_config": cfg,
                 "seed": cfg["seed"], "runs": cfg["runs"], "workers": args.workers,
                 "unchecked": args.unchecked}
+        experiment_dir = args.out / args.experiment
+        made = [p for p in (experiment_dir, *experiment_dir.parents) if not p.exists()]
         run_dir = _make_run_dir(args.out, args.experiment, cfg["seed"])
         try:
             meta.update(_COMMANDS[args.experiment](cfg, run_dir, args.workers, args.unchecked) or {})
@@ -697,8 +699,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ValidityWindowError, KeyError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         code = 2
-    if run_dir is not None and not any(run_dir.iterdir()):
-        run_dir.rmdir()  # a failed run keeps only what it wrote, such as an error payload
+    if run_dir is not None:  # a failed run keeps only what it wrote, such as an error
+        for path in (run_dir, *made):  # payload, and no empty directory this call made
+            if any(path.iterdir()):
+                break
+            path.rmdir()
     return code
 
 

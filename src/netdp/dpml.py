@@ -215,21 +215,23 @@ def logistic_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     grad = -(1/m) sum_i sigmoid(-y_i w.x_i) y_i x_i.  Stacks broadcast:
     w (..., d), X (..., m, d) and y (..., m) give (..., d) gradients, each
-    bit-identical to the call on its own slice (one BLAS gemv per slice,
-    rows summed in order).  The summed terms are stored visit-major, as
-    (m, ..., d), so the sum adds whole (..., d) slabs row after row, the
-    additions of ``.mean(axis=-2)`` without its short inner loops.  At
-    d = 1 they keep the (..., m, d) order: there each slice's m terms are
-    contiguous and numpy sums them pairwise, as a single slice does.
+    bit-identical to the call on its own C-contiguous slice (one BLAS gemv
+    per slice, rows summed in order).  X is made C-contiguous first: on
+    other layouts matmul takes another loop, and einsum may put the row
+    axis innermost and sum it in another order.  For d > 1, einsum adds
+    each row's rounded product into the (..., d) output in row order, the
+    additions of ``.mean(axis=-2)``; numpy's x86-64 baseline has no FMA,
+    so no product is fused into its addition.  At d = 1 each slice's m
+    terms are summed pairwise along the last axis, as numpy sums a single
+    slice's contiguous column.
     """
+    X = np.ascontiguousarray(X)
     margins = y * (X @ w[..., None])[..., 0]
     with np.errstate(over="ignore"):  # exp(margins) = inf gives s = 0
         s = 1.0 / (1.0 + np.exp(margins))
-    rows = X.ndim - 2 if X.shape[-1] == 1 else 0  # where the row axis goes in memory
-    axes = (*range(rows), X.ndim - 2, *range(rows, X.ndim - 2))
-    terms = np.multiply(X.transpose(*axes, X.ndim - 1), (s * y).transpose(axes)[..., None],
-                        order="C")
-    return -(np.add.reduce(terms, axis=rows) / X.shape[-2])
+    if X.shape[-1] == 1:
+        return -(np.add.reduce(X[..., 0] * (s * y), axis=-1)[..., None] / X.shape[-2])
+    return -(np.einsum("...ij,...i->...j", X, s * y) / X.shape[-2])
 
 
 def _batched_grad(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -238,9 +240,8 @@ def _batched_grad(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarra
 
     When every user holds the same number m of rows (as in
     :func:`make_synthetic`), a call gathers the holders' rows through one
-    visit-major (m, n) row index, as an (m, holders, d) stack that
-    :func:`logistic_grad` gets as its (holders, m, d) transpose, so the
-    stack is laid out the way its row sum reads it.  Otherwise users are
+    holder-major (n, m) row table, as the contiguous (holders, m, d) stack
+    that :func:`logistic_grad` sums row by row.  Otherwise users are
     grouped by row count, and the holders of one step with equal m share
     one call, gathered the same way.  Padding short users with zero rows
     instead would not be bit-exact: BLAS gemv blocks its rows, so a row's
@@ -248,22 +249,22 @@ def _batched_grad(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarra
     """
     X, y = data.X_train, data.y_train
 
-    def stack_grad(W: np.ndarray, rows: np.ndarray) -> np.ndarray:  # rows: (m, holders)
-        return logistic_grad(W, X.take(rows, axis=0).transpose(1, 0, 2), y.take(rows).T)
+    def stack_grad(W: np.ndarray, rows: np.ndarray) -> np.ndarray:  # rows: (holders, m)
+        return logistic_grad(W, X.take(rows, axis=0), y.take(rows))
 
     groups = {}  # m -> users (0-based) with m train rows
     for u, idx in enumerate(data.user_rows):
         groups.setdefault(idx.size, []).append(u)
     if len(groups) == 1:
-        visits = np.stack(data.user_rows, axis=1)
-        return lambda W, users: stack_grad(W, visits.take(users - 1, axis=1))
+        table = np.stack(data.user_rows)
+        return lambda W, users: stack_grad(W, table.take(users - 1, axis=0))
 
     sizes = np.array([idx.size for idx in data.user_rows])
     position = np.empty(sizes.size, dtype=np.int64)
-    row_tables = {}  # m -> (m, users with m rows) train-row indices
+    row_tables = {}  # m -> (users with m rows, m) train-row indices
     for m, users in sorted(groups.items()):
         position[users] = np.arange(len(users))
-        row_tables[m] = np.stack([data.user_rows[u] for u in users], axis=1)
+        row_tables[m] = np.stack([data.user_rows[u] for u in users])
 
     def grad(W: np.ndarray, users: np.ndarray) -> np.ndarray:
         G = np.empty_like(W)
@@ -271,7 +272,7 @@ def _batched_grad(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarra
         for m, table in row_tables.items():
             sel = m_of == m
             if sel.any():
-                G[sel] = stack_grad(W[sel], table.take(position[users[sel] - 1], axis=1))
+                G[sel] = stack_grad(W[sel], table.take(position[users[sel] - 1], axis=0))
         return G
 
     return grad

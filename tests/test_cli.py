@@ -593,6 +593,25 @@ class TestMeta:
         assert "t_factor must be an integer" in capsys.readouterr().err
         assert run_dirs(out) == []
 
+    @pytest.mark.parametrize("experiment, sets", [
+        ("sgd_compare", ["n=0"]),
+        ("protocol_mc", ["protocols=complete_hist", "domain_size=0"]),
+    ])
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, capsys, experiment,
+                                                        sets):
+        # both configurations resolve, so the run directory exists before they exit 2
+        args = ["--experiment", experiment, *(arg for s in sets for arg in ("--set", s))]
+        assert run_cli(*args, "--out", tmp_path / "new" / "out") == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # directories that were there before stay, empty or not
+        out = tmp_path / "out"
+        (out / experiment).mkdir(parents=True)
+        (out / "other").mkdir()
+        assert run_cli(*args, "--out", out) == 2
+        assert sorted(p.name for p in out.iterdir()) == sorted([experiment, "other"])
+        assert run_dirs(out) == []
+
     def test_resolved_config_beside_config_as_given(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("--experiment", "bounds_sweep", "--out", out, "--set", "n_grid=20",

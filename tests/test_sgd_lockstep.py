@@ -6,9 +6,11 @@ rows and one ``normal(0, sigma, size=d)`` draw per noised step.  Every
 lockstep run must reproduce it bit for bit, at every checkpoint.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from netdp import dpml
 from netdp.core import COMPLETE, STREAM_NOISE, PrivacyBudget, Topology, rng_stream, sample_walk
@@ -299,17 +301,54 @@ def test_block_normal_draw_equals_per_step_draws(seed, k, d, sigma):
     assert_bits_equal(block, per_step)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 20), m=st.integers(1, 12),
-       d=st.integers(1, 25))
-def test_stacked_logistic_grad_is_bitwise_per_slice(seed, k, m, d):
+LAYOUTS = {  # the same (k, m, d) values under other memory orders
+    "C": lambda A: A,
+    "visit-major": lambda A: np.ascontiguousarray(np.swapaxes(A, 0, 1)).swapaxes(0, 1),
+    "feature-major": lambda A: np.ascontiguousarray(np.moveaxis(A, -1, 0)).transpose(1, 2, 0),
+    "F": np.asfortranarray,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 200), m=st.integers(1, 12),
+       d=st.integers(1, 25), zero_cols=st.integers(0, 3), all_negative=st.booleans(),
+       scale=st.sampled_from([10.0, 1e4]), layout=st.sampled_from(sorted(LAYOUTS)))
+@example(seed=1, k=200, m=8, d=20, zero_cols=2, all_negative=True, scale=10.0, layout="C")
+@example(seed=2, k=7, m=9, d=1, zero_cols=0, all_negative=False, scale=1e4, layout="F")
+@example(seed=3, k=150, m=8, d=20, zero_cols=0, all_negative=False, scale=10.0,
+         layout="feature-major")  # rows have the smallest stride: einsum would sum them innermost
+def test_stacked_logistic_grad_is_bitwise_per_slice(seed, k, m, d, zero_cols, all_negative,
+                                                    scale, layout):
+    """Each slice of a stacked call, in any memory layout, equals the oracle on
+    that user's own C-contiguous rows, sign of zero included.  All-zero
+    feature columns sum signed-zero terms; at scale 1e4 nearly half the
+    margins pass ln(DBL_MAX), so exp overflows and s = 0."""
     rng = np.random.Generator(np.random.Philox(seed))
     X = rng.normal(size=(k, m, d))
     X /= np.linalg.norm(X, axis=-1, keepdims=True)
-    y = np.where(rng.random((k, m)) < 0.5, 1.0, -1.0)
-    W = rng.normal(size=(k, d)) * rng.uniform(0.0, 10.0)
-    G = dpml.logistic_grad(W, X, y)
+    X[..., :zero_cols] = 0.0
+    y = -np.ones((k, m)) if all_negative else np.where(rng.random((k, m)) < 0.5, 1.0, -1.0)
+    W = rng.normal(size=(k, d)) * rng.uniform(0.0, scale)
+    Xl, yl = LAYOUTS[layout](X), LAYOUTS[layout](y[..., None])[..., 0]
+    assert np.array_equal(Xl, X) and np.array_equal(yl, y)
+    G = dpml.logistic_grad(W, Xl, yl)
     for j in range(k):
         assert_bits_equal(G[j], oracle_grad(W[j], (X[j], y[j])))
-        assert_bits_equal(dpml.logistic_grad(W[j], X[j], y[j]), G[j])
+        assert_bits_equal(dpml.logistic_grad(W[j], Xl[j], yl[j]), G[j])
 
+
+def test_row_sum_does_not_fuse_multiply_add():
+    """``logistic_grad``'s d > 1 row sum (its einsum) must round each row's
+    product before adding it, as ``.mean(axis=-2)`` does.  a*b = 1 - 2**-60
+    rounds to 1, so the second row cancels the first to 0; a fused
+    multiply-add keeps -2**-60."""
+    a, b = 1 + 2.0**-30, 1 - 2.0**-30
+    assert Fraction(a) * Fraction(b) - 1 == Fraction(-1, 2**60)
+    for stack in [(), (3,), (150,)]:  # one slice and stacks
+        X = np.broadcast_to([[-1.0, -1.0], [a, a]], (*stack, 2, 2)).copy()
+        weights = np.broadcast_to([1.0, b], (*stack, 2)).copy()
+        got = np.einsum("...ij,...i->...j", X, weights)
+        assert np.array_equal(got, np.zeros((*stack, 2))), (
+            "numpy's einsum fuses its multiply-add on this build (got "
+            f"{got.min()!r}, FMA gives {-2.0**-60!r}): logistic_grad's rows no longer sum "
+            "as .mean(axis=-2) does, so gradients and the replay digests move")
