@@ -122,10 +122,15 @@ def make_synthetic(n_users: int, points_per_user: int = 8, dim: int = 20, seed: 
     """Two-Gaussian binary classification data, preprocessed and partitioned.
 
     Class means sit at +/- 3/(2 sqrt(dim)) per coordinate, so the classes
-    are linearly separable up to noise in every direction.
+    are linearly separable up to noise in every direction.  About a quarter
+    as many rows again are drawn for the test split, as many as leaves
+    every user exactly ``points_per_user`` train rows.
     """
     rng = rng_stream(seed, STREAM_DATA)
-    total = n_users * points_per_user + math.ceil(n_users * points_per_user * 0.25)
+    rows = n_users * points_per_user
+    total = rows + math.ceil(rows * 0.25)
+    while total - _test_rows(total) > rows:  # starts >= rows, falls by 0 or 1 a step
+        total -= 1
     y = rng.integers(0, 2, size=total) * 2 - 1
     mean = 3.0 / (2.0 * math.sqrt(dim))
     X = rng.normal(0.0, 1.0, size=(total, dim)) + y[:, None] * mean
@@ -151,6 +156,11 @@ def load_csv_dataset(path, n_users: int, seed: int = 0) -> Dataset:
     return preprocess(X, y, n_users=n_users, seed=seed)
 
 
+def _test_rows(total: int) -> int:
+    """Rows :func:`preprocess` holds out for the test split: 20% of ``total``."""
+    return int(round(0.2 * total))
+
+
 def preprocess(X: np.ndarray, y: np.ndarray, n_users: int, seed: int) -> Dataset:
     """Standardize, unit-normalize rows, split 80/20 and partition by user.
 
@@ -167,7 +177,7 @@ def preprocess(X: np.ndarray, y: np.ndarray, n_users: int, seed: int) -> Dataset
         raise ValueError("features contain NaN")
     rng = rng_stream(seed, STREAM_DATA)
     perm = rng.permutation(X.shape[0])
-    n_test = int(round(0.2 * X.shape[0]))
+    n_test = _test_rows(X.shape[0])
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     if len(train_idx) < max(n_users, 1):  # before the column moments, which need a row
         raise ValueError(f"train split has {len(train_idx)} rows for {n_users} users")
@@ -213,69 +223,99 @@ def logistic_objective(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
 def logistic_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean logistic-loss gradient over a user's m rows; L2 norm <= 1.
 
-    grad = -(1/m) sum_i sigmoid(-y_i w.x_i) y_i x_i.  Stacks broadcast:
-    w (..., d), X (..., m, d) and y (..., m) give (..., d) gradients, each
-    bit-identical to the call on its own C-contiguous slice (one BLAS gemv
-    per slice, rows summed in order).  X is made C-contiguous first: on
-    other layouts matmul takes another loop, and einsum may put the row
-    axis innermost and sum it in another order.  For d > 1, einsum adds
-    each row's rounded product into the (..., d) output in row order, the
-    additions of ``.mean(axis=-2)``; numpy's x86-64 baseline has no FMA,
-    so no product is fused into its addition.  At d = 1 each slice's m
-    terms are summed pairwise along the last axis, as numpy sums a single
-    slice's contiguous column.
+    grad = -(1/m) sum_i sigmoid(-y_i w.x_i) y_i x_i, for labels y_i = +/-1.
+    Stacks broadcast: w (..., d), X (..., m, d) and y (..., m) give (..., d)
+    gradients, each bit-identical to the call on its own slice.  The rows
+    are signed into one C-contiguous stack z_i = y_i x_i, whatever the
+    layout of X, and summed by :func:`_signed_grad`.
     """
-    X = np.ascontiguousarray(X)
-    margins = y * (X @ w[..., None])[..., 0]
+    Z = np.multiply(np.asarray(y)[..., None], X, order="C")
     with np.errstate(over="ignore"):  # exp(margins) = inf gives s = 0
-        s = 1.0 / (1.0 + np.exp(margins))
-    if X.shape[-1] == 1:
-        return -(np.add.reduce(X[..., 0] * (s * y), axis=-1)[..., None] / X.shape[-2])
-    return -(np.einsum("...ij,...i->...j", X, s * y) / X.shape[-2])
+        return _signed_grad(w, Z)
+
+
+def _signed_grad(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """:func:`logistic_grad` of W (..., d) on C-contiguous signed rows
+    Z = y x (..., m, d); exp overflows under the caller's ``errstate``.
+
+    This is the unsigned form -(1/m) sum_i s_i y_i x_i bit for bit: y = +/-1
+    makes y x exact, and rounding is sign-symmetric, so (y x).w = y (x.w)
+    in every partial sum of gemv, (y x) s = x (s y) and a / (-m) = -(a / m).
+    Only a zero margin's sign can differ, and sigmoid(+/-0) = 1/2.  Each
+    slice's margins are one BLAS gemv, as in the call on that slice alone
+    (on other layouts matmul takes another loop).  For d > 1, einsum adds
+    each row's rounded product into the (..., d) output in row order, the
+    additions of ``.mean(axis=-2)``; numpy's x86-64 baseline has no FMA, so
+    no product is fused into its addition.  At d = 1 each slice's m terms
+    are summed pairwise along the last axis, as numpy sums a single slice's
+    contiguous column.
+    """
+    s = (Z @ W[..., None])[..., 0]  # margins y w.x
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)  # sigmoid(-margins)
+    m = Z.shape[-2]
+    if Z.shape[-1] == 1:
+        return np.add.reduce(Z[..., 0] * s, axis=-1)[..., None] / -m
+    return np.einsum("...ij,...i->...j", Z, s) / -m
 
 
 def _batched_grad(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``grad_fn(W, users)`` for the lockstep kernel: row k is the gradient
-    of ``W[k]`` on user ``users[k]``'s rows.
+    """``grad_fn(W, users)`` for the lockstep kernel: row k is
+    :func:`logistic_grad` of ``W[k]`` on user ``users[k]``'s rows, bit for bit.
 
-    When every user holds the same number m of rows (as in
-    :func:`make_synthetic`), a call gathers the holders' rows through one
-    holder-major (n, m) row table, as the contiguous (holders, m, d) stack
-    that :func:`logistic_grad` sums row by row.  Otherwise users are
-    grouped by row count, and the holders of one step with equal m share
-    one call, gathered the same way.  Padding short users with zero rows
-    instead would not be bit-exact: BLAS gemv blocks its rows, so a row's
-    dot product can depend on the number of rows in the call.
+    Users are grouped by row count m; every user shares one group when all
+    hold the same m, as in :func:`make_synthetic`.  Each group's rows are
+    signed once, z = y x, into one C-contiguous (users, m, d) stack, so a
+    step gathers its holders' (holders, m, d) stack with one ``take`` and
+    multiplies no label (:func:`_signed_grad`); the holders of one step with
+    equal m share one call.  Padding short users with zero rows instead
+    would not be bit-exact: BLAS gemv blocks its rows, so a row's dot
+    product can depend on the number of rows in the call.  The gradients
+    enter no ``errstate`` of their own: exp(margin) = inf, which gives
+    s = 0, is silenced once per lockstep call by :func:`_run_lockstep`.
     """
     X, y = data.X_train, data.y_train
 
-    def stack_grad(W: np.ndarray, rows: np.ndarray) -> np.ndarray:  # rows: (holders, m)
-        return logistic_grad(W, X.take(rows, axis=0), y.take(rows))
+    def signed_stack(users) -> np.ndarray:
+        rows = np.stack([data.user_rows[u] for u in users])
+        Z = X.take(rows, axis=0)
+        Z *= y.take(rows)[..., None]  # in place: no second full-size array
+        return Z
 
     groups = {}  # m -> users (0-based) with m train rows
     for u, idx in enumerate(data.user_rows):
         groups.setdefault(idx.size, []).append(u)
     if len(groups) == 1:
-        table = np.stack(data.user_rows)
-        return lambda W, users: stack_grad(W, table.take(users - 1, axis=0))
+        stack = signed_stack(range(data.n_users))
+        return lambda W, users: _signed_grad(W, stack.take(users - 1, axis=0))
 
     sizes = np.array([idx.size for idx in data.user_rows])
     position = np.empty(sizes.size, dtype=np.int64)
-    row_tables = {}  # m -> (users with m rows, m) train-row indices
+    stacks = {}  # m -> signed (users with m rows, m, d) stack
     for m, users in sorted(groups.items()):
         position[users] = np.arange(len(users))
-        row_tables[m] = np.stack([data.user_rows[u] for u in users])
+        stacks[m] = signed_stack(users)
 
     def grad(W: np.ndarray, users: np.ndarray) -> np.ndarray:
         G = np.empty_like(W)
         m_of = sizes[users - 1]
-        for m, table in row_tables.items():
+        for m, stack in stacks.items():
             sel = m_of == m
             if sel.any():
-                G[sel] = stack_grad(W[sel], table.take(position[users[sel] - 1], axis=0))
+                G[sel] = _signed_grad(W[sel], stack.take(position[users[sel] - 1], axis=0))
         return G
 
     return grad
+
+
+def _train_objective(data: Dataset) -> Callable[[np.ndarray], float]:
+    """``logistic_objective(w, data.X_train, data.y_train)``, bit for bit,
+    on rows signed and negated once, -y x: each margin comes out of the
+    same gemv negated exactly (its sign at zero aside, and
+    logaddexp(0, +/-0) = ln 2), so no evaluation multiplies a label."""
+    Zneg = -data.y_train[:, None] * data.X_train
+    return lambda w: float(np.mean(np.logaddexp(0.0, Zneg @ w)))
 
 
 def test_accuracy(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -428,18 +468,19 @@ def _run_lockstep(batch: RegimeBatch, data: Dataset, runs: Sequence[tuple[int, i
     which = [int(i) for i, _ in runs]
     if not all(0 <= i < len(batch.configs) for i in which):
         raise ValueError(f"config index out of range for {len(batch.configs)} configs: {which}")
-    return run_complete_sgd(
-        n=data.n_users,
-        T=batch.T,
-        grad_fn=_batched_grad(data),
-        eta=[batch.configs[i].eta for i in which] if etas is None else etas,
-        sigma=[batch.sigmas[i] for i in which],
-        d=data.dim,
-        seeds=[s for _, s in runs],
-        max_contributions=batch.cap(data.n_users),
-        noise_when_capped=[batch.configs[i].regime == NETWORK for i in which],
-        final_only=final_only,
-    )
+    with np.errstate(over="ignore"):  # once, not per step: exp(margin) = inf gives s = 0
+        return run_complete_sgd(
+            n=data.n_users,
+            T=batch.T,
+            grad_fn=_batched_grad(data),
+            eta=[batch.configs[i].eta for i in which] if etas is None else etas,
+            sigma=[batch.sigmas[i] for i in which],
+            d=data.dim,
+            seeds=[s for _, s in runs],
+            max_contributions=batch.cap(data.n_users),
+            noise_when_capped=[batch.configs[i].regime == NETWORK for i in which],
+            final_only=final_only,
+        )
 
 
 def train(batch: RegimeBatch, data: Dataset, runs: Sequence[tuple[int, int]]) -> list[TrainResult]:
@@ -450,14 +491,16 @@ def train(batch: RegimeBatch, data: Dataset, runs: Sequence[tuple[int, int]]) ->
     contributing, adding noise only in the network regime.  The train
     objective and test accuracy are evaluated at each kept checkpoint.  A
     run whose final objective exceeds :data:`DIVERGENCE_FACTOR` times the
-    initial one is flagged as diverged but still returned.
+    initial one, or is not a number, is flagged as diverged but still
+    returned.
     """
     sgd = _run_lockstep(batch, data, runs)
     steps = sgd.checkpoint_steps
     cap = batch.cap(data.n_users)
+    train_objective = _train_objective(data)
     results = []
     for (i, _), iterates in zip(runs, sgd.iterates):
-        objective = np.array([logistic_objective(w, data.X_train, data.y_train) for w in iterates])
+        objective = np.array([train_objective(w) for w in iterates])
         accuracy = np.array([test_accuracy(w, data.X_test, data.y_test) for w in iterates])
         results.append(TrainResult(
             model=iterates[-1],
@@ -466,7 +509,7 @@ def train(batch: RegimeBatch, data: Dataset, runs: Sequence[tuple[int, int]]) ->
             accuracy_trace=np.column_stack([steps, accuracy]),
             final_objective=float(objective[-1]),
             final_accuracy=float(accuracy[-1]),
-            diverged=bool(objective[-1] > DIVERGENCE_FACTOR * max(objective[0], 1e-12)),
+            diverged=bool(not objective[-1] <= DIVERGENCE_FACTOR * max(objective[0], 1e-12)),
             max_contributions=cap,
         ))
     return results
@@ -492,8 +535,8 @@ def tune_eta(
         raise ValueError("every config needs at least one tuning run")
     sgd = _run_lockstep(batch, data, [run for _ in etas for run in runs],
                         [eta for eta in etas for _ in runs], final_only=True)
-    finals = np.array([logistic_objective(w, data.X_train, data.y_train)
-                       for w in sgd.models]).reshape(len(etas), len(runs))
+    train_objective = _train_objective(data)
+    finals = np.array([train_objective(w) for w in sgd.models]).reshape(len(etas), len(runs))
     best = []
     for cols in scored:
         best_eta, best_obj = etas[0], math.inf

@@ -374,6 +374,20 @@ class TestSgdCompare:
         traces = sorted(csv_path.parent.glob("trace_*.csv"))
         assert len(traces) == 3
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_objectives_count_as_diverged(self, tmp_path):
+        # eta = 1e308 sends every iterate to inf, then nan: a nan final
+        # objective fails every comparison, so it must count as diverged
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "sgd_compare", "--out", out, "--set", "eta=1e308",
+                       "--set", "n=12", "--set", "T=150", "--runs", 2) == 0
+        (csv_path,) = results_files(out, "sgd_compare")
+        rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+        assert len(rows) == 6
+        for row in rows:
+            assert not np.isfinite(float(row["mean_final_objective"]))
+            assert row["diverged_runs"] == "2"
+
     def test_real_dataset_requires_path(self, tmp_path):
         config = write_config(tmp_path, "dataset = real\nn = 10\nT = 50\neps = 10\n")
         assert run_cli("--experiment", "sgd_compare", "--config", config,

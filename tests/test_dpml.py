@@ -34,6 +34,18 @@ class TestPreprocess:
         total = len(data.y_train) + len(data.y_test)
         assert abs(len(data.y_test) - round(0.2 * total)) <= 1
 
+    def test_synthetic_users_hold_points_per_user_rows(self):
+        # the total is fixed only where the test split left the users uneven,
+        # so every (n, p) pair that was right keeps its data bit for bit
+        for n in range(2, 40):
+            for p in range(1, 12):
+                data = dpml.make_synthetic(n_users=n, points_per_user=p, dim=2, seed=n * p)
+                assert [idx.size for idx in data.user_rows] == [p] * n, (n, p)
+                rows = n * p
+                drawn = rows + math.ceil(rows * 0.25)
+                if drawn - round(0.2 * drawn) == rows:
+                    assert data.y_train.size + data.y_test.size == drawn, (n, p)
+
     def test_partition_covers_train_rows(self, small_data):
         all_rows = np.concatenate(small_data.user_rows)
         assert len(all_rows) == len(small_data.y_train)

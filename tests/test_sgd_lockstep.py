@@ -6,6 +6,7 @@ rows and one ``normal(0, sigma, size=d)`` draw per noised step.  Every
 lockstep run must reproduce it bit for bit, at every checkpoint.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -177,13 +178,18 @@ class TestLockstepMatchesPerRunLoop:
         assert runs.noised.shape[0] == 2
 
 
-def rows_dataset(sizes, d, seed):
-    """A Dataset whose users hold ``sizes`` train rows, in that order."""
+def rows_dataset(sizes, d, seed, zero_cols=0, all_negative=False):
+    """A Dataset whose users hold ``sizes`` train rows, in that order; its
+    first ``zero_cols`` feature columns are zero, and every label is -1
+    under ``all_negative``."""
     rng = np.random.Generator(np.random.Philox(seed))
     total = int(sum(sizes))
     X = rng.normal(size=(total + 4, d))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
+    X[:, :zero_cols] = 0.0
     y = np.where(rng.random(total + 4) < 0.5, 1.0, -1.0)
+    if all_negative:
+        y[:] = -1.0
     bounds = np.cumsum([0, *sizes])
     perm = rng.permutation(total)
     user_rows = tuple(np.sort(perm[a:b]).astype(np.int64) for a, b in zip(bounds, bounds[1:]))
@@ -219,6 +225,57 @@ class TestBatchedGrad:
                              max_contributions=12)
 
 
+LN_DBL_MAX = np.log(np.finfo(float).max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 200), m=st.integers(1, 10),
+       d=st.integers(1, 25), equal=st.booleans(), zero_cols=st.integers(0, 3),
+       all_negative=st.booleans(), scale=st.sampled_from([4.0, 1e4]))
+@example(seed=1, k=200, m=8, d=20, equal=True, zero_cols=2, all_negative=True, scale=1e4)
+@example(seed=2, k=1, m=5, d=1, equal=False, zero_cols=0, all_negative=False, scale=1e4)
+@example(seed=3, k=150, m=9, d=1, equal=True, zero_cols=1, all_negative=True, scale=4.0)
+def test_signed_stacks_match_logistic_grad_per_holder(seed, k, m, d, equal, zero_cols,
+                                                      all_negative, scale):
+    """Each row of ``_batched_grad``, which signs every user's rows once into
+    a stack, equals ``logistic_grad`` and the oracle on the holder's own
+    rows, sign of zero included.  All-zero feature columns with every
+    y = -1 sum signed-zero terms; at scale 1e4 margins pass ln(DBL_MAX), so
+    exp overflows and s = 0."""
+    sizes = [m] * 9 if equal else [m, m + 1, m + 2] * 3
+    data = rows_dataset(sizes, d, seed, zero_cols=zero_cols, all_negative=all_negative)
+    rng = np.random.Generator(np.random.Philox(seed + 1))
+    users = rng.integers(1, len(sizes) + 1, size=k)
+    W = rng.normal(size=(k, d)) * scale
+    with np.errstate(over="ignore"):  # the lockstep caller's scope
+        G = dpml._batched_grad(data)(W, users)
+    margins = []
+    for b, u in enumerate(users):
+        X, y = data.X_train[data.user_rows[u - 1]], data.y_train[data.user_rows[u - 1]]
+        assert_bits_equal(G[b], dpml.logistic_grad(W[b], X, y))
+        assert_bits_equal(G[b], oracle_grad(W[b], (X, y)))
+        margins.append(np.abs(X @ W[b]).max())
+    if scale == 1e4 and k >= 20 and zero_cols < d:
+        assert max(margins) > LN_DBL_MAX
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 2000), d=st.integers(1, 25),
+       zero_cols=st.integers(0, 3), all_negative=st.booleans(),
+       scale=st.sampled_from([0.0, 4.0, 1e4, 1e300]))
+@example(seed=1, rows=1600, d=20, zero_cols=2, all_negative=True, scale=0.0)
+@example(seed=2, rows=7, d=1, zero_cols=1, all_negative=True, scale=4.0)
+def test_train_objective_is_logistic_objective(seed, rows, d, zero_cols, all_negative, scale):
+    """The checkpoint objective of ``train`` and ``tune_eta``, on rows signed
+    and negated once, equals ``logistic_objective`` bit for bit: at w = 0
+    every margin is a signed zero, and at scale 1e300 they dwarf ln(DBL_MAX)."""
+    data = rows_dataset([rows], d, seed, zero_cols=zero_cols, all_negative=all_negative)
+    rng = np.random.Generator(np.random.Philox(seed + 1))
+    objective = dpml._train_objective(data)
+    for w in rng.normal(size=(3, d)) * scale:
+        assert_bits_equal(objective(w), dpml.logistic_objective(w, data.X_train, data.y_train))
+
+
 class TestTrainAndTuneMatchPerRunLoop:
     def test_train_traces(self, unequal_rows):
         T = 130
@@ -247,6 +304,29 @@ class TestTrainAndTuneMatchPerRunLoop:
                 dpml.test_accuracy(iterates[s], unequal_rows.X_test, unequal_rows.y_test)
                 for s in steps]
             assert_bits_equal(res.model, iterates[-1])
+
+    @pytest.mark.parametrize("over", ["warn", "raise"])
+    def test_overflowing_train_leaves_errstate_and_warns_nothing(self, equal_rows, over):
+        # eta = 200 takes the iterates to |w| ~ 1e4, so the margins of later
+        # steps pass ln(DBL_MAX); the lockstep call silences that overflow
+        # alone and hands the caller's error state back unchanged
+        T, eta, sigma = 150, 200.0, 5.0
+        batch = dpml.RegimeBatch(
+            [dpml.TrainConfig(regime=dpml.LOCAL, T=T, eta=eta, budget=PrivacyBudget(1.0, 1e-6))],
+            [sigma],
+        )
+        with np.errstate(over=over), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = np.geterr()
+            (result,) = dpml.train(batch, equal_rows, [(0, 3)])
+            assert np.geterr() == state
+        cap = dpml.contribution_cap(T, equal_rows.n_users, 2.0)
+        iterates, _ = oracle_sgd(equal_rows.n_users, T, user_datasets(equal_rows), eta, sigma,
+                                 equal_rows.dim, 3, max_contributions=cap,
+                                 noise_when_capped=False)
+        assert_bits_equal(result.model, iterates[-1])
+        assert np.abs(equal_rows.X_train @ iterates[:-1].T).max() > LN_DBL_MAX
+        assert np.isfinite(result.final_objective)
 
     def test_tune_eta_picks_the_per_run_argmin(self, equal_rows):
         T = 120
