@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import COMPLETE, Topology, sample_walk, seed_sequence_state
+from .core import COMPLETE, Topology, derive_seed, derive_seeds, sample_walk
 from .errors import InfeasibleError, ValidityWindowError
 from . import accountant as acct
 from . import dpml
@@ -82,47 +82,6 @@ def parse_config(path) -> dict:
     with open(path) as fh:
         lines = [(lineno, line.split("#", 1)[0].strip()) for lineno, line in enumerate(fh, 1)]
     return dict(_parse_entry(line, f"{path}:{lineno}") for lineno, line in lines if line)
-
-
-def _seed_entropy(parts) -> list[int]:
-    """The 32-bit entropy words :func:`derive_seed` hashes for one tuple,
-    zero-padded to the 4-word pool, which does not change the hash."""
-    parts = [int(p) for p in parts]
-    if min(parts, default=0) < 0:
-        raise ValueError(f"seed parts must be non-negative, got {parts}")
-    words = [max(1, -(-p.bit_length() // 32)) for p in parts]
-    entropy = parts
-    if max(words, default=1) > 1:  # the spawn key follows the run entropy, padded to the pool
-        entropy = [p >> (32 * i) & 0xFFFFFFFF for p, count in zip(parts, words) for i in range(count)]
-        entropy += [0] * (4 - len(entropy)) + words
-    return entropy + [0] * (4 - len(entropy))
-
-
-def derive_seed(*parts) -> int:
-    """Deterministic child seed from a tuple of non-negative integers.
-
-    The seed is ``SeedSequence(parts).generate_state(1, np.uint64)``: the
-    parts enter whole, as their 32-bit words.  When a part spans more than
-    one word, the parts' word counts go in as the ``spawn_key``, so
-    (1, 5, 7) and (1 + 5 * 2**32, 7) differ; tuples of parts below 2**32
-    keep the seeds they always had.
-    """
-    return derive_seeds([parts])[0]
-
-
-def derive_seeds(rows) -> list[int]:
-    """``[derive_seed(*parts) for parts in rows]``, hashed in one
-    :func:`~netdp.core.seed_sequence_state` call per entropy word count."""
-    entropy = [_seed_entropy(parts) for parts in rows]
-    by_width: dict[int, list[int]] = {}
-    for r, words in enumerate(entropy):
-        by_width.setdefault(len(words), []).append(r)
-    seeds = [0] * len(entropy)
-    for members in by_width.values():
-        state = seed_sequence_state([entropy[r] for r in members], 1, np.uint64)
-        for r, seed in zip(members, state[:, 0].tolist()):
-            seeds[r] = seed
-    return seeds
 
 
 def _indexed_seeds(rows: list[tuple]) -> list[tuple]:

@@ -1,4 +1,5 @@
-"""Domain types shared by all modules: budgets, topologies, walks, RNG streams.
+"""Domain types shared by all modules: budgets, topologies, walks, RNG streams
+and derived seeds.
 
 User indices are 1-based throughout (matching the usual convention for a
 ring ``1, 2, ..., n``).
@@ -13,8 +14,6 @@ import numpy as np
 
 RING: Literal["ring"] = "ring"
 COMPLETE: Literal["complete"] = "complete"
-
-_UINT64_MASK = (1 << 64) - 1
 
 # Stream ids for the per-purpose RNG streams derived from one master seed.
 # Walk sampling, additive noise, randomized response and data generation
@@ -65,19 +64,16 @@ _MIX_CALLS = [
 ]
 
 
-def seed_sequence_state(words, n_words: int, dtype=np.uint32) -> np.ndarray:
-    """``SeedSequence(row).generate_state(n_words, dtype)`` for each row of ``words``.
+def seed_sequence_state(words, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words, np.uint64)`` for each row of ``words``.
 
     ``words`` is an (R, W) array of 32-bit entropy words, one row per
     sequence, laid out as ``SeedSequence`` splits its entropy: each int as
     its words, least significant first.  The rows are hashed together in
     uint32 lanes.  A row shorter than the 4-word pool hashes as if
     zero-padded, since the pool hashes a missing word as a zero word.
-    Returns an (R, n_words) array of ``dtype``, uint32 or uint64.
+    Returns an (R, n_words) uint64 array.
     """
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.uint32), np.dtype(np.uint64)):
-        raise ValueError(f"dtype must be uint32 or uint64, got {dtype}")
     words = np.asarray(words, dtype=np.uint32)
     width = words.shape[1]
     lanes = words.T
@@ -105,25 +101,76 @@ def seed_sequence_state(words, n_words: int, dtype=np.uint32) -> np.ndarray:
         mixed *= _MIX_R
         pool = np.subtract(_MIX_L * pool, mixed, out=mixed)
         pool ^= pool >> _SHIFT
-    n32 = n_words * (dtype.itemsize // 4)
+    n32 = 2 * n_words
     xor, mul = _READ_CALLS if n32 <= len(_READ_CALLS[0]) else _hash_calls(*_READ, n32)
     state = pool.take(np.arange(n32), axis=0, mode="wrap")
     state ^= xor[:n32]
     state *= mul[:n32]
     state ^= state >> _SHIFT
     # each uint64 is a little-endian pair of uint32 words, as in numpy
-    return np.ascontiguousarray(state.T).view("<u" + str(dtype.itemsize)).astype(dtype, copy=False)
+    return np.ascontiguousarray(state.T).view("<u8").astype(np.uint64, copy=False)
+
+
+def _seed_words(parts: Iterable[int]) -> list[int]:
+    """The entropy words ``SeedSequence(parts)`` reads from non-negative ints:
+    each int's 32-bit words, least significant first, zero-padded to the
+    4-word pool (which does not change the hash).  The one encoding of both
+    the stream keys and the derived seeds."""
+    words = []
+    for p in parts:
+        while p > _M32:
+            words.append(p & _M32)
+            p >>= 32
+        words.append(p)
+    return words + [0] * (_POOL - len(words))
+
+
+def _hash_rows(rows: list[list[int]], n_words: int) -> np.ndarray:
+    """:func:`seed_sequence_state` of entropy rows of any widths, in row
+    order, with one hash call per width."""
+    widths = {len(row) for row in rows}
+    if len(widths) == 1:  # every stream key and most derived seeds: no regrouping
+        return seed_sequence_state(rows, n_words)
+    state = np.empty((len(rows), n_words), dtype=np.uint64)
+    for width in widths:
+        members = [r for r, row in enumerate(rows) if len(row) == width]
+        state[members] = seed_sequence_state([rows[r] for r in members], n_words)
+    return state
+
+
+def derive_seed(*parts) -> int:
+    """Deterministic child seed from a tuple of non-negative integers.
+
+    The seed is ``SeedSequence(parts).generate_state(1, np.uint64)``: the
+    parts enter whole, as their 32-bit words.  When a part spans more than
+    one word, the parts' word counts go in as the ``spawn_key``, so
+    (1, 5, 7) and (1 + 5 * 2**32, 7) differ; tuples of parts below 2**32
+    keep the seeds they always had.  A trailing zero part is lost in the
+    pool's zero padding, so (7, 12) and (7, 12, 0) share a seed (ROADMAP
+    item 2).
+    """
+    return derive_seeds([parts])[0]
+
+
+def derive_seeds(rows: Iterable[Sequence[int]]) -> list[int]:
+    """``[derive_seed(*parts) for parts in rows]``, hashed together."""
+    entropy = []
+    for parts in rows:
+        parts = [int(p) for p in parts]
+        if min(parts, default=0) < 0:
+            raise ValueError(f"seed parts must be non-negative, got {parts}")
+        words = _seed_words(parts)
+        if max(parts, default=0) > _M32:  # the spawn key follows the padded run entropy
+            words += [max(1, -(-p.bit_length() // 32)) for p in parts]
+        entropy.append(words)
+    return _hash_rows(entropy, 1)[:, 0].tolist()
 
 
 def _stream_keys(seeds: Iterable[int], stream: int) -> np.ndarray:
     """(R, 2) uint64 Philox keys of (seed mod 2**64, stream), one per seed."""
     if not 0 <= stream <= _M32:
         raise ValueError(f"stream must lie in [0, 2**32), got {stream}")
-    words = []  # the pair as SeedSequence reads it: one or two seed words, then the stream
-    for seed in seeds:
-        seed = int(seed) & _UINT64_MASK
-        words.append((seed & _M32, seed >> 32, stream, 0) if seed > _M32 else (seed, stream, 0, 0))
-    return seed_sequence_state(np.array(words, dtype=np.uint32).reshape(-1, _POOL), 2, np.uint64)
+    return _hash_rows([_seed_words((int(seed) % 2**64, stream)) for seed in seeds], 2)
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -133,9 +180,9 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     The generator is a Philox keyed by the first two uint64 state words of
     ``SeedSequence((seed mod 2**64, stream))``, as
     :func:`seed_sequence_state` computes them.  Stream ids do not always
-    give independent streams: the pair enters as its 32-bit words, zero
-    padded to the 4-word pool, so for s < 2**32 stream k of seed s is
-    stream 0 of seed s + k * 2**32 (ROADMAP item 2).
+    give independent streams: :func:`_seed_words` writes the pair as its
+    32-bit words, zero padded to the 4-word pool, so for s < 2**32 stream k
+    of seed s is stream 0 of seed s + k * 2**32 (ROADMAP item 2).
     """
     return rng_stream_list([seed], stream)[0]
 

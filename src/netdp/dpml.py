@@ -319,8 +319,11 @@ def _train_objective(data: Dataset) -> Callable[[np.ndarray], float]:
 
 
 def test_accuracy(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    pred = np.where(X @ w >= 0, 1.0, -1.0)
-    return float(np.mean(pred == y))
+    """Share of rows whose label is the sign of ``X @ w`` (+1 at zero); nan for
+    a model with a non-finite entry, which predicts nothing."""
+    if not np.isfinite(w).all():
+        return math.nan
+    return float(np.mean(np.where(X @ w >= 0, 1.0, -1.0) == y))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +530,8 @@ def tune_eta(
     the first grid eta with the strictly least mean; the configs' own
     ``eta`` is ignored.  Every run at every grid eta is one lockstep batch
     that keeps the final models alone.  A config without a run is a
-    ``ValueError``.
+    ``ValueError``; one whose mean is inf or nan at every grid eta raises
+    :class:`InfeasibleError` with the per-eta means in its diagnostics.
     """
     etas = [float(eta) for eta in grid]
     scored = [[b for b, (i, _) in enumerate(runs) if i == k] for k in range(len(batch.configs))]
@@ -538,11 +542,11 @@ def tune_eta(
     train_objective = _train_objective(data)
     finals = np.array([train_objective(w) for w in sgd.models]).reshape(len(etas), len(runs))
     best = []
-    for cols in scored:
-        best_eta, best_obj = etas[0], math.inf
-        for eta, row in zip(etas, finals):
-            mean_obj = float(np.mean(row[cols]))
-            if mean_obj < best_obj:
-                best_eta, best_obj = eta, mean_obj
-        best.append(best_eta)
+    for k, cols in enumerate(scored):
+        means = [float(np.mean(row[cols])) for row in finals]
+        finite = [mean for mean in means if mean < math.inf]  # nan fails every comparison
+        if not finite:
+            raise InfeasibleError(f"no grid eta gives config {k} a finite mean objective", diagnostics={
+                "config": k, "regime": batch.configs[k].regime, "etas": etas, "mean_objectives": means})
+        best.append(etas[means.index(min(finite))])
     return best

@@ -1,17 +1,16 @@
 import csv
 import io
 import json
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from netdp import dpml, empirical as emp
-from netdp.cli import main, parse_config, split_delta_budget, derive_seed, derive_seeds
-from netdp.core import COMPLETE, Topology, sample_walk
+from netdp.cli import main, parse_config, split_delta_budget
+from netdp.core import COMPLETE, Topology, derive_seed, sample_walk
 
 
 def write_config(tmp_path, text, name="conf.txt"):
@@ -55,48 +54,6 @@ class TestConfigParsing:
         path = write_config(tmp_path, "just a line without equals\n")
         with pytest.raises(ValueError):
             parse_config(path)
-
-    def test_derive_seed_deterministic(self):
-        assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
-        assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
-
-    def test_derive_seed_keeps_bits_above_32(self):
-        # parts below 2**32 keep the values they always had
-        assert derive_seed(1, 2, 3) == 12997252459554536576
-        assert derive_seed(2**32 - 1, 0xDA7A) == 2706235518615794121
-        assert derive_seed(1, 0xDA7A) == 5339024011857495557
-        assert derive_seed(2**32 + 1, 0xDA7A) != derive_seed(1, 0xDA7A)
-        assert derive_seed(2**64 + 1, 7) != derive_seed(1, 7)
-
-    def test_derive_seed_parts_do_not_alias(self):
-        # the same 32-bit words, split into parts differently
-        assert derive_seed(1, 5, 7) != derive_seed(1 + 5 * 2**32, 7)
-        assert derive_seed(5, 1, 7) != derive_seed(5 * 2**32 + 1, 7)
-        assert derive_seed(2**32 + 1, 2) != derive_seed(2**32 + 1 + 2 * 2**64)
-
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: SeedSequence zero-pads its 4-word pool, "
-                                           "so a trailing zero part is lost")
-    def test_derive_seed_trailing_zero_part_does_not_alias(self):
-        assert derive_seed(7, 12) != derive_seed(7, 12, 0)
-
-    @staticmethod
-    def numpy_derive_seed(*parts):
-        # derive_seed written with numpy's SeedSequence itself
-        words = [max(1, -(-p.bit_length() // 32)) for p in parts]
-        mixed = np.random.SeedSequence(parts, spawn_key=words if max(words, default=1) > 1 else ())
-        return int(mixed.generate_state(1, np.uint64)[0])
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**70)), max_size=4),
-                    max_size=6))
-    def test_derive_seeds_is_seed_sequence(self, rows):
-        # rows of every word count, spawn-key rows among them, in one call
-        expected = [self.numpy_derive_seed(*parts) for parts in rows]
-        assert derive_seeds(rows) == expected == [derive_seed(*parts) for parts in rows]
-
-    def test_derive_seed_rejects_negative_parts(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            derive_seed(1, -2)
 
     def test_delta_split_spends_thirds(self):
         total, n, T = 3e-3, 100, 10**4
@@ -377,7 +334,8 @@ class TestSgdCompare:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_objectives_count_as_diverged(self, tmp_path):
         # eta = 1e308 sends every iterate to inf, then nan: a nan final
-        # objective fails every comparison, so it must count as diverged
+        # objective fails every comparison, so it must count as diverged,
+        # and a nan model predicts nothing, so its accuracy is nan too
         out = tmp_path / "out"
         assert run_cli("--experiment", "sgd_compare", "--out", out, "--set", "eta=1e308",
                        "--set", "n=12", "--set", "T=150", "--runs", 2) == 0
@@ -386,7 +344,18 @@ class TestSgdCompare:
         assert len(rows) == 6
         for row in rows:
             assert not np.isfinite(float(row["mean_final_objective"]))
+            assert math.isnan(float(row["mean_final_accuracy"]))
             assert row["diverged_runs"] == "2"
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_all_diverging_eta_grid_exits_3(self, tmp_path, monkeypatch, capsys):
+        tune_eta = dpml.tune_eta
+        monkeypatch.setattr(dpml, "tune_eta", lambda *args: tune_eta(*args, grid=[1e307, 1e308]))
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "sgd_compare", "--out", out, "--set", "eps=1",
+                       "--set", "n=12", "--set", "T=150", "--set", "tune_seeds=2") == 3
+        assert "finite mean objective" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_real_dataset_requires_path(self, tmp_path):
         config = write_config(tmp_path, "dataset = real\nn = 10\nT = 50\neps = 10\n")

@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from netdp.cli import derive_seeds
 from netdp.core import (
     COMPLETE,
     RING,
     PrivacyBudget,
     Topology,
     WalkTrace,
+    derive_seed,
+    derive_seeds,
     rng_stream,
     rng_stream_list,
     rng_streams,
@@ -184,10 +185,54 @@ class TestRngStreams:
         with pytest.raises(ValueError, match="stream"):
             rng_stream(1, stream)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: (seed, stream) words are zero-padded to "
-                                           "SeedSequence's pool, so stream k of s aliases s + k * 2**32")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: core._seed_words zero-pads the (seed, stream) "
+                                           "words to SeedSequence's pool, so stream k of s aliases s + k * 2**32")
     def test_stream_ids_do_not_alias_wide_seeds(self):
         assert rng_stream(12345, 1).random(4).tolist() != rng_stream(12345 + 2**32, 0).random(4).tolist()
+
+
+class TestDeriveSeeds:
+    def test_derive_seed_deterministic(self):
+        assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
+        assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
+
+    def test_derive_seed_keeps_bits_above_32(self):
+        # parts below 2**32 keep the values they always had
+        assert derive_seed(1, 2, 3) == 12997252459554536576
+        assert derive_seed(2**32 - 1, 0xDA7A) == 2706235518615794121
+        assert derive_seed(1, 0xDA7A) == 5339024011857495557
+        assert derive_seed(2**32 + 1, 0xDA7A) != derive_seed(1, 0xDA7A)
+        assert derive_seed(2**64 + 1, 7) != derive_seed(1, 7)
+
+    def test_derive_seed_parts_do_not_alias(self):
+        # the same 32-bit words, split into parts differently
+        assert derive_seed(1, 5, 7) != derive_seed(1 + 5 * 2**32, 7)
+        assert derive_seed(5, 1, 7) != derive_seed(5 * 2**32 + 1, 7)
+        assert derive_seed(2**32 + 1, 2) != derive_seed(2**32 + 1 + 2 * 2**64)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: core._seed_words zero-pads a tuple's words to "
+                                           "SeedSequence's 4-word pool, so a trailing zero part is lost")
+    def test_derive_seed_trailing_zero_part_does_not_alias(self):
+        assert derive_seed(7, 12) != derive_seed(7, 12, 0)
+
+    @staticmethod
+    def numpy_derive_seed(*parts):
+        # derive_seed written with numpy's SeedSequence itself
+        words = [max(1, -(-p.bit_length() // 32)) for p in parts]
+        mixed = np.random.SeedSequence(parts, spawn_key=words if max(words, default=1) > 1 else ())
+        return int(mixed.generate_state(1, np.uint64)[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**70)), max_size=4),
+                    max_size=6))
+    def test_derive_seeds_is_seed_sequence(self, rows):
+        # rows of every word count, spawn-key rows among them, in one call
+        expected = [self.numpy_derive_seed(*parts) for parts in rows]
+        assert derive_seeds(rows) == expected == [derive_seed(*parts) for parts in rows]
+
+    def test_derive_seed_rejects_negative_parts(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_seed(1, -2)
 
 
 WORD = st.integers(0, 2**32 - 1)
@@ -199,10 +244,9 @@ class TestSeedSequenceState:
                st.lists(WORD, min_size=width, max_size=width), min_size=1, max_size=5)),
            n_words=st.sampled_from([1, 2, 4]))
     def test_matches_seed_sequence(self, rows, n_words):
-        for dtype in (np.uint32, np.uint64):
-            expected = [np.random.SeedSequence(row).generate_state(n_words, dtype) for row in rows]
-            got = seed_sequence_state(np.array(rows, dtype=np.uint32), n_words, dtype)
-            assert got.dtype == dtype and got.tolist() == np.array(expected).tolist()
+        expected = [np.random.SeedSequence(row).generate_state(n_words, np.uint64) for row in rows]
+        got = seed_sequence_state(np.array(rows, dtype=np.uint32), n_words)
+        assert got.dtype == np.uint64 and got.tolist() == np.array(expected).tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(entropy=st.lists(WORD, min_size=1, max_size=6),
@@ -211,12 +255,8 @@ class TestSeedSequenceState:
     def test_spawn_key_layout(self, entropy, spawn_key, n_words):
         # SeedSequence pads the run entropy to its 4-word pool before the spawn key
         row = entropy + [0] * (4 - len(entropy)) + spawn_key
-        expected = np.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(n_words)
+        expected = np.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(n_words, np.uint64)
         assert seed_sequence_state([row], n_words).tolist() == [expected.tolist()]
 
     def test_no_rows(self):
-        assert seed_sequence_state(np.zeros((0, 3), dtype=np.uint32), 2, np.uint64).shape == (0, 2)
-
-    def test_other_dtypes_rejected(self):
-        with pytest.raises(ValueError, match="dtype"):
-            seed_sequence_state([[1]], 1, np.int64)
+        assert seed_sequence_state(np.zeros((0, 3), dtype=np.uint32), 2).shape == (0, 2)

@@ -368,6 +368,19 @@ class TestTuneEta:
         assert eta1 == eta2
         assert eta1 in grid
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_all_diverging_grid_is_infeasible(self):
+        # no grid eta keeps a run finite, so there is no eta to pick
+        data = dpml.make_synthetic(12, seed=1)
+        config = dpml.TrainConfig(regime=dpml.NETWORK, T=150, eta=1.0, budget=PrivacyBudget(1.0, 1e-6))
+        batch = dpml.RegimeBatch([config], [dpml.calibrate_regime(config, data.n_users)])
+        with pytest.raises(InfeasibleError, match="finite mean objective") as info:
+            dpml.tune_eta(batch, data, [(0, 1), (0, 2)], grid=[1e307, 1e308])
+        assert info.value.diagnostics["etas"] == [1e307, 1e308]
+        assert not np.isfinite(info.value.diagnostics["mean_objectives"]).any()
+        # one finite eta is enough
+        assert dpml.tune_eta(batch, data, [(0, 1), (0, 2)], grid=[1e307, 1e-2]) == [1e-2]
+
 
 class TestRegimeBatch:
     def config(self, **kwargs):

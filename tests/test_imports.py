@@ -9,7 +9,9 @@ import scipy: the runtime needs numpy and the standard library alone.  A
 subprocess check confirms that no CLI path loads scipy at run time either.
 Random generators come from ``core`` alone: no other module calls anything
 under ``np.random`` or imports from it, so every stream is keyed by the one
-seed hash in ``core``.
+seed hash in ``core``.  Entropy words are built in ``core`` alone too: no
+other module calls or imports ``seed_sequence_state``, so stream keys and
+derived seeds share one encoding.
 """
 
 import ast
@@ -165,6 +167,21 @@ def numpy_random_uses(source: str) -> list[str]:
     return found
 
 
+def seed_hash_uses(source: str) -> list[str]:
+    """Calls of ``seed_sequence_state`` (bare or as an attribute) and
+    imports of it, wherever they appear."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = dotted_name(node.func)
+            if name.split(".")[-1] == "seed_sequence_state":
+                found.append(f"{name} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name == "seed_sequence_state"]
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -188,6 +205,11 @@ def test_no_scipy_imports(path):
 @pytest.mark.parametrize("path", [m for m in MODULES if m.name != "core.py"], ids=lambda p: p.name)
 def test_generators_come_from_core(path):
     assert numpy_random_uses(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "core.py"], ids=lambda p: p.name)
+def test_entropy_words_come_from_core(path):
+    assert seed_hash_uses(path.read_text()) == []
 
 
 def test_no_dead_private_names():
@@ -270,6 +292,13 @@ class TestCheckers:
         assert numpy_random_uses(src) == [
             "numpy.random (line 3)", "numpy.random (line 4)", "numpy.random.Philox (line 5)",
             "np.random.Generator (line 8)", "np.random.default_rng (line 8)", "numpy.random.Philox (line 8)"]
+
+    def test_seed_hash_uses_are_reported(self):
+        src = ("from .core import derive_seeds, seed_sequence_state\nfrom . import core\n"
+               "def f(words):\n    seed_sequence_state(words, 1)\n    derive_seeds([(1, 2)])\n"
+               "    return core.seed_sequence_state(words, 2), core.seed_sequence_state\n")
+        assert seed_hash_uses(src) == [
+            "seed_sequence_state (line 1)", "seed_sequence_state (line 4)", "core.seed_sequence_state (line 6)"]
 
     def test_outside_modules_are_not_checked(self):
         assert private_imports("from os import _exit\nimport numpy as np\nnp._x\n") == []
