@@ -7,11 +7,15 @@ on a complete graph, collusion adjustment and spotted-contribution terms.
 
 All logarithms are natural.  Bounds with a stated validity window enforce it
 by default; passing ``unchecked=True`` skips the check and tags the
-resulting report as outside the window.
+resulting report as outside the window.  The bounds that return a bare
+number (``cycle_bound_sum``, ``erlingsson_shuffle``, ``feldman_shuffle`` and
+``sgd_network_rdp``) have no report to tag: for them ``unchecked`` only
+skips the check.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -73,7 +77,7 @@ class BoundReport:
     unchecked: bool = False
 
     def __post_init__(self):
-        if self.epsilon_out < 0:
+        if not self.epsilon_out >= 0:  # nan included
             raise ValueError("epsilon_out must be non-negative")
         if not 0 <= self.delta_out <= 1:
             raise ValueError(f"delta_out must be in [0, 1], got {self.delta_out}")
@@ -89,7 +93,7 @@ class RdpPoint:
     def __post_init__(self):
         if not self.alpha > 1:
             raise ValueError(f"alpha must be > 1, got {self.alpha}")
-        if self.eps_rdp < 0:
+        if not self.eps_rdp >= 0:  # nan included
             raise ValueError("eps_rdp must be non-negative")
 
 
@@ -126,7 +130,7 @@ def advanced_composition_hetero(eps_list: Sequence[float], delta_prime: float) -
     e = np.asarray(eps_list, dtype=float)
     if e.size == 0:
         return 0.0
-    if (e < 0).any():
+    if not (e >= 0).all():
         raise ValueError("per-release eps must be non-negative")
     return float(
         math.sqrt(2.0 * math.log(1.0 / delta_prime) * float(np.sum(e * e)))
@@ -174,10 +178,19 @@ def subsample_amplify(eps_a: float, n: int, m: int) -> float:
         raise ValueError("n must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if eps_a < 0:
+    if not eps_a >= 0:
         raise ValueError("eps_a must be non-negative")
     sampled = -math.expm1(m * math.log1p(-1.0 / n)) if n > 1 else 1.0
     return math.log1p(sampled * math.expm1(eps_a))
+
+
+def _window(ok: bool, unchecked: bool, message: str) -> bool:
+    """``ok``, the validity-window decision of a closed form; raises
+    :class:`ValidityWindowError` with ``message`` when the window fails and
+    the caller did not pass ``unchecked``."""
+    if not ok and not unchecked:
+        raise ValidityWindowError(message)
+    return ok
 
 
 def cycle_bound_sum(eps: float, n: int, unchecked: bool = False) -> float:
@@ -189,8 +202,7 @@ def cycle_bound_sum(eps: float, n: int, unchecked: bool = False) -> float:
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if eps > 1 and not unchecked:
-        raise ValidityWindowError(f"cycle bound requires eps <= 1, got {eps}")
+    _window(not eps > 1, unchecked, f"cycle bound requires eps <= 1, got {eps}")
     if n < 1:
         raise ValueError("n must be >= 1")
     return 3.0 * eps / math.sqrt(n)
@@ -234,12 +246,9 @@ def erlingsson_shuffle(
         raise ValueError("eps0 must be positive")
     if n < 1 or not 0 < delta < 1:
         raise ValueError(f"need n >= 1 and delta in (0, 1), got n={n}, delta={delta}")
-    if not unchecked:
-        if n < 100 or not eps0 < 0.5 or not 0 < delta < 0.01:
-            raise ValidityWindowError(
-                "shuffle closed form needs n >= 100, eps0 < 1/2, delta < 1/100 "
-                f"(got n={n}, eps0={eps0}, delta={delta})"
-            )
+    _window(not n < 100 and eps0 < 0.5 and 0 < delta < 0.01, unchecked,
+            "shuffle closed form needs n >= 100, eps0 < 1/2, delta < 1/100 "
+            f"(got n={n}, eps0={eps0}, delta={delta})")
     return 12.0 * eps0 * math.sqrt(math.log(1.0 / delta) / n)
 
 
@@ -266,10 +275,8 @@ def feldman_shuffle(
     if n < 1:
         raise ValueError("n must be >= 1")
     limit = math.log(n / (16.0 * math.log(2.0 / delta))) if n > 16.0 * math.log(2.0 / delta) else float("-inf")
-    if eps0 > limit and not unchecked:
-        raise ValidityWindowError(
-            f"clones bound needs eps0 <= ln(n / (16 ln(2/delta))) = {limit:.4g}, got {eps0}"
-        )
+    _window(not eps0 > limit, unchecked,
+            f"clones bound needs eps0 <= ln(n / (16 ln(2/delta))) = {limit:.4g}, got {eps0}")
     e = math.exp(eps0)
     exact = math.log1p(
         (e - 1.0) / (e + 1.0) * (8.0 * math.sqrt(e * math.log(4.0 / delta) / n) + 8.0 * e / n)
@@ -330,13 +337,10 @@ def ring_hist_bound(
     """
     if n < 1 or not 0 < delta < 1:
         raise ValueError(f"need n >= 1 and delta in (0, 1), got n={n}, delta={delta}")
-    window_ok = eps < 0.5 and 0 < delta < 0.01 and n > 1000
-    if not window_ok and not unchecked:
-        raise ValidityWindowError(
-            "ring histogram bound needs eps < 1/2, delta < 1/100, n > 1000 "
-            f"(got eps={eps}, delta={delta}, n={n})"
-        )
-    eps0 = 12.0 * eps * math.sqrt(math.log(1.0 / delta) / n)
+    window_ok = _window(eps < 0.5 and 0 < delta < 0.01 and n > 1000, unchecked,
+                        "ring histogram bound needs eps < 1/2, delta < 1/100, n > 1000 "
+                        f"(got eps={eps}, delta={delta}, n={n})")
+    eps0 = erlingsson_shuffle(eps, n, delta, unchecked=True)  # the window above is the stricter
     gamma = rr_epsilon_to_gamma(eps0, domain_size)
     if K == 0:
         # init-only run: the token is seeded with data-independent uniform
@@ -416,8 +420,7 @@ def complete_sum_bound(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if eps > 1 and not unchecked:
-        raise ValidityWindowError(f"summation bound requires eps <= 1, got {eps}")
+    window_ok = _window(not eps > 1, unchecked, f"summation bound requires eps <= 1, got {eps}")
     eps_cycle = 3.0 * eps / math.sqrt(n)
     eps_f, delta_f, chain = _cycle_chain(eps, delta, eps_cycle, n, T, delta_prime,
                                          None if fixed_contributions else delta_hat)
@@ -431,7 +434,7 @@ def complete_sum_bound(
         epsilon_out=eps_f,
         delta_out=delta_f,
         intermediates=chain,
-        unchecked=eps > 1,
+        unchecked=not window_ok,
     )
 
 
@@ -485,12 +488,9 @@ def complete_hist_bound(
     """
     if n < 1 or not 0 < delta < 1:
         raise ValueError(f"need n >= 1 and delta in (0, 1), got n={n}, delta={delta}")
-    window_ok = eps <= 1 and n >= 196.0 * math.log(4.0 / delta)
-    if not window_ok and not unchecked:
-        raise ValidityWindowError(
-            "histogram bound needs eps <= 1 and n >= 196 ln(4/delta) "
-            f"(= {196.0 * math.log(4.0 / delta):.1f}; got eps={eps}, n={n})"
-        )
+    window_ok = _window(eps <= 1 and n >= 196.0 * math.log(4.0 / delta), unchecked,
+                        "histogram bound needs eps <= 1 and n >= 196 ln(4/delta) "
+                        f"(= {196.0 * math.log(4.0 / delta):.1f}; got eps={eps}, n={n})")
     eps_cycle = 21.0 * math.sqrt(math.log(4.0 / delta) / n) * eps
     eps_f, delta_f, chain = _cycle_chain(eps, delta, eps_cycle, n, T, delta_prime,
                                          None if fixed_contributions else delta_hat)
@@ -582,11 +582,9 @@ def sgd_network_rdp(
         raise ValueError("sigma must be positive")
     threshold = L * math.sqrt(2.0 * alpha * (alpha - 1.0))
     # 1e-9 relative slack admits orders sitting exactly on the boundary
-    if sigma < threshold * (1.0 - 1e-9) and not unchecked:
-        raise ValidityWindowError(
+    _window(not sigma < threshold * (1.0 - 1e-9), unchecked,
             "weak convexity needs sigma >= L sqrt(2 alpha (alpha - 1)); "
-            f"got sigma={sigma}, threshold={threshold:.4g}"
-        )
+            f"got sigma={sigma}, threshold={threshold:.4g}")
     return RdpPoint(alpha, 4.0 * T_u * alpha * L * L * math.log(n) / (sigma * sigma * n))
 
 
@@ -608,11 +606,8 @@ def sgd_closed_form_bound(
     holding with probability delta + delta_hat.  Requires eps < 1 and
     delta < 1/2.
     """
-    window_ok = eps < 1 and delta < 0.5
-    if not window_ok and not unchecked:
-        raise ValidityWindowError(
-            f"closed form needs eps < 1 and delta < 1/2 (got eps={eps}, delta={delta})"
-        )
+    window_ok = _window(eps < 1 and delta < 0.5, unchecked,
+                        f"closed form needs eps < 1 and delta < 1/2 (got eps={eps}, delta={delta})")
     if n < 2 or not 0 < delta < 1:
         raise ValueError(f"need n >= 2 and delta in (0, 1), got n={n}, delta={delta}")
     n_u = chernoff_visit_bound(T, 1.0 / n, delta_hat)
@@ -661,7 +656,8 @@ def grid_bisect(eps_of: Callable[[float], float], target: float, grid: Sequence[
     """Smallest index i with eps_of(grid[i]) <= target, for eps_of non-increasing on grid.
 
     Evaluates the last grid point first to detect infeasibility, then
-    bisects the index, so a grid of m points costs at most
+    bisects the index below it with the standard library's
+    ``bisect.bisect_left``, so a grid of m points costs at most
     1 + ceil(log2 m) evaluations.  On a monotone grid this is the index a
     linear first-hit scan returns.  Raises :class:`InfeasibleError` with the
     eps and sigma at the last point (``best_eps``, ``at_sigma``) when no
@@ -679,14 +675,7 @@ def grid_bisect(eps_of: Callable[[float], float], target: float, grid: Sequence[
             f"no grid point meets eps <= {target}",
             diagnostics={"best_eps": eps_hi, "at_sigma": float(grid[hi])},
         )
-    lo = 0  # every index below lo misses the target; grid[hi] meets it
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if eps_of(float(grid[mid])) <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    return bisect.bisect_left(grid, True, hi=hi, key=lambda point: eps_of(float(point)) <= target)
 
 
 def sigma_search(
@@ -738,7 +727,7 @@ def sgd_utility_bound(
     the noisy gradients when the per-step noise is calibrated to
     (eps, delta) with sensitivity 2L.
     """
-    if min(D_diam, L, d, eps, delta) <= 0 or T < 1:
+    if not all(v > 0 for v in (D_diam, L, d, eps, delta)) or T < 1:
         raise ValueError("all inputs must be positive and T >= 1")
     G = math.sqrt(L * L + 8.0 * d * L * L * math.log(1.25 / delta) / (eps * eps))
     return 2.0 * D_diam * G * (2.0 + math.log(T)) / math.sqrt(T)
@@ -842,7 +831,7 @@ def spotted_bound(
 
     which the caller adds (together with delta_tilde) to a base bound.
     """
-    if N_u < 0 or n < 1 or eps < 0:
+    if not N_u >= 0 or n < 1 or not eps >= 0:
         raise ValueError("need N_u >= 0, n >= 1 and eps >= 0")
     if not 0 < delta_tilde < 1 or not 0 < delta_prime < 1:
         raise ValueError("delta_tilde and delta_prime must be in (0, 1)")

@@ -70,16 +70,16 @@ def seed_sequence_state(words, n_words: int) -> np.ndarray:
     ``words`` is an (R, W) array of 32-bit entropy words, one row per
     sequence, laid out as ``SeedSequence`` splits its entropy: each int as
     its words, least significant first.  The rows are hashed together in
-    uint32 lanes.  A row shorter than the 4-word pool hashes as if
-    zero-padded, since the pool hashes a missing word as a zero word.
+    uint32 lanes.  Rows must fill at least the 4-word pool: ``SeedSequence``
+    hashes a missing pool word as a zero word, so a shorter row is hashed
+    as its zero-padded copy, which the caller pads (``_seed_words`` does).
     Returns an (R, n_words) uint64 array.
     """
     words = np.asarray(words, dtype=np.uint32)
     width = words.shape[1]
-    lanes = words.T
     if width < _POOL:
-        lanes = np.zeros((_POOL, words.shape[0]), dtype=np.uint32)
-        lanes[:width] = words.T
+        raise ValueError(f"entropy rows need at least {_POOL} words, got {width}")
+    lanes = words.T
     xor, mul = _FILL_CALLS if width <= _POOL else _hash_calls(*_FILL, 4 * width)
     pool = lanes[:_POOL] ^ xor[:_POOL]  # in place from here: on few lanes, each call's fixed cost dominates
     pool *= mul[:_POOL]

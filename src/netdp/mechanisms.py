@@ -5,7 +5,6 @@ L-ary randomized response for categorical ones.  Calibration maps a
 per-contribution privacy budget to the mechanism parameter:
 
     Gaussian:  sigma = sensitivity * sqrt(2 ln(1.25/delta)) / eps   (eps < 1)
-    Laplace:   scale = sensitivity / eps
     kRR:       gamma = L / (e^eps + L - 1)
 """
 
@@ -45,13 +44,6 @@ def gaussian_epsilon(sigma: float, sensitivity: float, delta: float) -> float:
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / sigma
-
-
-def calibrate_laplace(sensitivity: float, epsilon: float) -> float:
-    """Laplace scale making the mechanism (eps, 0)-LDP: scale = sensitivity / eps."""
-    if not sensitivity > 0 or not epsilon > 0:
-        raise ValueError("sensitivity and epsilon must be positive")
-    return sensitivity / epsilon
 
 
 def perturb(x, kind: Literal["gaussian", "laplace"], stddev, rng: np.random.Generator, out=None):
@@ -127,11 +119,3 @@ def rr_epsilon_to_gamma(epsilon0: float, domain_size: int) -> float:
     if domain_size < 2:
         raise ValueError("domain_size must be >= 2")
     return domain_size / (math.exp(epsilon0) + domain_size - 1)
-
-
-def rr_gamma_to_epsilon(gamma: float, domain_size: int) -> float:
-    """Inverse of :func:`rr_epsilon_to_gamma` for gamma in (0, 1]."""
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must be in (0, 1]")
-    keep = 1 - gamma + gamma / domain_size
-    return math.log(keep / (gamma / domain_size))

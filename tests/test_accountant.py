@@ -499,6 +499,109 @@ class TestGridBisect:
                 grid[i], acct.network_sgd_eps(grid[i], T_u, n, 1.0, delta)[1])
 
 
+def _loop_grid_bisect(eps_of, target, grid):
+    """Reference: grid_bisect written as a hand-rolled index bisection."""
+    if len(grid) == 0:
+        raise InfeasibleError("empty grid")
+    hi = len(grid) - 1
+    if not eps_of(float(grid[hi])) <= target:
+        raise InfeasibleError("no grid point meets the target")
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if eps_of(float(grid[mid])) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _loop_order(eps_at):
+    """Reference: centralized_sgd_epsilon's order search as a hand-rolled bisection."""
+    lo, hi = 2, acct.MAX_RDP_ORDER
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if eps_at(mid + 1) < eps_at(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _loop_centralized_eps(sigma, T, n, delta):
+    """Reference: centralized_sgd_epsilon with the hand-rolled order search."""
+    def eps_at(alpha):
+        rdp = acct.sampled_gaussian_rdp(1.0 / n, sigma / dpml.GRAD_SENSITIVITY, float(alpha))
+        return acct.rdp_to_dp(acct.RdpPoint(alpha, T * rdp), delta)
+    return eps_at(_loop_order(eps_at))
+
+
+class TestSearchProbes:
+    """Both searches evaluate the same points, in the same order, as the
+    hand-rolled bisections they replaced, so every calibrated sigma and
+    order is unchanged; nan and non-monotone inputs included."""
+
+    @given(eps=st.lists(st.one_of(st.floats(0.0, 10.0), st.just(math.nan)), min_size=1, max_size=80),
+           target=st.floats(0.0, 10.0))
+    def test_grid_bisect(self, eps, target):
+        grid = np.arange(len(eps), dtype=float)
+        outcomes = []
+        for search in (acct.grid_bisect, _loop_grid_bisect):
+            probes = []
+            try:
+                found = search(lambda s: probes.append(s) or eps[int(s)], target, grid)
+            except InfeasibleError:
+                found = None
+            outcomes.append((found, probes))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("sigma,T,n,delta", [(0.05, 100, 10, 1e-6), (2.0, 2000, 200, 1e-6),
+                                                 (30.0, 500, 50, 1e-8), (1e6, 2000, 200, 1e-6)])
+    def test_order_search(self, monkeypatch, sigma, T, n, delta):
+        probes = {dpml: [], acct: []}  # the search under test reads dpml's name, the loop acct's
+        rdp = acct.sampled_gaussian_rdp
+        for module in probes:
+            monkeypatch.setattr(module, "sampled_gaussian_rdp",
+                                lambda q, z, a, seen=probes[module]: seen.append(a) or rdp(q, z, a))
+        assert dpml.centralized_sgd_epsilon(sigma, T, n, delta) == _loop_centralized_eps(sigma, T, n, delta)
+        assert probes[dpml] == probes[acct]
+
+    @given(seed=st.integers(0, 2**32 - 1), falling=st.integers(0, acct.MAX_RDP_ORDER),
+           nan_share=st.sampled_from([0.0, 0.05, 0.5]))
+    def test_order_search_on_any_eps(self, seed, falling, nan_share):
+        # eps(alpha) read from a table that falls over its first orders, then
+        # is random; nan and rising runs take the loop's branches
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(0.0, 10.0, acct.MAX_RDP_ORDER + 1)
+        table[:falling] = np.sort(table[:falling])[::-1]
+        table[rng.random(table.size) < nan_share] = math.nan
+        table = table.tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            probes = []
+            mp.setattr(dpml, "rdp_to_dp", lambda point, _: probes.append(point.alpha) or table[point.alpha])
+            got = dpml.centralized_sgd_epsilon(1.0, 10, 10, 1e-6)
+        expected = []
+        order = _loop_order(lambda a: expected.append(a) or table[a])
+        assert probes == expected + [order]
+        assert got == table[order] or (math.isnan(got) and math.isnan(table[order]))
+
+    @pytest.mark.parametrize("eps", [0.3, 1.0, 4.0])
+    def test_calibrated_sigmas(self, eps):
+        n, T, delta = 200, 2000, 1e-6
+        grid = dpml._sigma_grid()
+        for regime in (dpml.LOCAL, dpml.CENTRALIZED):
+            config = dpml.TrainConfig(regime=regime, T=T, eta=0.1, budget=PrivacyBudget(eps, delta))
+            cap = dpml.contribution_cap(T, n, config.cap_multiplier)
+            eps_of = (lambda s: dpml.local_sgd_epsilon(s, cap, delta)) if regime == dpml.LOCAL else (
+                lambda s: _loop_centralized_eps(s, T, n, delta))
+            assert dpml.calibrate_regime(config, n) == grid[_loop_grid_bisect(eps_of, eps, grid)]
+        grid = _network_grid(1e-3, 1e6, 1.01)
+        eps_of = lambda s: acct.network_sgd_eps(s, 10, n, 1.0, delta)[0]
+        sigma = grid[_loop_grid_bisect(eps_of, eps, grid)]
+        alpha = acct.network_sgd_eps(sigma, 10, n, 1.0, delta)[1]
+        assert acct.sigma_search(eps, delta, 10, n, 1.0) == (sigma, alpha)
+
+
 class TestGridMonotonicity:
     """eps is non-increasing along each calibration grid, as grid_bisect assumes."""
 
@@ -696,17 +799,18 @@ class TestBoundReport:
 
 class TestCornerInputs:
     """Every public closed form, on a grid of corner inputs (zero, negative,
-    one, the ends of (0, 1)), returns a finite eps >= 0 or raises
+    one, the ends of (0, 1), nan), returns a finite eps >= 0 or raises
     ``ValueError``/``ValidityWindowError``, and nothing else."""
 
-    EPS = (-1.0, 0.0, 0.5, 2.0)
-    DELTA = (0.0, 1e-6, 0.5, 1.0)
+    NAN = math.nan
+    EPS = (-1.0, 0.0, 0.5, 2.0, NAN)
+    DELTA = (0.0, 1e-6, 0.5, 1.0, NAN)
     COUNT = (-1, 0, 1, 2, 1000)
     GRIDS = {
-        "advanced_composition": (EPS, DELTA, (0, 1, 2.5), DELTA),
-        "advanced_composition_hetero": (([], [0.0], [-1.0, 0.5], [0.5, 2.0]), DELTA),
-        "simple_composition": (EPS, DELTA, (0, 1, 2.5)),
-        "chernoff_visit_bound": (COUNT, (-1.0, 0.0, 0.5, 1.0, 2.0), DELTA),
+        "advanced_composition": (EPS, DELTA, (0, 1, 2.5, NAN), DELTA),
+        "advanced_composition_hetero": (([], [0.0], [-1.0, 0.5], [0.5, 2.0], [0.5, NAN]), DELTA),
+        "simple_composition": (EPS, DELTA, (0, 1, 2.5, NAN)),
+        "chernoff_visit_bound": (COUNT, (-1.0, 0.0, 0.5, 1.0, 2.0, NAN), DELTA),
         "subsample_amplify": (EPS, COUNT, COUNT),
         "cycle_bound_sum": (EPS, COUNT),
         "cycle_bound_hist": (EPS, DELTA, COUNT, COUNT),
@@ -716,16 +820,18 @@ class TestCornerInputs:
         "ring_hist_bound": (EPS, DELTA, COUNT, COUNT, (1, 5), DELTA),
         "complete_sum_bound": (EPS, DELTA, COUNT, COUNT, DELTA, DELTA),
         "complete_hist_bound": (EPS, DELTA, COUNT, COUNT, DELTA, DELTA, (1, 5)),
-        "local_baseline_sum": (EPS, DELTA, (0, 1, 2.5), DELTA),
-        "rdp_to_dp": ((1.5, 2.0), (0.0, 1.0), DELTA),
-        "pnsgd_iteration_rdp": ((1.5, 2.0), (-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), COUNT),
-        "sgd_network_rdp": ((1.5, 2.0), (-1.0, 0.0, 10.0), (-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0, 5.0), COUNT),
+        "local_baseline_sum": (EPS, DELTA, (0, 1, 2.5, NAN), DELTA),
+        "rdp_to_dp": ((1.5, 2.0, NAN), (0.0, 1.0, NAN), DELTA),
+        "pnsgd_iteration_rdp": ((1.5, 2.0, NAN), (-1.0, 0.0, 1.0, NAN), (-1.0, 0.0, 1.0, NAN), COUNT),
+        "sgd_network_rdp": ((1.5, 2.0, NAN), (-1.0, 0.0, 10.0, NAN), (-1.0, 0.0, 1.0, NAN),
+                            (-1.0, 0.0, 1.0, 5.0, NAN), COUNT),
         "sgd_closed_form_bound": (EPS, DELTA, COUNT, COUNT, DELTA),
-        "network_sgd_eps": ((-1.0, 0.0, 0.5, 100.0), (-1.0, 0.0, 10.0), COUNT, (-1.0, 0.0, 1.0), DELTA),
-        "sgd_utility_bound": ((0.0, 1.0), (0.0, 1.0), (0, 5), EPS, DELTA, COUNT),
-        "sampled_gaussian_rdp": ((-1.0, 0.0, 0.5, 1.0), (-1.0, 0.0, 1.0), (1, 2, 2.5)),
+        "network_sgd_eps": ((-1.0, 0.0, 0.5, 100.0, NAN), (-1.0, 0.0, 10.0, NAN), COUNT,
+                            (-1.0, 0.0, 1.0, NAN), DELTA),
+        "sgd_utility_bound": ((0.0, 1.0, NAN), (0.0, 1.0, NAN), (0, 5), EPS, DELTA, COUNT),
+        "sampled_gaussian_rdp": ((-1.0, 0.0, 0.5, 1.0, NAN), (-1.0, 0.0, 1.0, NAN), (1, 2, 2.5, NAN)),
         "collusion_adjust": (COUNT, COUNT),
-        "spotted_bound": ((-1.0, 0.0, 10.0), COUNT, EPS, DELTA, DELTA, ("simple", "advanced")),
+        "spotted_bound": ((-1.0, 0.0, 10.0, NAN), COUNT, EPS, DELTA, DELTA, ("simple", "advanced")),
     }
     WINDOWED = {"cycle_bound_sum", "erlingsson_shuffle", "feldman_shuffle", "ring_hist_bound",
                 "complete_sum_bound", "complete_hist_bound", "sgd_network_rdp", "sgd_closed_form_bound"}
@@ -766,3 +872,21 @@ class TestCornerInputs:
                     continue
                 for eps in self.epsilons(result):
                     assert math.isfinite(eps) and eps >= 0, (name, args, kwargs, eps)
+
+    @pytest.mark.parametrize("name", ["ring_hist_bound", "complete_sum_bound", "complete_hist_bound",
+                                      "sgd_closed_form_bound"])
+    def test_report_tag_is_the_window_decision(self, name):
+        # a report computed with unchecked=True is tagged exactly where the
+        # checked call raises ValidityWindowError, nan inputs included
+        fn = getattr(acct, name)
+        for args in itertools.product(*self.GRIDS[name]):
+            try:
+                report = fn(*args, unchecked=True)
+            except ValueError:
+                continue
+            try:
+                fn(*args)
+                raised = False
+            except ValidityWindowError:
+                raised = True
+            assert report.unchecked == raised, (name, args)

@@ -354,7 +354,8 @@ class TestSgdCompare:
         out = tmp_path / "out"
         assert run_cli("--experiment", "sgd_compare", "--out", out, "--set", "eps=1",
                        "--set", "n=12", "--set", "T=150", "--set", "tune_seeds=2") == 3
-        assert "finite mean objective" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "finite mean objective" in err and "config at eps = 1.0 " in err and "'eps': 1.0" in err
         assert not out.exists()
 
     def test_real_dataset_requires_path(self, tmp_path):

@@ -244,8 +244,10 @@ class TestSeedSequenceState:
                st.lists(WORD, min_size=width, max_size=width), min_size=1, max_size=5)),
            n_words=st.sampled_from([1, 2, 4]))
     def test_matches_seed_sequence(self, rows, n_words):
+        # SeedSequence hashes a row narrower than its 4-word pool as the zero-padded row
         expected = [np.random.SeedSequence(row).generate_state(n_words, np.uint64) for row in rows]
-        got = seed_sequence_state(np.array(rows, dtype=np.uint32), n_words)
+        padded = [row + [0] * (4 - len(row)) for row in rows]
+        got = seed_sequence_state(np.array(padded, dtype=np.uint32), n_words)
         assert got.dtype == np.uint64 and got.tolist() == np.array(expected).tolist()
 
     @settings(max_examples=150, deadline=None)
@@ -259,4 +261,8 @@ class TestSeedSequenceState:
         assert seed_sequence_state([row], n_words).tolist() == [expected.tolist()]
 
     def test_no_rows(self):
-        assert seed_sequence_state(np.zeros((0, 3), dtype=np.uint32), 2).shape == (0, 2)
+        assert seed_sequence_state(np.zeros((0, 4), dtype=np.uint32), 2).shape == (0, 2)
+
+    def test_rows_narrower_than_the_pool_rejected(self):
+        with pytest.raises(ValueError, match="at least 4 words"):
+            seed_sequence_state(np.zeros((2, 3), dtype=np.uint32), 1)

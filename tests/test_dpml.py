@@ -377,6 +377,7 @@ class TestTuneEta:
         with pytest.raises(InfeasibleError, match="finite mean objective") as info:
             dpml.tune_eta(batch, data, [(0, 1), (0, 2)], grid=[1e307, 1e308])
         assert info.value.diagnostics["etas"] == [1e307, 1e308]
+        assert info.value.diagnostics["eps"] == 1.0 and "network config at eps = 1.0" in str(info.value)
         assert not np.isfinite(info.value.diagnostics["mean_objectives"]).any()
         # one finite eta is enough
         assert dpml.tune_eta(batch, data, [(0, 1), (0, 2)], grid=[1e307, 1e-2]) == [1e-2]

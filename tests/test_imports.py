@@ -4,8 +4,11 @@ Every name a module imports must be used in it (a name listed in the
 module's ``__all__`` counts as used), every name in ``__all__`` must be
 bound at module level, no module may import a private (single-underscore)
 name from another netdp module, every private module-level name must be
-read somewhere in the package outside its own definition, and no module may
-import scipy: the runtime needs numpy and the standard library alone.  A
+read somewhere in the package outside its own definition, every public
+module-level function or class must be read there too or be listed in its
+module's ``__all__`` (a short allowlist names the few kept for the
+acceptance tests or as test references), and no module may import scipy:
+the runtime needs numpy and the standard library alone.  A
 subprocess check confirms that no CLI path loads scipy at run time either.
 Random generators come from ``core`` alone: no other module calls anything
 under ``np.random`` or imports from it, so every stream is keyed by the one
@@ -125,6 +128,36 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """Public module-level functions and classes of ``sources`` (file name ->
+    source) that no ``ast.Name`` or ``ast.Attribute`` in any of them reads
+    outside their own definition, and that their module's ``__all__`` does
+    not list."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    refs = sum((name_refs(tree) for tree in trees.values()), Counter())
+    found = []
+    for file, tree in trees.items():
+        exported = exported_names(tree)
+        for stmt in tree.body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_") and stmt.name not in exported
+                    and refs[stmt.name] == name_refs(stmt)[stmt.name]):
+                found.append(f"{file}: {stmt.name} (line {stmt.lineno})")
+    return found
+
+
+# Public names that nothing in src/ reads, kept on purpose.
+KEPT_PUBLIC = {
+    "visit_counts",  # c06 and c07 count visits with it
+    "audit_ring_sum_structure",  # c02's structural audit of the ring protocol
+    "empirical_pair_loss_spotted",  # c12's spotted-contribution losses
+    "empirical_pair_loss_sum",  # c12's base losses; reference for the per-observer summary
+    "logistic_grad",  # reference for the lockstep kernel's signed-row gradient
+    "logistic_objective",  # reference for the checkpoint objective
+    "calibrate_gaussian",  # reference for gaussian_epsilon, its inverse
+}
+
+
 def scipy_imports(source: str) -> list[str]:
     """Imports of scipy or any of its submodules, wherever they appear."""
     found = []
@@ -216,6 +249,13 @@ def test_no_dead_private_names():
     assert dead_private_names({path.name: path.read_text() for path in MODULES}) == []
 
 
+def test_no_public_name_that_nothing_calls():
+    found = unreferenced_public_names({path.name: path.read_text() for path in MODULES})
+    names = {entry.split(": ")[1].split(" ")[0] for entry in found}
+    assert names - KEPT_PUBLIC == set(), found
+    assert KEPT_PUBLIC - names == set()  # a kept name that gained a caller leaves the list
+
+
 RUNTIME_PROBE = """
 import sys
 from pathlib import Path
@@ -277,6 +317,16 @@ class TestCheckers:
         }
         assert dead_private_names(sources) == [
             "a.py: _recursive (line 2)", "a.py: _LOOSE (line 3)", "a.py: _named (line 5)"]
+
+    def test_unreferenced_public_names_are_reported(self):
+        sources = {
+            "a.py": ('def used(): pass\ndef recursive(k): return recursive(k - 1)\n'
+                     'class Holder: pass\ndef listed(): pass\ndef _private(): pass\n'
+                     'def named():\n    """Calls loose."""\n    return used()\ndef loose(): pass\n'
+                     '__all__ = ["listed"]\n'),
+            "b.py": "from . import a\ny = a.Holder\nz = a.named()\n",
+        }
+        assert unreferenced_public_names(sources) == ["a.py: recursive (line 2)", "a.py: loose (line 9)"]
 
     def test_scipy_imports_are_reported(self):
         src = ("import numpy as np\nimport scipy.special as sp\nfrom scipy import stats\n"

@@ -10,14 +10,12 @@ from netdp.mechanisms import (
     GAUSSIAN,
     LAPLACE,
     calibrate_gaussian,
-    calibrate_laplace,
     check_categories,
     clip_contribution,
     gaussian_epsilon,
     perturb,
     rr_epsilon_to_gamma,
     rr_gamma_draws,
-    rr_gamma_to_epsilon,
 )
 
 
@@ -47,26 +45,6 @@ class TestCalibrateGaussian:
         assert gaussian_epsilon(sigma, 3.0, b.delta) == pytest.approx(b.epsilon, rel=1e-12)
 
 
-class TestCalibrateLaplace:
-    def test_unit(self):
-        assert calibrate_laplace(1.0, 1.0) == 1.0
-
-    def test_half_eps(self):
-        assert calibrate_laplace(2.0, 0.5) == 4.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            calibrate_laplace(0.0, 1.0)
-        with pytest.raises(ValueError):
-            calibrate_laplace(1.0, -2.0)
-
-    def test_emitted_stddev(self, rng):
-        # Laplace(b) has std b * sqrt(2): Monte Carlo moment check
-        draws = perturb(np.zeros(10**6), LAPLACE, 4.0 * math.sqrt(2.0), rng)
-        assert draws.std() == pytest.approx(4.0 * math.sqrt(2.0), rel=0.01)
-        assert np.mean(np.abs(draws)) == pytest.approx(4.0, rel=0.01)  # E|X| = b
-
-
 class TestPerturb:
     def test_unbiased_clt_band(self, rng):
         sigma, draws = 2.0, 10**6
@@ -81,6 +59,12 @@ class TestPerturb:
         sigma = 0.7
         out = perturb(np.zeros(10**6), GAUSSIAN, sigma, rng)
         assert out.var() == pytest.approx(sigma**2, rel=0.02)
+
+    def test_laplace_emitted_stddev(self, rng):
+        # Laplace(b) has std b * sqrt(2): Monte Carlo moment check
+        draws = perturb(np.zeros(10**6), LAPLACE, 4.0 * math.sqrt(2.0), rng)
+        assert draws.std() == pytest.approx(4.0 * math.sqrt(2.0), rel=0.01)
+        assert np.mean(np.abs(draws)) == pytest.approx(4.0, rel=0.01)  # E|X| = b
 
     def test_composed_variance_adds(self, rng):
         # n perturbations add variance n * sigma^2
@@ -204,8 +188,9 @@ class TestRrCalibration:
         L=st.integers(min_value=2, max_value=1000),
     )
     def test_round_trip(self, eps0, L):
+        # the worst-case likelihood ratio of the calibrated gamma is e^eps0
         gamma = rr_epsilon_to_gamma(eps0, L)
-        assert rr_gamma_to_epsilon(gamma, L) == pytest.approx(eps0, rel=1e-9)
+        assert (1 - gamma + gamma / L) / (gamma / L) == pytest.approx(math.exp(eps0), rel=1e-9)
 
 
 def test_clip_contribution():
