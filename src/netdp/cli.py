@@ -432,13 +432,12 @@ def cmd_sgd_compare(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> 
             "mean_final_accuracy": float(accs.mean()),
             "diverged_runs": sum(1 for r in pair if r.diverged),
         })
-        # mean traces across seeds
-        dpml.write_trace_csv(
-            run_dir / f"trace_{regime}_eps{eps:g}.csv",
-            pair[0].objective_trace[:, 0],
-            np.mean([r.objective_trace[:, 1] for r in pair], axis=0),
-            np.mean([r.accuracy_trace[:, 1] for r in pair], axis=0),
-        )
+        # mean traces across seeds, as Python numbers: _fmt writes floats by repr
+        columns = ["step", "objective", "test_accuracy"]
+        trace = zip(pair[0].objective_trace[:, 0].astype(int).tolist(),
+                    np.mean([r.objective_trace[:, 1] for r in pair], axis=0).tolist(),
+                    np.mean([r.accuracy_trace[:, 1] for r in pair], axis=0).tolist())
+        _write_csv(run_dir / f"trace_{regime}_eps{eps:g}.csv", columns, [dict(zip(columns, p)) for p in trace])
     _write_csv(
         run_dir / "results.csv",
         ["regime", "eps", "sigma", "eta", "mean_final_objective",

@@ -106,15 +106,6 @@ class TrainResult:
     max_contributions: int
 
 
-def write_trace_csv(path, steps: np.ndarray, objective: np.ndarray, accuracy: np.ndarray) -> None:
-    """Write a training trace as CSV with header ``step,objective,test_accuracy``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "objective", "test_accuracy"])
-        for step, obj, acc in zip(steps, objective, accuracy):
-            writer.writerow([int(step), repr(float(obj)), repr(float(acc))])
-
-
 # ---------------------------------------------------------------------------
 # Data
 # ---------------------------------------------------------------------------

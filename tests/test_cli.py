@@ -496,13 +496,14 @@ class TestSgdCompare:
                     repr(float(np.mean([r.final_accuracy for r in results]))),
                     str(sum(r.diverged for r in results)),
                 ])
-                trace = tmp_path / "trace.csv"
-                dpml.write_trace_csv(
-                    trace, results[0].objective_trace[:, 0],
-                    np.mean([r.objective_trace[:, 1] for r in results], axis=0),
-                    np.mean([r.accuracy_trace[:, 1] for r in results], axis=0),
-                )
-                assert files[1][f"trace_{regime}_eps{eps:g}.csv"] == trace.read_bytes()
+                trace = io.StringIO()
+                writer = csv.writer(trace)
+                writer.writerow(["step", "objective", "test_accuracy"])
+                for step, obj, acc in zip(results[0].objective_trace[:, 0],
+                                          np.mean([r.objective_trace[:, 1] for r in results], axis=0),
+                                          np.mean([r.accuracy_trace[:, 1] for r in results], axis=0)):
+                    writer.writerow([int(step), repr(float(obj)), repr(float(acc))])
+                assert files[1][f"trace_{regime}_eps{eps:g}.csv"] == trace.getvalue().encode()
         assert list(csv.reader(io.StringIO(files[1]["results.csv"].decode()))) == reference_rows
 
 
