@@ -128,8 +128,6 @@ def advanced_composition_hetero(eps_list: Sequence[float], delta_prime: float) -
     if not delta_prime > 0:
         raise ValueError("delta_prime must be positive")
     e = np.asarray(eps_list, dtype=float)
-    if e.size == 0:
-        return 0.0
     if not (e >= 0).all():
         raise ValueError("per-release eps must be non-negative")
     return float(
@@ -368,7 +366,7 @@ def ring_hist_bound(
 
 def _cycle_report(name: str, eps: float, delta: float, n: int, T: int, delta_prime: float,
                   delta_hat: float, fixed_contributions: bool, window_ok: bool, eps_cycle: float,
-                  extra_inputs: dict, extras: Callable[[], dict]) -> BoundReport:
+                  extra_inputs: dict, extras: dict) -> BoundReport:
     """The :class:`BoundReport` of the complete-graph cycle chain.
 
     With delta_hat, N_v is the Chernoff bound on the visits of one user and
@@ -385,8 +383,11 @@ def _cycle_report(name: str, eps: float, delta: float, n: int, T: int, delta_pri
     k eps_cycle (e^{eps_cycle} - 1), not sqrt(k) eps (e^{eps_cycle} - 1); the
     strict xfail ``tests/test_accountant.py::TestChainRecomposition`` pins
     the gap (ROADMAP item 1).  ``extra_inputs`` follow the chain's inputs,
-    and ``extras()``, called after the chain's checks, follows N_v,
-    num_cycles and eps_cycle in the intermediates.
+    and ``extras`` follow N_v, num_cycles and eps_cycle in the
+    intermediates.  T < 1, or fewer than one cycle (the fixed variant at
+    T < n/2, the Chernoff one at small T/n), is a ``ValueError``, as K < 1
+    is in :func:`advanced_composition`; the Chernoff variant's T < 1 raises
+    in :func:`chernoff_visit_bound` first.
     """
     if not 0 < delta_prime < 1:
         raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
@@ -394,6 +395,8 @@ def _cycle_report(name: str, eps: float, delta: float, n: int, T: int, delta_pri
         delta_hat = None
     n_v = T / n if delta_hat is None else chernoff_visit_bound(T, 1.0 / n, delta_hat)
     num_cycles = n_v + T / n
+    if not (T >= 1 and num_cycles >= 1):
+        raise ValueError(f"need T >= 1 and at least one cycle, got T={T}, n={n}: {num_cycles} cycles")
     eps_f = (
         math.sqrt(2.0 * num_cycles * math.log(1.0 / delta_prime)) * eps_cycle
         + math.sqrt(num_cycles) * eps * math.expm1(eps_cycle)
@@ -404,7 +407,7 @@ def _cycle_report(name: str, eps: float, delta: float, n: int, T: int, delta_pri
                 "delta_hat": delta_hat, **extra_inputs},
         epsilon_out=eps_f,
         delta_out=num_cycles * delta + delta_prime + (0.0 if delta_hat is None else delta_hat),
-        intermediates={"N_v": n_v, "num_cycles": num_cycles, "eps_cycle": eps_cycle, **extras()},
+        intermediates={"N_v": n_v, "num_cycles": num_cycles, "eps_cycle": eps_cycle, **extras},
         unchecked=not window_ok,
     )
 
@@ -440,7 +443,7 @@ def complete_sum_bound(
         raise ValueError(f"n must be >= 1, got {n}")
     window_ok = _window(not eps > 1, unchecked, f"summation bound requires eps <= 1, got {eps}")
     return _cycle_report("complete_sum", eps, delta, n, T, delta_prime, delta_hat, fixed_contributions,
-                         window_ok, 3.0 * eps / math.sqrt(n), {}, dict)
+                         window_ok, 3.0 * eps / math.sqrt(n), {}, {})
 
 
 def local_baseline_sum(
@@ -496,15 +499,12 @@ def complete_hist_bound(
     window_ok = _window(eps <= 1 and n >= 196.0 * math.log(4.0 / delta), unchecked,
                         "histogram bound needs eps <= 1 and n >= 196 ln(4/delta) "
                         f"(= {196.0 * math.log(4.0 / delta):.1f}; got eps={eps}, n={n})")
-
-    def extras() -> dict:  # called after the chain's checks, so their errors come first
-        gamma = rr_epsilon_to_gamma(eps, domain_size)
-        return {"cycle_bound_form": "simplified shuffle arm at m = n", "gamma": gamma,
-                "expected_random_responses": gamma * T}
-
+    gamma = rr_epsilon_to_gamma(eps, domain_size)
     return _cycle_report("complete_hist", eps, delta, n, T, delta_prime, delta_hat, fixed_contributions,
                          window_ok, 21.0 * math.sqrt(math.log(4.0 / delta) / n) * eps,
-                         {"domain_size": domain_size}, extras)
+                         {"domain_size": domain_size},
+                         {"cycle_bound_form": "simplified shuffle arm at m = n", "gamma": gamma,
+                          "expected_random_responses": gamma * T})
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,7 @@ def cmd_protocol_mc(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> 
 # sgd_compare
 # ---------------------------------------------------------------------------
 
-def _sgd_runs(args: tuple) -> list[dpml.TrainResult]:
+def _sgd_runs(args: tuple) -> dpml.TrainRuns:
     return dpml.train(*args)  # (batch, data, runs)
 
 
@@ -418,25 +418,27 @@ def cmd_sgd_compare(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> 
     replicas = _indexed_seeds([(i, (seed, int(eps * 1000), r))
                                for i, (eps, _) in enumerate(grid) for r in range(runs)])
     tasks = [(batch, data, chunk) for chunk in _contiguous_chunks(replicas, workers)]
-    results = [r for chunk in _parallel_map(_sgd_runs, tasks, workers) for r in chunk]
+    chunks = _parallel_map(_sgd_runs, tasks, workers)
+    objective = np.concatenate([c.objective for c in chunks])
+    accuracy = np.concatenate([c.accuracy for c in chunks])
+    diverged = np.concatenate([c.diverged for c in chunks])
 
     rows = []
     for i, ((eps, regime), sigma, eta) in enumerate(zip(grid, sigmas, etas)):
-        pair = results[i * runs:(i + 1) * runs]
-        finals = np.asarray([r.final_objective for r in pair])
-        accs = np.asarray([r.final_accuracy for r in pair])
+        pair = slice(i * runs, (i + 1) * runs)
+        # contiguous copies: the final-value moments reduce as they did over per-run floats
+        finals = np.ascontiguousarray(objective[pair, -1])
         rows.append({
             "regime": regime, "eps": eps, "sigma": sigma, "eta": eta,
             "mean_final_objective": float(finals.mean()),
             "std_final_objective": float(finals.std(ddof=1)) if runs > 1 else 0.0,
-            "mean_final_accuracy": float(accs.mean()),
-            "diverged_runs": sum(1 for r in pair if r.diverged),
+            "mean_final_accuracy": float(np.ascontiguousarray(accuracy[pair, -1]).mean()),
+            "diverged_runs": int(diverged[pair].sum()),
         })
         # mean traces across seeds, as Python numbers: _fmt writes floats by repr
         columns = ["step", "objective", "test_accuracy"]
-        trace = zip(pair[0].objective_trace[:, 0].astype(int).tolist(),
-                    np.mean([r.objective_trace[:, 1] for r in pair], axis=0).tolist(),
-                    np.mean([r.accuracy_trace[:, 1] for r in pair], axis=0).tolist())
+        trace = zip(chunks[0].steps.tolist(), objective[pair].mean(axis=0).tolist(),
+                    accuracy[pair].mean(axis=0).tolist())
         _write_csv(run_dir / f"trace_{regime}_eps{eps:g}.csv", columns, [dict(zip(columns, p)) for p in trace])
     _write_csv(
         run_dir / "results.csv",
@@ -520,7 +522,7 @@ KEYS: dict[str, dict[str, Key]] = {experiment: {**keys, **_COMMON_KEYS} for expe
         "sigma_loc": Key(float, 1.0),
         "gamma": Key(float, 0.3),
         "domain_size": Key(int, 5),
-        "clip": Key(float, 1.0),
+        "clip": Key(float, 1.0, "[0, inf)"),
         "mode": Key(str, "single_noiser"),
     },
     "sgd_compare": {

@@ -28,7 +28,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,16 +94,25 @@ class TrainConfig:
             raise ValueError("need T >= 1, eta > 0, cap_multiplier > 0")
 
 
-@dataclass(frozen=True)
-class TrainResult:
-    model: np.ndarray
-    sigma: float
-    objective_trace: np.ndarray  # (checkpoints, 2): step, train objective
-    accuracy_trace: np.ndarray  # (checkpoints, 2): step, test accuracy
-    final_objective: float
-    final_accuracy: float
-    diverged: bool
-    max_contributions: int
+class TrainRuns(NamedTuple):
+    """B training runs of one :func:`train` call, rows in run order.
+
+    ``objective[b, c]`` and ``accuracy[b, c]`` are run b's train objective
+    and test accuracy after step ``steps[c]`` (the kernel's
+    ``checkpoint_steps``), and ``models[b]`` is its final model.  All
+    arrays are read-only.
+    """
+
+    steps: np.ndarray  # (C,) int64, ascending
+    objective: np.ndarray  # (B, C) float64
+    accuracy: np.ndarray  # (B, C) float64
+    models: np.ndarray  # (B, d) float64
+
+    @property
+    def diverged(self) -> np.ndarray:
+        """(B,) bool: the final objective exceeds :data:`DIVERGENCE_FACTOR`
+        times the initial one (floored at 1e-12), or is not a number."""
+        return ~(self.objective[:, -1] <= DIVERGENCE_FACTOR * np.maximum(self.objective[:, 0], 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +174,8 @@ def preprocess(X: np.ndarray, y: np.ndarray, n_users: int, seed: int) -> Dataset
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.isnan(X).any():
-        raise ValueError("features contain NaN")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite, got NaN or inf")
     rng = rng_stream(seed, STREAM_DATA)
     perm = rng.permutation(X.shape[0])
     n_test = _test_rows(X.shape[0])
@@ -474,36 +483,24 @@ def _run_lockstep(batch: RegimeBatch, data: Dataset, runs: Sequence[tuple[int, i
         )
 
 
-def train(batch: RegimeBatch, data: Dataset, runs: Sequence[tuple[int, int]]) -> list[TrainResult]:
-    """Train each run (i, seed) under ``batch.configs[i]``; one result per run, in run order.
+def train(batch: RegimeBatch, data: Dataset, runs: Sequence[tuple[int, int]]) -> TrainRuns:
+    """Train each run (i, seed) under ``batch.configs[i]``; one :class:`TrainRuns`
+    record whose rows follow the runs' order.
 
     Every run has its own walk and gradient noise (shared as the kernel's
     contract describes); capped users forward the token without
     contributing, adding noise only in the network regime.  The train
-    objective and test accuracy are evaluated at each kept checkpoint.  A
-    run whose final objective exceeds :data:`DIVERGENCE_FACTOR` times the
-    initial one, or is not a number, is flagged as diverged but still
-    returned.
+    objective and test accuracy are evaluated at each kept checkpoint, one
+    iterate at a time.  A diverged run (:attr:`TrainRuns.diverged`) is
+    flagged but still returned.
     """
     sgd = _run_lockstep(batch, data, runs)
-    steps = sgd.checkpoint_steps
-    cap = batch.cap(data.n_users)
     train_objective = _train_objective(data)
-    results = []
-    for (i, _), iterates in zip(runs, sgd.iterates):
-        objective = np.array([train_objective(w) for w in iterates])
-        accuracy = np.array([test_accuracy(w, data.X_test, data.y_test) for w in iterates])
-        results.append(TrainResult(
-            model=iterates[-1],
-            sigma=batch.sigmas[i],
-            objective_trace=np.column_stack([steps, objective]),
-            accuracy_trace=np.column_stack([steps, accuracy]),
-            final_objective=float(objective[-1]),
-            final_accuracy=float(accuracy[-1]),
-            diverged=bool(not objective[-1] <= DIVERGENCE_FACTOR * max(objective[0], 1e-12)),
-            max_contributions=cap,
-        ))
-    return results
+    objective = np.array([[train_objective(w) for w in run] for run in sgd.iterates])
+    accuracy = np.array([[test_accuracy(w, data.X_test, data.y_test) for w in run] for run in sgd.iterates])
+    for arr in (objective, accuracy):
+        arr.setflags(write=False)
+    return TrainRuns(sgd.checkpoint_steps, objective, accuracy, sgd.models)
 
 
 def tune_eta(

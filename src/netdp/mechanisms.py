@@ -73,8 +73,11 @@ def clip_contribution(x, sensitivity: float):
     """Clip contributions to [-sensitivity/2, +sensitivity/2].
 
     A pair of clipped values can differ by at most ``sensitivity``, which is
-    what the additive-noise calibration assumes.
+    what the additive-noise calibration assumes.  A negative or nan
+    ``sensitivity`` is a ``ValueError``.
     """
+    if not sensitivity >= 0:
+        raise ValueError(f"sensitivity must be >= 0, got {sensitivity}")
     half = sensitivity / 2.0
     return np.clip(x, -half, half)
 

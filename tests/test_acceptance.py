@@ -251,11 +251,11 @@ def test_c11_desk_scale_sgd_comparison():
     )
     results = {}
     for i, pair in enumerate(pairs):
-        runs = trained[i * seeds:(i + 1) * seeds]
+        runs = slice(i * seeds, (i + 1) * seeds)
         results[pair] = {
-            "objective": float(np.mean([r.final_objective for r in runs])),
-            "initial": float(np.mean([r.objective_trace[0, 1] for r in runs])),
-            "blown_up": sum(r.diverged for r in runs),
+            "objective": float(np.mean(trained.objective[runs, -1])),
+            "initial": float(np.mean(trained.objective[runs, 0])),
+            "blown_up": int(trained.diverged[runs].sum()),
         }
     elapsed = time.time() - start
     ok = True

@@ -208,6 +208,30 @@ class TestCompleteSumBound:
         with pytest.raises(ValidityWindowError):
             acct.complete_sum_bound(1.2, 1e-7, 100, 1000, 1e-3, 1e-3)
 
+    # n = 1000, delta_hat = 1e-3: the Chernoff chain has fewer than one cycle
+    # up to T = 40, the fixed one (2T/n cycles) below T = 500
+    @pytest.mark.parametrize("T, fixed, match", [
+        (10, True, "got T=10, n=1000: 0.02 cycles"),
+        (499, True, "got T=499, n=1000: 0.998 cycles"),
+        (10, False, "got T=10, n=1000: 0.475.* cycles"),
+        (40, False, "got T=40, n=1000: 0.99.* cycles"),
+        (0, True, "got T=0, n=1000: 0.0 cycles"),
+        (-5, True, "got T=-5, n=1000"),
+        (math.nan, True, "got T=nan, n=1000: nan cycles"),
+        (0, False, "T must be >= 1"),  # the Chernoff bound rejects T first
+        (0.5, False, "T must be >= 1"),
+    ])
+    def test_fewer_than_one_cycle_rejected(self, T, fixed, match):
+        with pytest.raises(ValueError, match=match):
+            acct.complete_sum_bound(0.5, 1e-7, 1000, T, 1e-3, 1e-3, fixed_contributions=fixed)
+
+    @pytest.mark.parametrize("T, fixed", [(41, False), (500, True)])
+    def test_one_cycle_accepted(self, T, fixed):
+        rep = acct.complete_sum_bound(0.5, 1e-7, 1000, T, 1e-3, 1e-3, fixed_contributions=fixed)
+        assert 1 <= rep.intermediates["num_cycles"] < 1.01
+        # one cycle costs at least its own eps_cycle
+        assert rep.epsilon_out > rep.intermediates["eps_cycle"]
+
 
 class TestLocalBaseline:
     def test_single_release_passthrough(self):
@@ -305,6 +329,16 @@ class TestCompleteHistBound:
             acct.complete_hist_bound(0.5, 1e-6, 100, 10**4, 1e-3, 1e-3, 5)
         rep = acct.complete_hist_bound(0.5, 1e-6, 100, 10**4, 1e-3, 1e-3, 5, unchecked=True)
         assert rep.unchecked
+
+    @pytest.mark.parametrize("T, fixed, match", [
+        (100, True, "got T=100, n=10000: 0.02 cycles"),
+        (0, True, "got T=0, n=10000: 0.0 cycles"),
+        (100, False, "got T=100, n=10000: 0.475.* cycles"),
+        (-1, False, "T must be >= 1"),
+    ])
+    def test_fewer_than_one_cycle_rejected(self, T, fixed, match):
+        with pytest.raises(ValueError, match=match):
+            acct.complete_hist_bound(0.5, 1e-6, 10**4, T, 1e-3, 1e-3, 5, fixed_contributions=fixed)
 
 
 class TestRdpCalculus:

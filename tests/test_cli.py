@@ -205,6 +205,13 @@ class TestProtocolMc:
         assert "domain_size must be >= 1, got 0" in capsys.readouterr().err
         assert run_dirs(out) == []
 
+    def test_negative_clip_names_the_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "protocol_mc", "--out", out, "--runs", 2,
+                       "--set", "n=6", "--set", "clip=-1") == 2
+        assert "clip must be in [0, inf), got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_runs_invalid(self, tmp_path):
         config = write_config(tmp_path, "protocols = ring_sum\nn = 10\nK = 2\n")
         assert run_cli("--experiment", "protocol_mc", "--config", config,
@@ -382,6 +389,25 @@ class TestSgdCompare:
         assert run_cli("--experiment", "sgd_compare", "--config", config,
                        "--out", tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("row", [0, 8], ids=["train_row", "test_row"])
+    def test_dataset_with_non_finite_feature_is_invalid(self, tmp_path, capsys, bad, row):
+        # seed 0 holds out rows 8 and 2 of 10 for the test split
+        rows = [[f"{v}.5", f"{(3 * v) % 7}.25", str(1 - 2 * (v % 2))] for v in range(10)]
+        rows[row][1] = bad
+        data = tmp_path / "data.csv"
+        data.write_text("f0,f1,label\n" + "".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(ValueError, match="features must be finite"):
+            dpml.load_csv_dataset(data, n_users=2)
+        config = write_config(
+            tmp_path, f"dataset = real\ndataset_path = {data}\nn = 2\nT = 50\neps = 10\n"
+        )
+        assert run_cli("--experiment", "sgd_compare", "--config", config,
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "features must be finite" in err and "constant feature" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_dataset_with_fewer_rows_than_users_is_invalid(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("f0,label\n" + "".join(f"{v}.5,{1 - 2 * (v % 2)}\n" for v in range(5)))
@@ -485,23 +511,22 @@ class TestSgdCompare:
                     dpml.RegimeBatch([config], [sigma]), data,
                     [(0, derive_seed(seed, int(eps * 1000), 0xE7A, i)) for i in range(tune_seeds)],
                 )
-                results = dpml.train(
+                res = dpml.train(
                     dpml.RegimeBatch([replace(config, eta=eta)], [sigma]), data,
                     [(0, derive_seed(seed, int(eps * 1000), r)) for r in range(runs)],
                 )
-                finals = np.array([r.final_objective for r in results])
+                finals = np.array(res.objective[:, -1].tolist())
                 reference_rows.append([
                     regime, repr(eps), repr(sigma), repr(eta), repr(float(finals.mean())),
                     repr(float(finals.std(ddof=1))),
-                    repr(float(np.mean([r.final_accuracy for r in results]))),
-                    str(sum(r.diverged for r in results)),
+                    repr(float(np.mean(res.accuracy[:, -1].tolist()))),
+                    str(int(res.diverged.sum())),
                 ])
                 trace = io.StringIO()
                 writer = csv.writer(trace)
                 writer.writerow(["step", "objective", "test_accuracy"])
-                for step, obj, acc in zip(results[0].objective_trace[:, 0],
-                                          np.mean([r.objective_trace[:, 1] for r in results], axis=0),
-                                          np.mean([r.accuracy_trace[:, 1] for r in results], axis=0)):
+                for step, obj, acc in zip(res.steps, np.mean(res.objective.tolist(), axis=0),
+                                          np.mean(res.accuracy.tolist(), axis=0)):
                     writer.writerow([int(step), repr(float(obj)), repr(float(acc))])
                 assert files[1][f"trace_{regime}_eps{eps:g}.csv"] == trace.getvalue().encode()
         assert list(csv.reader(io.StringIO(files[1]["results.csv"].decode()))) == reference_rows

@@ -322,11 +322,11 @@ class TestTrain:
             regime=dpml.LOCAL, T=400, eta=0.5,
             budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=100.0,
         )
-        (res,) = dpml.train(dpml.RegimeBatch([config], [0.0]), small_data, [(0, 5)])
-        objs = res.objective_trace[:, 1]
+        res = dpml.train(dpml.RegimeBatch([config], [0.0]), small_data, [(0, 5)])
+        (objs,) = res.objective
         assert np.all(np.diff(objs) <= 1e-6)
-        assert res.final_objective < 0.9 * objs[0]
-        assert not res.diverged
+        assert objs[-1] < 0.9 * objs[0]
+        assert res.diverged.tolist() == [False]
 
     def test_deterministic_traces(self, small_data):
         config = dpml.TrainConfig(
@@ -334,18 +334,60 @@ class TestTrain:
             budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0,
         )
         batch = dpml.RegimeBatch([config], [5.0])
-        (a,) = dpml.train(batch, small_data, [(0, 9)])
-        (b,) = dpml.train(batch, small_data, [(0, 9)])
-        np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
-        np.testing.assert_array_equal(a.model, b.model)
+        a = dpml.train(batch, small_data, [(0, 9)])
+        b = dpml.train(batch, small_data, [(0, 9)])
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_divergence_flagged_not_fatal(self, small_data):
         config = dpml.TrainConfig(
             regime=dpml.LOCAL, T=300, eta=2.0,
             budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=100.0,
         )
-        (res,) = dpml.train(dpml.RegimeBatch([config], [300.0]), small_data, [(0, 4)])
-        assert res.diverged
+        res = dpml.train(dpml.RegimeBatch([config], [300.0]), small_data, [(0, 4)])
+        assert res.diverged.tolist() == [True]
+
+    def test_one_read_only_record_in_run_order(self, small_data):
+        config = dpml.TrainConfig(
+            regime=dpml.NETWORK, T=150, eta=0.05,
+            budget=PrivacyBudget(1.0, 1e-6), cap_multiplier=2.0,
+        )
+        batch = dpml.RegimeBatch([config], [5.0])
+        both = dpml.train(batch, small_data, [(0, 2), (0, 7)])
+        assert both.steps.tolist() == [0, 100, 150]
+        assert both.objective.shape == both.accuracy.shape == (2, 3)
+        assert both.models.shape == (2, small_data.dim)
+        assert not any(arr.flags.writeable for arr in both)
+        for b, seed in enumerate((2, 7)):
+            alone = dpml.train(batch, small_data, [(0, seed)])
+            np.testing.assert_array_equal(alone.steps, both.steps)
+            for name in ("objective", "accuracy", "models"):
+                np.testing.assert_array_equal(getattr(alone, name)[0], getattr(both, name)[b])
+
+
+class TestTrainRunsDiverged:
+    def test_matches_the_per_run_rule(self):
+        # (initial, final) objectives around the threshold 1e3 * max(initial, 1e-12)
+        at_half = dpml.DIVERGENCE_FACTOR * 0.5
+        at_floor = dpml.DIVERGENCE_FACTOR * 1e-12
+        cases = [
+            ((0.5, at_half), False),  # exactly at the threshold
+            ((0.5, np.nextafter(at_half, math.inf)), True),  # just above it
+            ((0.5, math.nan), True),
+            ((0.5, math.inf), True),
+            ((0.5, 0.1), False),
+            ((0.0, at_floor), False),  # a zero start hits the 1e-12 floor
+            ((0.0, np.nextafter(at_floor, math.inf)), True),
+            ((0.0, 0.0), False),
+            ((math.nan, 0.1), True),
+        ]
+        objective = np.array([[initial, 0.3, final] for (initial, final), _ in cases])
+        runs = dpml.TrainRuns(steps=np.array([0, 100, 200]), objective=objective,
+                              accuracy=np.zeros_like(objective), models=np.zeros((len(cases), 2)))
+        parent_rule = [not final <= dpml.DIVERGENCE_FACTOR * max(initial, 1e-12)
+                       for (initial, final), _ in cases]
+        assert runs.diverged.dtype == bool
+        assert runs.diverged.tolist() == parent_rule == [flag for _, flag in cases]
 
 
 class TestTuneEta:

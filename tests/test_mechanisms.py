@@ -197,3 +197,10 @@ def test_clip_contribution():
     assert clip_contribution(3.0, 1.0) == 0.5
     assert clip_contribution(-3.0, 1.0) == -0.5
     np.testing.assert_allclose(clip_contribution(np.array([0.2, -0.7]), 1.0), [0.2, -0.5])
+    assert clip_contribution(-3.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("sensitivity", [-1.0, -1e-300, math.nan])
+def test_clip_contribution_rejects_negative_bound(sensitivity):
+    with pytest.raises(ValueError, match="sensitivity must be >= 0"):
+        clip_contribution(np.array([0.2, -0.7]), sensitivity)

@@ -265,6 +265,13 @@ class TestRunCompleteSum:
         res = run_complete_sum(5, 50, np.full(5, 10.0), 0.0, seeds=[1], clip=1.0)
         assert res.true_values[0] == pytest.approx(50 * 0.5)
 
+    def test_negative_clip_rejected(self):
+        # np.clip with its lower bound above the upper one would set every entry to -0.5
+        table = np.full(10, -0.5)
+        for run in (run_complete_sum, run_ring_sum):
+            with pytest.raises(ValueError, match="sensitivity must be >= 0, got -1.0"):
+                run(10, 5 if run is run_ring_sum else 50, table, 1.0, seeds=[1, 2], clip=-1.0)
+
 
 class TestRunCompleteHist:
     @pytest.mark.parametrize("domain_size", [0, -1])

@@ -285,25 +285,23 @@ class TestTrainAndTuneMatchPerRunLoop:
              dpml.TrainConfig(regime=dpml.NETWORK, T=T, eta=0.3, budget=budget, cap_multiplier=1.5)],
             [0.8, 0.5],
         )
-        results = dpml.train(batch, unequal_rows, [(0, 3), (1, 4), (0, 4)])
-        assert len(results) == 3
+        res = dpml.train(batch, unequal_rows, [(0, 3), (1, 4), (0, 4)])
+        assert res.objective.shape == res.accuracy.shape == (3, 3)
         cap = dpml.contribution_cap(T, unequal_rows.n_users, 1.5)
-        cases = [(results[0], 3, 0.6, 0.8, False), (results[2], 4, 0.6, 0.8, False),
-                 (results[1], 4, 0.3, 0.5, True)]
-        for res, seed, eta, sigma, mode in cases:
+        steps = [0, 100, 130]
+        assert res.steps.tolist() == steps
+        cases = [(0, 3, 0.6, 0.8, False), (2, 4, 0.6, 0.8, False), (1, 4, 0.3, 0.5, True)]
+        for b, seed, eta, sigma, mode in cases:
             iterates, _ = oracle_sgd(unequal_rows.n_users, T, user_datasets(unequal_rows), eta,
                                      sigma, unequal_rows.dim, seed, max_contributions=cap,
                                      noise_when_capped=mode)
-            steps = [0, 100, 130]
-            assert res.sigma == sigma and res.max_contributions == cap
-            assert res.objective_trace[:, 0].tolist() == steps
-            assert res.objective_trace[:, 1].tolist() == [
+            assert res.objective[b].tolist() == [
                 dpml.logistic_objective(iterates[s], unequal_rows.X_train, unequal_rows.y_train)
                 for s in steps]
-            assert res.accuracy_trace[:, 1].tolist() == [
+            assert res.accuracy[b].tolist() == [
                 dpml.test_accuracy(iterates[s], unequal_rows.X_test, unequal_rows.y_test)
                 for s in steps]
-            assert_bits_equal(res.model, iterates[-1])
+            assert_bits_equal(res.models[b], iterates[-1])
 
     @pytest.mark.parametrize("over", ["warn", "raise"])
     def test_overflowing_train_leaves_errstate_and_warns_nothing(self, equal_rows, over):
@@ -318,15 +316,15 @@ class TestTrainAndTuneMatchPerRunLoop:
         with np.errstate(over=over), warnings.catch_warnings():
             warnings.simplefilter("error")
             state = np.geterr()
-            (result,) = dpml.train(batch, equal_rows, [(0, 3)])
+            result = dpml.train(batch, equal_rows, [(0, 3)])
             assert np.geterr() == state
         cap = dpml.contribution_cap(T, equal_rows.n_users, 2.0)
         iterates, _ = oracle_sgd(equal_rows.n_users, T, user_datasets(equal_rows), eta, sigma,
                                  equal_rows.dim, 3, max_contributions=cap,
                                  noise_when_capped=False)
-        assert_bits_equal(result.model, iterates[-1])
+        assert_bits_equal(result.models[0], iterates[-1])
         assert np.abs(equal_rows.X_train @ iterates[:-1].T).max() > LN_DBL_MAX
-        assert np.isfinite(result.final_objective)
+        assert np.isfinite(result.objective[0, -1])
 
     def test_tune_eta_picks_the_per_run_argmin(self, equal_rows):
         T = 120
