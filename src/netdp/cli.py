@@ -426,7 +426,7 @@ def cmd_sgd_compare(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> 
     rows = []
     for i, ((eps, regime), sigma, eta) in enumerate(zip(grid, sigmas, etas)):
         pair = slice(i * runs, (i + 1) * runs)
-        # contiguous copies: the final-value moments reduce as they did over per-run floats
+        # contiguous copies: a strided column need not sum in a contiguous array's pairwise order
         finals = np.ascontiguousarray(objective[pair, -1])
         rows.append({
             "regime": regime, "eps": eps, "sigma": sigma, "eta": eta,

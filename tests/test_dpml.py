@@ -384,10 +384,10 @@ class TestTrainRunsDiverged:
         objective = np.array([[initial, 0.3, final] for (initial, final), _ in cases])
         runs = dpml.TrainRuns(steps=np.array([0, 100, 200]), objective=objective,
                               accuracy=np.zeros_like(objective), models=np.zeros((len(cases), 2)))
-        parent_rule = [not final <= dpml.DIVERGENCE_FACTOR * max(initial, 1e-12)
+        per_run_rule = [not final <= dpml.DIVERGENCE_FACTOR * max(initial, 1e-12)
                        for (initial, final), _ in cases]
         assert runs.diverged.dtype == bool
-        assert runs.diverged.tolist() == parent_rule == [flag for _, flag in cases]
+        assert runs.diverged.tolist() == per_run_rule == [flag for _, flag in cases]
 
 
 class TestTuneEta:
