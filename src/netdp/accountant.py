@@ -18,12 +18,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import PrivacyBudget
+from .core import PrivacyBudget, record
 from .errors import InfeasibleError, ValidityWindowError
 from .mechanisms import rr_epsilon_to_gamma
 
@@ -60,7 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     """One evaluated bound: inputs, resulting (eps, delta), intermediates.
 
@@ -73,7 +72,7 @@ class BoundReport:
     inputs: dict
     epsilon_out: float
     delta_out: float
-    intermediates: dict = field(default_factory=dict)
+    intermediates: dict = {}  # a new dict per record
     unchecked: bool = False
 
     def __post_init__(self):
@@ -83,7 +82,7 @@ class BoundReport:
             raise ValueError(f"delta_out must be in [0, 1], got {self.delta_out}")
 
 
-@dataclass(frozen=True)
+@record
 class RdpPoint:
     """A point (alpha, eps) on a Renyi-DP curve; alpha > 1."""
 

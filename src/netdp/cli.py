@@ -37,7 +37,6 @@ import os
 import sys
 import time
 import zlib
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -414,7 +413,7 @@ def cmd_sgd_compare(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> 
             _indexed_seeds([(i, (seed, int(eps * 1000), 0xE7A, t))
                             for i, (eps, _) in enumerate(grid) for t in range(cfg["tune_seeds"])]),
         )
-    batch = dpml.RegimeBatch([replace(c, eta=eta) for c, eta in zip(configs, etas)], sigmas)
+    batch = dpml.RegimeBatch([c.replace(eta=eta) for c, eta in zip(configs, etas)], sigmas)
     replicas = _indexed_seeds([(i, (seed, int(eps * 1000), r))
                                for i, (eps, _) in enumerate(grid) for r in range(runs)])
     tasks = [(batch, data, chunk) for chunk in _contiguous_chunks(replicas, workers)]

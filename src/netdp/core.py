@@ -7,7 +7,6 @@ ring ``1, 2, ..., n``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -213,7 +212,67 @@ def rng_streams(seeds: Iterable[int], stream: int = 0) -> Iterator[np.random.Gen
         yield rng
 
 
-@dataclass(frozen=True)
+def record(cls):
+    """Make ``cls`` a frozen record of its annotated fields, in order.
+
+    Installs plain functions, generated from no source text: an
+    ``__init__`` taking the fields by position or keyword (class attributes
+    are defaults, and a dict default is copied for each instance) and then
+    calling ``__post_init__`` if the class has one; ``__repr__`` as
+    ``Name(field=value, ...)``; ``__eq__`` and ``__hash__`` on the tuple of
+    fields, equal only within the class; ``__setattr__`` and ``__delattr__``
+    that raise ``AttributeError``; and ``replace(**changes)``, a validated
+    copy with some fields changed.  Instances keep their fields in
+    ``__dict__``, so they pickle and copy as plain objects do.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    post_init = getattr(cls, "__post_init__", lambda self: None)
+
+    def __init__(self, *args, **kwargs):
+        state = dict(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                state[name] = kwargs.pop(name)
+            elif name in defaults:
+                default = defaults[name]
+                state[name] = dict(default) if isinstance(default, dict) else default
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        if len(args) > len(names) or kwargs:
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}; got {len(args)} "
+                            f"positional arguments and the extra keywords {sorted(kwargs)}")
+        self.__dict__.update(state)
+        post_init(self)
+
+    def values(self):
+        return tuple([getattr(self, name) for name in names])
+
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        return f"{cls.__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{cls.__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{cls.__name__} is frozen: cannot delete {name!r}")
+
+    def replace(self, **changes):
+        return cls(**{**{name: getattr(self, name) for name in names}, **changes})
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__, replace):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+@record
 class PrivacyBudget:
     """An (epsilon, delta) pair. epsilon > 0 and 0 <= delta < 1."""
 
@@ -227,7 +286,7 @@ class PrivacyBudget:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
 
 
-@dataclass(frozen=True)
+@record
 class Topology:
     """A communication graph: a directed ring or the complete graph on n users."""
 
@@ -242,7 +301,7 @@ class Topology:
             raise ValueError(f"{self.kind} topology needs n >= {min_n}, got {self.n}")
 
 
-@dataclass(frozen=True)
+@record
 class WalkTrace:
     """Ordered record of token holders (1-based user index per step).
 

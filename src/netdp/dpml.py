@@ -27,12 +27,11 @@ import bisect
 import csv
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import STREAM_DATA, PrivacyBudget, rng_stream
+from .core import STREAM_DATA, PrivacyBudget, record, rng_stream
 from .errors import InfeasibleError
 from .accountant import (
     MAX_RDP_ORDER,
@@ -60,7 +59,7 @@ DIVERGENCE_FACTOR = 1e3  # final / initial objective above which a run is flagge
 _SIGMA_GRID_RATIO = 1.01
 
 
-@dataclass(frozen=True)
+@record
 class Dataset:
     """Preprocessed classification data partitioned across users."""
 
@@ -79,8 +78,11 @@ class Dataset:
         return self.X_train.shape[1]
 
 
-@dataclass(frozen=True)
+@record
 class TrainConfig:
+    """One training configuration: regime, T steps at step size eta, the
+    privacy budget, and the contribution cap's multiplier."""
+
     regime: Literal["local", "network", "centralized"]
     T: int
     eta: float
@@ -432,7 +434,7 @@ def verify_privacy(config: TrainConfig, n: int, sigma: float) -> float:
 # Training
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RegimeBatch:
     """Configs that train as one lockstep batch, ``configs[i]`` at noise scale ``sigmas[i]``.
 

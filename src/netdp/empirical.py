@@ -12,15 +12,14 @@ sums, minima and maxima) that never holds the n x n array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, Literal
 
 import numpy as np
 
-from .core import COMPLETE, WalkTrace
+from .core import COMPLETE, WalkTrace, record
 
 
-@dataclass(frozen=True)
+@record
 class PairLossMatrix:
     """n x n empirical losses for one walk; off-diagonal entries >= 0."""
 
@@ -28,7 +27,7 @@ class PairLossMatrix:
     n: int
     T: int
     eps0: float
-    meta: dict = field(default_factory=dict)
+    meta: dict = {}  # a new dict per record
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -40,7 +39,7 @@ class PairLossMatrix:
             raise ValueError("off-diagonal entries must be non-negative")
 
 
-@dataclass(frozen=True)
+@record
 class PairLossSummary:
     """One walk's off-diagonal pair losses reduced per observer.
 
@@ -56,7 +55,7 @@ class PairLossSummary:
     n: int
     T: int
     eps0: float
-    meta: dict = field(default_factory=dict)
+    meta: dict = {}  # a new dict per record
 
     @property
     def min(self) -> float:

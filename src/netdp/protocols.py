@@ -109,9 +109,10 @@ def uniform_scalar_stream(n: int, seed: int, clip: float = 1.0, k_max: int | Non
 
     Returns an (n,) table, or (n, k_max) with one column per visit.
     """
+    if not 0 <= clip < math.inf:  # nan included
+        raise ValueError(f"clip must be in [0, inf), got {clip}")
     rng = rng_stream(seed, STREAM_INIT)
-    shape = (n,) if k_max is None else (n, k_max)
-    return rng.uniform(-clip / 2.0, clip / 2.0, size=shape)
+    return rng.uniform(-clip / 2.0, clip / 2.0, size=_table_shape(n, k_max))
 
 
 def uniform_category_stream(n: int, domain_size: int, seed: int, k_max: int | None = None) -> np.ndarray:
@@ -122,8 +123,14 @@ def uniform_category_stream(n: int, domain_size: int, seed: int, k_max: int | No
     if domain_size < 1:
         raise ValueError(f"domain_size must be >= 1, got {domain_size}")
     rng = rng_stream(seed, STREAM_INIT)
-    shape = (n,) if k_max is None else (n, k_max)
-    return rng.integers(1, domain_size + 1, size=shape)
+    return rng.integers(1, domain_size + 1, size=_table_shape(n, k_max))
+
+
+def _table_shape(n: int, k_max: int | None) -> tuple[int, ...]:
+    """(n,), or (n, k_max) with one column per visit, for n >= 0 users."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return (n,) if k_max is None else (n, k_max)
 
 
 def occurrence_index(steps: np.ndarray) -> np.ndarray:

@@ -6,7 +6,6 @@ lines; the suite is deterministic (fixed seeds throughout).
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,7 +245,7 @@ def test_c11_desk_scale_sgd_comparison():
     etas = dpml.tune_eta(dpml.RegimeBatch(configs, sigmas), data,
                          [(i, s) for i in range(len(pairs)) for s in range(5)])
     trained = dpml.train(
-        dpml.RegimeBatch([replace(config, eta=eta) for config, eta in zip(configs, etas)], sigmas),
+        dpml.RegimeBatch([config.replace(eta=eta) for config, eta in zip(configs, etas)], sigmas),
         data, [(i, 100 + s) for i in range(len(pairs)) for s in range(seeds)],
     )
     results = {}

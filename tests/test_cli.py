@@ -3,7 +3,6 @@ import io
 import json
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -512,7 +511,7 @@ class TestSgdCompare:
                     [(0, derive_seed(seed, int(eps * 1000), 0xE7A, i)) for i in range(tune_seeds)],
                 )
                 res = dpml.train(
-                    dpml.RegimeBatch([replace(config, eta=eta)], [sigma]), data,
+                    dpml.RegimeBatch([config.replace(eta=eta)], [sigma]), data,
                     [(0, derive_seed(seed, int(eps * 1000), r)) for r in range(runs)],
                 )
                 finals = np.array(res.objective[:, -1].tolist())

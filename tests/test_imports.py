@@ -10,6 +10,9 @@ module's ``__all__`` (a short allowlist names the few kept for the
 acceptance tests or as test references), and no module may import scipy:
 the runtime needs numpy and the standard library alone.  A
 subprocess check confirms that no CLI path loads scipy at run time either.
+No module imports ``dataclasses`` (its generated methods cost import time;
+records come from ``core.record``), and another subprocess check confirms
+that importing the CLI does not load it.
 Random generators come from ``core`` alone: no other module calls anything
 under ``np.random`` or imports from it, so every stream is keyed by the one
 seed hash in ``core``.  Entropy words are built in ``core`` alone too: no
@@ -158,8 +161,8 @@ KEPT_PUBLIC = {
 }
 
 
-def scipy_imports(source: str) -> list[str]:
-    """Imports of scipy or any of its submodules, wherever they appear."""
+def imports_of(source: str, package: str) -> list[str]:
+    """Imports of ``package`` or any of its submodules, wherever they appear."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -168,7 +171,7 @@ def scipy_imports(source: str) -> list[str]:
             modules = [node.module or ""]
         else:
             continue
-        found += [f"{m} (line {node.lineno})" for m in modules if m.split(".")[0] == "scipy"]
+        found += [f"{m} (line {node.lineno})" for m in modules if m.split(".")[0] == package]
     return found
 
 
@@ -232,7 +235,13 @@ def test_no_private_imports_across_modules(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_scipy_imports(path):
-    assert scipy_imports(path.read_text()) == []
+    assert imports_of(path.read_text(), "scipy") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses_imports(path):
+    # records come from core.record, which builds no source text at import
+    assert imports_of(path.read_text(), "dataclasses") == []
 
 
 @pytest.mark.parametrize("path", [m for m in MODULES if m.name != "core.py"], ids=lambda p: p.name)
@@ -287,6 +296,17 @@ def test_cli_runs_without_loading_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # after numpy, as every CLI start imports it first; dataclasses' exec of
+    # generated methods cost ~6 ms of netdp's import
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, numpy, netdp.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 class TestCheckers:
     def test_unused_import_is_reported(self):
         src = "import math\nfrom .core import RING, COMPLETE\nx = RING\n"
@@ -331,7 +351,7 @@ class TestCheckers:
     def test_scipy_imports_are_reported(self):
         src = ("import numpy as np\nimport scipy.special as sp\nfrom scipy import stats\n"
                "from . import scipy_like\ndef f():\n    from scipy.special import expit\n")
-        assert scipy_imports(src) == ["scipy.special (line 2)", "scipy (line 3)", "scipy.special (line 6)"]
+        assert imports_of(src, "scipy") == ["scipy.special (line 2)", "scipy (line 3)", "scipy.special (line 6)"]
 
     def test_numpy_random_uses_are_reported(self):
         src = ("import numpy as np\nimport numpy\nimport numpy.random\nfrom numpy import random\n"

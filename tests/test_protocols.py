@@ -243,6 +243,25 @@ class TestOccurrenceIndex:
         assert occurrence_index(steps).tolist() == np.repeat(np.arange(K), n).tolist()
 
 
+class TestUniformTables:
+    @pytest.mark.parametrize("clip", [-1.0, math.nan, math.inf])
+    def test_clip_outside_range_rejected(self, clip):
+        # numpy's own messages were `high - low < 0` and an OverflowError
+        with pytest.raises(ValueError, match=r"clip must be in \[0, inf\), got"):
+            uniform_scalar_stream(5, 0, clip=clip)
+
+    @pytest.mark.parametrize("build", [lambda n: uniform_scalar_stream(n, 0),
+                                       lambda n: uniform_category_stream(n, 4, 0, k_max=2)],
+                             ids=["scalar", "category"])
+    def test_negative_user_count_rejected(self, build):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            build(-1)
+        assert build(0).shape[0] == 0
+
+    def test_zero_clip_gives_zeros(self):
+        assert uniform_scalar_stream(4, 0, clip=0.0).tolist() == [0.0] * 4
+
+
 class TestRunCompleteSum:
     def test_noiseless_exact(self):
         stream = uniform_scalar_stream(20, seed=4)
