@@ -15,9 +15,9 @@ from .core import (
     RING,
     PrivacyBudget,
     Topology,
-    WalkTrace,
+    Walks,
     rng_stream,
-    sample_walk,
+    sample_walks,
     visit_counts,
 )
 from .errors import InfeasibleError, ValidityWindowError
@@ -27,9 +27,9 @@ __all__ = [
     "RING",
     "PrivacyBudget",
     "Topology",
-    "WalkTrace",
+    "Walks",
     "rng_stream",
-    "sample_walk",
+    "sample_walks",
     "visit_counts",
     "InfeasibleError",
     "ValidityWindowError",

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import COMPLETE, Topology, derive_seed, derive_seeds, sample_walk
+from .core import COMPLETE, Topology, derive_seed, derive_seeds, sample_walks
 from .errors import InfeasibleError, ValidityWindowError
 from . import accountant as acct
 from . import dpml
@@ -210,7 +210,7 @@ def cmd_bounds_sweep(cfg: dict, run_dir: Path, workers: int, unchecked: bool) ->
 
 def _empirical_point(args: tuple) -> tuple[int, float, float, float, int]:
     cfg, n, walk_seed = args
-    walk = sample_walk(Topology(COMPLETE, n), cfg["t_factor"] * n, walk_seed)
+    walk = sample_walks(Topology(COMPLETE, n), cfg["t_factor"] * n, [walk_seed])
     pairs = emp.empirical_pair_loss_summary(walk, cfg["eps0"], cfg["delta0"], cfg["delta_prime"])
     return n, pairs.mean, pairs.min, pairs.max, pairs.meta["max_cycles"]
 

@@ -7,7 +7,7 @@ ring ``1, 2, ..., n``).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -222,8 +222,9 @@ def record(cls):
     ``Name(field=value, ...)``; ``__eq__`` and ``__hash__`` on the tuple of
     fields, equal only within the class; ``__setattr__`` and ``__delattr__``
     that raise ``AttributeError``; and ``replace(**changes)``, a validated
-    copy with some fields changed.  Instances keep their fields in
-    ``__dict__``, so they pickle and copy as plain objects do.
+    copy with some fields changed.  Pickling and copying rebuild through
+    ``__init__`` (``__reduce__``), so a copy is checked and frozen as the
+    original was.
     """
     names = tuple(cls.__annotations__)
     defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
@@ -266,7 +267,10 @@ def record(cls):
     def replace(self, **changes):
         return cls(**{**{name: getattr(self, name) for name in names}, **changes})
 
-    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__, replace):
+    def __reduce__(self):
+        return cls, values(self)
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__, replace, __reduce__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
     return cls
@@ -302,11 +306,13 @@ class Topology:
 
 
 @record
-class WalkTrace:
-    """Ordered record of token holders (1-based user index per step).
+class Walks:
+    """Equal-length token walks on one topology, one row of ``steps`` each.
 
-    For a ring walk the sequence is ``1, 2, ..., n`` repeated ``K`` times
-    (``T = K * n``); for a complete-graph walk each entry is uniform on
+    ``steps`` is a read-only (R, T) int64 array of 1-based holders; a 1-d
+    input is one walk, held as (1, T).  On the ring every walk is
+    ``1, 2, ..., n`` repeated ``K`` times (``T = K * n``), so one row serves
+    any number of runs; on the complete graph each entry is uniform on
     ``[1, n]``.
     """
 
@@ -315,46 +321,37 @@ class WalkTrace:
 
     def __post_init__(self):
         steps = np.asarray(self.steps, dtype=np.int64)
+        steps.setflags(write=False)  # before the reshape: the input array cannot change the walk either
+        steps = steps[None, :] if steps.ndim == 1 else steps
         object.__setattr__(self, "steps", steps)
-        steps.setflags(write=False)
-        if steps.ndim != 1 or steps.size == 0:
-            raise ValueError("steps must be a non-empty 1-d sequence")
+        if steps.ndim != 2 or steps.size == 0:
+            raise ValueError(f"steps must be one (T,) walk or non-empty (R, T), got shape {steps.shape}")
         if steps.min() < 1 or steps.max() > self.topology.n:
             raise ValueError("step entries must lie in [1, n]")
 
     @property
     def T(self) -> int:
-        return int(self.steps.size)
+        return int(self.steps.shape[1])
 
     @property
     def n(self) -> int:
         return self.topology.n
 
-
-class WalkBatch(NamedTuple):
-    """Equal-length token walks, one row of ``steps`` each.
-
-    ``steps`` is a read-only (B, T) int64 array of 1-based holders.  The
-    type exists so that a batched protocol's ``trace`` has the walk length
-    ``T`` as :class:`WalkTrace` does; step counters (such as the benchmark
-    tracer's) read ``result.trace.T`` off every protocol alike.
-    """
-
-    steps: np.ndarray
-
-    @property
-    def T(self) -> int:
-        return int(self.steps.shape[1])
+    def row(self, r: int) -> np.ndarray:
+        """(T,) holders of walk r; a one-row ``Walks``, such as the ring's
+        one walk, serves every r."""
+        return self.steps[r if len(self.steps) > 1 else 0]
 
 
-def sample_walks(topology: Topology, T: int, seeds: Sequence[int]) -> WalkBatch:
+def sample_walks(topology: Topology, T: int, seeds: Sequence[int]) -> Walks:
     """Sample one token walk of length T per seed on the given topology.
 
     Ring walks are deterministic (token starts at user 1 and goes through
-    the ring ``T / n`` times); T must be a multiple of n, and the batch holds
-    the one walk that every seed shares as its single row.  Complete-graph
-    walks send the token to a user chosen uniformly at random at each step,
-    self-transitions included, one row per seed from its walk stream.
+    the ring ``T / n`` times); T must be a multiple of n, and the result
+    holds the one walk that every seed shares as its single row.
+    Complete-graph walks send the token to a user chosen uniformly at
+    random at each step, self-transitions included, one row per seed from
+    its walk stream; an empty seed list is a ``ValueError``.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -362,20 +359,17 @@ def sample_walks(topology: Topology, T: int, seeds: Sequence[int]) -> WalkBatch:
     if topology.kind == RING:
         if T % n != 0:
             raise ValueError(f"ring walk length T={T} must be a multiple of n={n}")
-        steps = np.tile(np.arange(1, n + 1, dtype=np.int64), T // n)[None, :]
+        steps = np.tile(np.arange(1, n + 1, dtype=np.int64), T // n)
     else:
         steps = np.empty((len(seeds), T), dtype=np.int64)
         for row, rng in zip(steps, rng_streams(seeds, STREAM_WALK)):
             row[:] = rng.integers(1, n + 1, size=T, dtype=np.int64)
-    steps.setflags(write=False)
-    return WalkBatch(steps)
+    return Walks(topology, steps)
 
 
-def sample_walk(topology: Topology, T: int, seed: int) -> WalkTrace:
-    """The walk of :func:`sample_walks` for one seed, as a :class:`WalkTrace`."""
-    return WalkTrace(topology=topology, steps=sample_walks(topology, T, [seed]).steps[0])
-
-
-def visit_counts(walk: WalkTrace) -> np.ndarray:
-    """Number of visits per user; entry u-1 counts visits to user u. Sums to T."""
-    return np.bincount(walk.steps - 1, minlength=walk.n)
+def visit_counts(walks: Walks) -> np.ndarray:
+    """(R, n) visits per user: entry [r, u - 1] counts walk r's visits to
+    user u, so each row sums to T."""
+    R, n = walks.steps.shape[0], walks.n
+    keys = walks.steps + (np.arange(R) * n - 1)[:, None]  # walk r's user u -> r * n + u - 1
+    return np.bincount(keys.ravel(), minlength=R * n).reshape(R, n)

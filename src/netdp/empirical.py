@@ -6,7 +6,8 @@ exact per-cycle amplification, which is how tight the deployment-time
 guarantee really is.  Matrix entry (u, v) is the loss of user u's data with
 respect to observer v for one walk; the diagonal is NaN.  One column pass
 over the walk feeds both the full matrix and a per-observer summary (column
-sums, minima and maxima) that never holds the n x n array.
+sums, minima and maxima) that never holds the n x n array.  Each entry point
+takes a one-walk :class:`~netdp.core.Walks` and reads its ``row(0)``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .core import COMPLETE, WalkTrace, record
+from .core import COMPLETE, Walks, record
 
 
 @record
@@ -108,8 +109,15 @@ def _capped_segments(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lengths, offsets
 
 
+def _one_walk(walks: Walks) -> np.ndarray:
+    """The (T,) holders of ``walks``, which must be one complete-graph walk."""
+    if walks.topology.kind != COMPLETE or len(walks.steps) != 1:
+        raise ValueError(f"need one complete-graph walk, got R={len(walks.steps)} {walks.topology.kind} walks")
+    return walks.row(0)
+
+
 def _pair_loss_columns(
-    walk: WalkTrace,
+    walk: Walks,
     eps0: float,
     delta0: float,
     delta_prime: float,
@@ -125,13 +133,11 @@ def _pair_loss_columns(
     O(T) numbers and each column's temporaries die with it, so no pass holds
     more than O(n + T).
     """
-    if walk.topology.kind != COMPLETE:
-        raise ValueError("empirical pair loss is defined for complete-graph walks")
+    steps, n, T = _one_walk(walk), walk.n, walk.T
     if not 0 < eps0 <= 1:
         raise ValueError(f"eps0 must be in (0, 1], got {eps0}")
     if not 0 < delta_prime < 1:
         raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
-    n, T, steps = walk.n, walk.T, walk.steps
     log_dp = math.log(1.0 / delta_prime)
 
     # visit steps grouped by user, one stable sort for the whole walk;
@@ -184,7 +190,7 @@ def _pair_loss_columns(
 
 
 def empirical_pair_loss_sum(
-    walk: WalkTrace,
+    walk: Walks,
     eps0: float,
     delta0: float,
     delta_prime: float,
@@ -224,7 +230,7 @@ def empirical_pair_loss_sum(
 
 
 def empirical_pair_loss_summary(
-    walk: WalkTrace,
+    walk: Walks,
     eps0: float,
     delta0: float,
     delta_prime: float,
@@ -249,14 +255,14 @@ def empirical_pair_loss_summary(
                            n=n, T=walk.T, eps0=eps0, meta=meta)
 
 
-def spotted_counts(walk: WalkTrace) -> np.ndarray:
+def spotted_counts(walk: Walks) -> np.ndarray:
     """Count contributions of u directly preceded or followed by v, per (u, v).
 
     Entry (u-1, v-1) counts steps t with holder u whose predecessor or
     successor step belongs to v; a contribution flanked by v on both sides
-    counts once.
+    counts once.  ``walk`` is one complete-graph walk.
     """
-    steps0 = walk.steps - 1
+    steps0 = _one_walk(walk) - 1
     n = walk.n
     counts = np.bincount(steps0[1:] * n + steps0[:-1], minlength=n * n)
     counts += np.bincount(steps0[:-1] * n + steps0[1:], minlength=n * n)
@@ -266,7 +272,7 @@ def spotted_counts(walk: WalkTrace) -> np.ndarray:
 
 
 def empirical_pair_loss_spotted(
-    walk: WalkTrace,
+    walk: Walks,
     eps0: float,
     mode: Literal["simple", "advanced"] = "simple",
     delta_prime: float | None = None,
@@ -279,8 +285,6 @@ def empirical_pair_loss_spotted(
     simple or advanced); add it to :func:`empirical_pair_loss_sum` output
     for the total.
     """
-    if walk.topology.kind != COMPLETE:
-        raise ValueError("spotted accounting is defined for complete-graph walks")
     if mode not in ("simple", "advanced"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "advanced" and delta_prime is None:

@@ -34,7 +34,7 @@ from .core import (
     STREAM_NOISE,
     STREAM_RR,
     Topology,
-    WalkBatch,
+    Walks,
     rng_stream,
     rng_stream_list,
     rng_streams,
@@ -55,11 +55,11 @@ class ProtocolRuns(NamedTuple):
     complete graph, and ``noised`` marks the randomized steps t + 1 in one
     row for a sum, whose schedule is fixed, or one flip mask per run for a
     histogram.  ``scales[t]`` is the noise std-dev or flip probability of a
-    randomized step t + 1.  :meth:`walk` and :meth:`noise_steps` read run
-    r's rows.  All arrays are read-only.
+    randomized step t + 1.  ``trace.row(r)`` and :meth:`noise_steps` read
+    run r's rows.  All arrays are read-only.
     """
 
-    trace: WalkBatch  # (1, T) on the ring, (R, T) on the complete graph
+    trace: Walks  # (1, T) on the ring, (R, T) on the complete graph
     noised: np.ndarray  # (1, T) bool for sums, (R, T) for histograms
     scales: np.ndarray  # (T,) float64
     outputs: np.ndarray  # (R,) float64 or (R, L) float64
@@ -67,17 +67,13 @@ class ProtocolRuns(NamedTuple):
     pre_debias: np.ndarray | None  # (R, L) int64 raw counts; None for sums
     response_counts: np.ndarray  # (R,) int64
 
-    def walk(self, r: int) -> np.ndarray:
-        """(T,) holders of run r's walk."""
-        return self.trace.steps[r if len(self.trace.steps) > 1 else 0]
-
     def noise_steps(self, r: int) -> np.ndarray:
         """Ascending 1-based steps at which run r randomized."""
         return np.flatnonzero(self.noised[r if len(self.noised) > 1 else 0]) + 1
 
 
 def _read_only(runs: ProtocolRuns) -> ProtocolRuns:
-    for arr in runs[1:]:  # trace.steps is read-only already
+    for arr in runs[1:]:  # the trace's steps are read-only already
         if arr is not None:
             arr.setflags(write=False)
     return runs
@@ -169,7 +165,7 @@ def _contributions(table: np.ndarray, steps: np.ndarray) -> np.ndarray:
 # Summation
 # ---------------------------------------------------------------------------
 
-def _sum_runs(trace: WalkBatch, noised: np.ndarray, scales: np.ndarray, true_values: np.ndarray,
+def _sum_runs(trace: Walks, noised: np.ndarray, scales: np.ndarray, true_values: np.ndarray,
               sigma_loc: float, noise_kind: str, seeds: list[int]) -> ProtocolRuns:
     """Each seed's output: its true value plus the sum of one ``perturb``
     draw over the noised steps' scales, drawn into one reused buffer."""
@@ -240,7 +236,7 @@ def run_ring_sum(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     trace = sample_walks(Topology(RING, n), T, seeds)
-    x = _contributions(clip_contribution(np.asarray(table), clip), trace.steps[0])
+    x = _contributions(clip_contribution(np.asarray(table), clip), trace.row(0))
     true_values = np.full(len(seeds), float(np.sum(x)))
     return _sum_runs(trace, noised, scales, true_values, sigma_loc, noise_kind, seeds)
 
@@ -273,7 +269,7 @@ def audit_ring_sum_structure(n: int, steps: np.ndarray, noise_steps: np.ndarray,
                              require_other_noiser: bool = True) -> int:
     """Count inter-observation windows violating the ring privacy structure.
 
-    ``steps`` is a walk on the n users, such as :meth:`ProtocolRuns.walk`,
+    ``steps`` is a walk on the n users, such as ``ProtocolRuns.trace.row(r)``,
     and ``noise_steps`` its ascending 1-based noise steps, such as
     :meth:`ProtocolRuns.noise_steps`.  A user at ring position p observes the
     token each time it arrives, i.e. after steps p - 1 + i * n.  The
@@ -321,7 +317,7 @@ def _debias_histogram(counts: np.ndarray, gamma: float, domain_size: int,
     return (counts - num_responses * gamma / domain_size - init_count / domain_size) / (1.0 - gamma)
 
 
-def _rr_runs(trace: WalkBatch, table: np.ndarray, domain_size: int, gamma: float,
+def _rr_runs(trace: Walks, table: np.ndarray, domain_size: int, gamma: float,
              seeds: list[int], init_count: int) -> ProtocolRuns:
     """Randomize every contribution of each seed's run, count the responses
     plus ``init_count`` uniform seed elements, and debias.
@@ -340,8 +336,8 @@ def _rr_runs(trace: WalkBatch, table: np.ndarray, domain_size: int, gamma: float
         for r, rng in enumerate(rng_streams(seeds, STREAM_INIT)):
             counts[r] = np.bincount(rng.integers(1, L + 1, size=init_count), minlength=L + 1)[1:]
     for r, rng in enumerate(rng_streams(seeds, STREAM_RR)):
-        if r < len(trace.steps):  # a new walk; the ring's one walk serves every run
-            x = _contributions(table, trace.steps[r])
+        if r < len(trace.steps):  # a new walk; past the ring's one row, row(r) repeats it
+            x = _contributions(table, trace.row(r))
             true = np.bincount(x, minlength=L + 1)[1:]
         flip, categories = rr_gamma_draws(T, gamma, L, rng, noised[r], uniforms)
         counts[r] += (true - np.bincount(x.compress(flip), minlength=L + 1)[1:]
@@ -424,7 +420,7 @@ class SgdRuns(NamedTuple):
     read-only.
     """
 
-    trace: WalkBatch  # (S, T), one walk per distinct seed
+    trace: Walks  # (S, T), one walk per distinct seed
     noised: np.ndarray  # (K, T) bool, one row per distinct noise key
     checkpoint_steps: np.ndarray  # (C,) int64, ascending
     iterates: np.ndarray  # (B, C, d)
@@ -506,10 +502,10 @@ def run_complete_sgd(
     keys = list(key_index)
     row = np.array([seed_index[s] for s in seeds], dtype=np.int64)  # run -> seed row
     key_row = np.array([key_index[k] for k in runs_keys], dtype=np.int64)  # run -> key row
-    walks = sample_walks(Topology(COMPLETE, n), T, list(seed_index)).steps
-    contributes = np.ones(walks.shape, dtype=bool)
+    walks = sample_walks(Topology(COMPLETE, n), T, list(seed_index))
+    contributes = np.ones(walks.steps.shape, dtype=bool)
     if max_contributions is not None:
-        contributes = np.stack([occurrence_index(w) < max_contributions for w in walks])
+        contributes = np.stack([occurrence_index(w) < max_contributions for w in walks.steps])
     noised = np.stack([(contributes[seed_index[s]] | always) & (sig > 0) for s, sig, always in keys])
     rngs = rng_stream_list([s for s, _, _ in keys], STREAM_NOISE)  # interleaved draws: one Philox each
 
@@ -534,7 +530,7 @@ def run_complete_sgd(
         for k, ((_, sig, _), rng, count) in enumerate(zip(keys, rngs, counts)):
             if count:
                 noise[noised[k, start:stop], k] = rng.normal(0.0, sig, size=(count, d))
-        holders = walks[:, start:stop].T.take(row, axis=1)
+        holders = walks.steps[:, start:stop].T.take(row, axis=1)
         for t in range(start, stop):
             update = noise[t - start].take(key_row, axis=0)
             users = holders[t - start]
@@ -548,7 +544,6 @@ def run_complete_sgd(
         if stop in kept:
             iterates[:, kept[stop]] = W
 
-    for arr in (walks, noised, checkpoint_steps, iterates):
+    for arr in (noised, checkpoint_steps, iterates):
         arr.setflags(write=False)
-    return SgdRuns(trace=WalkBatch(walks), noised=noised, checkpoint_steps=checkpoint_steps,
-                   iterates=iterates)
+    return SgdRuns(trace=walks, noised=noised, checkpoint_steps=checkpoint_steps, iterates=iterates)

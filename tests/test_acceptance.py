@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from netdp.core import COMPLETE, Topology, sample_walk, visit_counts
+from netdp.core import COMPLETE, Topology, sample_walks, visit_counts
 from netdp.cli import main as cli_main
 from netdp import accountant as acct
 from netdp import dpml
@@ -46,7 +46,7 @@ def test_c02_ring_structural_privacy():
         stream = proto.uniform_scalar_stream(n, seed=23)
         res = proto.run_ring_sum(n, K, stream, 1.0, seeds=range(250))
         for r in range(250):
-            violations += proto.audit_ring_sum_structure(n, res.walk(r), res.noise_steps(r),
+            violations += proto.audit_ring_sum_structure(n, res.trace.row(r), res.noise_steps(r),
                                                          require_other_noiser=True)
             checked += 1
     criterion_line("ring_structural_privacy", violations == 0,
@@ -109,13 +109,13 @@ def test_c06_empirical_beats_theory():
         n_v = bound.intermediates["N_v"]
         maxima, means, respected_maxima = [], [], []
         for r in range(10):
-            walk = sample_walk(Topology(COMPLETE, n), T, seed=1000 * n + r)
+            walk = sample_walks(Topology(COMPLETE, n), T, [1000 * n + r])
             pairs = emp.empirical_pair_loss_summary(walk, eps0, delta0, dp)
             maxima.append(pairs.max)
             means.append(pairs.mean)
             # columns of observers within the visit bound (the event the
             # delta_hat budget pays for); walks outside it are reported
-            counts = visit_counts(walk)
+            counts = visit_counts(walk)[0]
             ok_cols = np.flatnonzero(counts <= n_v)
             respected_maxima.append(pairs.col_max[ok_cols].max())
         hard_ok = max(maxima) <= bound.epsilon_out
@@ -139,7 +139,7 @@ def test_c07_chernoff_coverage():
     n_v = acct.chernoff_visit_bound(T, 1 / n, delta_hat)
     exceed = np.zeros(n, dtype=np.int64)
     for s in range(walks):
-        counts = visit_counts(sample_walk(Topology(COMPLETE, n), T, seed=s))
+        counts = visit_counts(sample_walks(Topology(COMPLETE, n), T, [s]))[0]
         exceed += counts >= n_v
     frac = exceed / walks
     elapsed = time.time() - start
@@ -300,7 +300,7 @@ def test_c12_spotted_contribution_trend():
     for T in t_grid:
         ratios = []
         for s in range(seeds):
-            walk = sample_walk(Topology(COMPLETE, n), T, seed=7000 + s)
+            walk = sample_walks(Topology(COMPLETE, n), T, [7000 + s])
             base = emp.empirical_pair_loss_sum(walk, eps0, delta0, dp)
             spot = emp.empirical_pair_loss_spotted(walk, eps0, mode="advanced",
                                                    delta_prime=dp)

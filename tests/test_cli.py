@@ -9,7 +9,7 @@ import pytest
 
 from netdp import dpml, empirical as emp
 from netdp.cli import main, parse_config, split_delta_budget
-from netdp.core import COMPLETE, Topology, derive_seed, sample_walk
+from netdp.core import COMPLETE, Topology, derive_seed, sample_walks
 
 
 def write_config(tmp_path, text, name="conf.txt"):
@@ -125,7 +125,7 @@ class TestEmpiricalSweep:
         want = {
             str(n): max(
                 emp.empirical_pair_loss_sum(
-                    sample_walk(Topology(COMPLETE, n), 10 * n, derive_seed(11, n, r)), 0.5, 1e-7, 1e-3
+                    sample_walks(Topology(COMPLETE, n), 10 * n, [derive_seed(11, n, r)]), 0.5, 1e-7, 1e-3
                 ).meta["max_cycles"]
                 for r in range(3)
             )
@@ -188,7 +188,7 @@ class TestEmpiricalSweep:
         def no_walks(*args):
             raise AssertionError("a walk was sampled")
 
-        monkeypatch.setattr(cli, "sample_walk", no_walks)
+        monkeypatch.setattr(cli, "sample_walks", no_walks)
         config = write_config(tmp_path, f"n_grid = 12\nt_factor = 10\ndelta_prime = {delta_prime}\n")
         assert run_cli("--experiment", "empirical_sweep", "--config", config,
                        "--out", tmp_path / "out", "--runs", 1) == 2

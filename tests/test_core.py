@@ -9,21 +9,16 @@ from netdp.core import (
     RING,
     PrivacyBudget,
     Topology,
-    WalkTrace,
+    Walks,
     derive_seed,
     derive_seeds,
     rng_stream,
     rng_stream_list,
     rng_streams,
-    sample_walk,
     sample_walks,
     seed_sequence_state,
     visit_counts,
 )
-
-
-def make_trace(steps, n, kind=COMPLETE):
-    return WalkTrace(topology=Topology(kind, n), steps=np.asarray(steps))
 
 
 class TestPrivacyBudget:
@@ -48,19 +43,23 @@ class TestTopology:
             Topology("torus", 5)
 
 
+def walk_of(topology, T, seed):
+    """The one walk ``sample_walks`` draws for ``seed``, as (T,) holders."""
+    return sample_walks(topology, T, [seed]).row(0)
+
+
 class TestSampleWalk:
     def test_ring_order_deterministic(self):
-        walk = sample_walk(Topology(RING, 3), 6, seed=99)
-        assert walk.steps.tolist() == [1, 2, 3, 1, 2, 3]
+        assert walk_of(Topology(RING, 3), 6, seed=99).tolist() == [1, 2, 3, 1, 2, 3]
 
     def test_ring_walk_is_seed_free_and_read_only(self):
         # the ring walk does not depend on the seed, so a batch holds one row
-        a = sample_walk(Topology(RING, 4), 8, seed=1)
-        assert sample_walk(Topology(RING, 4), 8, seed=2).steps.tolist() == a.steps.tolist()
-        assert sample_walk(Topology(RING, 4), 12, seed=1).steps.tolist() == [1, 2, 3, 4] * 3
+        a = walk_of(Topology(RING, 4), 8, seed=1)
+        assert walk_of(Topology(RING, 4), 8, seed=2).tolist() == a.tolist()
+        assert walk_of(Topology(RING, 4), 12, seed=1).tolist() == [1, 2, 3, 4] * 3
         batch = sample_walks(Topology(RING, 4), 8, [1, 2, 3])
-        assert batch.steps.tolist() == [a.steps.tolist()] and batch.T == 8
-        for steps in (a.steps, batch.steps):
+        assert batch.steps.tolist() == [a.tolist()] and batch.T == 8
+        for steps in (a, batch.steps):
             with pytest.raises(ValueError):
                 steps[0] = 2
 
@@ -68,55 +67,61 @@ class TestSampleWalk:
         batch = sample_walks(Topology(COMPLETE, 7), 50, [3, 9, 3])
         assert batch.steps.shape == (3, 50)
         for row, seed in zip(batch.steps, [3, 9, 3]):
-            assert row.tolist() == sample_walk(Topology(COMPLETE, 7), 50, seed).steps.tolist()
+            assert row.tolist() == walk_of(Topology(COMPLETE, 7), 50, seed).tolist()
         with pytest.raises(ValueError):
             batch.steps[0, 0] = 1
 
     def test_single_user_complete(self):
-        walk = sample_walk(Topology(COMPLETE, 1), 5, seed=4)
-        assert walk.steps.tolist() == [1, 1, 1, 1, 1]
+        assert walk_of(Topology(COMPLETE, 1), 5, seed=4).tolist() == [1, 1, 1, 1, 1]
 
     def test_ring_length_must_divide(self):
         with pytest.raises(ValueError):
-            sample_walk(Topology(RING, 4), 6, seed=0)
+            sample_walks(Topology(RING, 4), 6, [0])
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
-            sample_walk(Topology(COMPLETE, 5), 0, seed=0)
+            sample_walks(Topology(COMPLETE, 5), 0, [0])
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            sample_walks(Topology(COMPLETE, 5), 10, [])
 
     def test_visit_frequency_law_of_large_numbers(self):
         # n=10, T=1e5: every empirical frequency within one percentage point
         # of 1/n (the 3-sigma band is ~0.003, so this is a sound LLN check)
-        walk = sample_walk(Topology(COMPLETE, 10), 10**5, seed=7)
-        freq = visit_counts(walk) / walk.T
+        walk = sample_walks(Topology(COMPLETE, 10), 10**5, [7])
+        freq = visit_counts(walk)[0] / walk.T
         assert np.all(np.abs(freq - 0.1) < 0.01)
 
     def test_pure_function_of_inputs(self):
-        a = sample_walk(Topology(COMPLETE, 20), 500, seed=3)
-        b = sample_walk(Topology(COMPLETE, 20), 500, seed=3)
-        assert np.array_equal(a.steps, b.steps)
-        c = sample_walk(Topology(COMPLETE, 20), 500, seed=4)
-        assert not np.array_equal(a.steps, c.steps)
+        a = walk_of(Topology(COMPLETE, 20), 500, seed=3)
+        b = walk_of(Topology(COMPLETE, 20), 500, seed=3)
+        assert np.array_equal(a, b)
+        c = walk_of(Topology(COMPLETE, 20), 500, seed=4)
+        assert not np.array_equal(a, c)
 
 
 class TestVisitCounts:
     def test_ring_counts(self):
-        walk = sample_walk(Topology(RING, 3), 6, seed=0)
-        assert visit_counts(walk).tolist() == [2, 2, 2]
+        assert visit_counts(sample_walks(Topology(RING, 3), 6, [0])).tolist() == [[2, 2, 2]]
 
     def test_single_user(self):
-        walk = sample_walk(Topology(COMPLETE, 1), 4, seed=0)
-        assert visit_counts(walk).tolist() == [4]
+        assert visit_counts(sample_walks(Topology(COMPLETE, 1), 4, [0])).tolist() == [[4]]
 
     def test_counts_sum_to_T(self):
-        walk = sample_walk(Topology(COMPLETE, 17), 999, seed=5)
-        assert visit_counts(walk).sum() == 999
+        assert visit_counts(sample_walks(Topology(COMPLETE, 17), 999, [5])).sum() == 999
+
+    def test_rows_count_each_walk(self):
+        walks = sample_walks(Topology(COMPLETE, 6), 40, [1, 2, 1])
+        counts = visit_counts(walks)
+        assert counts.shape == (3, 6) and counts.sum(axis=1).tolist() == [40] * 3
+        for row, steps in zip(counts, walks.steps):
+            assert row.tolist() == np.bincount(steps - 1, minlength=6).tolist()
 
     def test_binomial_concentration(self):
         # n=4, T=1e6: every count within 4 sigma of the binomial mean
         n, T = 4, 10**6
-        walk = sample_walk(Topology(COMPLETE, n), T, seed=21)
-        counts = visit_counts(walk)
+        counts = visit_counts(sample_walks(Topology(COMPLETE, n), T, [21]))[0]
         sigma = np.sqrt(T * (1 / n) * (1 - 1 / n))
         assert np.all(np.abs(counts - T / n) <= 4 * sigma)
 
@@ -125,19 +130,48 @@ class TestVisitCounts:
         # on at least 95 of 100 seeds
         n, T = 50, 5000
         passes = 0
-        for seed in range(100):
-            counts = visit_counts(sample_walk(Topology(COMPLETE, n), T, seed=seed))
+        for counts in visit_counts(sample_walks(Topology(COMPLETE, n), T, range(100))):
             _, p = stats.chisquare(counts)
             passes += p >= 0.01
         assert passes >= 95
 
 
-class TestWalkTraceSerialization:
+class TestWalks:
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError):
-            make_trace([0, 1], 2)
+            Walks(Topology(COMPLETE, 2), np.asarray([0, 1]))
         with pytest.raises(ValueError):
-            make_trace([1, 3], 2)
+            Walks(Topology(COMPLETE, 2), np.asarray([1, 3]))
+
+    def test_one_walk_is_one_row(self):
+        walks = Walks(Topology(COMPLETE, 3), [2, 3, 1, 1])
+        assert walks.steps.shape == (1, 4) and walks.steps.dtype == np.int64
+        assert (walks.T, walks.n) == (4, 3)
+
+    def test_steps_are_read_only(self):
+        walks = Walks(Topology(COMPLETE, 3), np.array([[1, 2], [3, 3]]))
+        assert not walks.steps.flags.writeable and not walks.row(1).flags.writeable
+        with pytest.raises(ValueError):
+            walks.steps[0, 0] = 2
+        one = np.array([1, 2, 3])
+        Walks(Topology(COMPLETE, 3), one)
+        with pytest.raises(ValueError):
+            one[0] = 2  # the (1, T) view of a 1-d input has no writeable base
+
+    def test_one_row_serves_every_run(self):
+        walks = Walks(Topology(RING, 3), [1, 2, 3, 1, 2, 3])
+        for r in (0, 1, 7):
+            assert walks.row(r).tolist() == [1, 2, 3, 1, 2, 3]
+
+    def test_rows_of_many_walks(self):
+        walks = Walks(Topology(COMPLETE, 3), [[1, 2], [3, 3]])
+        assert walks.row(0).tolist() == [1, 2] and walks.row(1).tolist() == [3, 3]
+
+    @pytest.mark.parametrize("steps", [[], [[]], np.ones((1, 2, 2), dtype=np.int64), 1, [[0, 1]], [[1, 4]]],
+                             ids=["empty", "empty-row", "3-d", "0-d", "below-1", "above-n"])
+    def test_bad_shapes_and_entries_rejected(self, steps):
+        with pytest.raises(ValueError):
+            Walks(Topology(COMPLETE, 3), steps)
 
 
 class TestRngStreams:

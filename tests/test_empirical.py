@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from netdp.core import COMPLETE, RING, Topology, WalkTrace, sample_walk
+from netdp.core import COMPLETE, RING, Topology, Walks, sample_walks
 from netdp import accountant as acct
 from netdp.empirical import (
     PairLossMatrix,
@@ -19,7 +19,7 @@ from netdp.empirical import (
 
 
 def make_walk(steps, n):
-    return WalkTrace(topology=Topology(COMPLETE, n), steps=np.asarray(steps))
+    return Walks(topology=Topology(COMPLETE, n), steps=np.asarray(steps))
 
 
 # Oracles: the straightforward forms the vectorized kernels must match bit for bit
@@ -38,7 +38,7 @@ def pair_loss_oracle(walk, eps0, delta_prime):
     """Per observer, the distinct (segment, user) pairs via np.unique."""
     n = walk.n
     log_dp = math.log(1.0 / delta_prime)
-    steps0 = walk.steps - 1
+    steps0 = walk.row(0) - 1
     matrix = np.zeros((n, n))
     max_cycles = 0
     for v in range(1, n + 1):
@@ -77,7 +77,7 @@ def cycle_ends(times, lengths, offsets):
 
 
 def spotted_counts_add_at(walk):
-    steps0 = walk.steps - 1
+    steps0 = walk.row(0) - 1
     n, T = walk.n, walk.T
     counts = np.zeros(n * n, dtype=np.int64)
     if T >= 2:
@@ -107,7 +107,7 @@ def walks(draw, max_n=12, max_T=300):
 
 def visit_table(walk):
     """Every observer's visit steps and previous visits, grouped by observer."""
-    steps0 = walk.steps - 1
+    steps0 = walk.row(0) - 1
     times = [np.flatnonzero(steps0 == v) + 1 for v in range(walk.n)]
     starts = [np.concatenate(([0], t))[:-1] for t in times]
     bounds = np.cumsum([0] + [t.size for t in times])
@@ -167,18 +167,27 @@ class TestCappedSegments:
 
 class TestEmpiricalPairLossSum:
     def test_requires_complete_topology(self):
-        walk = sample_walk(Topology(RING, 4), 8, seed=0)
+        walk = sample_walks(Topology(RING, 4), 8, [0])
         with pytest.raises(ValueError):
             empirical_pair_loss_sum(walk, 0.5, 1e-7, 1e-3)
 
+    def test_more_than_one_walk_rejected(self):
+        walks = sample_walks(Topology(COMPLETE, 4), 8, [0, 1])
+        calls = [lambda: empirical_pair_loss_sum(walks, 0.5, 1e-7, 1e-3),
+                 lambda: empirical_pair_loss_summary(walks, 0.5, 1e-7, 1e-3),
+                 lambda: empirical_pair_loss_spotted(walks, 0.5), lambda: spotted_counts(walks)]
+        for call in calls:
+            with pytest.raises(ValueError, match="R=2"):
+                call()
+
     def test_eps0_above_one_rejected(self):
-        walk = sample_walk(Topology(COMPLETE, 4), 8, seed=0)
+        walk = sample_walks(Topology(COMPLETE, 4), 8, [0])
         with pytest.raises(ValueError):
             empirical_pair_loss_sum(walk, 1.5, 1e-7, 1e-3)
 
     @pytest.mark.parametrize("delta_prime", [0.0, 1.0, 2.0])
     def test_delta_prime_outside_unit_interval_rejected(self, delta_prime):
-        walk = sample_walk(Topology(COMPLETE, 4), 8, seed=0)
+        walk = sample_walks(Topology(COMPLETE, 4), 8, [0])
         with pytest.raises(ValueError, match="delta_prime"):
             empirical_pair_loss_sum(walk, 0.5, 1e-7, delta_prime)
 
@@ -216,7 +225,7 @@ class TestEmpiricalPairLossSum:
         assert math.isnan(pairs.mean)
 
     def test_diagonal_is_nan(self):
-        walk = sample_walk(Topology(COMPLETE, 5), 100, seed=3)
+        walk = sample_walks(Topology(COMPLETE, 5), 100, [3])
         m = empirical_pair_loss_sum(walk, 0.5, 1e-7, 1e-3)
         assert np.all(np.isnan(np.diag(m.matrix)))
 
@@ -226,15 +235,15 @@ class TestEmpiricalPairLossSum:
         T = 100 * n
         bound = acct.complete_sum_bound(eps0, 1e-7, n, T, dp, dh).epsilon_out
         for seed in range(3):
-            walk = sample_walk(Topology(COMPLETE, n), T, seed=seed)
+            walk = sample_walks(Topology(COMPLETE, n), T, [seed])
             m = empirical_pair_loss_sum(walk, eps0, 1e-7, dp)
             assert float(np.nanmax(m.matrix)) <= bound
 
     def test_relabeling_equivariance(self):
         n = 6
-        walk = sample_walk(Topology(COMPLETE, n), 300, seed=5)
+        walk = sample_walks(Topology(COMPLETE, n), 300, [5])
         perm = np.array([3, 1, 5, 2, 6, 4])  # image of users 1..6
-        relabeled = make_walk(perm[walk.steps - 1], n)
+        relabeled = make_walk(perm[walk.row(0) - 1], n)
         m = empirical_pair_loss_sum(walk, 0.5, 1e-7, 1e-3).matrix
         mp = empirical_pair_loss_sum(relabeled, 0.5, 1e-7, 1e-3).matrix
         for u in range(n):
@@ -244,7 +253,7 @@ class TestEmpiricalPairLossSum:
                 assert mp[perm[u] - 1, perm[v] - 1] == pytest.approx(m[u, v], rel=1e-12)
 
     def test_deterministic(self):
-        walk = sample_walk(Topology(COMPLETE, 10), 500, seed=1)
+        walk = sample_walks(Topology(COMPLETE, 10), 500, [1])
         a = empirical_pair_loss_sum(walk, 0.5, 1e-7, 1e-3)
         b = empirical_pair_loss_sum(walk, 0.5, 1e-7, 1e-3)
         np.testing.assert_array_equal(a.matrix, b.matrix)
@@ -261,7 +270,7 @@ class TestPairLossMatchesOracle:
     @pytest.mark.parametrize("n,factor", [(7, 3), (30, 25), (100, 25)])
     def test_sampled_walks(self, n, factor):
         for seed in range(3):
-            assert_matches_oracle(sample_walk(Topology(COMPLETE, n), factor * n, seed=seed))
+            assert_matches_oracle(sample_walks(Topology(COMPLETE, n), factor * n, [seed]))
 
     def test_walk_shorter_than_n(self):
         m = assert_matches_oracle(make_walk([3, 7, 3, 1], 10))
@@ -308,7 +317,7 @@ class TestZeroEntries:
     def test_zero_iff_no_step_before_last_visit(self, walk, eps0):
         """Entry (u, v) is exactly 0.0 iff u holds no step up to v's last visit."""
         m = empirical_pair_loss_sum(walk, eps0, 1e-7, 1e-3).matrix
-        steps = walk.steps.tolist()
+        steps = walk.row(0).tolist()
         for v in range(1, walk.n + 1):
             last = max((t for t, s in enumerate(steps, 1) if s == v), default=0)
             held = set(steps[:last])
@@ -371,7 +380,7 @@ class TestPairLossSummary:
     @pytest.mark.parametrize("n,factor", [(2, 5), (30, 25), (200, 2)])
     def test_sampled_walks(self, n, factor):
         for seed in range(3):
-            assert_summary_matches_matrix(sample_walk(Topology(COMPLETE, n), factor * n, seed=seed))
+            assert_summary_matches_matrix(sample_walks(Topology(COMPLETE, n), factor * n, [seed]))
 
     def test_unvisited_observer_column_is_zero(self):
         pairs = assert_summary_matches_matrix(make_walk([2, 3, 3, 2], 4))
@@ -389,13 +398,13 @@ class TestPairLossSummary:
         with pytest.raises(ValueError, match="delta_prime"):
             empirical_pair_loss_summary(make_walk([1, 2], 2), 0.5, 1e-7, 1.0)
         with pytest.raises(ValueError, match="complete"):
-            empirical_pair_loss_summary(sample_walk(Topology(RING, 4), 8, seed=0), 0.5, 1e-7, 1e-3)
+            empirical_pair_loss_summary(sample_walks(Topology(RING, 4), 8, [0]), 0.5, 1e-7, 1e-3)
 
     def test_peak_memory_far_below_the_matrix(self):
         # one n x n float64 array is 8 MB at n = 1000; the summary must stay
         # under a quarter of it
         n = 1000
-        walk = sample_walk(Topology(COMPLETE, n), 25 * n, seed=0)
+        walk = sample_walks(Topology(COMPLETE, n), 25 * n, [0])
         tracemalloc.start()
         try:
             pairs = empirical_pair_loss_summary(walk, 0.5, 1e-7, 1e-3)

@@ -151,7 +151,7 @@ def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
 
 # Public names that nothing in src/ reads, kept on purpose.
 KEPT_PUBLIC = {
-    "visit_counts",  # c06 and c07 count visits with it
+    "visit_counts",  # (R, n) visits per walk; c06 and c07 count visits with it
     "audit_ring_sum_structure",  # c02's structural audit of the ring protocol
     "empirical_pair_loss_spotted",  # c12's spotted-contribution losses
     "empirical_pair_loss_sum",  # c12's base losses; reference for the per-observer summary

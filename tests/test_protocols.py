@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from netdp.core import COMPLETE, RING, Topology, sample_walk
+from netdp.core import COMPLETE, RING, Topology, Walks, sample_walks
 from netdp.protocols import (
     CHECKPOINT_EVERY,
     audit_ring_sum_structure,
@@ -57,12 +57,12 @@ class TestRunRingSum:
 
     def test_structural_audit_default_schedule(self):
         res = run_ring_sum(20, 5, uniform_scalar_stream(20, 1), 1.0, seeds=[2])
-        assert audit_ring_sum_structure(20, res.walk(0), res.noise_steps(0), require_other_noiser=True) == 0
+        assert audit_ring_sum_structure(20, res.trace.row(0), res.noise_steps(0), require_other_noiser=True) == 0
 
     def test_structural_audit_protected_schedule(self):
         res = run_ring_sum(20, 5, uniform_scalar_stream(20, 1), 1.0, seeds=[2],
                            protect_first_cycle=True)
-        assert audit_ring_sum_structure(20, res.walk(0), res.noise_steps(0), require_other_noiser=True) == 0
+        assert audit_ring_sum_structure(20, res.trace.row(0), res.noise_steps(0), require_other_noiser=True) == 0
 
     def test_monte_carlo_stddev(self):
         # smaller sibling of the acceptance run: 2e4 runs, 5% tolerance
@@ -133,7 +133,7 @@ class TestAuditRingSumStructure:
         stream = uniform_scalar_stream(n, 1)
         for kwargs in ({}, {"protect_first_cycle": True}, {"mode": "distributed"}):
             res = run_ring_sum(n, K, stream, 1.0, seeds=[2], **kwargs)
-            args = (n, res.walk(0), res.noise_steps(0), require)
+            args = (n, res.trace.row(0), res.noise_steps(0), require)
             assert audit_ring_sum_structure(*args) == audit_loop(*args) == 0
 
     @pytest.mark.parametrize("n,K", CASES)
@@ -145,7 +145,7 @@ class TestAuditRingSumStructure:
         found = 0
         for frac in (0.0, 0.5, 0.9, 0.97):
             keep = rng.random(noise_steps.size) >= frac
-            args = (n, res.walk(0), noise_steps[keep], require)
+            args = (n, res.trace.row(0), noise_steps[keep], require)
             got = audit_ring_sum_structure(*args)
             assert got == audit_loop(*args)
             found += got
@@ -157,7 +157,7 @@ class TestAuditRingSumStructure:
         n, K = 6, 4
         res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 1.0, seeds=[2], mode="distributed")
         noise_steps = res.noise_steps(0)
-        thinned = (n, res.walk(0), noise_steps[(noise_steps - 1) % n == 0])
+        thinned = (n, res.trace.row(0), noise_steps[(noise_steps - 1) % n == 0])
         assert audit_ring_sum_structure(*thinned, False) == audit_loop(*thinned, False)
         assert audit_ring_sum_structure(*thinned, True) == audit_loop(*thinned, True) > 0
 
@@ -167,7 +167,7 @@ class TestAuditRingSumStructure:
         n, K = 5, 6
         res = run_ring_sum(n, K, uniform_scalar_stream(n, 1), 1.0, seeds=[2])
         for seed in range(5):
-            mixed = (n, sample_walk(Topology(COMPLETE, n), K * n, seed).steps, res.noise_steps(0), require)
+            mixed = (n, sample_walks(Topology(COMPLETE, n), K * n, [seed]).row(0), res.noise_steps(0), require)
             assert audit_ring_sum_structure(*mixed) == audit_loop(*mixed)
 
 
@@ -239,7 +239,7 @@ class TestOccurrenceIndex:
     @pytest.mark.parametrize("n,K", [(2, 1), (5, 3), (100, 10), (500, 20)])
     def test_ring_walk_visit_counter_is_the_lap(self, n, K):
         # per-visit tables on a ring read column k on lap k
-        steps = sample_walk(Topology(RING, n), K * n, seed=0).steps
+        steps = sample_walks(Topology(RING, n), K * n, [0]).row(0)
         assert occurrence_index(steps).tolist() == np.repeat(np.arange(K), n).tolist()
 
 
@@ -270,7 +270,7 @@ class TestRunCompleteSum:
 
     def test_single_user_structure(self):
         res = run_complete_sum(1, 7, np.array([0.25]), 0.0, seeds=[1])
-        assert res.walk(0).tolist() == [1] * 7
+        assert res.trace.row(0).tolist() == [1] * 7
         assert res.true_values[0] == pytest.approx(7 * 0.25)
         assert res.noise_steps(0).size == 7
 
@@ -576,7 +576,7 @@ class TestProtocolResultSchedule:
 def assert_run_is_single_call(batch, r, single):
     """Run r of ``batch`` equals the one-seed call ``single``, bit for bit."""
     pairs = [(batch.outputs[r], single.outputs[0]), (batch.true_values[r], single.true_values[0]),
-             (batch.response_counts[r], single.response_counts[0]), (batch.walk(r), single.walk(0)),
+             (batch.response_counts[r], single.response_counts[0]), (batch.trace.row(r), single.trace.row(0)),
              (batch.noise_steps(r), single.noise_steps(0)), (batch.scales, single.scales)]
     if single.pre_debias is not None:
         pairs.append((batch.pre_debias[r], single.pre_debias[0]))
@@ -642,7 +642,18 @@ class TestSeedLists:
                                                           gamma=0.3), **kw}),
         "complete_hist": lambda **kw: run_complete_hist(**{**dict(n=4, T=8, domain_size=3,
                                                                   table=np.ones(4, dtype=int), gamma=0.3), **kw}),
+        "complete_sgd": lambda **kw: run_complete_sgd(**{**dict(n=4, T=8, grad_fn=constant_grad, eta=0.1, sigma=1.0,
+                                                                d=2), **kw}),
     }
+    WALK_LENGTHS = [("ring_sum", dict(K=3), 12), ("complete_sum", dict(T=10), 10), ("ring_hist", dict(K=3), 12),
+                    ("complete_hist", dict(T=10), 10), ("complete_sgd", dict(T=10), 10)]
+
+    @pytest.mark.parametrize("name,kwargs,T", WALK_LENGTHS, ids=[name for name, _, _ in WALK_LENGTHS])
+    def test_trace_holds_the_walks_asked_for(self, name, kwargs, T):
+        # step counters, such as the benchmark tracer's, read ``result.trace.T`` off every run_* call
+        res = self.CALLS[name](seeds=[1, 2], **kwargs)
+        assert type(res.trace) is Walks and res.trace.T == T
+        assert res.trace.steps.shape == (1 if name.startswith("ring") else 2, T)
     BAD = [("ring_sum", dict(seeds=[])), ("ring_sum", dict(sigma_loc=-1.0)), ("ring_sum", dict(mode="triple")),
            ("ring_sum", dict(n=1)), ("ring_sum", dict(K=0)),
            ("complete_sum", dict(seeds=[])), ("complete_sum", dict(sigma_loc=-0.5)), ("complete_sum", dict(n=0)),

@@ -6,8 +6,9 @@ instance).  It refuses assignment and deletion, compares equal to a record
 of the same class with equal fields (never to another class or a plain
 tuple), hashes by its fields, prints as ``Name(field=value, ...)``, and
 survives pickling (the CLI's worker pool pickles training batches) and
-copying.  Array fields here hold one entry, so that ``==`` on them is a
-plain truth value.
+copying, which rebuild it through its checks: a read-only array stays
+read-only, and a pickle of an invalid state is refused.  Array fields here
+hold one entry, so that ``==`` on them is a plain truth value.
 """
 
 import copy
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from netdp.accountant import BoundReport, RdpPoint
-from netdp.core import PrivacyBudget, Topology, WalkTrace
+from netdp.core import PrivacyBudget, Topology, Walks
 from netdp.dpml import Dataset, RegimeBatch, TrainConfig
 from netdp.empirical import PairLossMatrix, PairLossSummary
 
@@ -36,9 +37,9 @@ RECORDS = [
     spec(PrivacyBudget, {"epsilon": 1.0, "delta": 1e-6}, {"delta": 0.0}, {"epsilon": 2.0},
          "PrivacyBudget(epsilon=1.0, delta=1e-06)"),
     spec(Topology, {"kind": "ring", "n": 5}, {}, {"n": 6}, "Topology(kind='ring', n=5)"),
-    spec(WalkTrace, {"topology": Topology("complete", 3), "steps": np.array([2])}, {},
-         {"steps": np.array([3])},
-         "WalkTrace(topology=Topology(kind='complete', n=3), steps=array([2]))", hashable=False),
+    spec(Walks, {"topology": Topology("complete", 3), "steps": np.array([[2]])}, {},
+         {"steps": np.array([[3]])},
+         "Walks(topology=Topology(kind='complete', n=3), steps=array([[2]]))", hashable=False),
     spec(BoundReport, {"name": "ring_sum", "inputs": {"n": 10}, "epsilon_out": 0.5, "delta_out": 1e-6,
                        "intermediates": {"K": 2}, "unchecked": True},
          {"intermediates": {}, "unchecked": False}, {"epsilon_out": 0.75},
@@ -69,6 +70,19 @@ RECORDS = [
 ]
 
 FIELDS = "cls, fields, defaults, changed, text, hashable"
+
+# A field value that each record's check refuses; Dataset and
+# PairLossSummary check nothing.
+INVALID = {
+    PrivacyBudget: {"epsilon": 0.0},
+    Topology: {"kind": "completX"},
+    Walks: {"steps": np.array([[4]])},
+    BoundReport: {"delta_out": 2.0},
+    RdpPoint: {"alpha": 1.0},
+    TrainConfig: {"T": 0},
+    RegimeBatch: {"sigmas": ()},
+    PairLossMatrix: {"matrix": np.zeros((2, 2))},
+}
 
 
 @pytest.mark.parametrize(FIELDS, RECORDS)
@@ -134,6 +148,41 @@ def test_pickle_and_copy_round_trip(cls, fields, defaults, changed, text, hashab
     record = cls(**fields)
     for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
         assert type(clone) is cls and clone == record and repr(clone) == text
+
+
+@pytest.mark.parametrize(FIELDS, RECORDS)
+def test_arrays_stay_read_only_after_pickle_and_copy(cls, fields, defaults, changed, text, hashable):
+    record = cls(**fields)
+    arrays = [name for name in fields if isinstance(getattr(record, name), np.ndarray)]
+    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+        for name in arrays:
+            assert getattr(clone, name).flags.writeable == getattr(record, name).flags.writeable
+
+
+@pytest.mark.parametrize(FIELDS, RECORDS)
+def test_pickle_of_an_invalid_state_is_refused(cls, fields, defaults, changed, text, hashable):
+    if cls not in INVALID:
+        assert not hasattr(cls, "__post_init__")  # nothing to check
+        return
+    tampered = object.__new__(cls)  # the state a pickle would carry, bypassing the checks
+    tampered.__dict__.update({**fields, **INVALID[cls]})
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(tampered))
+    with pytest.raises(ValueError):
+        copy.deepcopy(tampered)
+
+
+def test_edited_pickle_bytes_are_refused():
+    data = pickle.dumps(Topology("complete", 5))
+    assert pickle.loads(data) == Topology("complete", 5)
+    with pytest.raises(ValueError, match="unknown topology kind 'completX'"):
+        pickle.loads(data.replace(b"complete", b"completX"))
+
+
+def test_read_only_array_fields():
+    walks = Walks(Topology("complete", 3), np.array([[2]]))
+    matrix = PairLossMatrix(np.array([[0.0]]), 1, 4, 0.5)
+    assert not walks.steps.flags.writeable and not matrix.matrix.flags.writeable
 
 
 def test_default_budget_repr():

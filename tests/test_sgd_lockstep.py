@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from netdp import dpml
-from netdp.core import COMPLETE, STREAM_NOISE, PrivacyBudget, Topology, rng_stream, sample_walk
+from netdp.core import COMPLETE, STREAM_NOISE, PrivacyBudget, Topology, rng_stream, sample_walks
 from netdp.protocols import CHECKPOINT_EVERY, run_complete_sgd
 
 
@@ -30,7 +30,7 @@ def oracle_sgd(n, T, datasets, eta, sigma, d, seed, max_contributions=None,
                noise_when_capped=True):
     """Per-run loop; returns the (T+1, d) iterates and the noised-step mask."""
     w = np.zeros(d)
-    steps = sample_walk(Topology(COMPLETE, n), T, seed).steps
+    steps = sample_walks(Topology(COMPLETE, n), T, [seed]).row(0)
     rng = rng_stream(seed, STREAM_NOISE)
     iterates = np.empty((T + 1, d))
     iterates[0] = w
@@ -102,7 +102,7 @@ def check_against_oracle(data, T, etas, seeds, sigma, noise_when_capped=True, **
         assert_bits_equal(runs.iterates[b], iterates[expected_steps])
         assert_bits_equal(runs.models[b], iterates[-1])
         np.testing.assert_array_equal(runs.trace.steps[distinct.index(seed)],
-                                      sample_walk(Topology(COMPLETE, data.n_users), T, seed).steps)
+                                      sample_walks(Topology(COMPLETE, data.n_users), T, [seed]).row(0))
         np.testing.assert_array_equal(runs.noised[noise_keys.index((seed, sig, mode))], noised)
     return runs
 
