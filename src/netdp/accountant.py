@@ -373,17 +373,10 @@ def _cycle_report(name: str, eps: float, delta: float, n: int, T: int, delta_pri
     N_v + T/n cycles; ``fixed_contributions`` selects the fixed variant
     (exactly T/n visits, no concentration step, no delta_hat term, name
     suffix ``_fixed`` and ``delta_hat`` None in the inputs).  Each cycle
-    costs eps_cycle, and the cycles compose as
-
-        eps_f = sqrt(2 k ln(1/delta')) eps_cycle + sqrt(k) eps (e^{eps_cycle} - 1)
-        delta_f = k delta + delta' (+ delta_hat),   k = N_v + T/n.
-
-    Advanced composition of k releases at eps_cycle has the linear term
-    k eps_cycle (e^{eps_cycle} - 1), not sqrt(k) eps (e^{eps_cycle} - 1); the
-    strict xfail ``tests/test_accountant.py::TestChainRecomposition`` pins
-    the gap (ROADMAP item 1).  ``extra_inputs`` follow the chain's inputs,
-    and ``extras`` follow N_v, num_cycles and eps_cycle in the
-    intermediates.  T < 1, or fewer than one cycle (the fixed variant at
+    costs eps_cycle, and the report is the advanced composition over
+    k = N_v + T/n cycles at eps_cycle, plus delta_hat on the delta side.
+    ``extra_inputs`` follow the chain's inputs, and ``extras`` follow N_v,
+    num_cycles and eps_cycle in the intermediates.  T < 1, or fewer than one cycle (the fixed variant at
     T < n/2, the Chernoff one at small T/n), is a ``ValueError``, as K < 1
     is in :func:`advanced_composition`; the Chernoff variant's T < 1 raises
     in :func:`chernoff_visit_bound` first.
@@ -396,16 +389,13 @@ def _cycle_report(name: str, eps: float, delta: float, n: int, T: int, delta_pri
     num_cycles = n_v + T / n
     if not (T >= 1 and num_cycles >= 1):
         raise ValueError(f"need T >= 1 and at least one cycle, got T={T}, n={n}: {num_cycles} cycles")
-    eps_f = (
-        math.sqrt(2.0 * num_cycles * math.log(1.0 / delta_prime)) * eps_cycle
-        + math.sqrt(num_cycles) * eps * math.expm1(eps_cycle)
-    )
+    budget = advanced_composition(eps_cycle, delta, num_cycles, delta_prime)
     return BoundReport(
         name=name + ("_fixed" if fixed_contributions else ""),
         inputs={"eps": eps, "delta": delta, "n": n, "T": T, "delta_prime": delta_prime,
                 "delta_hat": delta_hat, **extra_inputs},
-        epsilon_out=eps_f,
-        delta_out=num_cycles * delta + delta_prime + (0.0 if delta_hat is None else delta_hat),
+        epsilon_out=budget.epsilon,
+        delta_out=budget.delta + (0.0 if delta_hat is None else delta_hat),
         intermediates={"N_v": n_v, "num_cycles": num_cycles, "eps_cycle": eps_cycle, **extras},
         unchecked=not window_ok,
     )
@@ -425,15 +415,11 @@ def complete_sum_bound(
 
     Chain: the observer's visit count is Chernoff-bounded by
     N_v = T/n + sqrt(3 T/n ln(1/delta_hat)); the fictive walk caps cycles
-    at length n, giving at most N_v + T/n cycles; each cycle costs at most
-    3 eps / sqrt(n) (intermediate aggregation + subsampling); advanced
-    composition over the cycles yields
-
-        eps_f = sqrt((4T/n + 2 sqrt(3T/n ln(1/delta_hat))) ln(1/delta'))
-                  * 3 eps / sqrt(n)
-              + sqrt(2T/n + sqrt(3T/n ln(1/delta_hat))) * eps (e^{3 eps/sqrt(n)} - 1)
-
-        delta_f = (N_v + T/n) delta + delta' + delta_hat.
+    at length n, giving at most k = N_v + T/n cycles; each cycle costs at
+    most eps_c = 3 eps / sqrt(n) (:func:`cycle_bound_sum`: intermediate
+    aggregation + subsampling).  The report is the advanced composition
+    over k = N_v + T/n cycles at eps_c, with delta_f = k delta + delta' +
+    delta_hat.
 
     ``fixed_contributions=True`` replaces N_v by exactly T/n and drops the
     delta_hat term (every user contributes exactly T/n times).
@@ -442,7 +428,7 @@ def complete_sum_bound(
         raise ValueError(f"n must be >= 1, got {n}")
     window_ok = _window(not eps > 1, unchecked, f"summation bound requires eps <= 1, got {eps}")
     return _cycle_report("complete_sum", eps, delta, n, T, delta_prime, delta_hat, fixed_contributions,
-                         window_ok, 3.0 * eps / math.sqrt(n), {}, {})
+                         window_ok, cycle_bound_sum(eps, n, unchecked=True), {}, {})
 
 
 def local_baseline_sum(
@@ -487,11 +473,11 @@ def complete_hist_bound(
     """Network budget for randomized-response histograms on a uniform walk.
 
     Same fictive-walk / cycle decomposition as :func:`complete_sum_bound`,
-    with the per-cycle loss min(3 m eps / 2n, 21 sqrt(ln(4/delta) m)/n eps)
-    capped by its worst case at m = n, i.e. 21 sqrt(ln(4/delta)/n) eps.
-    Requires eps <= 1 and n >= 196 ln(4/delta) (so the shuffle arm is the
-    binding one for the longest cycles).  gamma = L / (e^eps + L - 1) and
-    the protocol draws gamma * T random responses in expectation.
+    with the per-cycle loss :func:`cycle_bound_hist` capped by its worst
+    case at m = n.  Requires eps <= 1 and n >= 196 ln(4/delta), where that
+    cap is the shuffle arm 21 sqrt(ln(4/delta)/n) eps; outside the window
+    (``unchecked``) it may be the subsample arm.  gamma = L / (e^eps + L - 1)
+    and the protocol draws gamma * T random responses in expectation.
     """
     if not n >= 1 or not 0 < delta < 1:
         raise ValueError(f"need n >= 1 and delta in (0, 1), got n={n}, delta={delta}")
@@ -500,10 +486,8 @@ def complete_hist_bound(
                         f"(= {196.0 * math.log(4.0 / delta):.1f}; got eps={eps}, n={n})")
     gamma = rr_epsilon_to_gamma(eps, domain_size)
     return _cycle_report("complete_hist", eps, delta, n, T, delta_prime, delta_hat, fixed_contributions,
-                         window_ok, 21.0 * math.sqrt(math.log(4.0 / delta) / n) * eps,
-                         {"domain_size": domain_size},
-                         {"cycle_bound_form": "simplified shuffle arm at m = n", "gamma": gamma,
-                          "expected_random_responses": gamma * T})
+                         window_ok, cycle_bound_hist(eps, delta, n, n), {"domain_size": domain_size},
+                         {"gamma": gamma, "expected_random_responses": gamma * T})
 
 
 # ---------------------------------------------------------------------------

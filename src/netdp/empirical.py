@@ -36,7 +36,7 @@ class PairLossMatrix:
         m.setflags(write=False)
         if m.shape != (self.n, self.n):
             raise ValueError(f"matrix shape {m.shape} does not match n={self.n}")
-        if np.fmin.reduce(_offdiagonal(m), axis=None, initial=np.inf) < 0:
+        if not np.minimum.reduce(_offdiagonal(m), axis=None, initial=np.inf) >= 0:  # nan fails too
             raise ValueError("off-diagonal entries must be non-negative")
 
 
@@ -287,8 +287,10 @@ def empirical_pair_loss_spotted(
     """
     if mode not in ("simple", "advanced"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "advanced" and delta_prime is None:
-        raise ValueError("advanced mode needs delta_prime")
+    if not eps0 >= 0:
+        raise ValueError(f"eps0 must be non-negative, got {eps0}")
+    if mode == "advanced" and not (delta_prime is not None and 0 < delta_prime < 1):
+        raise ValueError(f"advanced mode needs delta_prime in (0, 1), got {delta_prime}")
     counts = spotted_counts(walk).astype(float)
     if mode == "simple":
         matrix = counts * eps0

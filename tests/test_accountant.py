@@ -166,13 +166,12 @@ class TestRingHistBound:
 
 
 def eval_complete_sum_display(eps, n, T, delta_prime, delta_hat):
-    """Independent spelled-out re-evaluation of the summation bound."""
-    a = 4 * T / n + 2 * math.sqrt(3 * T / n * math.log(1 / delta_hat))
-    b = 2 * T / n + math.sqrt(3 * T / n * math.log(1 / delta_hat))
-    return (
-        math.sqrt(a * math.log(1 / delta_prime)) * 3 * eps / math.sqrt(n)
-        + math.sqrt(b) * eps * (math.exp(3 * eps / math.sqrt(n)) - 1)
-    )
+    """Independent spelled-out re-evaluation of the summation bound: advanced
+    composition over k = 2T/n + sqrt(3T/n ln(1/delta_hat)) cycles at
+    eps_c = 3 eps / sqrt(n)."""
+    k = 2 * T / n + math.sqrt(3 * T / n * math.log(1 / delta_hat))
+    eps_c = 3 * eps / math.sqrt(n)
+    return math.sqrt(2 * k * math.log(1 / delta_prime)) * eps_c + k * eps_c * (math.exp(eps_c) - 1)
 
 
 class TestCompleteSumBound:
@@ -188,7 +187,7 @@ class TestCompleteSumBound:
             eval_complete_sum_display(eps, n, T, 1e-3, 1e-3), rel=1e-10
         )
         # frozen from the same direct evaluation
-        assert rep.epsilon_out == pytest.approx(3.143198716935612, rel=1e-12)
+        assert rep.epsilon_out == pytest.approx(3.328354753326045, rel=1e-12)
         assert rep.delta_out == pytest.approx(rep.intermediates["num_cycles"] * 1e-7 + 2e-3)
 
     def test_beats_local_baseline_from_twenty_users(self):
@@ -318,8 +317,9 @@ class TestCompleteHistBound:
 
     def test_golden(self):
         rep = acct.complete_hist_bound(0.5, 1e-6, 10**4, 10**6, 1e-3, 1e-3, 5)
-        # frozen from a spelled-out evaluation of the displayed formula
-        assert rep.epsilon_out == pytest.approx(27.806798474459637, rel=1e-12)
+        # frozen from a spelled-out advanced composition over 2T/n + sqrt(3T/n ln(1/delta_hat))
+        # cycles at the shuffle arm 21 sqrt(ln(4/delta)/n) eps
+        assert rep.epsilon_out == pytest.approx(74.69342171563059, rel=1e-12)
         gamma = rep.intermediates["gamma"]
         assert gamma == pytest.approx(5 / (math.e**0.5 + 4), rel=1e-12)
         assert rep.intermediates["expected_random_responses"] == pytest.approx(gamma * 10**6)
@@ -329,6 +329,8 @@ class TestCompleteHistBound:
             acct.complete_hist_bound(0.5, 1e-6, 100, 10**4, 1e-3, 1e-3, 5)
         rep = acct.complete_hist_bound(0.5, 1e-6, 100, 10**4, 1e-3, 1e-3, 5, unchecked=True)
         assert rep.unchecked
+        # below n = 196 ln(4/delta) the worst cycle's cap is the subsample arm 3 eps / 2
+        assert rep.intermediates["eps_cycle"] == 0.75
 
     @pytest.mark.parametrize("T, fixed, match", [
         (100, True, "got T=100, n=10000: 0.02 cycles"),
@@ -875,29 +877,16 @@ class TestChainRecomposition:
         + [_complete_case("complete_hist_bound", 0.5, 1e-6, n) for n in (10**4, 10**5)]
     )
 
-    @staticmethod
-    def complete_report_and_budget(name, args, fixed):
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("name,args", COMPLETE)
+    def test_complete_bounds_recompose_exactly(self, name, args, fixed):
+        # advanced composition over the k = num_cycles cycles at eps_cycle,
+        # plus delta_hat on the delta side
         rep = getattr(acct, name)(*args, fixed_contributions=fixed)
         inputs, chain = rep.inputs, rep.intermediates
         budget = acct.advanced_composition(chain["eps_cycle"], inputs["delta"], chain["num_cycles"],
                                            inputs["delta_prime"])
-        return rep, budget
-
-    @pytest.mark.parametrize("fixed", [False, True])
-    @pytest.mark.parametrize("name,args", COMPLETE)
-    def test_complete_delta_recomposes_exactly(self, name, args, fixed):
-        # k delta + delta' over the k = num_cycles cycles, plus delta_hat
-        rep, budget = self.complete_report_and_budget(name, args, fixed)
-        assert rep.delta_out == budget.delta + (rep.inputs["delta_hat"] or 0.0)
-
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the complete-graph chain's linear term is "
-                       "sqrt(k) eps (e^eps_cycle - 1), where advanced composition over k cycles gives "
-                       "k eps_cycle (e^eps_cycle - 1); the reported eps is 0.28-0.96 of the recomposed one")
-    @pytest.mark.parametrize("fixed", [False, True])
-    @pytest.mark.parametrize("name,args", COMPLETE)
-    def test_complete_eps_recomposes(self, name, args, fixed):
-        rep, budget = self.complete_report_and_budget(name, args, fixed)
-        assert rep.epsilon_out >= budget.epsilon
+        assert (rep.epsilon_out, rep.delta_out) == (budget.epsilon, budget.delta + (inputs["delta_hat"] or 0.0))
 
 
 class TestCornerInputs:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -334,12 +335,18 @@ class TestPairLossMatrix:
             with pytest.raises(ValueError):
                 PairLossMatrix(matrix=m, n=3, T=1, eps0=0.5)
 
-    def test_nan_and_diagonal_are_not_checked(self):
-        m = np.full((3, 3), np.nan)
-        m[0, 1] = 0.0
+    def test_nan_offdiagonal_rejected(self):
+        for n in (2, 3):
+            m = np.zeros((n, n))
+            m[n - 1, 0] = np.nan
+            with pytest.raises(ValueError, match="non-negative"):
+                PairLossMatrix(matrix=m, n=n, T=1, eps0=0.5)
+
+    def test_diagonal_is_not_checked(self):
+        m = np.zeros((3, 3))
         np.fill_diagonal(m, -1.0)
         PairLossMatrix(matrix=m, n=3, T=1, eps0=0.5)
-        PairLossMatrix(matrix=np.full((2, 2), np.nan), n=2, T=1, eps0=0.5)
+        PairLossMatrix(matrix=np.diag([np.nan, np.nan]), n=2, T=1, eps0=0.5)
 
 
 def ulps(a: float, b: float) -> float:
@@ -444,10 +451,26 @@ class TestSpotted:
         assert m.matrix[0, 1] == pytest.approx(2 * 0.4)
         assert m.matrix[2, 3] == 0.0
 
-    def test_advanced_mode_needs_delta(self):
+    @pytest.mark.parametrize("eps0, mode, delta_prime, match", [
+        (math.nan, "simple", None, "eps0 must be non-negative, got nan"),
+        (-0.1, "simple", None, "eps0 must be non-negative"),
+        (math.nan, "advanced", 1e-3, "eps0 must be non-negative, got nan"),
+        (0.4, "advanced", None, r"delta_prime in \(0, 1\), got None"),
+        (0.4, "advanced", math.nan, r"delta_prime in \(0, 1\), got nan"),
+        (0.4, "advanced", 0.0, r"delta_prime in \(0, 1\)"),
+        (0.4, "advanced", 1.0, r"delta_prime in \(0, 1\)"),
+        (0.4, "advanced", 2.0, r"delta_prime in \(0, 1\), got 2.0"),
+    ])
+    def test_bad_input_raises_without_warning(self, eps0, mode, delta_prime, match):
+        # a numpy RuntimeWarning would surface as an error here, not as the ValueError
         walk = make_walk([1, 2, 1, 2], 4)
-        with pytest.raises(ValueError):
-            empirical_pair_loss_spotted(walk, 0.4, mode="advanced")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                empirical_pair_loss_spotted(walk, eps0, mode=mode, delta_prime=delta_prime)
+
+    def test_advanced_mode_value(self):
+        walk = make_walk([1, 2, 1, 2], 4)
         m = empirical_pair_loss_spotted(walk, 0.4, mode="advanced", delta_prime=1e-3)
         expected = math.sqrt(2 * 2 * math.log(1e3)) * 0.4 + 2 * 0.4 * (math.e**0.4 - 1)
         assert m.matrix[0, 1] == pytest.approx(expected, rel=1e-12)

@@ -48,7 +48,7 @@ CASES = {
 # numpy version -> {"<case>/<file>": sha256}
 DIGESTS = {
     "2.4.6": {
-        "bounds_sweep/results.csv": "16dba5ad201c3570f39663a02a0c67f51b3bee03101211507efdfd1507cef09e",
+        "bounds_sweep/results.csv": "40183261852ac687d52a085e1d91477bdc21ac4fc845b0ab19ab14c93299fd21",
         "empirical_sweep/results.csv": "0c4718af85de4ba2375056bb4a9b052eb8f028738bcdc15ab6ad7f36a5a25ec4",
         "empirical_sweep_sparse/results.csv": "c2d42495de0e6b6c0c71793453b62846a373039ad774736436c8bf2164c7cf26",
         "protocol_mc/results.csv": "b52e3dfeeb1ff18ac8ec874b594204ed861f09c655b1b8186759669b6f80c78a",
