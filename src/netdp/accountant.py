@@ -109,8 +109,10 @@ def advanced_composition(eps: float, delta: float, K: float, delta_prime: float)
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if not delta_prime > 0:
-        raise ValueError("delta_prime must be positive")
+    if not 0 <= delta < 1:
+        raise ValueError(f"delta must be in [0, 1), got {delta}")
+    if not 0 < delta_prime < 1:
+        raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
     if not K >= 1:
         raise ValueError(f"K must be >= 1, got {K}")
     eps_out = math.sqrt(2.0 * K * math.log(1.0 / delta_prime)) * eps + K * eps * math.expm1(eps)
@@ -538,16 +540,17 @@ def sgd_network_rdp(
 ) -> RdpPoint:
     """Network RDP of noisy SGD on a uniform walk, for one user's T_u updates.
 
-    The number of steps until the observer next holds the token is
-    geometric with parameter 1/n, so the per-contribution divergence is
+    The number of steps t >= 1 until the observer next holds the token is
+    geometric with pmf p (1 - p)^(t - 1), p = 1/n, whose expected inverse
+    is (p / (1 - p)) ln(1/p) = ln(n) / (n - 1).  So the per-contribution
+    divergence is
 
-        2 * E_{t ~ Geom(1/n)} [ 2 alpha L^2 / (sigma^2 t) ]
-          <= 4 alpha L^2 ln(n) / (sigma^2 n),
+        2 * E_t [ 2 alpha L^2 / (sigma^2 t) ] = 4 alpha L^2 ln(n) / (sigma^2 (n - 1)),
 
     where the outer factor 2 comes from weak convexity of the Renyi
     divergence (c = 1, requiring sigma >= L sqrt(2 alpha (alpha - 1))).
     Composing the T_u contributions gives
-    (alpha, 4 T_u alpha L^2 ln(n) / (sigma^2 n))-network RDP.
+    (alpha, 4 T_u alpha L^2 ln(n) / (sigma^2 (n - 1)))-network RDP.
     """
     if not n >= 2:
         raise ValueError("n must be >= 2")
@@ -560,7 +563,7 @@ def sgd_network_rdp(
     _window(not sigma < threshold * (1.0 - 1e-9), unchecked,
             "weak convexity needs sigma >= L sqrt(2 alpha (alpha - 1)); "
             f"got sigma={sigma}, threshold={threshold:.4g}")
-    return RdpPoint(alpha, 4.0 * T_u * alpha * L * L * math.log(n) / (sigma * sigma * n))
+    return RdpPoint(alpha, 4.0 * T_u * alpha * L * L * math.log(n) / (sigma * sigma * (n - 1)))
 
 
 def sgd_closed_form_bound(
@@ -602,7 +605,7 @@ def network_sgd_eps(sigma: float, T_u: float, n: int, L: float, delta: float) ->
     """(eps, alpha) for the network SGD chain at a given sigma.
 
     Minimizes alpha * A + ln(1/delta)/(alpha - 1) with
-    A = 4 T_u L^2 ln(n) / (sigma^2 n) over the feasible orders
+    A = 4 T_u L^2 ln(n) / (sigma^2 (n - 1)) over the feasible orders
     1 < alpha <= alpha_max, where alpha_max solves
     sigma = L sqrt(2 alpha (alpha - 1)).  The unconstrained optimum is
     alpha* = 1 + sqrt(ln(1/delta) / A); when it violates the weak-convexity
@@ -611,7 +614,9 @@ def network_sgd_eps(sigma: float, T_u: float, n: int, L: float, delta: float) ->
     if not (sigma > 0 and L > 0 and 0 < delta < 1):
         raise ValueError(f"need sigma > 0, L > 0 and delta in (0, 1); got sigma={sigma}, L={L}, "
                          f"delta={delta}")
-    A = 4.0 * T_u * L * L * math.log(n) / (sigma * sigma * n)
+    if not n >= 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    A = 4.0 * T_u * L * L * math.log(n) / (sigma * sigma * (n - 1))
     # boundary order solving sigma = L sqrt(2 a (a - 1)); the u/(sqrt(1+u)+1)
     # form avoids cancellation for small sigma
     u = 2.0 * sigma * sigma / (L * L)

@@ -395,9 +395,12 @@ class TestPnsgdIteration:
 
 class TestSgdNetworkRdp:
     def test_plug_in(self):
+        # E[1/t] under the pmf p (1 - p)^(t - 1): sum 2^-t / t = ln 2 at n = 2
+        # and (1/2) ln 3 at n = 3
         alpha, L, sigma = 2.0, 1.0, 4.0
-        p = acct.sgd_network_rdp(alpha, 1.0, L, sigma, 2)
-        assert p.eps_rdp == pytest.approx(4 * alpha * L**2 * math.log(2) / (sigma**2 * 2))
+        for n, inverse_wait in ((2, math.log(2)), (3, math.log(3) / 2)):
+            p = acct.sgd_network_rdp(alpha, 1.0, L, sigma, n)
+            assert p.eps_rdp == pytest.approx(4 * alpha * L**2 * inverse_wait / sigma**2)
 
     def test_linear_in_contributions(self):
         a = acct.sgd_network_rdp(2.0, 3.0, 1.0, 5.0, 10).eps_rdp
@@ -410,11 +413,14 @@ class TestSgdNetworkRdp:
         assert acct.sgd_network_rdp(5.0, 1.0, 1.0, 1.0, 10, unchecked=True).eps_rdp > 0
 
     def test_geometric_sum_inequality(self):
-        # key derivation step: (1/n) sum_t (1-1/n)^t / t <= ln(n)/n
+        # key derivation step: the waiting time t >= 1 has pmf p (1 - p)^(t - 1),
+        # p = 1/n, so E[1/t] = ln(n) / (n - 1), above ln(n) / n
         for n in (2, 10, 100, 1000):
+            p = 1 / n
             t = np.arange(1, 200_000)
-            partial = float(np.sum((1 - 1 / n) ** t / t)) / n
-            assert partial <= math.log(n) / n
+            expectation = float(np.sum(p * (1 - p) ** (t - 1) / t))
+            assert expectation == pytest.approx(math.log(n) / (n - 1), rel=1e-12)
+            assert expectation > math.log(n) / n
 
 
 class TestSgdClosedForm:
@@ -964,6 +970,20 @@ class TestCornerInputs:
                     continue
                 for eps in self.epsilons(result):
                     assert math.isfinite(eps) and eps >= 0, (name, args, kwargs, eps)
+
+    @pytest.mark.parametrize("name,args,message", [
+        ("advanced_composition", (0.5, 1e-7, 10, 2.0), r"delta_prime must be in \(0, 1\), got 2.0"),
+        ("advanced_composition", (0.5, 1e-7, 10, 1.0), r"delta_prime must be in \(0, 1\), got 1.0"),
+        ("advanced_composition", (0.5, 1e-7, 10, NAN), r"delta_prime must be in \(0, 1\), got nan"),
+        ("advanced_composition", (0.5, -1.0, 10, 1e-3), r"delta must be in \[0, 1\), got -1.0"),
+        ("advanced_composition", (0.5, 1.0, 10, 1e-3), r"delta must be in \[0, 1\), got 1.0"),
+        ("advanced_composition", (0.5, NAN, 10, 1e-3), r"delta must be in \[0, 1\), got nan"),
+        ("ring_sum_bound", (0.5, -1.0, 10, 1e-3, 20), r"delta must be in \[0, 1\), got -1.0"),
+    ])
+    def test_bad_delta_is_named(self, name, args, message):
+        # the input itself, not a composed total or a math domain error
+        with pytest.raises(ValueError, match=message):
+            getattr(acct, name)(*args)
 
     @pytest.mark.parametrize("name", ["ring_hist_bound", "complete_sum_bound", "complete_hist_bound",
                                       "sgd_closed_form_bound"])

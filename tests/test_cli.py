@@ -298,7 +298,7 @@ class TestProtocolMc:
 
         monkeypatch.setattr(cli, "_protocol_batch", recording_batch)
         tag = zlib.crc32(b"ring_sum") & 0xFFFF
-        # a seed of 2**32 or more takes the spawn-key path; 10**4 seeds are derived in one call
+        # a seed of 2**32 or more, and 10**4 seeds derived in one call
         for seed, runs in [(1, 20), (2**32 + 1, 20), (1, 10**4)]:
             seen.clear()
             assert run_cli("--experiment", "protocol_mc", "--out", tmp_path / f"out{seed}-{runs}",

@@ -14,10 +14,11 @@ No module imports ``dataclasses`` (its generated methods cost import time;
 records come from ``core.record``), and another subprocess check confirms
 that importing the CLI does not load it.
 Random generators come from ``core`` alone: no other module calls anything
-under ``np.random`` or imports from it, so every stream is keyed by the one
-seed hash in ``core``.  Entropy words are built in ``core`` alone too: no
-other module calls or imports ``seed_sequence_state``, so stream keys and
-derived seeds share one encoding.
+under ``np.random`` or imports from it, so every stream is a Philox keyed
+by ``core`` with its (seed, stream) pair.  Derived seeds are hashed in
+``core`` alone too: no other module imports ``hashlib`` or calls
+``blake2b``, so every derived seed comes from the one tuple encoding in
+``core.derive_seeds``.
 """
 
 import ast
@@ -204,17 +205,19 @@ def numpy_random_uses(source: str) -> list[str]:
 
 
 def seed_hash_uses(source: str) -> list[str]:
-    """Calls of ``seed_sequence_state`` (bare or as an attribute) and
-    imports of it, wherever they appear."""
+    """Imports of ``hashlib`` or from it, and calls of ``blake2b`` (bare or
+    as an attribute), wherever they appear."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             name = dotted_name(node.func)
-            if name.split(".")[-1] == "seed_sequence_state":
+            if name.split(".")[-1] == "blake2b":
                 found.append(f"{name} (line {node.lineno})")
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom) and node.module == "hashlib":
+            found += [f"hashlib.{alias.name} (line {node.lineno})" for alias in node.names]
+        elif isinstance(node, ast.Import):
             found += [f"{alias.name} (line {node.lineno})" for alias in node.names
-                      if alias.name == "seed_sequence_state"]
+                      if alias.name.split(".")[0] == "hashlib"]
     return found
 
 
@@ -364,11 +367,12 @@ class TestCheckers:
             "np.random.Generator (line 8)", "np.random.default_rng (line 8)", "numpy.random.Philox (line 8)"]
 
     def test_seed_hash_uses_are_reported(self):
-        src = ("from .core import derive_seeds, seed_sequence_state\nfrom . import core\n"
-               "def f(words):\n    seed_sequence_state(words, 1)\n    derive_seeds([(1, 2)])\n"
-               "    return core.seed_sequence_state(words, 2), core.seed_sequence_state\n")
+        src = ("import hashlib\nimport hashlib as h\nfrom hashlib import blake2b, sha256\nimport os\n"
+               "def f(text):\n    blake2b(text)\n    os.path.join(text)\n"
+               "    return h.blake2b(text, digest_size=8), hashlib.sha256(text)\n")
         assert seed_hash_uses(src) == [
-            "seed_sequence_state (line 1)", "seed_sequence_state (line 4)", "core.seed_sequence_state (line 6)"]
+            "hashlib (line 1)", "hashlib (line 2)", "hashlib.blake2b (line 3)", "hashlib.sha256 (line 3)",
+            "blake2b (line 6)", "h.blake2b (line 8)"]
 
     def test_outside_modules_are_not_checked(self):
         assert private_imports("from os import _exit\nimport numpy as np\nnp._x\n") == []

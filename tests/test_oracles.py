@@ -82,17 +82,22 @@ def test_sampled_return_gaps_have_the_expected_inverse():
     mean = float(inverse.mean())
     stderr = float(inverse.std(ddof=1)) / math.sqrt(inverse.size)
     assert abs(mean - expected_inverse_wait(n)) <= 5 * stderr
-    # the test can tell the docstring's ln(n)/n from the true expectation
+    # the walk tells the expectation from ln(n)/n, which understates it by (n - 1)/n
     assert abs(mean - math.log(n) / n) > 5 * stderr
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1, defect B: sgd_network_rdp bounds E[1/t] by ln(n)/n, "
-                                       "below the waiting time's exact ln(n)/(n - 1)")
+# 4 ulps of relative slack: the oracle's fsum of rounded terms lands up to an
+# ulp off ln(n)/(n - 1) (one ulp above it at n = 10), and the closed form's
+# few roundings add as much again
+ORACLE_ROUNDING = 4 * 2.0**-52
+
+
 @pytest.mark.parametrize("n", [2, 10, 200])
 def test_network_sgd_term_covers_the_exact_expectation(n):
     alpha, L, sigma = 2.0, 1.0, 3.0  # sigma >= L sqrt(2 alpha (alpha - 1)) = 2
     per_contribution = sgd_network_rdp(alpha, 1.0, L, sigma, n).eps_rdp
-    assert per_contribution >= 4.0 * alpha * L * L * expected_inverse_wait(n) / sigma**2
+    exact = 4.0 * alpha * L * L * expected_inverse_wait(n) / sigma**2
+    assert per_contribution >= exact * (1.0 - ORACLE_ROUNDING)
 
 
 def optimal_composition_eps(eps_c: float, delta: float, k: int, delta_tot: float) -> float:

@@ -49,38 +49,38 @@ CASES = {
 DIGESTS = {
     "2.4.6": {
         "bounds_sweep/results.csv": "40183261852ac687d52a085e1d91477bdc21ac4fc845b0ab19ab14c93299fd21",
-        "empirical_sweep/results.csv": "0c4718af85de4ba2375056bb4a9b052eb8f028738bcdc15ab6ad7f36a5a25ec4",
-        "empirical_sweep_sparse/results.csv": "c2d42495de0e6b6c0c71793453b62846a373039ad774736436c8bf2164c7cf26",
-        "protocol_mc/results.csv": "b52e3dfeeb1ff18ac8ec874b594204ed861f09c655b1b8186759669b6f80c78a",
-        "sgd_compare/results.csv": "37ff596f9c167ec2324792cb69dbd2537cb51aeeb00f1c586c039fff78bdcc09",
-        "sgd_compare/trace_centralized_eps1.csv": "0b4a8dd943d875d94bf947ccd823a72afffb5688e20650a1a4a68c95dbf0b6b9",
-        "sgd_compare/trace_centralized_eps10.csv": "111bf9ad38c071e504f77986b6977983ddb73de09868856a3477bd4568d53577",
-        "sgd_compare/trace_local_eps1.csv": "50ee4a002d8b7b73c7b690f41c238bbc619b521e2ff2844af821556c50e4bd34",
-        "sgd_compare/trace_local_eps10.csv": "d8289487667c6b4317839a128aa1325286459a44eccddbfeabf292be73709aa9",
-        "sgd_compare/trace_network_eps1.csv": "3da532f7a3cd6dbf92aae847f14c686f4fa8479fefcdeefe3f89fdf1375bf037",
-        "sgd_compare/trace_network_eps10.csv": "570fcb2bef2d44f55c4a002b47096130c524f0c7dff9b1f683a336d662e927cd",
-        "sgd_compare_csv/results.csv": "acba624bd0bdc3bd97498cf939fe1b6e936d2e75f859918c857f8da115486bd7",
-        "sgd_compare_csv/trace_centralized_eps1.csv": "36dc795f066053cd35dd461c8b9097ec1c9fd5b27e3f0a32e1a5e4db1f39998b",
-        "sgd_compare_csv/trace_centralized_eps10.csv": "d7564ffcf530b7e7133b843b705ed9696d3b9001cfbd09491b3431f9bb3a6a3b",
-        "sgd_compare_csv/trace_local_eps1.csv": "cfb0ff1e0186e1540d830ffaff045a19816b9a79cf95e9ff37520e996550fecd",
-        "sgd_compare_csv/trace_local_eps10.csv": "1e8d86b384bc556088fd542f17b0851fb96ada9ded2d2dd653c70c82152e5385",
-        "sgd_compare_csv/trace_network_eps1.csv": "5d805fd0a5b83882f643d55065e0706a90169f248fca461c4d29abf6c17091cb",
-        "sgd_compare_csv/trace_network_eps10.csv": "e3074eefc3556253188d24a35847a03fe53a3dc6f5a530c5865df0c6106f331f",
-        "sgd_compare_csv_d1/results.csv": "2bed687e1ca11443d66fe51251ae333888334ced222624c3dc9ea519212ddef1",
-        "sgd_compare_csv_d1/trace_centralized_eps100.csv": "3230c58d1f038dd658cc33ee84136ec7e98a9a3c201991f379592f88c004ec2d",
-        "sgd_compare_csv_d1/trace_centralized_eps10000.csv": "db2e7a7c1709a2c722f1289e50ae552ce9bb53e8df3051cd46259f73e0691f10",
-        "sgd_compare_csv_d1/trace_local_eps100.csv": "392eb026ebf0cff45ec0df4462fcf7a6a678ce286b1ea0f31065583949d1cd37",
-        "sgd_compare_csv_d1/trace_local_eps10000.csv": "874a14dfc23a43d01725ad3f1ad610f05941074ab52100b265383b39aaabefaf",
-        "sgd_compare_csv_d1/trace_network_eps100.csv": "eb89e996e36fe69b68fad3487ab8523a689640b041a155094e24e131a6cf6871",
-        "sgd_compare_csv_d1/trace_network_eps10000.csv": "5920ba4809083aa42eeff649cb8399a3e2bc51f16c70b86a6961b7396874a2a9",
-        "sgd_compare_m9/results.csv": "24ac14d6a88f50b42f2cff224b38ce028743b2809e9a666f44cd70c5af3c52a0",
-        "sgd_compare_m9/trace_centralized_eps100.csv": "04cdb7099aa60836f96fc9b9aa36ef5a224389b7117c877eab28eeb75e0ab07f",
-        "sgd_compare_m9/trace_centralized_eps10000.csv": "dddd2f94f7350d20056d5e6d823699cf9a0540b18aae5cd96d2c69422e5dd704",
-        "sgd_compare_m9/trace_local_eps100.csv": "a25b68abbe339ad0c3d31947d0b19d04d9956ce786836c508e7088bd5b3dd432",
-        "sgd_compare_m9/trace_local_eps10000.csv": "bc996b811a77bd6ffc0241f0b8304a8da24b780f8ac2ac8dab78176c3cec6cef",
-        "sgd_compare_m9/trace_network_eps100.csv": "b3e9247fe7f991ee666789bf30b2b06a32a363b1ca6ba37c0a41c6e46ecde5b0",
-        "sgd_compare_m9/trace_network_eps10000.csv": "017534b2d1a09c18b4013989272eeae847eb75983841f5c3aa63af9e64626af1",
-        "sigma_search/results.json": "08166649dd832fb7856cd06ab629367b06aee487e800806b0c421c4dc9cf7d03",
+        "empirical_sweep/results.csv": "882e1ad60e848ccd7f2f974de1ca7c712d648c77fb27b5245730ccc4a389a791",
+        "empirical_sweep_sparse/results.csv": "d5484fd96f85ad7d1fcab8db34e9654384f9cdf298473a3a7d3e3e995f976e3d",
+        "protocol_mc/results.csv": "59f8ffdee3a7ad553a4303518fce8f231686e4d7bd794e0973de65fd4201b0f9",
+        "sgd_compare/results.csv": "4f401744731c430d713e72e3fcdf0ea3f4f9a45b370fd90b03f4e1f717bbcfb3",
+        "sgd_compare/trace_centralized_eps1.csv": "6890f48484b41a96bbc96da333f15aca6a02d09acbaf71ff2b68dbdbc40746a3",
+        "sgd_compare/trace_centralized_eps10.csv": "8557782d396574e76ea465398b90211045f048b44dc620f8a5747f6c1467e9d1",
+        "sgd_compare/trace_local_eps1.csv": "f141f7e2fd585e627af9f9cda8d5e5a898d825904c67a32a5dcbdf3c0ca5195c",
+        "sgd_compare/trace_local_eps10.csv": "7ea8ab1cf26867b9ce1aae5274fd27ea28e1908aaf196c3acc3b9a58749b511a",
+        "sgd_compare/trace_network_eps1.csv": "5304da395751ade2ce6e90ef67c19adc1c67a5d14eb3f74ff6f10d737026afaf",
+        "sgd_compare/trace_network_eps10.csv": "9ab8258a3f8dc4a884d62927811511923c857a8c571605418aace1e40ccdd02a",
+        "sgd_compare_csv/results.csv": "03fc732beb7c4a4f0a3a971c775f94f6ab58e3765b67d1fac0b58bda3984340d",
+        "sgd_compare_csv/trace_centralized_eps1.csv": "c50872b0a0e2e91e0db0463f29b64d157784e34e3c0a488974a8eb96c689baae",
+        "sgd_compare_csv/trace_centralized_eps10.csv": "7c49860fb723761d922d4c71f3479d5519d25e7fa72a3e70049ec743c5dc3089",
+        "sgd_compare_csv/trace_local_eps1.csv": "8c513c2301ca06f5e1aa69415fe6d4240b49d8346ad7713a07aa9cd023546584",
+        "sgd_compare_csv/trace_local_eps10.csv": "394da0e09dcd1cad5a81240163291500b37470e7213b319ffe21e50ae570e631",
+        "sgd_compare_csv/trace_network_eps1.csv": "da73b4b11040a94cbd00beb8d9c2f2fc1e8c351bca3a080d0bfa79484ba49d3b",
+        "sgd_compare_csv/trace_network_eps10.csv": "9601aaf96cd6edfe5c45fede166a53626293db3489eca88490d512a2f336868d",
+        "sgd_compare_csv_d1/results.csv": "0204b8aab8d034aaf37e2ba3dd5a59e97a57b8735b74ff693c21745acd9e1f22",
+        "sgd_compare_csv_d1/trace_centralized_eps100.csv": "906e460abd24cc03f6b822fc05f8ad48ef61dcfc1ec16f5ee779bdb4d2ee645a",
+        "sgd_compare_csv_d1/trace_centralized_eps10000.csv": "83c5c2d67d38e2c240af0b6cf85e7a2bf721a699f1e74f48dbaa5f0d7da9e1ea",
+        "sgd_compare_csv_d1/trace_local_eps100.csv": "ec533373f3a3c2f992cfd6123df94aa46be80b098ee741d1987a0dde76ea1482",
+        "sgd_compare_csv_d1/trace_local_eps10000.csv": "ce45c36b943fcee48f5d88e2777135a164dd2f5e5561e78691aebe75eab07a2f",
+        "sgd_compare_csv_d1/trace_network_eps100.csv": "fd6918838764f2f2ff6c73b28d402a7c6a67ed96f2c88a87c94c5fb3d5365b1f",
+        "sgd_compare_csv_d1/trace_network_eps10000.csv": "724482b9074cf661257410ed28d38561fd18dda69f5faa6d429573c7d3a94e3f",
+        "sgd_compare_m9/results.csv": "cb18758f2c0dee579c12ceabe976480ef92d1ee900768d96c130e7b39431e057",
+        "sgd_compare_m9/trace_centralized_eps100.csv": "cd6d4295e29f146a37e48ea76722e4e116c9ae9b7c9431c643770150ddf65d0e",
+        "sgd_compare_m9/trace_centralized_eps10000.csv": "9159822dbd69a205e051b6acf9d562e8cfb54af0a845087d30f8df86528f4f0d",
+        "sgd_compare_m9/trace_local_eps100.csv": "0759e42d28afe1ebfe7052e9ee0a408bfa6316418c3fd796f03f7afcb93a63af",
+        "sgd_compare_m9/trace_local_eps10000.csv": "94d4132fb0aeae5b04dabffcf95ce7d65908baf6da2df54cc1c192d09020c3c8",
+        "sgd_compare_m9/trace_network_eps100.csv": "d5ab8ec74974521ba7a4f673b50c4267ef7f8f7221985aaf6c107f8f0653c16b",
+        "sgd_compare_m9/trace_network_eps10000.csv": "c5d9ff25ac67cb03bb0fc49792ae36fa506961270307330bc0448b89fa471a9f",
+        "sigma_search/results.json": "c284f410191f00a12388a5c34fef2ac1c688e072ab88e19dab8ab2af307f5124",
     },
 }
 
@@ -141,7 +141,9 @@ def test_outputs_match_pinned_digests(digests):
         f"no replay digests for numpy {np.__version__}; take them at a trusted commit "
         f"and add them under that version")
     moved = sorted(k for k in pinned.keys() | digests.keys() if pinned.get(k) != digests.get(k))
-    assert not moved, f"outputs moved: {moved}"
+    # the new table rows, ready to paste over the pinned ones (None: no such file any more)
+    new_rows = "".join(f"\n        {k!r}: {digests.get(k)!r}," for k in moved).replace("'", '"')
+    assert not moved, f"outputs moved: {moved}; new digests:{new_rows}"
 
 
 def test_every_experiment_is_pinned(digests):

@@ -333,7 +333,7 @@ class TestTrainAndTuneMatchPerRunLoop:
         # the last config's first seed alone would pick another eta than the
         # mean over its seeds, so a scorer reading only first runs fails here
         cases = [(dpml.NETWORK, 0.5, [1, 2, 3]), (dpml.LOCAL, 1.5, [2, 4]),
-                 (dpml.CENTRALIZED, 0.1, [1, 2, 3]), (dpml.NETWORK, 0.5, [4, 1, 2])]
+                 (dpml.CENTRALIZED, 0.1, [1, 2, 3]), (dpml.NETWORK, 0.5, [2, 1, 4])]
         batch = dpml.RegimeBatch(
             [dpml.TrainConfig(regime=regime, T=T, eta=1.0, budget=budget, cap_multiplier=2.0)
              for regime, _, _ in cases],
