@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import COMPLETE, Topology, derive_seed, derive_seeds, sample_walks
+from .core import COMPLETE, Topology, derive_seed, sample_walks
 from .errors import InfeasibleError, ValidityWindowError
 from . import accountant as acct
 from . import dpml
@@ -84,8 +84,8 @@ def parse_config(path) -> dict:
 
 
 def _indexed_seeds(rows: list[tuple]) -> list[tuple]:
-    """``[(key, derive_seed(*parts)) for key, parts in rows]``, derived in one batch."""
-    return list(zip([key for key, _ in rows], derive_seeds([parts for _, parts in rows])))
+    """``(key, derive_seed(*parts))`` for each row ``(key, parts)``."""
+    return [(key, derive_seed(*parts)) for key, parts in rows]
 
 
 def split_delta_budget(total: float, n: int, T: int) -> tuple[float, float, float]:
@@ -350,7 +350,7 @@ def cmd_protocol_mc(cfg: dict, run_dir: Path, workers: int, unchecked: bool) -> 
     for name in cfg["protocols"]:
         spec = _MC_PROTOCOLS[name]
         tag = zlib.crc32(name.encode()) & 0xFFFF
-        seeds = derive_seeds([(seed, tag, r) for r in range(runs)])
+        seeds = [derive_seed(seed, tag, r) for r in range(runs)]
         results = _parallel_map(
             _protocol_batch,
             [(name, params, chunk) for chunk in _contiguous_chunks(seeds, workers)],
@@ -522,7 +522,7 @@ KEYS: dict[str, dict[str, Key]] = {experiment: {**keys, **_COMMON_KEYS} for expe
         "gamma": Key(float, 0.3),
         "domain_size": Key(int, 5),
         "clip": Key(float, 1.0, "[0, inf)"),
-        "mode": Key(str, "single_noiser"),
+        "mode": Key(str, "single_noiser", ("single_noiser", "distributed")),
     },
     "sgd_compare": {
         "dataset": Key(str, "synthetic", ("synthetic", "real")),

@@ -26,34 +26,35 @@ STREAM_DATA = 3
 STREAM_INIT = 4
 
 
+def _seed_int(value) -> int:
+    """``value`` as an int; a bool or a value that is not an integer (a float,
+    even an integral one) is a ``ValueError`` naming it.  numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"seeds and seed parts must be integers, got {value!r}")
+    return int(value)
+
+
 def derive_seed(*parts) -> int:
     """Deterministic child seed from a tuple of non-negative integers.
 
     The seed is the 64-bit BLAKE2b digest, read little-endian, of the parts
     written in decimal and joined by commas.  That text names the tuple
     alone, so tuples that differ in any part, in their split into parts or
-    in their length (a trailing zero included) hash different texts.
+    in their length (a trailing zero included) hash different texts.  A
+    part that is not an integer is a ``ValueError``, not truncated.
     """
-    return derive_seeds([parts])[0]
-
-
-def derive_seeds(rows: Iterable[Sequence[int]]) -> list[int]:
-    """``[derive_seed(*parts) for parts in rows]``."""
-    seeds = []
-    for parts in rows:
-        parts = [int(p) for p in parts]
-        if min(parts, default=0) < 0:
-            raise ValueError(f"seed parts must be non-negative, got {parts}")
-        digest = hashlib.blake2b(",".join(map(str, parts)).encode(), digest_size=8).digest()
-        seeds.append(int.from_bytes(digest, "little"))
-    return seeds
+    parts = [_seed_int(p) for p in parts]
+    if min(parts, default=0) < 0:
+        raise ValueError(f"seed parts must be non-negative, got {parts}")
+    digest = hashlib.blake2b(",".join(map(str, parts)).encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 def _stream_keys(seeds: Iterable[int], stream: int) -> list[tuple[int, int]]:
-    """Philox keys (seed mod 2**64, stream), one per seed."""
+    """Philox keys (seed mod 2**64, stream), one per integer seed."""
     if not 0 <= stream < 2**32:
         raise ValueError(f"stream must lie in [0, 2**32), got {stream}")
-    return [(int(seed) % 2**64, int(stream)) for seed in seeds]
+    return [(_seed_int(seed) % 2**64, int(stream)) for seed in seeds]
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -105,9 +106,11 @@ def record(cls):
     ``Name(field=value, ...)``; ``__eq__`` and ``__hash__`` on the tuple of
     fields, equal only within the class; ``__setattr__`` and ``__delattr__``
     that raise ``AttributeError``; and ``replace(**changes)``, a validated
-    copy with some fields changed.  Pickling and copying rebuild through
-    ``__init__`` (``__reduce__``), so a copy is checked and frozen as the
-    original was.
+    copy with some fields changed.  After ``__post_init__``, every field
+    holding an ``np.ndarray`` is set read-only, the array the caller passed
+    in included: all arrays of a record are read-only.  Pickling and copying
+    rebuild through ``__init__`` (``__reduce__``), so a copy is checked and
+    frozen as the original was.
     """
     names = tuple(cls.__annotations__)
     defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
@@ -128,6 +131,9 @@ def record(cls):
                             f"positional arguments and the extra keywords {sorted(kwargs)}")
         self.__dict__.update(state)
         post_init(self)
+        for value in self.__dict__.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def values(self):
         return tuple([getattr(self, name) for name in names])
@@ -204,7 +210,7 @@ class Walks:
 
     def __post_init__(self):
         steps = np.asarray(self.steps, dtype=np.int64)
-        steps.setflags(write=False)  # before the reshape: the input array cannot change the walk either
+        steps.setflags(write=False)  # record sees a 1-d input only as its (1, T) view, so freeze the input
         steps = steps[None, :] if steps.ndim == 1 else steps
         object.__setattr__(self, "steps", steps)
         if steps.ndim != 2 or steps.size == 0:
@@ -234,10 +240,14 @@ def sample_walks(topology: Topology, T: int, seeds: Sequence[int]) -> Walks:
     holds the one walk that every seed shares as its single row.
     Complete-graph walks send the token to a user chosen uniformly at
     random at each step, self-transitions included, one row per seed from
-    its walk stream; an empty seed list is a ``ValueError``.
+    its walk stream.  On both, an empty seed list or a seed that is not an
+    integer is a ``ValueError``.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    seeds = [_seed_int(seed) for seed in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed: the seed list must be non-empty")
     n = topology.n
     if topology.kind == RING:
         if T % n != 0:

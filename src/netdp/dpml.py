@@ -27,7 +27,7 @@ import bisect
 import csv
 import math
 import warnings
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -96,13 +96,14 @@ class TrainConfig:
             raise ValueError("need T >= 1, eta > 0, cap_multiplier > 0")
 
 
-class TrainRuns(NamedTuple):
+@record
+class TrainRuns:
     """B training runs of one :func:`train` call, rows in run order.
 
     ``objective[b, c]`` and ``accuracy[b, c]`` are run b's train objective
     and test accuracy after step ``steps[c]`` (the kernel's
     ``checkpoint_steps``), and ``models[b]`` is its final model.  All
-    arrays are read-only.
+    arrays are read-only, as in every :func:`~netdp.core.record`.
     """
 
     steps: np.ndarray  # (C,) int64, ascending
@@ -396,23 +397,24 @@ def calibrate_regime(config: TrainConfig, n: int) -> float:
     the same on its own grid in :func:`~netdp.accountant.sigma_search`.  The
     bisection relies on eps falling along the grid, which
     ``tests/test_accountant.py::TestGridMonotonicity`` pins for all three.
+    An infeasible target raises :class:`InfeasibleError` for any regime,
+    naming it: the search's diagnostics (``best_eps``, ``at_sigma``, the
+    grid's ``ceiling``) plus ``regime``, and for the centralized regime
+    ``order_cap_floor``.
     """
     eps, delta = config.budget.epsilon, config.budget.delta
-    if config.regime == NETWORK:
-        cap = contribution_cap(config.T, n, config.cap_multiplier)
-        sigma, _ = sigma_search(eps, delta, T_u=cap, n=n, L=LIPSCHITZ)
-        return sigma
     grid = _sigma_grid()
     try:
+        if config.regime == NETWORK:
+            cap = contribution_cap(config.T, n, config.cap_multiplier)
+            return sigma_search(eps, delta, T_u=cap, n=n, L=LIPSCHITZ)[0]
         return float(grid[grid_bisect(lambda s: verify_privacy(config, n, s), eps, grid)])
-    except InfeasibleError:
-        diagnostics = {"regime": config.regime, "ceiling": float(grid[-1])}
+    except InfeasibleError as exc:
+        # the search's own diagnostics win: sigma_search names the ceiling of its grid
+        diagnostics = {"ceiling": float(grid[-1]), **exc.diagnostics, "regime": config.regime}
         if config.regime == CENTRALIZED:  # no sigma brings eps below the top order's term
             diagnostics["order_cap_floor"] = math.log(1.0 / delta) / (MAX_RDP_ORDER - 1.0)
-        raise InfeasibleError(
-            f"no sigma on the grid meets eps <= {eps} for regime {config.regime}",
-            diagnostics=diagnostics,
-        ) from None
+        raise InfeasibleError(f"{exc} for regime {config.regime}", diagnostics=diagnostics) from None
 
 
 def verify_privacy(config: TrainConfig, n: int, sigma: float) -> float:
@@ -500,8 +502,6 @@ def train(batch: RegimeBatch, data: Dataset, runs: Sequence[tuple[int, int]]) ->
     train_objective = _train_objective(data)
     objective = np.array([[train_objective(w) for w in run] for run in sgd.iterates])
     accuracy = np.array([[test_accuracy(w, data.X_test, data.y_test) for w in run] for run in sgd.iterates])
-    for arr in (objective, accuracy):
-        arr.setflags(write=False)
     return TrainRuns(sgd.checkpoint_steps, objective, accuracy, sgd.models)
 
 

@@ -33,7 +33,6 @@ class PairLossMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
-        m.setflags(write=False)
         if m.shape != (self.n, self.n):
             raise ValueError(f"matrix shape {m.shape} does not match n={self.n}")
         if not np.minimum.reduce(_offdiagonal(m), axis=None, initial=np.inf) >= 0:  # nan fails too

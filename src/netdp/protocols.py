@@ -5,7 +5,7 @@ walks the ring or the complete graph.  The contributions come in as one
 plain table: an (n,) array gives user u the same contribution at every
 visit, an (n, k_max) array gives it x_u^k at its k-th visit.
 
-Every protocol takes a sequence of seeds and makes one run per seed; a
+Every protocol takes a sequence of integer seeds and makes one run per seed; a
 single run is the one-seed call.  Run r is a pure function of (parameters,
 seeds[r]) and equals the one-seed call for that seed bit for bit: walk
 sampling, additive noise, randomized response and init draws consume
@@ -15,7 +15,8 @@ contributions, the noise schedule and the per-step scales.  Summation and
 histograms return one :class:`ProtocolRuns` (outputs, reference aggregates,
 walks, noise masks and scales as arrays, never one object per event);
 noisy SGD, :func:`run_complete_sgd`, advances its runs in lockstep and
-returns one :class:`SgdRuns`.  Additive noise goes through
+returns one :class:`SgdRuns`.  Both are :func:`~netdp.core.record` records,
+so their arrays are read-only.  Additive noise goes through
 :func:`~netdp.mechanisms.perturb` and randomized response through
 :func:`~netdp.mechanisms.rr_gamma_draws`.
 """
@@ -23,7 +24,7 @@ returns one :class:`SgdRuns`.  Additive noise goes through
 from __future__ import annotations
 
 import math
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -38,12 +39,14 @@ from .core import (
     rng_stream,
     rng_stream_list,
     rng_streams,
+    record,
     sample_walks,
 )
 from .mechanisms import GAUSSIAN, check_categories, clip_contribution, perturb, rr_gamma_draws
 
 
-class ProtocolRuns(NamedTuple):
+@record
+class ProtocolRuns:
     """R runs of a summation or histogram protocol, one per entry of ``seeds``.
 
     ``outputs[r]`` is run r's final token: a sum, or a debiased histogram
@@ -56,7 +59,8 @@ class ProtocolRuns(NamedTuple):
     row for a sum, whose schedule is fixed, or one flip mask per run for a
     histogram.  ``scales[t]`` is the noise std-dev or flip probability of a
     randomized step t + 1.  ``trace.row(r)`` and :meth:`noise_steps` read
-    run r's rows.  All arrays are read-only.
+    run r's rows.  All arrays are read-only, as in every
+    :func:`~netdp.core.record`.
     """
 
     trace: Walks  # (1, T) on the ring, (R, T) on the complete graph
@@ -70,20 +74,6 @@ class ProtocolRuns(NamedTuple):
     def noise_steps(self, r: int) -> np.ndarray:
         """Ascending 1-based steps at which run r randomized."""
         return np.flatnonzero(self.noised[r if len(self.noised) > 1 else 0]) + 1
-
-
-def _read_only(runs: ProtocolRuns) -> ProtocolRuns:
-    for arr in runs[1:]:  # the trace's steps are read-only already
-        if arr is not None:
-            arr.setflags(write=False)
-    return runs
-
-
-def _seed_list(seeds: Sequence[int]) -> list[int]:
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ValueError("need at least one seed")
-    return seeds
 
 
 def _check_args(n: int, min_n: int, steps_name: str, steps: int,
@@ -175,8 +165,8 @@ def _sum_runs(trace: Walks, noised: np.ndarray, scales: np.ndarray, true_values:
         noise = np.empty(step_scales.size)
         for r, rng in enumerate(rng_streams(seeds, STREAM_NOISE)):
             outputs[r] += perturb(0.0, noise_kind, step_scales, rng, out=noise).sum()
-    return _read_only(ProtocolRuns(trace, noised[None, :], scales, outputs, true_values, None,
-                                   np.full(len(seeds), np.count_nonzero(noised), dtype=np.int64)))
+    return ProtocolRuns(trace, noised[None, :], scales, outputs, true_values, None,
+                        np.full(len(seeds), np.count_nonzero(noised), dtype=np.int64))
 
 
 def ring_noise_steps(n: int, K: int, protect_first_cycle: bool = False) -> np.ndarray:
@@ -222,7 +212,7 @@ def run_ring_sum(
     vanishing 1/n correction.  The walk, the true sum and the schedule are
     the same for every seed; each seed draws its own noise.
     """
-    seeds = _seed_list(seeds)
+    seeds = list(seeds)
     _check_args(n, 2, "K", K, sigma_loc=sigma_loc)
     T = K * n
     if mode == "single_noiser":
@@ -256,7 +246,7 @@ def run_complete_sum(
     drawn, with noise std-dev sqrt(T) * sigma_loc.  The table is clipped
     once per call; each seed draws its own walk and noise.
     """
-    seeds = _seed_list(seeds)
+    seeds = list(seeds)
     _check_args(n, 1, "T", T, sigma_loc=sigma_loc)
     trace = sample_walks(Topology(COMPLETE, n), T, seeds)
     clipped = clip_contribution(np.asarray(table), clip)
@@ -344,8 +334,8 @@ def _rr_runs(trace: Walks, table: np.ndarray, domain_size: int, gamma: float,
                       + np.bincount(categories, minlength=L + 1)[1:])
         true_values[r] = true
     outputs = _debias_histogram(counts, gamma, L, num_responses=T, init_count=init_count)
-    return _read_only(ProtocolRuns(trace, noised, np.full(T, float(gamma)), outputs, true_values, counts,
-                                   init_count + np.count_nonzero(noised, axis=1)))
+    return ProtocolRuns(trace, noised, np.full(T, float(gamma)), outputs, true_values, counts,
+                        init_count + np.count_nonzero(noised, axis=1))
 
 
 def run_ring_hist(
@@ -365,7 +355,7 @@ def run_ring_hist(
     exposed for verification.  Every category in the table must lie in
     [1, domain_size].
     """
-    seeds = _seed_list(seeds)
+    seeds = list(seeds)
     _check_args(n, 2, "K", K, gamma=gamma)
     table = check_categories(table, domain_size)
     trace = sample_walks(Topology(RING, n), K * n, seeds)
@@ -381,7 +371,7 @@ def run_complete_hist(
     seeds: Sequence[int] = (0,),
 ) -> ProtocolRuns:
     """Discrete histogram along a uniform random walk, no init block."""
-    seeds = _seed_list(seeds)
+    seeds = list(seeds)
     _check_args(n, 1, "T", T, gamma=gamma)
     table = check_categories(table, domain_size)
     trace = sample_walks(Topology(COMPLETE, n), T, seeds)
@@ -405,7 +395,8 @@ CHECKPOINT_EVERY = 100  # steps between kept SGD iterates
 NOISE_BLOCK = 25  # steps per noise draw; divides CHECKPOINT_EVERY
 
 
-class SgdRuns(NamedTuple):
+@record
+class SgdRuns:
     """B noisy-SGD runs advanced in lockstep.
 
     ``iterates[b, c]`` is run b's model after step ``checkpoint_steps[c]``:
@@ -417,7 +408,7 @@ class SgdRuns(NamedTuple):
     N(0, sigma^2 I_d) noise under the k-th distinct (seed, sigma,
     noise_when_capped) triple (none when sigma = 0).  With one sigma and one
     noise mode for all runs the two row orders coincide.  All arrays are
-    read-only.
+    read-only, as in every :func:`~netdp.core.record`.
     """
 
     trace: Walks  # (S, T), one walk per distinct seed
@@ -483,7 +474,7 @@ def run_complete_sgd(
     noise buffer small.
     """
     _check_args(n, 1, "T", T)
-    seeds = _seed_list(seeds)
+    seeds = list(seeds)
     B = len(seeds)
     eta, sigma, noise_when_capped = (
         np.broadcast_to(np.asarray(value, dtype=dtype), (B,)).tolist()
@@ -543,7 +534,4 @@ def run_complete_sgd(
             W = W - eta_col * update
         if stop in kept:
             iterates[:, kept[stop]] = W
-
-    for arr in (noised, checkpoint_steps, iterates):
-        arr.setflags(write=False)
     return SgdRuns(trace=walks, noised=noised, checkpoint_steps=checkpoint_steps, iterates=iterates)

@@ -308,6 +308,15 @@ class TestProtocolMc:
             assert all(type(s) is int for s in seen)
             assert any(s >= 2**63 for s in seen)  # where float64 would round
 
+    @pytest.mark.parametrize("protocols", ["complete_sum", "ring_sum"])
+    def test_mistyped_mode_names_the_key(self, tmp_path, capsys, protocols):
+        # complete_sum reads no mode: the typo exited 0 and was recorded in meta.json
+        out = tmp_path / "out"
+        assert run_cli("--experiment", "protocol_mc", "--out", out, "--runs", 2, "--set", f"protocols={protocols}",
+                       "--set", "n=5", "--set", "K=2", "--set", "T=10", "--set", "mode=distrbuted") == 2
+        assert "mode must be one of ['single_noiser', 'distributed'], got 'distrbuted'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_protocol_rejected_before_any_run(self, tmp_path, monkeypatch):
         import netdp.protocols as proto
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from netdp.core import (
     Topology,
     Walks,
     derive_seed,
-    derive_seeds,
     rng_stream,
     rng_stream_list,
     rng_streams,
@@ -189,7 +189,7 @@ class TestRngStreams:
     # edge seeds of both 32-bit word counts and of the 64-bit wrap, and seeds
     # as the CLI derives them
     SEEDS = [-1, 0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 3,
-             *derive_seeds([(1, 0x5EED, r) for r in range(3)] + [(2**32 + 1, 0x5EED, 0)])]
+             *[derive_seed(*parts) for parts in [(1, 0x5EED, r) for r in range(3)] + [(2**32 + 1, 0x5EED, 0)]]]
 
     @staticmethod
     def first_draws(rng):
@@ -260,10 +260,42 @@ class TestDeriveSeeds:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**70)), max_size=4),
                     max_size=6))
-    def test_derive_seeds_is_blake2b_of_the_parts(self, rows):
-        expected = [blake2b_seed(*parts) for parts in rows]
-        assert derive_seeds(rows) == expected == [derive_seed(*parts) for parts in rows]
+    def test_derive_seed_is_blake2b_of_the_parts(self, rows):
+        assert [derive_seed(*parts) for parts in rows] == [blake2b_seed(*parts) for parts in rows]
 
     def test_derive_seed_rejects_negative_parts(self):
         with pytest.raises(ValueError, match="non-negative"):
             derive_seed(1, -2)
+
+
+class TestSeedsAreIntegers:
+    # a float or bool seed was truncated by int(): 1.9 and True drew as 1
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, np.True_, np.float64(2.0), "1", None],
+                             ids=repr)
+    def test_non_integer_seeds_are_named(self, bad):
+        named = re.escape(f"got {bad!r}")
+        with pytest.raises(ValueError, match=named):
+            derive_seed(bad, 2)
+        with pytest.raises(ValueError, match=named):
+            derive_seed(1, bad)
+        with pytest.raises(ValueError, match=named):
+            rng_stream(bad, 0)
+        with pytest.raises(ValueError, match=named):
+            rng_stream_list([0, bad], 1)
+        with pytest.raises(ValueError, match=named):
+            list(rng_streams([0, bad], 1))
+        for kind in (RING, COMPLETE):
+            with pytest.raises(ValueError, match=named):
+                sample_walks(Topology(kind, 4), 8, [0, bad])
+
+    @pytest.mark.parametrize("kind", [RING, COMPLETE])
+    def test_no_seeds_is_named_on_both_topologies(self, kind):
+        with pytest.raises(ValueError, match="need at least one seed"):
+            sample_walks(Topology(kind, 4), 8, [])
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.uint64, np.int32, np.uint8])
+    def test_numpy_integer_seeds_draw_as_python_ints(self, int_type):
+        assert derive_seed(int_type(7), int_type(12)) == derive_seed(7, 12)
+        assert rng_stream(int_type(7), 1).random(3).tolist() == rng_stream(7, 1).random(3).tolist()
+        walks = sample_walks(Topology(COMPLETE, 5), 20, np.array([3, 9], dtype=int_type))
+        assert walks.steps.tolist() == sample_walks(Topology(COMPLETE, 5), 20, [3, 9]).steps.tolist()

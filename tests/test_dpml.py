@@ -227,15 +227,23 @@ class TestCalibration:
         )
         assert dpml.calibrate_regime(config, n=200) == golden
 
-    @pytest.mark.parametrize("regime", [dpml.LOCAL, dpml.CENTRALIZED])
+    @pytest.mark.parametrize("regime", [dpml.LOCAL, dpml.CENTRALIZED, dpml.NETWORK])
     def test_infeasible_target(self, regime):
         config = dpml.TrainConfig(
             regime=regime, T=2000, eta=0.1,
             budget=PrivacyBudget(1e-9, 1e-6), cap_multiplier=2.0,
         )
-        with pytest.raises(InfeasibleError) as exc:
+        with pytest.raises(InfeasibleError, match=f"for regime {regime}$") as exc:
             dpml.calibrate_regime(config, n=200)
-        expected = {"regime": regime, "ceiling": float(dpml._sigma_grid()[-1])}
+        if regime == dpml.NETWORK:  # sigma_search's own grid and diagnostics
+            with pytest.raises(InfeasibleError) as search:
+                acct.sigma_search(1e-9, 1e-6, T_u=dpml.contribution_cap(2000, 200, 2.0), n=200, L=dpml.LIPSCHITZ)
+            expected = {**search.value.diagnostics, "regime": regime}
+            assert expected["ceiling"] == 1e6
+        else:  # grid_bisect's eps and sigma at the grid's top
+            top = float(dpml._sigma_grid()[-1])
+            expected = {"ceiling": top, "best_eps": dpml.verify_privacy(config, 200, top), "at_sigma": top,
+                        "regime": regime}
         if regime == dpml.CENTRALIZED:
             expected["order_cap_floor"] = math.log(1e6) / (acct.MAX_RDP_ORDER - 1)
         assert exc.value.diagnostics == expected
@@ -336,8 +344,8 @@ class TestTrain:
         batch = dpml.RegimeBatch([config], [5.0])
         a = dpml.train(batch, small_data, [(0, 9)])
         b = dpml.train(batch, small_data, [(0, 9)])
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+        for name in ("steps", "objective", "accuracy", "models"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_divergence_flagged_not_fatal(self, small_data):
         config = dpml.TrainConfig(
@@ -357,7 +365,7 @@ class TestTrain:
         assert both.steps.tolist() == [0, 100, 150]
         assert both.objective.shape == both.accuracy.shape == (2, 3)
         assert both.models.shape == (2, small_data.dim)
-        assert not any(arr.flags.writeable for arr in both)
+        assert not any(getattr(both, name).flags.writeable for name in ("steps", "objective", "accuracy", "models"))
         for b, seed in enumerate((2, 7)):
             alone = dpml.train(batch, small_data, [(0, seed)])
             np.testing.assert_array_equal(alone.steps, both.steps)

@@ -18,7 +18,8 @@ under ``np.random`` or imports from it, so every stream is a Philox keyed
 by ``core`` with its (seed, stream) pair.  Derived seeds are hashed in
 ``core`` alone too: no other module imports ``hashlib`` or calls
 ``blake2b``, so every derived seed comes from the one tuple encoding in
-``core.derive_seeds``.
+``core.derive_seed``.  No NamedTuple holds an ``np.ndarray`` field: an
+array belongs in a ``core.record``, which keeps it read-only.
 """
 
 import ast
@@ -221,6 +222,28 @@ def seed_hash_uses(source: str) -> list[str]:
     return found
 
 
+def holds_array(annotation: ast.AST) -> bool:
+    """Whether an annotation names ``ndarray`` outside a ``Callable[...]``,
+    whose arrays are a function's arguments and results, not a field's."""
+    if isinstance(annotation, ast.Subscript) and dotted_name(annotation.value).endswith("Callable"):
+        return False
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return holds_array(ast.parse(annotation.value, mode="eval").body)
+    return (dotted_name(annotation).endswith("ndarray")
+            or any(holds_array(child) for child in ast.iter_child_nodes(annotation)))
+
+
+def array_named_tuples(source: str) -> list[str]:
+    """NamedTuple fields that hold an ``ndarray``, as ``Class.field (line n)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(dotted_name(base).split(".")[-1] == "NamedTuple"
+                                                   for base in node.bases):
+            found += [f"{node.name}.{item.target.id} (line {item.lineno})" for item in node.body
+                      if isinstance(item, ast.AnnAssign) and holds_array(item.annotation)]
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -255,6 +278,11 @@ def test_generators_come_from_core(path):
 @pytest.mark.parametrize("path", [m for m in MODULES if m.name != "core.py"], ids=lambda p: p.name)
 def test_entropy_words_come_from_core(path):
     assert seed_hash_uses(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_named_tuple_holds_an_array(path):
+    assert array_named_tuples(path.read_text()) == []
 
 
 def test_no_dead_private_names():
@@ -373,6 +401,13 @@ class TestCheckers:
         assert seed_hash_uses(src) == [
             "hashlib (line 1)", "hashlib (line 2)", "hashlib.blake2b (line 3)", "hashlib.sha256 (line 3)",
             "blake2b (line 6)", "h.blake2b (line 8)"]
+
+    def test_array_named_tuples_are_reported(self):
+        src = ("import typing\nclass A(NamedTuple):\n    x: np.ndarray | None\n    y: int\n"
+               "class B(typing.NamedTuple):\n    z: 'tuple[numpy.ndarray, ...]'\n"
+               "@record\nclass C:\n    w: np.ndarray\n"
+               "class D(NamedTuple):\n    v: float\n    f: Callable[[np.ndarray], np.ndarray]\n")
+        assert array_named_tuples(src) == ["A.x (line 3)", "B.z (line 6)"]
 
     def test_outside_modules_are_not_checked(self):
         assert private_imports("from os import _exit\nimport numpy as np\nnp._x\n") == []

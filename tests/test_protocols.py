@@ -669,6 +669,20 @@ class TestSeedLists:
         with pytest.raises(ValueError):
             self.CALLS[name](**{"seeds": [1, 2], **kwargs})
 
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("seed", [1.9, 1.0, True], ids=repr)
+    def test_seeds_must_be_integers(self, name, seed):
+        # not truncated: seeds=[1.9] ran as seeds=[1]
+        with pytest.raises(ValueError, match=f"integers, got {seed!r}"):
+            self.CALLS[name](seeds=[2, seed])
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_numpy_integer_seeds_run_as_python_ints(self, name):
+        ints, numpy_ints = self.CALLS[name](seeds=[1, 2]), self.CALLS[name](seeds=np.array([1, 2]))
+        for field, value in vars(ints).items():
+            other = getattr(numpy_ints, field)
+            np.testing.assert_array_equal(getattr(value, "steps", value), getattr(other, "steps", other))
+
 
 def constant_grad(W, users):
     return np.ones((len(users), 2))

@@ -1,4 +1,4 @@
-"""The frozen-record contract of the package's ten record classes.
+"""The frozen-record contract of the package's thirteen record classes.
 
 Each record takes its fields by position or keyword, in declaration order,
 with defaults for the trailing ones (a dict default is a new dict per
@@ -6,13 +6,17 @@ instance).  It refuses assignment and deletion, compares equal to a record
 of the same class with equal fields (never to another class or a plain
 tuple), hashes by its fields, prints as ``Name(field=value, ...)``, and
 survives pickling (the CLI's worker pool pickles training batches) and
-copying, which rebuild it through its checks: a read-only array stays
-read-only, and a pickle of an invalid state is refused.  Array fields here
-hold one entry, so that ``==`` on them is a plain truth value.
+copying, which rebuild it through its checks: every array field is
+read-only, on the original and on every copy, and a pickle of an invalid
+state is refused.  Array fields here hold one entry, so that ``==`` on them
+is a plain truth value.  Every ``@record`` class under ``src/`` must have a
+case here.
 """
 
+import ast
 import copy
 import pickle
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,8 +24,9 @@ import pytest
 
 from netdp.accountant import BoundReport, RdpPoint
 from netdp.core import PrivacyBudget, Topology, Walks
-from netdp.dpml import Dataset, RegimeBatch, TrainConfig
+from netdp.dpml import Dataset, RegimeBatch, TrainConfig, TrainRuns
 from netdp.empirical import PairLossMatrix, PairLossSummary
+from netdp.protocols import ProtocolRuns, SgdRuns
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
 CONFIG = TrainConfig("local", 10, 0.1, PrivacyBudget(2.0))
@@ -67,12 +72,28 @@ RECORDS = [
          {"meta": {}}, {"eps0": 0.25},
          "PairLossSummary(col_sum=array([0.]), col_min=array([1.]), col_max=array([2.]), "
          "n=1, T=4, eps0=0.5, meta={'seed': 1})", hashable=False),
+    spec(ProtocolRuns, {"trace": Walks(Topology("complete", 3), np.array([[2]])), "noised": np.array([[True]]),
+                        "scales": np.array([0.5]), "outputs": np.array([1.5]), "true_values": np.array([1.0]),
+                        "pre_debias": np.array([[1]]), "response_counts": np.array([1])}, {},
+         {"outputs": np.array([2.5])},
+         "ProtocolRuns(trace=Walks(topology=Topology(kind='complete', n=3), steps=array([[2]])), "
+         "noised=array([[ True]]), scales=array([0.5]), outputs=array([1.5]), true_values=array([1.]), "
+         "pre_debias=array([[1]]), response_counts=array([1]))", hashable=False),
+    spec(SgdRuns, {"trace": Walks(Topology("complete", 3), np.array([[2]])), "noised": np.array([[True]]),
+                   "checkpoint_steps": np.array([1]), "iterates": np.array([[[0.5]]])}, {},
+         {"iterates": np.array([[[0.25]]])},
+         "SgdRuns(trace=Walks(topology=Topology(kind='complete', n=3), steps=array([[2]])), "
+         "noised=array([[ True]]), checkpoint_steps=array([1]), iterates=array([[[0.5]]]))", hashable=False),
+    spec(TrainRuns, {"steps": np.array([0]), "objective": np.array([[0.5]]), "accuracy": np.array([[1.0]]),
+                     "models": np.array([[0.25]])}, {}, {"objective": np.array([[0.75]])},
+         "TrainRuns(steps=array([0]), objective=array([[0.5]]), accuracy=array([[1.]]), "
+         "models=array([[0.25]]))", hashable=False),
 ]
 
 FIELDS = "cls, fields, defaults, changed, text, hashable"
 
-# A field value that each record's check refuses; Dataset and
-# PairLossSummary check nothing.
+# A field value that each record's check refuses; Dataset, PairLossSummary
+# and the three batch results check nothing.
 INVALID = {
     PrivacyBudget: {"epsilon": 0.0},
     Topology: {"kind": "completX"},
@@ -151,15 +172,6 @@ def test_pickle_and_copy_round_trip(cls, fields, defaults, changed, text, hashab
 
 
 @pytest.mark.parametrize(FIELDS, RECORDS)
-def test_arrays_stay_read_only_after_pickle_and_copy(cls, fields, defaults, changed, text, hashable):
-    record = cls(**fields)
-    arrays = [name for name in fields if isinstance(getattr(record, name), np.ndarray)]
-    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
-        for name in arrays:
-            assert getattr(clone, name).flags.writeable == getattr(record, name).flags.writeable
-
-
-@pytest.mark.parametrize(FIELDS, RECORDS)
 def test_pickle_of_an_invalid_state_is_refused(cls, fields, defaults, changed, text, hashable):
     if cls not in INVALID:
         assert not hasattr(cls, "__post_init__")  # nothing to check
@@ -179,10 +191,35 @@ def test_edited_pickle_bytes_are_refused():
         pickle.loads(data.replace(b"complete", b"completX"))
 
 
-def test_read_only_array_fields():
-    walks = Walks(Topology("complete", 3), np.array([[2]]))
-    matrix = PairLossMatrix(np.array([[0.0]]), 1, 4, 0.5)
-    assert not walks.steps.flags.writeable and not matrix.matrix.flags.writeable
+@pytest.mark.parametrize(FIELDS, RECORDS)
+def test_read_only_array_fields(cls, fields, defaults, changed, text, hashable):
+    # fresh writable arrays: the ones in RECORDS were frozen by earlier cases
+    fresh = {name: value.copy() if isinstance(value, np.ndarray) else value for name, value in fields.items()}
+    record = cls(**fresh)
+    arrays = [name for name in fields if isinstance(getattr(record, name), np.ndarray)]
+    assert arrays == [name for name, value in fields.items() if isinstance(value, np.ndarray)]
+    for built in (record, pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        for name in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(built, name)[...] = getattr(built, name)
+            assert not getattr(built, name).flags.writeable, name
+
+
+def record_classes(package: Path) -> set[str]:
+    """Names of the classes decorated ``@record`` in the package's modules."""
+    return {node.name for path in package.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list)}
+
+
+def test_every_record_class_has_a_case():
+    found = record_classes(Path(__file__).resolve().parents[1] / "src" / "netdp")
+    assert found == {case.id for case in RECORDS}
+
+
+def test_record_classes_are_found(tmp_path):
+    (tmp_path / "m.py").write_text("@record\nclass A:\n    x: int\n\n\nclass B(NamedTuple):\n    y: int\n")
+    assert record_classes(tmp_path) == {"A"}
 
 
 def test_default_budget_repr():
